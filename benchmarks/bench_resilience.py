@@ -4,7 +4,7 @@ Every batch now runs its execution units under the
 :class:`~repro.resilience.supervisor.Supervisor` (retry ladder,
 deadlines, checkpoint hooks).  The gate: on a fault-free run of the
 VOQ workload the supervised batch costs at most 3% over executing the
-same planned units directly, and its results are bit-identical.  A
+same per-scenario units directly, and its results are bit-identical.  A
 fault-injected pass (transient error, recovered by retry) is also
 checked for bit-identical results — the recovery path is exercised,
 not just the happy path.
@@ -53,19 +53,11 @@ def scenarios(slots: int, warmup: int) -> list[Scenario]:
 
 
 def run_direct(slots: int, warmup: int):
-    """The unsupervised floor: execute the planned units directly."""
+    """The unsupervised floor: execute each scenario's unit directly."""
     session = PowerModel()
     batch = scenarios(slots, warmup)
-    units = session._plan_units(
-        list(enumerate(batch)), strategy="vectorized"
-    )
     start = time.perf_counter()
-    records: list = [None] * len(batch)
-    for fused, items in units:
-        for (index, _), record in zip(
-            items, session._run_unit(fused, [s for _, s in items])
-        ):
-            records[index] = record
+    records = [session._run_unit([s])[0] for s in batch]
     return time.perf_counter() - start, records
 
 
@@ -77,7 +69,6 @@ def run_supervised(slots: int, warmup: int, faults=None):
     start = time.perf_counter()
     records = session.run_batch(
         scenarios(slots, warmup),
-        strategy="vectorized",
         retry=retry,
         faults=faults,
         report=report,

@@ -9,15 +9,12 @@ entry points (:func:`repro.core.estimator.estimate_power`,
 default session, which means old call sites inherit the caching win
 without changes.
 
-Batch execution (:meth:`PowerModel.run_batch`) first groups scenarios
-that share a :func:`~repro.sim.fused_engine.stack_key` into fused
-stacks — one :class:`~repro.sim.fused_engine.FusedVectorizedEngine`
-slot loop per group (``strategy="auto"``) — and fans the resulting
-execution units out over a :mod:`concurrent.futures` pool.  Every
-scenario carries its own seed and every run owns its fabric/ledger
-state, so results are deterministic, bit-identical across strategies,
-and ordering-stable regardless of scheduling; the shared caches hold
-only immutable lookup objects.
+Batch execution (:meth:`PowerModel.run_batch`) runs every scenario as
+its own execution unit on the vectorized or reference engine and fans
+the units out over a :mod:`concurrent.futures` pool.  Every scenario
+carries its own seed and every run owns its fabric/ledger state, so
+results are deterministic and ordering-stable regardless of
+scheduling; the shared caches hold only immutable lookup objects.
 """
 
 from __future__ import annotations
@@ -59,22 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.store import RunRecordStore
     from repro.resilience.journal import CampaignJournal
 
-
-def _run_scenario_in_worker(scenario: Scenario) -> RunRecord:
-    """Top-level scenario runner for :class:`ProcessPoolExecutor`.
-
-    Each worker process keeps its own shared default session, so a
-    worker that receives several scenarios still builds wire models and
-    LUTs once.
-    """
-    return default_session().run(scenario)
-
-
-def _run_unit_in_worker(
-    fused: bool, scenarios: tuple[Scenario, ...]
-) -> list[RunRecord]:
-    """Top-level execution-unit runner for :class:`ProcessPoolExecutor`."""
-    return default_session()._run_unit(fused, list(scenarios))
 
 #: Fabric kwargs that change the banyan buffer *energy model* (and hence
 #: participate in the model-set cache key).
@@ -435,137 +416,15 @@ class PowerModel:
             return self.estimate(scenario)
         return self.simulate(scenario, engine=engine)
 
-    # ------------------------------------------------------------------
-    # Fused batch execution
-    # ------------------------------------------------------------------
-
-    def _scenario_router(self, scenario: Scenario):
-        """Assemble the scenario's router exactly as :meth:`simulate`
-        does (cached energy models included), without running it."""
-        from repro.sim.runner import build_router
-
-        kwargs: dict[str, Any] = {}
-        if scenario.architecture == "banyan":
-            kwargs.update(
-                buffer_memory=scenario.buffer_memory,
-                buffer_bits_per_switch=scenario.buffer_bits_per_switch,
-                buffer_charge_granularity=scenario.buffer_charge_granularity,
-            )
-        arch = registry.canonical_architecture(scenario.architecture)
-        models = None
-        if arch in ARCHITECTURES:
-            buffer_opts = {
-                k: kwargs[k] for k in _BUFFER_MODEL_KEYS if k in kwargs
-            }
-            models = self.energy_models(
-                arch, scenario.ports, scenario.technology, **buffer_opts
-            )
-        mode = WireMode.parse(scenario.wire_mode)
-        return build_router(
-            arch,
-            scenario.ports,
-            load=scenario.mean_load,
-            tech=scenario.technology,
-            wire_mode=mode.simulated,
-            models=models,
-            traffic=scenario.build_traffic(),
-            cell_format=scenario.cell_format,
-            ingress_queue_cells=scenario.ingress_queue_cells,
-            queueing=scenario.queueing,
-            islip_iterations=scenario.islip_iterations,
-            **kwargs,
-        )
-
-    def _run_fused_group(self, group: Sequence[Scenario]) -> list[RunRecord]:
-        """Run one stack of same-keyed scenarios through the fused
-        engine; per-scenario records are split back out so stores and
-        campaigns never see the difference."""
-        from repro.sim.fused_engine import FusedVectorizedEngine
-
-        start = time.perf_counter()
-        routers = [self._scenario_router(s) for s in group]
-        engine = FusedVectorizedEngine(routers, [s.seed for s in group])
-        first = group[0]
-        results = engine.run(
-            first.arrival_slots,
-            warmup_slots=first.warmup_slots,
-            drain=first.drain,
-        )
-        elapsed = (time.perf_counter() - start) / len(group)
-        return [
-            RunRecord.from_simulation(s, r, elapsed_s=elapsed)
-            for s, r in zip(group, results)
-        ]
-
     def _run_unit(
-        self,
-        fused: bool,
-        scenarios: Sequence[Scenario],
-        engine: str | None = None,
+        self, scenarios: Sequence[Scenario], engine: str | None = None
     ) -> list[RunRecord]:
-        """Run one execution unit (a fused stack or a lone scenario).
+        """Run one execution unit.
 
-        A fused unit that fails to stack (e.g. a custom fabric whose
-        registry entry overstated its capabilities) falls back to the
-        per-scenario path rather than failing the batch.  ``engine``
-        is the supervisor's execution-time slot-loop override (see
-        :meth:`simulate`); a fused unit never carries one (the ladder
-        unfuses before it changes engines).
+        ``engine`` is the supervisor's execution-time slot-loop
+        override (see :meth:`simulate`).
         """
-        if fused and engine is None and len(scenarios) >= 1:
-            try:
-                return self._run_fused_group(scenarios)
-            except ConfigurationError:
-                pass
-        if engine is None:
-            return [self.run(s) for s in scenarios]
         return [self.run(s, engine=engine) for s in scenarios]
-
-    @staticmethod
-    def _plan_units(
-        pending: Sequence[tuple[int, Scenario]], strategy: str
-    ) -> list[tuple[bool, list[tuple[int, Scenario]]]]:
-        """Group pending scenarios into execution units.
-
-        Returns ``(fused, [(index, scenario), ...])`` units in first-
-        occurrence order.  ``"vectorized"`` keeps every scenario its own
-        unit; ``"fused"`` stacks every scenario with a non-``None``
-        :func:`~repro.sim.fused_engine.stack_key` (singletons included);
-        ``"auto"`` stacks only groups of two or more that pass the
-        measured profitability gate
-        (:func:`~repro.sim.fused_engine.fusion_profitable`) — a
-        singleton stack, a FIFO stack, or a single-iteration iSLIP
-        stack pays the fused bookkeeping for no amortisation.
-        """
-        if strategy == "vectorized":
-            return [(False, [item]) for item in pending]
-        from repro.sim.fused_engine import fusion_profitable, stack_key
-
-        units: list[tuple[bool, list[tuple[int, Scenario]]]] = []
-        groups: dict[tuple, list[tuple[int, Scenario]]] = {}
-        for index, scenario in pending:
-            key = stack_key(scenario)
-            if key is None:
-                units.append((False, [(index, scenario)]))
-                continue
-            group = groups.get(key)
-            if group is None:
-                group = [(index, scenario)]
-                groups[key] = group
-                units.append((True, group))
-            else:
-                group.append((index, scenario))
-        if strategy == "auto":
-            units = [
-                (
-                    fused
-                    and len(items) > 1
-                    and fusion_profitable(items[0][1]),
-                    items,
-                )
-                for fused, items in units
-            ]
-        return units
 
     def run_batch(
         self,
@@ -573,11 +432,12 @@ class PowerModel:
         workers: int | None = None,
         executor: str = "thread",
         store: "RunRecordStore | None" = None,
-        strategy: str = "auto",
         retry: RetryPolicy | None = None,
         journal: "CampaignJournal | None" = None,
         faults: FaultPlan | None = None,
         report: BatchReport | None = None,
+        # perfbench's Saturation._check still passes strategy="vectorized".
+        strategy: str = "vectorized",
     ) -> list[RunRecord]:
         """Run many scenarios; results keep the input order.
 
@@ -598,27 +458,11 @@ class PowerModel:
             whose content hash is already on disk are served from the
             cache, and fresh results are persisted for the next
             campaign.
-        strategy:
-            ``"auto"`` (default) groups scenarios that share a
-            :func:`~repro.sim.fused_engine.stack_key` — same fabric,
-            ports, queueing, RNG stream, and measurement window — and
-            runs each group of two or more that passes the measured
-            profitability gate (VOQ stacks with ``islip_iterations >=
-            2``; see :func:`~repro.sim.fused_engine.fusion_profitable`)
-            through one :class:`~repro.sim.fused_engine.
-            FusedVectorizedEngine` slot loop; everything else
-            (singletons, FIFO stacks, reference-engine runs, estimates,
-            non-fused fabrics) takes the per-scenario path.  ``"fused"``
-            stacks everything stackable, singletons and FIFO included;
-            ``"vectorized"`` forces the per-scenario path.  The strategy
-            never changes results: fused stacks are bit-identical to
-            solo runs, records carry the same content hashes, and cache
-            hit/miss behaviour against ``store`` is unchanged.
         retry:
             Optional :class:`~repro.resilience.RetryPolicy` supervising
             every execution unit: retries with deterministic backoff,
-            per-unit wall-clock timeouts, graceful degradation (fused →
-            vectorized → reference engine; process pool → in-process
+            per-unit wall-clock timeouts, graceful degradation
+            (vectorized → reference engine; process pool → in-process
             after repeated pool breaks), and ``on_failure="record"``
             (``None`` result slots plus
             :class:`~repro.resilience.FailureRecord` entries in the
@@ -641,8 +485,8 @@ class PowerModel:
 
         Every scenario carries its own seed and every run owns its
         router/engine state, so results are identical (bit-for-bit)
-        across serial, thread, process, and fused execution — and, by
-        the degradation ladder's construction, across any sequence of
+        across serial, thread and process execution — and, by the
+        degradation ladder's construction, across any sequence of
         recovered faults.
         """
         scenario_list = list(scenarios)
@@ -652,10 +496,9 @@ class PowerModel:
             raise ConfigurationError(
                 f"executor must be 'thread' or 'process', got {executor!r}"
             )
-        if strategy not in ("auto", "fused", "vectorized"):
+        if strategy != "vectorized":
             raise ConfigurationError(
-                "strategy must be 'auto', 'fused' or 'vectorized', "
-                f"got {strategy!r}"
+                f"strategy must be 'vectorized', got {strategy!r}"
             )
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise ConfigurationError(
@@ -694,10 +537,9 @@ class PowerModel:
             else:
                 pending.append((index, scenario))
         if pending:
-            units = self._plan_units(pending, strategy)
             eff_workers = workers
             if (
-                len(units) == 1
+                len(pending) == 1
                 and faults is None
                 and policy.timeout_s is None
             ):
@@ -710,7 +552,7 @@ class PowerModel:
                 faults=faults,
                 report=report,
             )
-            supervisor.run_units(units, results, store=store,
+            supervisor.run_units(pending, results, store=store,
                                  journal=journal)
         return results
 
@@ -745,7 +587,6 @@ def run_batch(
     workers: int | None = None,
     executor: str = "thread",
     store: "RunRecordStore | None" = None,
-    strategy: str = "auto",
     retry: RetryPolicy | None = None,
     journal: "CampaignJournal | None" = None,
     faults: FaultPlan | None = None,
@@ -757,7 +598,6 @@ def run_batch(
         workers=workers,
         executor=executor,
         store=store,
-        strategy=strategy,
         retry=retry,
         journal=journal,
         faults=faults,

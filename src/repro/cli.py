@@ -127,6 +127,41 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_execution(
+    parser: argparse.ArgumentParser, figures: bool = True
+) -> None:
+    """Pool, cache and resilience flags shared by
+    batch|campaign|network|control."""
+    parser.add_argument(
+        "--workers", type=int, default=1, help="worker-pool width"
+    )
+    parser.add_argument(
+        "--executor",
+        choices=("thread", "process"),
+        default="thread",
+        help="worker pool kind: threads (shared caches) or processes "
+        "(CPU-bound fan-out across cores)",
+    )
+    parser.add_argument(
+        "--cache",
+        default=None,
+        metavar="PATH",
+        help="JSONL result cache keyed by scenario content hash; "
+        "already-measured scenarios are served from it (a warm cache "
+        "runs no new simulations) and fresh results appended",
+    )
+    if figures:
+        parser.add_argument(
+            "--figures",
+            default=None,
+            metavar="PATH",
+            help="JSONL derived-figure cache keyed by the spec's content "
+            "hash; a warm figure cache serves the whole record without "
+            "running (or even constructing) a session",
+        )
+    _add_resilience(parser)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--arch",
@@ -204,34 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON file: an array of scenario objects (or {"scenarios": [...]})',
     )
     batch.add_argument(
-        "--workers", type=int, default=1, help="worker-pool width"
-    )
-    batch.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool kind: threads (shared caches) or processes "
-        "(CPU-bound fan-out across cores)",
-    )
-    batch.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="JSONL result cache keyed by scenario content hash; "
-        "already-measured scenarios are served from it and fresh "
-        "results appended",
-    )
-    batch.add_argument(
-        "--strategy",
-        choices=("auto", "fused", "vectorized"),
-        default="auto",
-        help="scenario execution strategy: 'auto' fuses groups of "
-        "scenarios that share fabric/ports/queueing/stream into one "
-        "multi-scenario slot loop, 'vectorized' forces per-scenario "
-        "runs, 'fused' stacks even singletons.  Results are "
-        "bit-identical either way",
-    )
-    batch.add_argument(
         "--rng-stream",
         type=int,
         choices=(1, 2),
@@ -253,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to this file instead of stdout "
         "(a one-line summary still prints)",
     )
-    _add_resilience(batch)
+    _add_execution(batch, figures=False)
 
     campaign = sub.add_parser(
         "campaign",
@@ -268,39 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="built-in preset (repro campaign list) or a campaign "
             "JSON file",
         )
-        p.add_argument(
-            "--workers", type=int, default=1, help="worker-pool width"
-        )
-        p.add_argument(
-            "--executor",
-            choices=("thread", "process"),
-            default="thread",
-            help="worker pool kind for grid campaigns",
-        )
-        p.add_argument(
-            "--cache",
-            default=None,
-            metavar="PATH",
-            help="JSONL result cache; a warm cache re-runs the campaign "
-            "with zero new simulations",
-        )
-        p.add_argument(
-            "--figures",
-            default=None,
-            metavar="PATH",
-            help="JSONL derived-figure cache keyed by campaign content "
-            "hash; a warm figure cache serves the whole record without "
-            "running (or even constructing) a session",
-        )
-        p.add_argument(
-            "--strategy",
-            choices=("auto", "fused", "vectorized"),
-            default="auto",
-            help="scenario execution strategy for grid/network "
-            "campaigns (bit-identical results; 'auto' fuses "
-            "same-shaped scenario groups into one slot loop)",
-        )
-        _add_resilience(p)
+        _add_execution(p)
 
     run_p = campaign_sub.add_parser(
         "run", help="execute a campaign into a ComparisonRecord"
@@ -368,38 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="multiply every demand of the traffic matrix",
         )
         p.add_argument(
-            "--workers", type=int, default=1, help="worker-pool width"
-        )
-        p.add_argument(
-            "--executor",
-            choices=("thread", "process"),
-            default="thread",
-            help="worker pool kind for the per-router scenario batch",
-        )
-        p.add_argument(
-            "--cache",
-            default=None,
-            metavar="PATH",
-            help="JSONL per-scenario result cache; a warm cache re-runs "
-            "the network with zero new simulations",
-        )
-        p.add_argument(
-            "--figures",
-            default=None,
-            metavar="PATH",
-            help="JSONL derived-figure cache keyed by the spec's "
-            "topology+matrix content hash; a warm figure cache serves "
-            "the whole NetworkRecord without a session",
-        )
-        p.add_argument(
-            "--strategy",
-            choices=("auto", "fused", "vectorized"),
-            default="auto",
-            help="execution strategy for the per-router scenario batch "
-            "(bit-identical results; 'auto' fuses same-shaped router "
-            "groups into one slot loop)",
-        )
-        p.add_argument(
             "--shards",
             type=int,
             default=None,
@@ -417,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
             "per-router RunRecords + routing (full, default), routing "
             "only (summary), or nothing (none); exports are unaffected",
         )
-        _add_resilience(p)
+        _add_execution(p)
 
     net_run = network_sub.add_parser(
         "run", help="execute a network spec into a NetworkRecord"
@@ -486,31 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="built-in control preset (repro control list) or a "
             "ControlSpec JSON file",
         )
-        p.add_argument(
-            "--workers", type=int, default=1, help="worker-pool width"
-        )
-        p.add_argument(
-            "--executor",
-            choices=("thread", "process"),
-            default="thread",
-            help="worker pool kind for the per-router scenario batches",
-        )
-        p.add_argument(
-            "--cache",
-            default=None,
-            metavar="PATH",
-            help="JSONL per-scenario result cache shared by every epoch; "
-            "a warm cache re-runs the series with zero new simulations",
-        )
-        p.add_argument(
-            "--figures",
-            default=None,
-            metavar="PATH",
-            help="JSONL derived-figure cache: per-epoch baselines keyed "
-            "per epoch spec plus the whole ControlRecord keyed by the "
-            "control spec's content hash",
-        )
-        _add_resilience(p)
+        _add_execution(p)
 
     ctl_run = control_sub.add_parser(
         "run", help="execute a control spec into a ControlRecord"
@@ -786,18 +705,13 @@ def cmd_batch(args) -> int:
         scenarios = [
             s.replace(rng_stream=args.rng_stream) for s in scenarios
         ]
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _cache_store(args)
     resilience = _resilience_kwargs(args, _batch_key(scenarios))
     records = default_session().run_batch(
         scenarios,
         workers=args.workers,
         executor=args.executor,
         store=store,
-        strategy=args.strategy,
         **resilience,
     )
     # With --retries, exhausted units are recorded holes (None): the
@@ -853,7 +767,6 @@ def _campaign_store(args, campaign):
                 ("--cache", args.cache),
                 ("--workers", args.workers > 1),
                 ("--executor", args.executor != "thread"),
-                ("--strategy", args.strategy != "auto"),
                 ("--retries", args.retries is not None),
                 ("--timeout", args.timeout is not None),
                 ("--journal", args.journal),
@@ -869,6 +782,11 @@ def _campaign_store(args, campaign):
                 file=sys.stderr,
             )
         return None
+    return _cache_store(args)
+
+
+def _cache_store(args):
+    """The ``--cache`` RunRecordStore, or ``None`` without the flag."""
     if not args.cache:
         return None
     from repro.api.store import RunRecordStore
@@ -1035,31 +953,7 @@ def cmd_campaign(args) -> int:
     scenario_kind = campaign.kind in ("grid", "network", "control",
                                       "surrogate_eval")
 
-    if args.campaign_command == "report":
-        store = _campaign_store(args, campaign)
-        figures = _figure_store(args)
-        resilience = (
-            _resilience_kwargs(args, campaign.content_hash())
-            if scenario_kind
-            else {}
-        )
-        record = run_campaign(
-            campaign,
-            workers=args.workers,
-            executor=args.executor,
-            store=store,
-            figures=figures,
-            strategy=args.strategy,
-            **resilience,
-        )
-        _campaign_cache_stats(args, store)
-        _figure_store_stats(args, figures)
-        _resilience_summary(args, resilience)
-        print(render_report(record))
-        return 0
-
-    # run
-    if args.dry_run:
+    if args.campaign_command == "run" and args.dry_run:
         plan = campaign_plan(campaign)
         print(
             f"campaign {campaign.name} ({campaign.kind}): "
@@ -1081,12 +975,14 @@ def cmd_campaign(args) -> int:
         executor=args.executor,
         store=store,
         figures=figures,
-        strategy=args.strategy,
         **resilience,
     )
     _campaign_cache_stats(args, store)
     _figure_store_stats(args, figures)
     _resilience_summary(args, resilience)
+    if args.campaign_command == "report":
+        print(render_report(record))
+        return 0
     if args.csv_path:
         Path(args.csv_path).write_text(record.to_csv())
         print(f"{len(record.points)} points -> {args.csv_path}",
@@ -1209,11 +1105,7 @@ def cmd_network(args) -> int:
             )
         return 0
 
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _cache_store(args)
     figures = _figure_store(args)
     resilience = _resilience_kwargs(args, spec.content_hash())
     record = model.run(
@@ -1222,7 +1114,6 @@ def cmd_network(args) -> int:
         executor=args.executor,
         store=store,
         figures=figures,
-        strategy=args.strategy,
         shards=args.shards,
         detail=args.detail,
         **resilience,
@@ -1353,11 +1244,7 @@ def cmd_control(args) -> int:
             )
         return 0
 
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
+    store = _cache_store(args)
     figures = _figure_store(args)
     resilience = _resilience_kwargs(args, spec.content_hash())
     record = model.run(

@@ -79,13 +79,6 @@ class FabricEntry:
     aliases: extra accepted spellings of the name.
     analytical: whether the closed-form estimator backend models this
         architecture (true only for the paper's four fabrics).
-    fused: whether the vector core participates in the fused
-        multi-scenario engine (:mod:`repro.sim.fused_engine`): its
-        ``advance`` honours deferred wire flushing, so whole stacks of
-        scenarios can share one end-of-slot popcount.  Scenarios whose
-        architecture is not fused-capable automatically fall back to
-        the per-scenario vectorized path under
-        ``run_batch(strategy="auto"|"fused")``.
     description: one-line human description (CLI/docs).
     """
 
@@ -95,15 +88,12 @@ class FabricEntry:
     models_factory: Callable | None = None
     aliases: tuple[str, ...] = ()
     analytical: bool = False
-    fused: bool = False
     description: str = ""
 
     @property
     def engines(self) -> tuple[str, ...]:
         """Engine names able to run this architecture."""
         if self.vector_core is not None:
-            if self.fused:
-                return ("vectorized", "fused", "reference")
             return ("vectorized", "reference")
         return ("reference",)
 
@@ -145,7 +135,6 @@ def _ensure_builtins() -> None:
                 vector_core=CrossbarCore,
                 aliases=("xbar",),
                 analytical=True,
-                fused=True,
                 description="N x N crosspoint matrix",
             ),
             FabricEntry(
@@ -154,7 +143,6 @@ def _ensure_builtins() -> None:
                 vector_core=FullyConnectedCore,
                 aliases=("fullyconnected", "fully_conn", "fc", "mux"),
                 analytical=True,
-                fused=True,
                 description="one N-input MUX per egress port",
             ),
             FabricEntry(
@@ -162,7 +150,6 @@ def _ensure_builtins() -> None:
                 BanyanFabric,
                 vector_core=BanyanCore,
                 analytical=True,
-                fused=True,
                 description="self-routing 2x2 switches with node buffers",
             ),
             FabricEntry(
@@ -171,7 +158,6 @@ def _ensure_builtins() -> None:
                 vector_core=BatcherBanyanCore,
                 aliases=("batcher", "batcherbanyan"),
                 analytical=True,
-                fused=True,
                 description="bitonic sorter in front of a banyan",
             ),
         )
@@ -190,7 +176,6 @@ def register_fabric(
     models_factory: Callable | None = None,
     aliases: tuple[str, ...] = (),
     analytical: bool = False,
-    fused: bool = False,
     description: str = "",
     replace: bool = False,
 ) -> FabricEntry:
@@ -202,23 +187,8 @@ def register_fabric(
     supplies default :class:`~repro.core.bit_energy.EnergyModelSet`
     construction for :func:`~repro.fabrics.factory.build_fabric` call
     sites that pass no explicit ``models``.
-
-    ``fused=True`` additionally declares the core safe for the fused
-    multi-scenario engine: its ``advance`` must not flush wires itself
-    when ``defer_flush()`` has been called (cores deriving their slot
-    sequencing from :class:`~repro.fabrics.vectorized.VectorFabricCore`
-    and charging wires only through ``_record`` satisfy this).  It is
-    opt-in because the fused engine batches stacks of scenarios through
-    one popcount — a core with custom flush timing would silently
-    double-charge.  Non-fused architectures always take the per-scenario
-    vectorized path, whatever ``run_batch`` strategy is selected.
     """
     _ensure_builtins()
-    if fused and vector_core is None:
-        raise ConfigurationError(
-            "fused=True requires a vector_core (the fused engine stacks "
-            "vectorized cores)"
-        )
     canonical = _normalise(name)
     alias_names = tuple(_normalise(a) for a in aliases)
     with _LOCK:
@@ -255,7 +225,6 @@ def register_fabric(
             models_factory=models_factory,
             aliases=alias_names,
             analytical=analytical,
-            fused=fused,
             description=description,
         )
         _REGISTRY[canonical] = entry

@@ -82,10 +82,6 @@ class VectorFabricCore:
         self._pend_cell: list[int] = []
         self._pend_grids: list[float] = []
         self._pend_comp: list[str] = []
-        #: Fused-stack mode: ``advance`` leaves the slot's transfers
-        #: pending; :func:`flush_core_stack` pops them with one popcount
-        #: shared across every core of the stack.
-        self._defer = False
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -141,45 +137,6 @@ class VectorFabricCore:
         self._pend_grids.clear()
         self._pend_comp.clear()
 
-    def defer_flush(self) -> None:
-        """Switch into fused-stack mode.
-
-        ``advance`` then records wire transfers (and, where the slot
-        ordering demands it, per-slot counters) without flushing them;
-        the fused engine pops the whole stack's transfers with one
-        batched popcount via :func:`flush_core_stack`.
-        """
-        self._defer = True
-
-    def flush_deferred(self, flips: list, start: int) -> int:
-        """Apply this core's pending wire energies and counters.
-
-        ``flips[start:start + n]`` are the per-transfer flip counts the
-        stack flush computed for this core's ``n`` pending records; the
-        per-entry float-add sequence and the ``wire_flips`` counter
-        behaviour match :meth:`_flush_wires` exactly.  Returns the
-        number of entries consumed.
-        """
-        count = len(self._pend_link)
-        if count:
-            wire = self._wire_dict
-            e_t = self._grid_energy
-            grids = self._pend_grids
-            comps = self._pend_comp
-            total = 0
-            for i in range(count):
-                f = flips[start + i]
-                total += f
-                energy = f * grids[i] * e_t
-                if energy:
-                    wire[comps[i]] += energy
-            self._ledger.count("wire_flips", total)
-            self._pend_link.clear()
-            self._pend_cell.clear()
-            self._pend_grids.clear()
-            self._pend_comp.clear()
-        return count
-
 
 class CrossbarCore(VectorFabricCore):
     """Vectorized :class:`~repro.fabrics.crossbar.CrossbarFabric`."""
@@ -215,8 +172,7 @@ class CrossbarCore(VectorFabricCore):
             delivered.append(cid)
         self._ledger.count("switch_traversals", traversals)
         self._ledger.count("cells_delivered", len(delivered))
-        if not self._defer:
-            self._flush_wires()
+        self._flush_wires()
         return delivered
 
 
@@ -266,8 +222,7 @@ class FullyConnectedCore(VectorFabricCore):
             delivered.append(cid)
         self._ledger.count("switch_traversals", traversals)
         self._ledger.count("cells_delivered", len(delivered))
-        if not self._defer:
-            self._flush_wires()
+        self._flush_wires()
         return delivered
 
 
@@ -336,11 +291,6 @@ class BanyanCore(VectorFabricCore):
             [deque() for _ in range(n // 2)] for _ in range(stages)
         ]
         self._in_flight = 0
-        # Deferred-mode state: the banyan charges wires *before* its
-        # counter block, so in a fused stack both wait for the shared
-        # flush (set either by advance() or by the fused banyan kernel).
-        self._pending_counts: list[int] | None = None
-        self._pending_delivered = 0
 
     def can_admit(self, port: int) -> bool:
         return self._latch[0][port] < 0
@@ -356,26 +306,7 @@ class BanyanCore(VectorFabricCore):
             self._advance_stage(stage, delivered, counts)
         self._admit(grants, slot)
         self._refresh_all()
-        if self._defer:
-            # Reference slot order is wires first, counters second; both
-            # wait for the stack flush (flush_deferred).
-            self._pending_counts = counts
-            self._pending_delivered = len(delivered)
-            return delivered
         self._flush_wires()
-        self._count_slot(counts, len(delivered))
-        return delivered
-
-    def flush_deferred(self, flips: list, start: int) -> int:
-        consumed = super().flush_deferred(flips, start)
-        counts = self._pending_counts
-        if counts is not None:
-            self._pending_counts = None
-            self._count_slot(counts, self._pending_delivered)
-            self._pending_delivered = 0
-        return consumed
-
-    def _count_slot(self, counts: list[int], delivered_count: int) -> None:
         ledger = self._ledger
         if counts[0]:
             ledger.count("contentions", counts[0])
@@ -391,8 +322,9 @@ class BanyanCore(VectorFabricCore):
             ledger.count("buffer_reads", counts[4])
         if counts[5]:
             ledger.count("switch_traversals", counts[5])
-        if delivered_count:
-            ledger.count("cells_delivered", delivered_count)
+        if delivered:
+            ledger.count("cells_delivered", len(delivered))
+        return delivered
 
     def _advance_stage(
         self, stage: int, delivered: list[int], counts: list[int]
@@ -723,51 +655,14 @@ class BatcherBanyanCore(VectorFabricCore):
         if traversals:
             self._ledger.count("switch_traversals", traversals)
         self._ledger.count("cells_delivered", len(delivered))
-        if not self._defer:
-            self._flush_wires()
+        self._flush_wires()
         return delivered
 
 
+# Kept because perfbench/tracing.py imports and wraps this name.
 def flush_core_stack(cores) -> None:
-    """Flush a fused stack's wire transfers in one batched popcount.
-
-    Equivalent to calling ``_flush_wires`` on each deferred core in
-    order: the XOR + popcount runs once over the concatenation of every
-    core's pending transfers (they all share one
-    :class:`~repro.sim.cellstore.CellStore`), then each core applies its
-    own segment's wire energies — and any deferred counter block — in
-    core (scenario) order, so every per-scenario ledger sees exactly
-    the float-add and counter sequence of a solo run.
-    """
-    pend_cells: list[int] = []
-    for core in cores:
-        if core._pend_cell:
-            pend_cells.extend(core._pend_cell)
-    total = len(pend_cells)
-    if not total:
-        for core in cores:
-            core.flush_deferred((), 0)
-        return
-    store = cores[0].store
-    ids = np.fromiter(pend_cells, dtype=np.intp, count=total)
-    rows = store.words[ids]
-    prev = np.empty_like(rows)
-    prev[:, 1:] = rows[:, :-1]
-    pos = 0
-    spans = []
-    for core in cores:
-        count = len(core._pend_link)
-        if count:
-            links = np.fromiter(core._pend_link, dtype=np.intp, count=count)
-            prev[pos : pos + count, 0] = core._resting[links]
-            spans.append((core, links, pos, count))
-            pos += count
-    flips = _popcount_rows(rows ^ prev).tolist()
-    for core, links, pos, count in spans:
-        core._resting[links] = rows[pos : pos + count, -1]
-    start = 0
-    for core in cores:
-        start += core.flush_deferred(flips, start)
+    """Inert placeholder for the removed fused-stack wire flush."""
+    raise ConfigurationError("the fused engine tier was removed")
 
 
 #: Exact fabric type -> vector core for the built-ins.  Kept as a

@@ -545,7 +545,6 @@ class NetworkPowerModel:
         executor: str = "thread",
         store: "RunRecordStore | None" = None,
         figures: "DerivedRecordStore | None" = None,
-        strategy: str = "auto",
         retry: RetryPolicy | None = None,
         journal: "CampaignJournal | None" = None,
         faults: FaultPlan | None = None,
@@ -558,15 +557,12 @@ class NetworkPowerModel:
         Parameters mirror :meth:`repro.api.PowerModel.run_batch`
         (``retry``/``journal``/``faults``/``report`` included);
         ``figures`` short-circuits the whole run when the spec's
-        content hash is already in the derived-figure store.  With the
-        default ``strategy="auto"`` the per-router scenarios of a
-        uniform topology (one fabric type, one port count) fuse into a
-        single multi-scenario slot loop.  A record with failures
-        (explicit holes) is never figure-cached — a later clean run
-        must not be served the holes.  ``shards`` / ``detail`` stream
-        the aggregation (see :meth:`run_routed`); neither affects the
-        exported record, so figure-store entries are shared across
-        execution strategies.
+        content hash is already in the derived-figure store.  A record
+        with failures (explicit holes) is never figure-cached — a later
+        clean run must not be served the holes.  ``shards`` / ``detail``
+        stream the aggregation (see :meth:`run_routed`); neither affects
+        the exported record, so every setting of them shares one
+        figure-store entry.
         """
         if figures is not None:
             cached = figures.get(spec.content_hash(), "network")
@@ -579,7 +575,6 @@ class NetworkPowerModel:
             workers=workers,
             executor=executor,
             store=store,
-            strategy=strategy,
             retry=retry,
             journal=journal,
             faults=faults,
@@ -598,7 +593,6 @@ class NetworkPowerModel:
         workers: int | None = None,
         executor: str = "thread",
         store: "RunRecordStore | None" = None,
-        strategy: str = "auto",
         retry: RetryPolicy | None = None,
         journal: "CampaignJournal | None" = None,
         faults: FaultPlan | None = None,
@@ -643,7 +637,6 @@ class NetworkPowerModel:
                 workers=workers,
                 executor=executor,
                 store=store,
-                strategy=strategy,
                 retry=retry,
                 journal=journal,
                 faults=faults,
@@ -662,7 +655,7 @@ class _NetworkFold:
     :class:`RunRecord` results through this fold in topology node
     order, so every float accumulation (fabric/port totals, node rows)
     happens in exactly the same order — byte-identical exports are a
-    property of the fold, not of the execution strategy.  Per-router
+    property of the fold, not of the sharding.  Per-router
     records are retained only under ``detail="full"``; otherwise each
     record is dropped as soon as its row is folded, which is what keeps
     a streamed 1000-router run's peak memory bounded.

@@ -22,7 +22,7 @@ from typing import Any, Mapping
 from repro.errors import ConfigurationError
 
 #: Degradation rungs a unit may reach, in ladder order.
-STAGES = ("planned", "vectorized", "reference")
+STAGES = ("planned", "reference")
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ class FailureRecord:
     attempts:
         How many attempts were made before giving up.
     stage:
-        The degradation rung of the final attempt (``"planned"``,
-        ``"vectorized"``, ``"reference"``).
+        The degradation rung of the final attempt (``"planned"`` or
+        ``"reference"``).
     """
 
     label: str

@@ -1,16 +1,16 @@
 """The supervised execution loop behind ``run_batch``.
 
-Every batch — serial, thread pool, or process pool — now runs its
-execution units under a :class:`Supervisor` instead of a bare
-``future.result()``:
+Every batch — serial, thread pool, or process pool — runs its
+execution units (one per scenario) under a :class:`Supervisor` instead
+of a bare ``future.result()``:
 
-* **Retries with degradation.**  A failed attempt walks a ladder that
-  can only get more conservative: the planned mode first (a fused
-  stack, say), then the per-scenario vectorized path, then the
-  object-based reference engine — every rung bit-identical to the
-  last, so a recovered unit's record is indistinguishable from an
-  untroubled one.  Permanent errors (:class:`~repro.errors.ReproError`)
-  skip the ladder entirely: bad configuration is not a flaky worker.
+* **Retries with degradation.**  A failed attempt walks a two-rung
+  ladder that can only get more conservative: the planned engine
+  first (normally the vectorized one), then the object-based reference
+  engine — both rungs bit-identical, so a recovered unit's record is
+  indistinguishable from an untroubled one.  Permanent errors
+  (:class:`~repro.errors.ReproError`) skip the ladder entirely: bad
+  configuration is not a flaky worker.
 * **Pool recovery.**  A worker killed mid-unit (OOM, segfault, the
   fault plan's ``crash``) breaks the whole
   :class:`~concurrent.futures.ProcessPoolExecutor`; the supervisor
@@ -72,8 +72,7 @@ def _worker_run_unit(
     faults: FaultPlan | None,
     unit_id: int,
     attempt: int,
-    fused: bool,
-    scenarios: tuple["Scenario", ...],
+    scenario: "Scenario",
     engine: str | None,
 ) -> list["RunRecord"]:
     """Top-level process-pool unit runner (pickles cleanly).
@@ -84,41 +83,32 @@ def _worker_run_unit(
     from repro.api.model import default_session
 
     apply_fault(faults, unit_id, attempt, in_worker=True)
-    return default_session()._run_unit(
-        fused, list(scenarios), engine=engine
-    )
+    return default_session()._run_unit([scenario], engine=engine)
 
 
 @dataclass
 class _UnitTask:
-    """One execution unit moving through the retry ladder."""
+    """One scenario's execution unit moving through the retry ladder."""
 
     unit_id: int
-    fused: bool
-    items: list[tuple[int, "Scenario"]]
+    index: int
+    scenario: "Scenario"
     attempt: int = 1
 
     def key(self) -> str:
-        """Deterministic jitter/backoff key (first scenario's hash)."""
-        return self.items[0][1].content_hash()
+        """Deterministic jitter/backoff key (the scenario's hash)."""
+        return self.scenario.content_hash()
 
-    def stage(self) -> tuple[bool, str | None, str]:
-        """Execution mode for the current attempt: ``(fused,
-        engine_override, stage_name)``.
+    def stage(self) -> tuple[str | None, str]:
+        """``(engine_override, stage_name)`` for the current attempt.
 
-        The ladder only steps down: a fused unit retries unfused, then
-        on the reference engine; an unfused unit goes straight to the
-        reference engine on its second retry.  Estimate scenarios
-        ignore the engine override (there is nothing to degrade).
+        The first attempt runs as planned; every retry runs on the
+        reference engine.  Estimate scenarios ignore the engine
+        override (there is nothing to degrade).
         """
-        rung = self.attempt - 1
-        if not self.fused:
-            rung += 1
-        if rung == 0:
-            return True, None, "planned"
-        if rung == 1:
-            return False, None, ("vectorized" if self.fused else "planned")
-        return False, "reference", "reference"
+        if self.attempt == 1:
+            return None, "planned"
+        return "reference", "reference"
 
 
 class Supervisor:
@@ -160,12 +150,13 @@ class Supervisor:
 
     def run_units(
         self,
-        units: Sequence[tuple[bool, list[tuple[int, "Scenario"]]]],
+        units: Sequence[tuple[int, "Scenario"]],
         results: list["RunRecord | None"],
         store: "RunRecordStore | None" = None,
         journal: "CampaignJournal | None" = None,
     ) -> None:
-        """Execute every unit, filling ``results`` in place.
+        """Execute every ``(result index, scenario)`` unit, filling
+        ``results`` in place.
 
         On ``policy.on_failure == "record"`` permanently failed units
         leave their result slots ``None`` and append
@@ -173,8 +164,8 @@ class Supervisor:
         otherwise the final error propagates after pool cleanup.
         """
         tasks = [
-            _UnitTask(i, fused, list(items))
-            for i, (fused, items) in enumerate(units)
+            _UnitTask(i, index, scenario)
+            for i, (index, scenario) in enumerate(units)
         ]
         if not tasks:
             return
@@ -197,12 +188,12 @@ class Supervisor:
         store: "RunRecordStore | None",
         journal: "CampaignJournal | None",
     ) -> None:
-        for (index, _), record in zip(task.items, records):
-            results[index] = record
-            if store is not None:
-                store.put(record)
-            if journal is not None:
-                journal.record_done(record, attempts=task.attempt)
+        (record,) = records
+        results[task.index] = record
+        if store is not None:
+            store.put(record)
+        if journal is not None:
+            journal.record_done(record, attempts=task.attempt)
 
     def _fail(
         self,
@@ -210,17 +201,16 @@ class Supervisor:
         exc: BaseException,
         journal: "CampaignJournal | None",
     ) -> None:
-        """Terminal failure: record holes or re-raise per policy."""
-        _, _, stage = task.stage()
+        """Terminal failure: record a hole or re-raise per policy."""
+        _, stage = task.stage()
         if self.policy.on_failure != "record":
             raise exc
-        for _, scenario in task.items:
-            failure = FailureRecord.from_exception(
-                scenario, exc, task.attempt, stage
-            )
-            self.report.failures.append(failure)
-            if journal is not None:
-                journal.record_failure(failure)
+        failure = FailureRecord.from_exception(
+            task.scenario, exc, task.attempt, stage
+        )
+        self.report.failures.append(failure)
+        if journal is not None:
+            journal.record_failure(failure)
 
     def _advance(self, task: _UnitTask) -> float:
         """Move a retryable task to its next attempt; returns the
@@ -240,11 +230,9 @@ class Supervisor:
         )
 
     def _run_attempt_inline(self, task: _UnitTask) -> list["RunRecord"]:
-        fused, engine, _ = task.stage()
+        engine, _ = task.stage()
         apply_fault(self.faults, task.unit_id, task.attempt, in_worker=False)
-        return self.session._run_unit(
-            fused, [s for _, s in task.items], engine=engine
-        )
+        return self.session._run_unit([task.scenario], engine=engine)
 
     # ------------------------------------------------------------------
     # Serial path (no pool, no timeout enforcement needed)
@@ -311,16 +299,14 @@ class Supervisor:
         futures: dict[Future, _UnitTask],
         deadlines: dict[Future, float],
     ) -> None:
-        fused, engine, _ = task.stage()
-        scenarios = [s for _, s in task.items]
+        engine, _ = task.stage()
         if kind == "process":
             future = pool.submit(
                 _worker_run_unit,
                 self.faults,
                 task.unit_id,
                 task.attempt,
-                fused,
-                tuple(scenarios),
+                task.scenario,
                 engine,
             )
         else:

@@ -171,44 +171,3 @@ class CellStore:
             self.created_slot[cid] = slot
             ids.append(cid)
         return ids
-
-
-class StackedCellStore(CellStore):
-    """A :class:`CellStore` shared by a whole fused scenario stack.
-
-    Identical cell semantics, but ``dest`` and ``entered_slot`` are
-    int64 numpy arrays instead of Python lists: the fused banyan kernel
-    (:mod:`repro.fabrics.fused`) fancy-indexes them per stage across
-    every scenario at once.  Scalar reads/writes still work exactly like
-    the base store (they return numpy int64 scalars, which hash and
-    compare like ints), so the per-scenario engine code runs on either
-    store unchanged.
-
-    Callers must re-read ``store.dest`` / ``store.entered_slot`` after
-    any allocation that may grow the pool — growth replaces the arrays.
-    """
-
-    def __init__(self, cell_format: CellFormat, capacity: int = 1024) -> None:
-        super().__init__(cell_format, capacity)
-        self.dest = np.zeros(self.capacity, dtype=np.int64)
-        self.entered_slot = np.zeros(self.capacity, dtype=np.int64)
-
-    def _grow(self) -> None:
-        old = self.capacity
-        new_words = np.zeros((old * 2, self.cell_format.words), dtype=np.uint64)
-        new_words[:old] = self.words
-        self.words = new_words
-        for lst in (
-            self.src,
-            self.packet_id,
-            self.cell_index,
-            self.cell_count,
-            self.payload_bits,
-            self.created_slot,
-        ):
-            lst.extend([0] * old)
-        for name in ("dest", "entered_slot"):
-            grown = np.zeros(old * 2, dtype=np.int64)
-            grown[:old] = getattr(self, name)
-            setattr(self, name, grown)
-        self._free.extend(range(old * 2 - 1, old - 1, -1))

@@ -1,409 +1,19 @@
-"""The fused multi-scenario slot-loop engine.
+"""Inert placeholder for the removed multi-scenario engine.
 
-Top tier of the three-engine stack (reference oracle → per-scenario
-vectorized → fused).  Campaigns and network runs execute dozens of
-near-identical scenarios — a fig9 load grid, every router of a
-fat-tree — that differ only in load, seed, traffic, or wire mode.
-:class:`FusedVectorizedEngine` runs such a *stack* through one slot
-loop: per-scenario arrivals feed per-scenario queues, VOQ arbitration
-runs with a leading scenario axis (one ``(scenario, input, output)``
-iSLIP grant reduction per iteration; FIFO arbitration stays on each
-scenario's tuned solo path — see :meth:`FusedVectorizedEngine.
-_arbitrate_fifo_stack`), the banyan fabric advances all scenarios
-through one 3-D stage kernel
-(:mod:`repro.fabrics.fused`), and every wire transfer of the whole
-stack is flip-counted by **one** XOR + popcount per slot over a shared
-:class:`~repro.sim.cellstore.StackedCellStore`.
-
-Bit-exactness is the contract, not a goal: each scenario's
-:class:`~repro.sim.results.SimulationResult` is identical to what its
-own solo :class:`~repro.sim.vector_engine.VectorizedEngine` run would
-produce (enforced by ``tests/test_fused_engine.py``).  The engine
-reuses one ``VectorizedEngine`` per scenario for all scalar state —
-queues, RNG stream, ingress/egress statistics, result collection — and
-only replaces the *loops*: every random draw still happens on the
-scenario's own seeded generator in the same order, and every ledger
-write replays in the solo order because per-scenario pend lists and
-counter blocks are flushed per core.
-
-Stackability (:func:`stack_key`) requires scenarios to share the
-structural axes — architecture (with the registry's ``fused``
-capability), ports, queueing discipline, iSLIP depth, RNG stream
-version, technology, cell geometry, buffer configuration, and the
-measurement window — while load, seed, traffic pattern, and wire mode
-may vary freely within a stack.  Anything non-stackable (reference
-engine, estimate backend, non-fused fabric) returns ``None`` and runs
-on the per-scenario path.
-
-Drain-tail fast-forward: scenarios drain at different speeds, so the
-drain loop keeps a shrinking ``active`` list — a drained scenario costs
-nothing per slot (its fabric rows are empty, its queues skip
-arbitration), and the loop ends when the slowest scenario empties, with
-per-scenario drain-slot counts matching the solo runs exactly.
+Every scenario now runs on its own vectorized or reference engine.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigurationError
-from repro.fabrics.fused import FusedBanyanStack
-from repro.fabrics.registry import get_entry
-from repro.fabrics.vectorized import BanyanCore, flush_core_stack
-from repro.sim.cellstore import StackedCellStore
-from repro.sim.results import SimulationResult
-from repro.sim.vector_engine import VectorizedEngine, _islip_accept
-
-def fusion_profitable(scenario) -> bool:
-    """Whether a fused stack is expected to beat per-scenario runs.
-
-    Measured reality (see ``benchmarks/bench_fused.py``): the solo
-    vectorized engine is *event-bound* — per-cell Python work, which
-    fusion cannot share across scenarios, dominates its slot loop — so
-    a fused stack only wins where a per-slot **fixed** cost is
-    amortised over the scenario axis.  The K-iteration iSLIP matcher
-    is that cost: VOQ stacks with ``islip_iterations >= 2`` run faster
-    fused on the 16-scenario banyan-32 benchmark (~1.03x at full
-    length, ~1.06-1.08x on the short CI stack where the matcher is a
-    bigger slice of the slot), while FIFO and single-iteration stacks
-    run at 0.8-0.95x (the stacked kernel's gather/scatter bookkeeping
-    outweighs the shared work).  ``run_batch(strategy="auto")``
-    therefore fuses only the former; ``strategy="fused"`` bypasses
-    this gate.
-    """
-    return scenario.queueing == "voq" and scenario.islip_iterations >= 2
-
-
-def stack_key(scenario) -> tuple | None:
-    """The fusion group key of a scenario, or ``None`` if unstackable.
-
-    Scenarios with equal keys may run in one
-    :class:`FusedVectorizedEngine` stack; the key pins every structural
-    axis (see module docstring) while load, seed, traffic, and wire
-    mode vary within a stack.  The key is *not* part of the scenario's
-    ``content_hash`` — fusion is an execution strategy, so cached
-    records stay shared with the per-scenario paths.
-    """
-    if scenario.backend != "simulate" or scenario.engine != "vectorized":
-        return None
-    entry = get_entry(scenario.architecture)
-    if not entry.fused:
-        return None
-    return (
-        entry.name,
-        scenario.ports,
-        scenario.queueing,
-        scenario.islip_iterations,
-        scenario.rng_stream,
-        scenario.tech,
-        scenario.bus_width,
-        scenario.cell_words,
-        scenario.buffer_memory,
-        scenario.buffer_bits_per_switch,
-        scenario.buffer_charge_granularity,
-        scenario.ingress_queue_cells,
-        scenario.arrival_slots,
-        scenario.warmup_slots,
-        scenario.drain,
-    )
 
 
 class FusedVectorizedEngine:
-    """One slot loop over a stack of same-shaped routers.
+    """Removed engine; nothing in :mod:`repro` constructs or calls it."""
 
-    Parameters
-    ----------
-    routers: one assembled router per scenario; all must share the
-        structural configuration :func:`stack_key` pins (same fabric
-        type/ports, same queueing discipline and iSLIP depth).
-    seeds: per-scenario RNG seeds, aligned with ``routers``.
-    """
-
-    def __init__(self, routers, seeds) -> None:
-        routers = list(routers)
-        seeds = list(seeds)
-        if not routers:
-            raise ConfigurationError("fused engine needs >= 1 router")
-        if len(seeds) != len(routers):
-            raise ConfigurationError("one seed per router required")
-        first = routers[0]
-        self.ports = first.ports
-        self.store = StackedCellStore(first.fabric.cell_format)
-        self.subs = [
-            VectorizedEngine(router, seed=seed, store=self.store)
-            for router, seed in zip(routers, seeds)
-        ]
-        self._is_voq = self.subs[0]._is_voq
-        for sub in self.subs:
-            if sub._is_voq != self._is_voq or sub.router.ports != self.ports:
-                raise ConfigurationError(
-                    "fused stack routers must share queueing and ports"
-                )
-        cores = [sub._core for sub in self.subs]
-        if all(type(core) is BanyanCore for core in cores):
-            # Banyan stacks advance through the 3-D stage kernel; each
-            # sub-engine sees the stack through a per-scenario view.
-            self._stack = FusedBanyanStack(cores)
-            for sub, view in zip(self.subs, self._stack.views()):
-                sub._core = view
-        else:
-            self._stack = None
-            for core in cores:
-                core.defer_flush()
-        self._cores = cores
-        if self._is_voq:
-            self._islip_iterations = self.subs[0]._islip_iterations
-            self._dist = self.subs[0]._dist
-            s_count = len(self.subs)
-            ports = self.ports
-            # Persistent stacked iSLIP state.  Each sub's request matrix
-            # becomes a view into the stack so the accept/pop code paths
-            # keep writing per-scenario while the grant phase reads one
-            # (scenario, input, output) block without restacking.
-            self._req_stack = np.zeros((s_count, ports, ports), dtype=bool)
-            for s, sub in enumerate(self.subs):
-                self._req_stack[s] = sub._req
-                sub._req = self._req_stack[s]
-            self._gptr = np.stack([sub._grant_ptr for sub in self.subs])
-            self._aptr = np.stack([sub._accept_ptr for sub in self.subs])
-            self._admit_all = all(sub._admit_all for sub in self.subs)
-            self._distT = np.ascontiguousarray(self._dist.T)
-            self._all_scen = np.arange(s_count)
-        self._slot = 0
-
-    # ------------------------------------------------------------------
-    # Stacked arbitration
-    # ------------------------------------------------------------------
-
-    def _arbitrate_fifo_stack(
-        self, active: list[int]
-    ) -> list[list[tuple[int, int]]]:
-        """FCFS/oldest-first arbitration, dispatched per scenario.
-
-        FIFO arbitration is a single small sort per scenario with no
-        iteration structure to amortise, so the solo engine's tuned
-        Python path wins over a stacked lexsort (measured ~25% faster
-        on the 16-scenario banyan-32 stack).  Each sub's ``_arbitrate``
-        reads only its own ingress queues plus the shared fabric stack
-        through its :class:`FusedCoreView`, so grants are bit-identical
-        to the per-scenario runs.
-        """
-        subs = self.subs
-        grants_list: list[list[tuple[int, int]]] = [[] for _ in subs]
-        for s in active:
-            grants_list[s] = subs[s]._arbitrate()
-        return grants_list
-
-    def _arbitrate_voq_stack(
-        self, active: list[int]
-    ) -> list[list[tuple[int, int]]]:
-        """K-iteration iSLIP with a leading scenario axis.
-
-        The grant phase is one masked argmin over ``(scenario, input,
-        output)``; the accept phase reuses the solo engine's hoisted
-        :func:`~repro.sim.vector_engine._islip_accept` per scenario so
-        match emission order (and hence ledger order) stays identical.
-        """
-        subs = self.subs
-        ports = self.ports
-        dist = self._dist
-        distT = self._distT
-        sentinel = ports
-        rows = len(active)
-        whole = rows == len(subs)
-        act_arr = self._all_scen if whole else np.array(active)
-        req = self._req_stack if whole else self._req_stack[act_arr]
-        # Fabric admission: a port with queued cells but an occupied
-        # entry latch may not request this slot.  Ports with empty
-        # queues have all-False request rows already, so the latch-free
-        # mask alone reproduces the solo ``depth > 0`` condition.
-        if self._admit_all:
-            base = req
-        elif self._stack is not None:
-            free = self._stack._lat[:, 0, :] < 0
-            base = req & (free if whole else free[act_arr])[:, :, None]
-        else:
-            base = req.copy()
-            for i, s in enumerate(active):
-                sub = subs[s]
-                can_admit = sub._core.can_admit
-                depth = sub._port_depth
-                for p in range(ports):
-                    if depth[p] > 0 and not can_admit(p):
-                        base[i, p, :] = False
-        matched_in = np.zeros((rows, ports), dtype=bool)
-        matched_out = np.zeros((rows, ports), dtype=bool)
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-        gptr = self._gptr
-        aptr = self._aptr
-        for iteration in range(self._islip_iterations):
-            if iteration == 0:
-                act = base
-            else:
-                act = (
-                    base
-                    & ~matched_in[:, :, None]
-                    & ~matched_out[:, None, :]
-                )
-            any_out = act.any(axis=1)
-            ro_s, ro_o = np.nonzero(any_out)
-            if not ro_s.size:
-                break
-            # Grant phase: dist.T[ptr] rows are modular distances from
-            # the pointer, so one gather per slot replaces per-scenario
-            # pointer restacks (first-iteration accepts update live —
-            # the solo loop reads them the same way).
-            g = gptr if whole else gptr[act_arr]
-            keys = np.where(
-                act, distT[g].transpose(0, 2, 1), sentinel
-            )
-            winner = keys.argmin(axis=1)
-            # Accept phase, batched across the stack: key winners by
-            # (scenario, input) so one unique/lexsort/argsort reproduces
-            # the concatenation of every scenario's solo accept (the
-            # nonzero scan above is scenario-major, exactly the solo
-            # per-scenario ascending-output scan).
-            win = winner[ro_s, ro_o]
-            glob = act_arr[ro_s]
-            accept_keys = dist[ro_o, aptr[glob, win]]
-            wkey = glob * ports + win
-            uniq, first = np.unique(wkey, return_index=True)
-            order = np.lexsort((accept_keys, wkey))
-            w_sorted = wkey[order]
-            head = np.empty(w_sorted.size, dtype=bool)
-            head[0] = True
-            head[1:] = w_sorted[1:] != w_sorted[:-1]
-            chosen = ro_o[order[head]]
-            emit = np.argsort(first, kind="stable")
-            m_scen = (uniq // ports)[emit]
-            m_port = (uniq % ports)[emit]
-            m_out = chosen[emit]
-            if iteration == 0:
-                aptr[m_scen, m_port] = (m_out + 1) % ports
-                gptr[m_scen, m_out] = (m_port + 1) % ports
-            # ``active`` is sorted ascending, so searchsorted recovers
-            # each match's local row.
-            m_row = m_scen if whole else np.searchsorted(act_arr, m_scen)
-            matched_in[m_row, m_port] = True
-            matched_out[m_row, m_out] = True
-            rw_l = m_row.tolist()
-            pt_l = m_port.tolist()
-            ot_l = m_out.tolist()
-            for j in range(len(rw_l)):
-                pairs[rw_l[j]].append((pt_l[j], ot_l[j]))
-        grants_list: list[list[tuple[int, int]]] = [[] for _ in subs]
-        for i, s in enumerate(active):
-            sub = subs[s]
-            vq = sub._vq
-            occ = sub._voq_occ
-            req = sub._req
-            depth = sub._port_depth
-            bounded = sub._queue_cap is not None
-            grants = grants_list[s]
-            for port, out in pairs[i]:
-                queue = vq[port][out]
-                cid = queue.popleft()
-                if not queue:
-                    req[port, out] = False
-                if bounded:
-                    occ[port][out] -= 1
-                depth[port] -= 1
-                grants.append((port, cid))
-        return grants_list
-
-    # ------------------------------------------------------------------
-    # Slot loop
-    # ------------------------------------------------------------------
-
-    def _step_all(self, active: list[int], generate_arrivals: bool) -> None:
-        slot = self._slot
-        subs = self.subs
-        if generate_arrivals:
-            for s in active:
-                sub = subs[s]
-                batch = sub.router.traffic.arrivals_batch(slot, sub.rng)
-                if len(batch):
-                    if self._is_voq:
-                        sub._accept_voq(batch)
-                    else:
-                        sub._accept(batch)
-        if self._is_voq:
-            grants_list = self._arbitrate_voq_stack(active)
-        else:
-            grants_list = self._arbitrate_fifo_stack(active)
-        if self._stack is not None:
-            delivered_list = self._stack.advance_all(
-                grants_list, slot, active
-            )
-            flush_core_stack(self._cores)
-        else:
-            delivered_list = [[] for _ in subs]
-            for s in active:
-                delivered_list[s] = self._cores[s].advance(
-                    grants_list[s], slot
-                )
-            flush_core_stack([self._cores[s] for s in active])
-        for s in active:
-            sub = subs[s]
-            if sub._measuring:
-                sub._measurement_slots += 1
-            delivered = delivered_list[s]
-            if delivered:
-                sub._deliver(delivered, slot)
-                self.store.free_many(delivered)
-            sub._slot += 1
-        self._slot += 1
-
-    def run(
-        self,
-        arrival_slots: int,
-        warmup_slots: int = 0,
-        drain: bool = True,
-        max_drain_slots: int = 20000,
-    ) -> list[SimulationResult]:
-        """Execute the stack's shared phases; one result per scenario.
-
-        Same per-scenario semantics (and bit-identical seeded results)
-        as :meth:`repro.sim.vector_engine.VectorizedEngine.run` — the
-        phase lengths are shared because :func:`stack_key` pins them.
-        """
-        if arrival_slots < 1:
-            raise ConfigurationError("arrival_slots must be >= 1")
-        if warmup_slots < 0 or max_drain_slots < 0:
-            raise ConfigurationError("negative slot counts")
-        subs = self.subs
-        everyone = list(range(len(subs)))
-        for _ in range(warmup_slots):
-            self._step_all(everyone, True)
-        for sub in subs:
-            sub._reset_measurements()
-            sub._measuring = True
-        for _ in range(arrival_slots):
-            self._step_all(everyone, True)
-        for sub in subs:
-            sub._measuring = False
-        drain_slots = [0] * len(subs)
-        if drain:
-            active = [
-                s
-                for s in everyone
-                if subs[s].ingress_backlog_cells > 0
-                or subs[s]._core.in_flight() > 0
-            ]
-            while active:
-                self._step_all(active, False)
-                still = []
-                for s in active:
-                    drain_slots[s] += 1
-                    if drain_slots[s] >= max_drain_slots:
-                        continue
-                    if (
-                        subs[s].ingress_backlog_cells > 0
-                        or subs[s]._core.in_flight() > 0
-                    ):
-                        still.append(s)
-                active = still
-        return [
-            sub._collect(arrival_slots, warmup_slots, drain_slots[s])
-            for s, sub in enumerate(subs)
-        ]
+    # Kept because perfbench/tracing.py imports and wraps this method.
+    def run(self, *args, **kwargs):
+        raise ConfigurationError(
+            "the fused engine was removed; run scenarios through "
+            "PowerModel.run_batch"
+        )

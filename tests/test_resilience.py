@@ -107,12 +107,11 @@ class TestFaultPlan:
 class TestTransientRetry:
     def test_recovered_batch_is_bit_identical(self):
         scenarios = grid()
-        clean = run_batch(scenarios, strategy="vectorized")
+        clean = run_batch(scenarios)
         faults = FaultPlan(faults=(Fault("transient", 1),))
         report = BatchReport()
         faulty = run_batch(
             scenarios,
-            strategy="vectorized",
             retry=FAST,
             faults=faults,
             report=report,
@@ -129,7 +128,6 @@ class TestTransientRetry:
         report = BatchReport()
         records = run_batch(
             scenarios,
-            strategy="vectorized",
             retry=FAST.replace(on_failure="record"),
             faults=faults,
             report=report,
@@ -147,16 +145,14 @@ class TestTransientRetry:
             faults=(Fault("transient", 0, attempts=(1, 2, 3)),)
         )
         with pytest.raises(TransientFault):
-            run_batch(
-                grid(), strategy="vectorized", retry=FAST, faults=faults
-            )
+            run_batch(grid(), retry=FAST, faults=faults)
 
     def test_permanent_error_is_not_retried(self):
         session = PowerModel()
 
         calls = {"n": 0}
 
-        def broken(fused, scenarios, engine=None):
+        def broken(scenarios, engine=None):
             calls["n"] += 1
             raise ConfigurationError("not a flaky worker")
 
@@ -164,7 +160,6 @@ class TestTransientRetry:
         report = BatchReport()
         records = session.run_batch(
             grid(),
-            strategy="vectorized",
             retry=FAST.replace(on_failure="record"),
             report=report,
         )
@@ -173,38 +168,37 @@ class TestTransientRetry:
         assert all(f.attempts == 1 for f in report.failures)
 
     def test_degradation_ladder_reaches_reference(self):
-        # Fused unit: attempt 1 planned (fused), 2 vectorized, 3
-        # reference — results identical at every rung.
+        # Attempt 1 runs as planned (vectorized), attempts 2 and 3 on
+        # the reference engine — results identical at every rung, and
+        # only the first retry changes rung.
         scenarios = [
             Scenario("crossbar", 4, load, **SIM_KWARGS)
             for load in (0.2, 0.4, 0.6)
         ]
-        clean = run_batch(scenarios, strategy="fused")
+        clean = run_batch(scenarios)
         faults = FaultPlan(faults=(Fault("transient", 0, attempts=(1, 2)),))
         report = BatchReport()
         faulty = run_batch(
             scenarios,
-            strategy="fused",
             retry=FAST,
             faults=faults,
             report=report,
         )
         assert details(faulty) == details(clean)
         assert report.retries == 2
-        assert report.degradations == 2
+        assert report.degradations == 1
 
 
 class TestTimeout:
     def test_hung_unit_is_rescued_bit_identically(self):
         scenarios = grid()
-        clean = run_batch(scenarios, strategy="vectorized")
+        clean = run_batch(scenarios)
         faults = FaultPlan(
             faults=(Fault("hang", 0, attempts=(1,), hang_s=5.0),)
         )
         report = BatchReport()
         faulty = run_batch(
             scenarios,
-            strategy="vectorized",
             retry=FAST.replace(timeout_s=0.5),
             faults=faults,
             report=report,
@@ -221,7 +215,6 @@ class TestTimeout:
         report = BatchReport()
         records = run_batch(
             scenarios,
-            strategy="vectorized",
             retry=RetryPolicy(
                 max_attempts=2,
                 backoff_s=0.001,
@@ -239,14 +232,13 @@ class TestTimeout:
 class TestProcessCrash:
     def test_broken_pool_respawns_bit_identically(self):
         scenarios = grid()
-        clean = run_batch(scenarios, strategy="vectorized")
+        clean = run_batch(scenarios)
         faults = FaultPlan(faults=(Fault("crash", 1),))
         report = BatchReport()
         faulty = run_batch(
             scenarios,
             workers=2,
             executor="process",
-            strategy="vectorized",
             retry=FAST,
             faults=faults,
             report=report,
@@ -257,14 +249,13 @@ class TestProcessCrash:
 
     def test_crash_on_thread_pool_is_retryable(self):
         scenarios = grid()
-        clean = run_batch(scenarios, strategy="vectorized")
+        clean = run_batch(scenarios)
         faults = FaultPlan(faults=(Fault("crash", 0),))
         report = BatchReport()
         faulty = run_batch(
             scenarios,
             workers=2,
             executor="thread",
-            strategy="vectorized",
             retry=FAST,
             faults=faults,
             report=report,
@@ -277,24 +268,22 @@ class TestKeyboardInterrupt:
     def test_serial_interrupt_propagates(self):
         session = PowerModel()
 
-        def interrupted(fused, scenarios, engine=None):
+        def interrupted(scenarios, engine=None):
             raise KeyboardInterrupt
 
         session._run_unit = interrupted
         with pytest.raises(KeyboardInterrupt):
-            session.run_batch(grid(), strategy="vectorized", retry=FAST)
+            session.run_batch(grid(), retry=FAST)
 
     def test_pooled_interrupt_propagates(self):
         session = PowerModel()
 
-        def interrupted(fused, scenarios, engine=None):
+        def interrupted(scenarios, engine=None):
             raise KeyboardInterrupt
 
         session._run_unit = interrupted
         with pytest.raises(KeyboardInterrupt):
-            session.run_batch(
-                grid(), workers=2, strategy="vectorized", retry=FAST
-            )
+            session.run_batch(grid(), workers=2, retry=FAST)
 
 
 class TestStoreHardening:
@@ -387,7 +376,7 @@ class TestJournal:
         path = tmp_path / "journal.jsonl"
         scenarios = grid()
         journal = CampaignJournal(path, "camp-1")
-        clean = run_batch(scenarios, strategy="vectorized", journal=journal)
+        clean = run_batch(scenarios, journal=journal)
         assert journal.stats() == {
             "done": len(scenarios), "failed": 0, "skipped_lines": 0,
         }
@@ -395,7 +384,6 @@ class TestJournal:
         report = BatchReport()
         replayed = run_batch(
             scenarios,
-            strategy="vectorized",
             journal=resume,
             report=report,
         )
@@ -405,14 +393,13 @@ class TestJournal:
     def test_resume_reruns_only_failures(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         scenarios = grid()
-        clean = run_batch(scenarios, strategy="vectorized")
+        clean = run_batch(scenarios)
         faults = FaultPlan(
             faults=(Fault("transient", 2, attempts=(1, 2, 3)),)
         )
         first = CampaignJournal(path, "camp-1")
         run_batch(
             scenarios,
-            strategy="vectorized",
             retry=FAST.replace(on_failure="record"),
             faults=faults,
             journal=first,
@@ -423,7 +410,6 @@ class TestJournal:
         report = BatchReport()
         records = run_batch(
             scenarios,
-            strategy="vectorized",
             retry=FAST,
             journal=resume,
             report=report,
@@ -473,7 +459,7 @@ CAMPAIGN = Campaign(
 
 class TestCampaignExports:
     def test_recovered_campaign_exports_byte_identical(self):
-        clean = run_campaign(CAMPAIGN, strategy="vectorized")
+        clean = run_campaign(CAMPAIGN)
         faults = FaultPlan(
             faults=(
                 Fault("transient", 0),
@@ -484,7 +470,6 @@ class TestCampaignExports:
         report = BatchReport()
         faulty = run_campaign(
             CAMPAIGN,
-            strategy="vectorized",
             retry=FAST.replace(timeout_s=2.0),
             faults=faults,
             report=report,
@@ -503,7 +488,6 @@ class TestCampaignExports:
         figures = DerivedRecordStore(tmp_path / "figs.jsonl")
         record = run_campaign(
             CAMPAIGN,
-            strategy="vectorized",
             retry=FAST.replace(on_failure="record"),
             faults=faults,
             figures=figures,
@@ -519,7 +503,7 @@ class TestCampaignExports:
         assert len(figures) == 0
 
     def test_clean_export_has_no_failures_field(self):
-        record = run_campaign(CAMPAIGN, strategy="vectorized")
+        record = run_campaign(CAMPAIGN)
         assert "failures" not in json.loads(record.to_json())
 
 

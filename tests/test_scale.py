@@ -382,7 +382,7 @@ class TestResilienceStreaming:
     def run_k8(self, **kwargs):
         spec = get_network("fat_tree_k8")
         return NetworkPowerModel(PowerModel()).run(
-            spec, strategy="vectorized", **kwargs
+            spec, **kwargs
         )
 
     def test_fault_holes_surface_on_sharded_record(self):
@@ -439,7 +439,7 @@ class TestResilienceStreaming:
 
         def run(**kwargs):
             return NetworkPowerModel(PowerModel()).run(
-                spec, strategy="vectorized", **kwargs
+                spec, **kwargs
             )
 
         clean = run(shards=2, detail="none")
@@ -462,7 +462,6 @@ class TestResilienceStreaming:
         def run(journal, **kwargs):
             return NetworkPowerModel(PowerModel()).run(
                 spec,
-                strategy="vectorized",
                 shards=4,
                 detail="none",
                 journal=journal,
@@ -470,7 +469,7 @@ class TestResilienceStreaming:
             )
 
         clean = NetworkPowerModel(PowerModel()).run(
-            spec, strategy="vectorized", shards=4, detail="none"
+            spec, shards=4, detail="none"
         )
         faulty = run(
             CampaignJournal(path, key),
@@ -497,7 +496,6 @@ class TestResilienceStreaming:
         path = tmp_path / "journal.jsonl"
         NetworkPowerModel(PowerModel()).run(
             spec,
-            strategy="vectorized",
             shards=3,
             detail="none",
             journal=CampaignJournal(path, key),
@@ -505,7 +503,6 @@ class TestResilienceStreaming:
         report = BatchReport()
         NetworkPowerModel(PowerModel()).run(
             spec,
-            strategy="vectorized",
             shards=3,
             detail="none",
             journal=CampaignJournal(path, key, replay=True),
