@@ -8,17 +8,24 @@ These tests compare against ``tests/golden/digests.json`` instead:
   (``elapsed_s`` stripped) of eight 32-port VOQ scenarios, crossbar and
   banyan with 4 iSLIP iterations at loads 0.6-0.9;
 * ``fig9_csv`` / ``fig9_json`` — the fig9 campaign's exports at a short
-  40 + 8 slot window.
+  40 + 8 slot window;
+* ``traffic_kinds`` — the canonical records of twelve 8-port scenarios,
+  every traffic kind on RNG streams 1 and 2, spread over unbounded,
+  bounded and VOQ ingress on the crossbar and the banyan (so both
+  segmentation paths of the cell store run), with packet sizes that
+  fill part of a word, part of a cell and several cells.
 
-An intended change to the numbers regenerates the file explicitly:
-``PYTHONPATH=src python tests/test_golden.py`` prints the current
-digests as JSON.
+``PYTHONPATH=src python tests/test_golden.py`` prints every key's
+current digest beside ``same`` or ``CHANGED`` against the committed
+file and exits 1 if any key changed; an intended change to the numbers
+is then copied into the file by hand, as an explicit, reviewed diff.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +37,32 @@ from repro.campaigns.runner import run_campaign
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 WINDOW = dict(arrival_slots=40, warmup_slots=8, seed=2002)
+
+#: ``(traffic, traffic_params, load)`` of the ``traffic_kinds`` digest.
+TRAFFIC_CASES = (
+    ("bernoulli", {}, 0.5),
+    ("hotspot", {"hotspot_fraction": 0.5, "packet_bits": 100}, 0.4),
+    ("permutation", {"packet_bits": 1000}, 0.2),
+    ("bursty", {"burst_len": 4.0, "packet_bits": 33}, 0.5),
+    ("trimodal", {}, 0.4),
+    (
+        "trace",
+        {"entries": [[s, s % 8, (3 * s + 1) % 8, (97 * s) % 1200]
+                     for s in range(40)]},
+        0.0,
+    ),
+)
+
+#: Ingress set-ups the traffic cases rotate through.
+QUEUE_CASES = (
+    dict(architecture="crossbar"),
+    dict(architecture="banyan", ingress_queue_cells=4),
+    dict(architecture="crossbar", queueing="voq", islip_iterations=2),
+    dict(architecture="banyan"),
+    dict(architecture="crossbar", ingress_queue_cells=4),
+    dict(architecture="banyan", queueing="voq", islip_iterations=2,
+         ingress_queue_cells=3),
+)
 
 
 def _sha256(text: str) -> str:
@@ -46,18 +79,37 @@ def _strip_timing(value):
     return value
 
 
-def saturation_voq_digest() -> str:
-    scenarios = [
-        Scenario(arch, 32, load, queueing="voq", islip_iterations=4,
-                 **WINDOW)
-        for arch in ("crossbar", "banyan")
-        for load in (0.6, 0.7, 0.8, 0.9)
-    ]
+def _records_digest(scenarios: list[Scenario]) -> str:
     records = PowerModel().run_batch(scenarios, workers=1)
     return _sha256("\n".join(
         json.dumps(_strip_timing(r.to_cache_dict()), sort_keys=True)
         for r in records
     ))
+
+
+def saturation_voq_digest() -> str:
+    return _records_digest([
+        Scenario(arch, 32, load, queueing="voq", islip_iterations=4,
+                 **WINDOW)
+        for arch in ("crossbar", "banyan")
+        for load in (0.6, 0.7, 0.8, 0.9)
+    ])
+
+
+def traffic_kinds_digest() -> str:
+    return _records_digest([
+        Scenario(
+            ports=8,
+            load=load,
+            traffic=traffic,
+            traffic_params=params,
+            rng_stream=stream,
+            **QUEUE_CASES[(i + 2 * (stream - 1)) % len(QUEUE_CASES)],
+            **WINDOW,
+        )
+        for stream in (1, 2)
+        for i, (traffic, params, load) in enumerate(TRAFFIC_CASES)
+    ])
 
 
 def fig9_digests() -> dict[str, str]:
@@ -71,7 +123,11 @@ def fig9_digests() -> dict[str, str]:
 
 
 def current_digests() -> dict[str, str]:
-    return {"saturation_voq": saturation_voq_digest(), **fig9_digests()}
+    return {
+        "saturation_voq": saturation_voq_digest(),
+        "traffic_kinds": traffic_kinds_digest(),
+        **fig9_digests(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +139,27 @@ def test_saturation_voq_records_match_golden(golden):
     assert saturation_voq_digest() == golden["saturation_voq"]
 
 
+def test_traffic_kinds_records_match_golden(golden):
+    assert traffic_kinds_digest() == golden["traffic_kinds"]
+
+
 def test_fig9_exports_match_golden(golden):
     digests = fig9_digests()
     assert digests["fig9_csv"] == golden["fig9_csv"]
     assert digests["fig9_json"] == golden["fig9_json"]
 
 
+def main() -> int:
+    """Print every key's digest against the committed file; 1 if any
+    key changed (or is missing from the file)."""
+    committed = json.loads(GOLDEN.read_text())
+    changed = 0
+    for key, digest in sorted(current_digests().items()):
+        same = committed.get(key) == digest
+        changed += not same
+        print(f"{key:<16} {digest}  {'same' if same else 'CHANGED'}")
+    return 1 if changed else 0
+
+
 if __name__ == "__main__":
-    print(json.dumps(current_digests(), indent=2, sort_keys=True))
+    sys.exit(main())
