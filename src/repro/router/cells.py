@@ -36,7 +36,8 @@ class CellFormat:
     words: int = 16
 
     def __post_init__(self) -> None:
-        bus_mask(self.bus_width)  # validates the width
+        # Validates the width; cached for the per-cell header encoder.
+        object.__setattr__(self, "_mask", bus_mask(self.bus_width))
         if self.words < 2:
             raise ConfigurationError("a cell needs >= 2 words (header + payload)")
 
@@ -60,27 +61,13 @@ class CellFormat:
         return self.cell_bits / line_rate_bps
 
     def header_word(self, dest_port: int, cell_index: int, packet_id: int) -> int:
-        """Deterministic header: dest in bits 0-7, index 8-15, id above."""
-        mask = bus_mask(self.bus_width)
+        """Deterministic header: dest in bits 0-7, index 8-15, id above.
+
+        The one definition of the header layout, called once per cell.
+        """
         word = (dest_port & 0xFF) | ((cell_index & 0xFF) << 8)
         word |= (packet_id << 16)
-        return word & mask
-
-    def header_words_array(
-        self, dest_ports: np.ndarray, packet_ids: np.ndarray, cell_index: int = 0
-    ) -> np.ndarray:
-        """Vectorized :meth:`header_word` over packet arrays (uint64).
-
-        Keeps the header bit layout defined in exactly one place —
-        change :meth:`header_word` and change this in the same breath
-        (cross-checked in the test suite).
-        """
-        words = (
-            (np.asarray(dest_ports, dtype=np.int64) & 0xFF)
-            | ((cell_index & 0xFF) << 8)
-            | (np.asarray(packet_ids, dtype=np.int64) << 16)
-        )
-        return words.astype(np.uint64) & np.uint64(bus_mask(self.bus_width))
+        return word & self._mask
 
 
 @dataclass

@@ -20,6 +20,13 @@ is a thin wrapper that materialises the batch, so the object-based
 reference engine and the array-based vectorized engine consume exactly
 the same random stream and therefore see exactly the same workload.
 
+Generators whose packets all have one size (Bernoulli, hotspot,
+permutation, bursty) work out the payload layout once, at construction
+(words per packet, tail-word mask, read-only size and offset tables),
+so a stream-v1 slot lays out its one payload draw in a fixed handful
+of numpy calls.  Trimodal and trace traffic and stream-v2 chunks use
+:func:`draw_payload_batch`, which builds identical batches per call.
+
 RNG-consumption contract
 ------------------------
 *How* a generator draws from the engine's seeded RNG is versioned,
@@ -93,6 +100,22 @@ def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:
     return float(array.mean()), array
 
 
+def _bit_count(value, name: str, minimum: int = 0) -> int:
+    """``value`` as a bit count: an ``int`` (not a ``bool``) >= minimum."""
+    valid = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not valid or value < minimum:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
+
+
+def _common_width(size_bits: np.ndarray, bus_width: int) -> int | None:
+    """Words per packet when every packet has one size, else None."""
+    same = size_bits.size and size_bits.min() == size_bits.max()
+    return -(-int(size_bits[0]) // bus_width) if same else None
+
+
 def draw_payload_batch(
     rng: np.random.Generator, size_bits: np.ndarray, bus_width: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -150,6 +173,10 @@ class ArrivalBatch:
         :meth:`from_packets` adapter fills it so legacy generators
         whose packets carry their own ``created_slot`` (``Packet``
         defaults it to 0) behave identically through both engines.
+    words_per_packet: payload words per packet when every packet has
+        one size, None when sizes are mixed (or the batch is empty).
+        A fixed-size generator's ``size_bits`` and ``word_offsets`` are
+        slices of read-only tables that all its slots share.
     """
 
     created_slot: int
@@ -161,6 +188,7 @@ class ArrivalBatch:
     payload_words: np.ndarray
     word_offsets: np.ndarray
     created_slots: np.ndarray | None = None
+    words_per_packet: int | None = None
 
     def packet_created_slot(self, i: int) -> int:
         """Creation slot of packet ``i``."""
@@ -199,18 +227,20 @@ class ArrivalBatch:
             if int(offsets[-1])
             else np.zeros(0, dtype=np.uint64)
         )
+        sizes = np.array([p.size_bits for p in packets], dtype=np.int64)
         return cls(
             created_slot=slot,
             bus_width=bus_width,
             srcs=np.array([p.src_port for p in packets], dtype=np.int64),
             dests=np.array([p.dest_port for p in packets], dtype=np.int64),
-            size_bits=np.array([p.size_bits for p in packets], dtype=np.int64),
+            size_bits=sizes,
             packet_ids=np.array([p.packet_id for p in packets], dtype=np.int64),
             payload_words=np.asarray(payload, dtype=np.uint64),
             word_offsets=offsets,
             created_slots=np.array(
                 [p.created_slot for p in packets], dtype=np.int64
             ),
+            words_per_packet=_common_width(sizes, bus_width),
         )
 
     def to_packets(self) -> list[Packet]:
@@ -353,16 +383,18 @@ class TrafficGenerator(ABC):
             word_offsets = (offsets[k : k + n + 1] - offsets[k]).astype(
                 np.int64
             )
+            sizes = np.asarray(sizes, dtype=np.int64)
             batches.append(
                 ArrivalBatch(
                     created_slot=start + i,
                     bus_width=bus_width,
                     srcs=np.asarray(srcs, dtype=np.int64),
                     dests=np.asarray(dests, dtype=np.int64),
-                    size_bits=np.asarray(sizes, dtype=np.int64),
+                    size_bits=sizes,
                     packet_ids=self._claim_packet_ids(n),
                     payload_words=payload[offsets[k] : offsets[k + n]],
                     word_offsets=word_offsets,
+                    words_per_packet=_common_width(sizes, bus_width),
                 )
             )
             k += n
@@ -388,15 +420,59 @@ class TrafficGenerator(ABC):
     ) -> ArrivalBatch:
         """Assemble a batch: draw payloads, assign ids."""
         payload, offsets = draw_payload_batch(rng, size_bits, self.bus_width)
+        sizes = np.asarray(size_bits, dtype=np.int64)
         return ArrivalBatch(
             created_slot=slot,
             bus_width=self.bus_width,
             srcs=np.asarray(srcs, dtype=np.int64),
             dests=np.asarray(dests, dtype=np.int64),
-            size_bits=np.asarray(size_bits, dtype=np.int64),
+            size_bits=sizes,
             packet_ids=self._claim_packet_ids(int(np.asarray(srcs).size)),
             payload_words=payload,
             word_offsets=offsets,
+            words_per_packet=_common_width(sizes, self.bus_width),
+        )
+
+    def _set_packet_bits(self, packet_bits: int) -> None:
+        """Fix every packet's size and precompute the payload layout of
+        :meth:`_fixed_size_batch` (at most one packet per port a slot)."""
+        self.packet_bits = bits = _bit_count(packet_bits, "packet_bits")
+        width = self.bus_width
+        bus_mask(width)  # validates the width
+        self._words_per_packet = words = -(-bits // width)
+        tail_bits = bits - (words - 1) * width
+        self._tail_mask = (
+            np.uint64((1 << tail_bits) - 1) if tail_bits < width else None
+        )
+        self._size_table = np.full(self.ports, bits, dtype=np.int64)
+        self._offset_table = np.arange(self.ports + 1, dtype=np.int64) * words
+        self._size_table.flags.writeable = False
+        self._offset_table.flags.writeable = False
+
+    def _fixed_size_batch(self, slot, rng, srcs, dests) -> ArrivalBatch:
+        """Stream-v1 batch of ``packet_bits``-sized packets: the payload
+        draw of :func:`draw_payload_batch`, laid out from the tables."""
+        n = srcs.size
+        words = self._words_per_packet
+        if words:
+            # Draws are already below 1 << bus_width: only tails need a mask.
+            payload = rng.integers(
+                0, 1 << self.bus_width, size=n * words, dtype=np.uint64
+            )
+            if self._tail_mask is not None:
+                payload[words - 1 :: words] &= self._tail_mask
+        else:
+            payload = np.zeros(0, dtype=np.uint64)
+        return ArrivalBatch(
+            created_slot=slot,
+            bus_width=self.bus_width,
+            srcs=srcs,
+            dests=dests,
+            size_bits=self._size_table[:n],
+            packet_ids=self._claim_packet_ids(n),
+            payload_words=payload,
+            word_offsets=self._offset_table[: n + 1],
+            words_per_packet=words,
         )
 
     def _new_packet(
@@ -449,9 +525,7 @@ class BernoulliUniformTraffic(TrafficGenerator):
     ) -> None:
         super().__init__(ports, bus_width)
         self.load, self._load_per_port = per_port_loads(load, ports)
-        if packet_bits < 0:
-            raise ConfigurationError("packet_bits must be >= 0")
-        self.packet_bits = packet_bits
+        self._set_packet_bits(packet_bits)
         self.allow_self = allow_self
 
     def _draw_dests(
@@ -468,12 +542,11 @@ class BernoulliUniformTraffic(TrafficGenerator):
 
     def _slot_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
         draws = rng.random(self.ports)
-        srcs = np.flatnonzero(draws < self._load_per_port)
+        srcs = (draws < self._load_per_port).nonzero()[0]
         if srcs.size == 0:
             return ArrivalBatch.empty(slot, self.bus_width)
         dests = self._draw_dests(rng, srcs)
-        sizes = np.full(srcs.size, self.packet_bits, dtype=np.int64)
-        return self._batch(slot, rng, srcs, dests, sizes)
+        return self._fixed_size_batch(slot, rng, srcs, dests)
 
     def _plan_chunk(self, start, count, rng):
         # One draw for the whole chunk's arrival mask, then one
@@ -495,7 +568,7 @@ class BernoulliUniformTraffic(TrafficGenerator):
                 (
                     srcs,
                     dests_all[k : k + n],
-                    np.full(n, self.packet_bits, dtype=np.int64),
+                    self._size_table[:n],
                 )
             )
             k += n
@@ -561,16 +634,15 @@ class PermutationTraffic(TrafficGenerator):
             raise ConfigurationError("permutation must be a bijection on ports")
         self.permutation = list(permutation)
         self._permutation_array = np.array(permutation, dtype=np.int64)
-        self.packet_bits = packet_bits
+        self._set_packet_bits(packet_bits)
 
     def _slot_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
         draws = rng.random(self.ports)
-        srcs = np.flatnonzero(draws < self._load_per_port)
+        srcs = (draws < self._load_per_port).nonzero()[0]
         if srcs.size == 0:
             return ArrivalBatch.empty(slot, self.bus_width)
         dests = self._permutation_array[srcs]
-        sizes = np.full(srcs.size, self.packet_bits, dtype=np.int64)
-        return self._batch(slot, rng, srcs, dests, sizes)
+        return self._fixed_size_batch(slot, rng, srcs, dests)
 
     def _plan_chunk(self, start, count, rng):
         # Destinations are deterministic, so the arrival mask is the
@@ -587,7 +659,7 @@ class PermutationTraffic(TrafficGenerator):
                 (
                     srcs,
                     self._permutation_array[srcs],
-                    np.full(srcs.size, self.packet_bits, dtype=np.int64),
+                    self._size_table[: srcs.size],
                 )
             )
         return plan
@@ -631,7 +703,7 @@ class BurstyTraffic(TrafficGenerator):
                 "never leaves the ON state)"
             )
         self.burst_len = burst_len
-        self.packet_bits = packet_bits
+        self._set_packet_bits(packet_bits)
         self._load_per_port = load_per_port
         # P(ON -> OFF) and per-port P(OFF -> ON) giving mean ON dwell
         # burst_len and stationary P(ON) = that port's load.  The
@@ -651,12 +723,11 @@ class BurstyTraffic(TrafficGenerator):
         self._state = np.where(
             self._state, flips >= self._p_off, flips < self._p_on
         )
-        srcs = np.flatnonzero(self._state)
+        srcs = self._state.nonzero()[0]
         if srcs.size == 0:
             return ArrivalBatch.empty(slot, self.bus_width)
         dests = rng.integers(0, self.ports, size=srcs.size)
-        sizes = np.full(srcs.size, self.packet_bits, dtype=np.int64)
-        return self._batch(slot, rng, srcs, dests, sizes)
+        return self._fixed_size_batch(slot, rng, srcs, dests)
 
     def _plan_chunk(self, start, count, rng):
         # The Markov chain stays sequential, but all its flip draws (and
@@ -685,7 +756,7 @@ class BurstyTraffic(TrafficGenerator):
                 (
                     srcs,
                     dests_all[k : k + n],
-                    np.full(n, self.packet_bits, dtype=np.int64),
+                    self._size_table[:n],
                 )
             )
             k += n
@@ -717,10 +788,10 @@ class TrimodalPacketTraffic(TrafficGenerator):
         total_p = sum(p for _, p in mix)
         if abs(total_p - 1.0) > 1e-9:
             raise ConfigurationError("mix probabilities must sum to 1")
-        if cell_payload_bits <= 0:
-            raise ConfigurationError("cell_payload_bits must be positive")
         self.mix = tuple(mix)
-        self.cell_payload_bits = cell_payload_bits
+        self.cell_payload_bits = _bit_count(
+            cell_payload_bits, "cell_payload_bits", minimum=1
+        )
         self._sizes = np.array([s * 8 for s, _ in mix])
         self._probs = np.array([p for _, p in mix])
         cells_per_packet = np.ceil(self._sizes / cell_payload_bits)

@@ -10,6 +10,12 @@ the fabric inner loops are cheaper there than through numpy.
 
 Rows are recycled through a free list, so a long run's memory stays
 proportional to the peak number of in-flight + queued cells.
+
+When every packet of a batch is one cell of a common width
+(:attr:`ArrivalBatch.words_per_packet`), :meth:`CellStore.add_batch`
+writes each row once from one block, zero-filling only the padding the
+payload leaves; mixed sizes and multi-cell packets go packet by packet
+through :meth:`CellStore.add_packet`.
 """
 
 from __future__ import annotations
@@ -98,46 +104,40 @@ class CellStore:
         match :func:`repro.router.cells.segment_packet` exactly.
         """
         fmt = self.cell_format
-        per_cell = fmt.payload_words
         n = len(batch)
-        offsets = batch.word_offsets
-        words_per = offsets[1:] - offsets[:-1]
-        slices = [0] * (n + 1)
-        # Fast path: every packet fits in one cell of identical width.
-        if n and int(words_per.max()) <= per_cell and int(
-            words_per.min()
-        ) == int(words_per.max()):
-            ids = self.alloc_many(n)
-            pw = int(words_per[0])
-            block = np.zeros((n, fmt.words), dtype=np.uint64)
-            block[:, 0] = fmt.header_words_array(batch.dests, batch.packet_ids)
-            if pw:
-                block[:, 1 : 1 + pw] = batch.payload_words.reshape(n, pw)
-            self.words[ids] = block
-            srcs = batch.srcs.tolist()
-            dests = batch.dests.tolist()
-            pids = batch.packet_ids.tolist()
-            sizes = batch.size_bits.tolist()
-            if batch.created_slots is None:
-                slots = [batch.created_slot] * n
-            else:
-                slots = batch.created_slots.tolist()
-            for i, cid in enumerate(ids):
-                self.dest[cid] = dests[i]
-                self.src[cid] = srcs[i]
-                self.packet_id[cid] = pids[i]
-                self.cell_index[cid] = 0
-                self.cell_count[cid] = 1
-                self.payload_bits[cid] = sizes[i]
-                self.created_slot[cid] = slots[i]
-                slices[i + 1] = i + 1
+        width = batch.words_per_packet
+        if width is None or width > fmt.payload_words:
+            # Mixed sizes or multi-cell packets: one packet at a time.
+            ids: list[int] = []
+            slices = [0]
+            for i in range(n):
+                ids.extend(self.add_packet(batch, i))
+                slices.append(len(ids))
             return ids, slices
-        # General path: per-packet segmentation (multi-cell packets).
-        ids: list[int] = []
-        for i in range(n):
-            ids.extend(self.add_packet(batch, i))
-            slices[i + 1] = len(ids)
-        return ids, slices
+        ids = self.alloc_many(n)
+        block = np.empty((n, fmt.words), dtype=np.uint64)
+        block[:, 1 : 1 + width] = batch.payload_words.reshape(n, width)
+        if width < fmt.payload_words:
+            block[:, 1 + width :] = 0
+        slots = batch.created_slots
+        slots = [batch.created_slot] * n if slots is None else slots.tolist()
+        header_word = fmt.header_word
+        headers = []
+        for cid, dest, src, pid, bits, slot in zip(
+            ids, batch.dests.tolist(), batch.srcs.tolist(),
+            batch.packet_ids.tolist(), batch.size_bits.tolist(), slots,
+        ):
+            headers.append(header_word(dest, 0, pid))
+            self.dest[cid] = dest
+            self.src[cid] = src
+            self.packet_id[cid] = pid
+            self.cell_index[cid] = 0
+            self.cell_count[cid] = 1
+            self.payload_bits[cid] = bits
+            self.created_slot[cid] = slot
+        block[:, 0] = headers
+        self.words[ids] = block
+        return ids, list(range(n + 1))
 
     def add_packet(self, batch: ArrivalBatch, i: int) -> list[int]:
         """Segment packet ``i`` of a batch; returns its new cell ids."""

@@ -123,6 +123,19 @@ class TestBatchCommand:
         assert err.startswith("error:")
         assert "thruput" in err and "load" in err
 
+    @pytest.mark.parametrize("bits", ["480", 480.7, -5])
+    def test_batch_malformed_packet_bits_is_a_clean_error(
+        self, tmp_path, capsys, bits
+    ):
+        scenario = Scenario("crossbar", 4, 0.0, traffic="permutation",
+                            arrival_slots=10, warmup_slots=2).to_dict()
+        scenario["traffic_params"] = {"packet_bits": bits}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([scenario]))
+        assert main(["batch", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "packet_bits" in err
+
     def test_batch_missing_file_is_a_clean_error(self, capsys):
         assert main(["batch", "no-such-file.json"]) == 2
         assert "cannot read scenario file" in capsys.readouterr().err

@@ -123,25 +123,3 @@ class TestCellValidation:
     def test_negative_payload_bits(self):
         with pytest.raises(ConfigurationError):
             Cell(0, 0, 1, 0, 0, np.zeros(4, dtype=np.uint64), -1)
-
-
-class TestHeaderWordsArray:
-    @pytest.mark.parametrize("bus_width", [16, 32, 64])
-    def test_matches_scalar_header_word(self, bus_width):
-        """The vectorized header encoder must agree with header_word for
-        every (dest, packet_id) it can see — they define one layout."""
-        fmt = CellFormat(bus_width=bus_width, words=4)
-        dests = np.array([0, 1, 7, 200, 255], dtype=np.int64)
-        pids = np.array([0, 1, 9999, 2**20, 123456789], dtype=np.int64)
-        batch = fmt.header_words_array(dests, pids)
-        for i in range(dests.size):
-            assert int(batch[i]) == fmt.header_word(
-                int(dests[i]), 0, int(pids[i])
-            )
-
-    def test_nonzero_cell_index(self):
-        fmt = CellFormat()
-        batch = fmt.header_words_array(
-            np.array([3]), np.array([42]), cell_index=5
-        )
-        assert int(batch[0]) == fmt.header_word(3, 5, 42)

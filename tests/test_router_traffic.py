@@ -1,10 +1,15 @@
 """Traffic generators: load calibration, destinations, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.router.traffic import (
+    ArrivalBatch,
     BernoulliUniformTraffic,
     BurstyTraffic,
     HotspotTraffic,
@@ -259,3 +264,108 @@ class TestPerPortLoadVectors:
     def test_bursty_saturated_port_rejected(self):
         with pytest.raises(ConfigurationError, match="< 1"):
             BurstyTraffic(4, [0.5, 1.0, 0.5, 0.5])
+
+
+#: The fixed-size generators, built from ``(ports, packet_bits, bus_width)``.
+FIXED_SIZE = {
+    "bernoulli": lambda ports, bits, width: BernoulliUniformTraffic(
+        ports, 0.7, packet_bits=bits, bus_width=width),
+    "hotspot": lambda ports, bits, width: HotspotTraffic(
+        ports, 0.7, packet_bits=bits, bus_width=width),
+    "permutation": lambda ports, bits, width: PermutationTraffic(
+        ports, 0.7, packet_bits=bits, bus_width=width),
+    "bursty": lambda ports, bits, width: BurstyTraffic(
+        ports, 0.7, burst_len=2.0, packet_bits=bits, bus_width=width),
+}
+
+
+class TestPacketBitsValidation:
+    """Malformed sizes fail at construction, even when no packet would
+    ever be drawn."""
+
+    @pytest.mark.parametrize("kind", sorted(FIXED_SIZE))
+    @pytest.mark.parametrize("bad", ["480", 480.7, 480.0, -1, True, None])
+    def test_fixed_size_generators_reject(self, kind, bad):
+        with pytest.raises(ConfigurationError, match="packet_bits"):
+            FIXED_SIZE[kind](4, bad, 32)
+
+    @pytest.mark.parametrize("bad", ["480", 480.7, 0, -1, True, None])
+    def test_trimodal_rejects_cell_payload_bits(self, bad):
+        with pytest.raises(ConfigurationError, match="cell_payload_bits"):
+            TrimodalPacketTraffic(4, load=0.3, cell_payload_bits=bad)
+
+    def test_rejected_at_zero_load(self):
+        with pytest.raises(ConfigurationError):
+            PermutationTraffic(4, load=0.0, packet_bits=-5)
+
+    def test_numpy_integers_accepted(self):
+        gen = BernoulliUniformTraffic(4, 0.5, packet_bits=np.int64(100))
+        assert gen.packet_bits == 100 and type(gen.packet_bits) is int
+
+
+def _assert_same_batch(a: ArrivalBatch, b: ArrivalBatch) -> None:
+    for field in dataclasses.fields(ArrivalBatch):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+class TestFixedSizeLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(FIXED_SIZE)),
+        bus_width=st.sampled_from([8, 16, 32, 64]),
+        ports=st.integers(min_value=2, max_value=12),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_general_payload_path(
+        self, kind, bus_width, ports, data, seed
+    ):
+        """The precomputed layout builds, field for field, the batch the
+        general draw_payload_batch path builds, from the same draws."""
+        cell_payload_bits = 15 * bus_width  # default 16-word cells
+        bits = data.draw(
+            st.integers(min_value=0, max_value=3 * cell_payload_bits)
+        )
+        fixed = FIXED_SIZE[kind](ports, bits, bus_width)
+        general = FIXED_SIZE[kind](ports, bits, bus_width)
+
+        def general_batch(slot, rng, srcs, dests):
+            sizes = np.full(srcs.size, bits, dtype=np.int64)
+            return general._batch(slot, rng, srcs, dests, sizes)
+
+        general._fixed_size_batch = general_batch
+        rng_fixed = np.random.default_rng(seed)
+        rng_general = np.random.default_rng(seed)
+        for slot in range(6):
+            _assert_same_batch(
+                fixed.arrivals_batch(slot, rng_fixed),
+                general.arrivals_batch(slot, rng_general),
+            )
+        assert rng_fixed.bit_generator.state == rng_general.bit_generator.state
+
+    @pytest.mark.parametrize("kind", sorted(FIXED_SIZE))
+    def test_shared_tables_are_read_only(self, kind):
+        gen = FIXED_SIZE[kind](8, 100, 32)
+        rng = np.random.default_rng(4)
+        batch = next(b for b in (gen.arrivals_batch(s, rng) for s in range(50))
+                     if len(b))
+        assert batch.words_per_packet == 4
+        with pytest.raises(ValueError):
+            batch.size_bits[0] = 1
+        with pytest.raises(ValueError):
+            batch.word_offsets[-1] = 0
+        batch.payload_words[0] = 1  # fresh per slot, so writable
+
+    def test_mixed_sizes_have_no_common_width(self):
+        entries = [TraceEntry(0, 0, 1, 480), TraceEntry(0, 1, 2, 960),
+                   TraceEntry(1, 2, 3, 40), TraceEntry(1, 3, 0, 40)]
+        gen = TraceTraffic(4, entries)
+        rng = np.random.default_rng(2)
+        assert gen.arrivals_batch(0, rng).words_per_packet is None
+        assert gen.arrivals_batch(1, rng).words_per_packet == 2
+        assert gen.arrivals_batch(2, rng).words_per_packet is None
