@@ -110,10 +110,11 @@ def _bit_count(value, name: str, minimum: int = 0) -> int:
     return int(value)
 
 
-def _common_width(size_bits: np.ndarray, bus_width: int) -> int | None:
-    """Words per packet when every packet has one size, else None."""
-    same = size_bits.size and size_bits.min() == size_bits.max()
-    return -(-int(size_bits[0]) // bus_width) if same else None
+def _common_width(word_offsets: np.ndarray) -> int | None:
+    """The payload word count every packet shares, else None."""
+    words = np.diff(word_offsets)
+    same = words.size and words.min() == words.max()
+    return int(words[0]) if same else None
 
 
 def draw_payload_batch(
@@ -173,8 +174,9 @@ class ArrivalBatch:
         :meth:`from_packets` adapter fills it so legacy generators
         whose packets carry their own ``created_slot`` (``Packet``
         defaults it to 0) behave identically through both engines.
-    words_per_packet: payload words per packet when every packet has
-        one size, None when sizes are mixed (or the batch is empty).
+    words_per_packet: the payload word count every packet shares
+        (always one when they share one size), None when the counts
+        differ or the batch is empty.
         A fixed-size generator's ``size_bits`` and ``word_offsets`` are
         slices of read-only tables that all its slots share.
     """
@@ -227,20 +229,19 @@ class ArrivalBatch:
             if int(offsets[-1])
             else np.zeros(0, dtype=np.uint64)
         )
-        sizes = np.array([p.size_bits for p in packets], dtype=np.int64)
         return cls(
             created_slot=slot,
             bus_width=bus_width,
             srcs=np.array([p.src_port for p in packets], dtype=np.int64),
             dests=np.array([p.dest_port for p in packets], dtype=np.int64),
-            size_bits=sizes,
+            size_bits=np.array([p.size_bits for p in packets], dtype=np.int64),
             packet_ids=np.array([p.packet_id for p in packets], dtype=np.int64),
             payload_words=np.asarray(payload, dtype=np.uint64),
             word_offsets=offsets,
             created_slots=np.array(
                 [p.created_slot for p in packets], dtype=np.int64
             ),
-            words_per_packet=_common_width(sizes, bus_width),
+            words_per_packet=_common_width(offsets),
         )
 
     def to_packets(self) -> list[Packet]:
@@ -383,18 +384,17 @@ class TrafficGenerator(ABC):
             word_offsets = (offsets[k : k + n + 1] - offsets[k]).astype(
                 np.int64
             )
-            sizes = np.asarray(sizes, dtype=np.int64)
             batches.append(
                 ArrivalBatch(
                     created_slot=start + i,
                     bus_width=bus_width,
                     srcs=np.asarray(srcs, dtype=np.int64),
                     dests=np.asarray(dests, dtype=np.int64),
-                    size_bits=sizes,
+                    size_bits=np.asarray(sizes, dtype=np.int64),
                     packet_ids=self._claim_packet_ids(n),
                     payload_words=payload[offsets[k] : offsets[k + n]],
                     word_offsets=word_offsets,
-                    words_per_packet=_common_width(sizes, bus_width),
+                    words_per_packet=_common_width(word_offsets),
                 )
             )
             k += n
@@ -420,17 +420,16 @@ class TrafficGenerator(ABC):
     ) -> ArrivalBatch:
         """Assemble a batch: draw payloads, assign ids."""
         payload, offsets = draw_payload_batch(rng, size_bits, self.bus_width)
-        sizes = np.asarray(size_bits, dtype=np.int64)
         return ArrivalBatch(
             created_slot=slot,
             bus_width=self.bus_width,
             srcs=np.asarray(srcs, dtype=np.int64),
             dests=np.asarray(dests, dtype=np.int64),
-            size_bits=sizes,
+            size_bits=np.asarray(size_bits, dtype=np.int64),
             packet_ids=self._claim_packet_ids(int(np.asarray(srcs).size)),
             payload_words=payload,
             word_offsets=offsets,
-            words_per_packet=_common_width(sizes, self.bus_width),
+            words_per_packet=_common_width(offsets),
         )
 
     def _set_packet_bits(self, packet_bits: int) -> None:

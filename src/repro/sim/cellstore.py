@@ -14,7 +14,7 @@ proportional to the peak number of in-flight + queued cells.
 When every packet of a batch is one cell of a common width
 (:attr:`ArrivalBatch.words_per_packet`), :meth:`CellStore.add_batch`
 writes each row once from one block, zero-filling only the padding the
-payload leaves; mixed sizes and multi-cell packets go packet by packet
+payload leaves; mixed widths and multi-cell packets go packet by packet
 through :meth:`CellStore.add_packet`.
 """
 
@@ -107,7 +107,7 @@ class CellStore:
         n = len(batch)
         width = batch.words_per_packet
         if width is None or width > fmt.payload_words:
-            # Mixed sizes or multi-cell packets: one packet at a time.
+            # Mixed widths or multi-cell packets: one packet at a time.
             ids: list[int] = []
             slices = [0]
             for i in range(n):
