@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.router.cells import CellFormat
-from repro.router.traffic import BernoulliUniformTraffic, TraceEntry, TraceTraffic
+from repro.router.packet import Packet
+from repro.router.traffic import (
+    ArrivalBatch,
+    BernoulliUniformTraffic,
+    TraceEntry,
+    TraceTraffic,
+)
 from repro.sim.cellstore import CellStore
 
 ALL_ONES = np.uint64(2**64 - 1)
@@ -55,3 +61,17 @@ def test_mixed_batch_takes_the_per_packet_path():
     assert slices == [0, 1, 4]
     assert [store.cell_index[i] for i in ids] == [0, 0, 1, 2]
     assert [store.payload_bits[i] for i in ids] == [40, 96, 96, 8]
+
+
+def test_legacy_packets_segment_by_their_real_words():
+    """A legacy Packet may carry more words than its size needs; the
+    batch width follows the words, as add_packet does."""
+    words = np.arange(1, 4, dtype=np.uint64)
+    packets = [Packet(i, i, 1, words + i, size_bits=40) for i in range(2)]
+    batch = ArrivalBatch.from_packets(0, 32, packets)
+    assert batch.words_per_packet == 3
+    by_batch = _dirty_store(CellFormat())
+    ids, _ = by_batch.add_batch(batch)
+    by_packet = _dirty_store(CellFormat())
+    packet_ids = [cid for i in range(2) for cid in by_packet.add_packet(batch, i)]
+    assert _rows(by_batch, ids) == _rows(by_packet, packet_ids)
