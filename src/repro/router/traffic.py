@@ -102,8 +102,8 @@ def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:
 
 def _bit_count(value, name: str, minimum: int = 0) -> int:
     """``value`` as a bit count: an ``int`` (not a ``bool``) >= minimum."""
-    valid = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not valid or value < minimum:
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not ok or value < minimum:
         raise ConfigurationError(
             f"{name} must be an integer >= {minimum}, got {value!r}"
         )
@@ -175,7 +175,7 @@ class ArrivalBatch:
         whose packets carry their own ``created_slot`` (``Packet``
         defaults it to 0) behave identically through both engines.
     words_per_packet: the payload word count every packet shares
-        (always one when they share one size), None when the counts
+        (as they do whenever all share one size), None when the counts
         differ or the batch is empty.
         A fixed-size generator's ``size_bits`` and ``word_offsets`` are
         slices of read-only tables that all its slots share.
@@ -434,7 +434,7 @@ class TrafficGenerator(ABC):
 
     def _set_packet_bits(self, packet_bits: int) -> None:
         """Fix every packet's size and precompute the payload layout of
-        :meth:`_fixed_size_batch` (at most one packet per port a slot)."""
+        :meth:`_fixed_size_batch` (at most one packet per port per slot)."""
         self.packet_bits = bits = _bit_count(packet_bits, "packet_bits")
         width = self.bus_width
         bus_mask(width)  # validates the width

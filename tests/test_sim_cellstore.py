@@ -54,7 +54,8 @@ def test_batch_rows_match_add_packet_over_dirty_rows(packet_bits):
 def test_mixed_batch_takes_the_per_packet_path():
     fmt = CellFormat(words=4)  # 96 payload bits per cell
     entries = [TraceEntry(0, 0, 1, 40), TraceEntry(0, 1, 2, 200)]
-    batch = TraceTraffic(4, entries).arrivals_batch(0, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    batch = TraceTraffic(4, entries).arrivals_batch(0, rng)
     assert batch.words_per_packet is None
     store = _dirty_store(fmt)
     ids, slices = store.add_batch(batch)
@@ -73,5 +74,6 @@ def test_legacy_packets_segment_by_their_real_words():
     by_batch = _dirty_store(CellFormat())
     ids, _ = by_batch.add_batch(batch)
     by_packet = _dirty_store(CellFormat())
-    packet_ids = [cid for i in range(2) for cid in by_packet.add_packet(batch, i)]
+    packet_ids = [cid for i in range(2)
+                  for cid in by_packet.add_packet(batch, i)]
     assert _rows(by_batch, ids) == _rows(by_packet, packet_ids)
