@@ -25,7 +25,7 @@ permutation, bursty) work out the payload layout once, at construction
 (words per packet, tail-word mask, read-only size and offset tables),
 so a stream-v1 slot lays out its one payload draw in a fixed handful
 of numpy calls.  Trimodal and trace traffic and stream-v2 chunks use
-:func:`draw_payload_batch`, which builds identical batches per call.
+:func:`draw_payload_batch`, which works the layout out per call.
 
 RNG-consumption contract
 ------------------------
