@@ -13,7 +13,13 @@ These tests compare against ``tests/golden/digests.json`` instead:
   every traffic kind on RNG streams 1 and 2, spread over unbounded,
   bounded and VOQ ingress on the crossbar and the banyan (so both
   segmentation paths of the cell store run), with packet sizes that
-  fill part of a word, part of a cell and several cells.
+  fill part of a word, part of a cell and several cells;
+* ``long_window`` — the canonical records of ten FIFO and VOQ scenarios
+  at a 300 + 45 slot window: the four fabrics at 16 ports and loads 0.5
+  and 0.9, the Batcher-Banyan at 32 ports and the banyan with 2 iSLIP
+  iterations at 32 ports, both at load 0.9.  Every other key runs 40 + 8
+  slots; this one crosses many batched wire settlements of the
+  vectorized cores, with the warmup boundary falling inside a batch.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints every key's
 current digest beside ``same`` or ``CHANGED`` against the committed
@@ -37,6 +43,7 @@ from repro.campaigns.runner import run_campaign
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
 WINDOW = dict(arrival_slots=40, warmup_slots=8, seed=2002)
+LONG_WINDOW = dict(arrival_slots=300, warmup_slots=45, seed=2002)
 
 #: ``(traffic, traffic_params, load)`` of the ``traffic_kinds`` digest.
 TRAFFIC_CASES = (
@@ -112,6 +119,20 @@ def traffic_kinds_digest() -> str:
     ])
 
 
+def long_window_digest() -> str:
+    return _records_digest([
+        *(
+            Scenario(arch, 16, load, **LONG_WINDOW)
+            for arch in ("crossbar", "fully_connected", "banyan",
+                         "batcher_banyan")
+            for load in (0.5, 0.9)
+        ),
+        Scenario("batcher_banyan", 32, 0.9, **LONG_WINDOW),
+        Scenario("banyan", 32, 0.9, queueing="voq", islip_iterations=2,
+                 **LONG_WINDOW),
+    ])
+
+
 def fig9_digests() -> dict[str, str]:
     campaign = get_campaign("fig9")
     campaign = campaign.replace(base=dict(campaign.base_dict, **WINDOW))
@@ -126,6 +147,7 @@ def current_digests() -> dict[str, str]:
     return {
         "saturation_voq": saturation_voq_digest(),
         "traffic_kinds": traffic_kinds_digest(),
+        "long_window": long_window_digest(),
         **fig9_digests(),
     }
 
@@ -141,6 +163,10 @@ def test_saturation_voq_records_match_golden(golden):
 
 def test_traffic_kinds_records_match_golden(golden):
     assert traffic_kinds_digest() == golden["traffic_kinds"]
+
+
+def test_long_window_records_match_golden(golden):
+    assert long_window_digest() == golden["long_window"]
 
 
 def test_fig9_exports_match_golden(golden):
