@@ -1,32 +1,44 @@
 """Vectorized fabric cores: array/id-based counterparts of the fabrics.
 
 Each core re-implements one reference fabric's ``advance_slot`` against
-a :class:`~repro.sim.cellstore.CellStore`: cells are integer row ids,
-latches and sorter lines are small Python int lists, and — the key hot
-path change — every wire transfer of a slot is *recorded* (link id,
-cell id, length, component) and flip-counted in **one** batched XOR +
-popcount over the store's word matrix at slot end, instead of one tiny
-numpy call per cell per link.
+a :class:`~repro.sim.cellstore.CellStore`: cells are integer row ids and
+latches are small Python int lists.  Wire transfers are not charged
+when they happen.  A core queues each one as ``(link, cell, grids)``
+and *settles* the queue in one batch when it reaches
+:data:`SETTLE_TRANSFERS` transfers, and whenever the engine asks (before
+the warmup reset and at collection).  A settlement counts each distinct
+cell's interior word flips once, chains every link's resting word
+through the batch in event order, and charges the energy through
+:func:`charge_events`.  Delivered cells come back through
+:meth:`VectorFabricCore.release` and are freed at the next settlement,
+so no queued transfer reads a recycled row.
 
 Bit-for-bit equivalence with the reference fabrics is a hard contract
-(tested in ``tests/test_engine_equivalence.py``).  Three invariants make
-it hold:
+(tested in ``tests/test_engine_equivalence.py``).  The ledger's bytes
+depend on two things per category dict, and a settlement replays both:
 
-* the cores charge the *same component labels* in the *same order* into
-  the same :class:`~repro.sim.ledger.EnergyLedger` dicts, so per-
-  component float-add sequences and the dict insertion order (which
-  fixes the category-total summation order) are identical;
-* every energy value is computed by the same expression shape on the
-  same operands (LUT/buffer/grid values are precomputed once, exactly
-  as the reference computes them per event);
-* each physical link carries at most one cell per slot in every fabric
-  (unique arbiter destinations + unique per-stage output lines), so the
-  end-of-slot batched flip count sees exactly the per-event resting
-  states the reference tracer saw.
+* each component's sequence of float adds: the same values (the same
+  expression on the same operands; LUT, buffer and grid values are
+  precomputed once, exactly as the reference computes them per event)
+  in event order, with zero charges skipped;
+* the order in which components are first inserted, which fixes the
+  summation order of the category totals.
 
-Counters are accumulated as plain ints and flushed once per slot, with
-the same "only if the event happened" key-creation behaviour as the
-reference ``ledger.count`` call sites.
+Every wire component belongs to one physical link, and a link carries
+at most one cell per slot in every fabric, so a link's transfers in
+slot order are its component's adds in order.
+
+The Batcher-Banyan core keeps no state between slots.  Its ``advance``
+only queues the grants and counts them.  Its settlement runs the
+bitonic substages as compare-exchanges on ``(slots, lines)`` arrays and
+routes the banyan in closed form: after stage ``s`` a cell sits on the
+line whose top ``s + 1`` address bits are its destination's and whose
+other bits are its sorter output line's.  It charges comparator,
+banyan-switch and wire energy in the reference per-slot order.
+
+Counters are plain ints, counted with the same "only if the event
+happened" key-creation behaviour as the reference ``ledger.count`` call
+sites; ``wire_flips`` is counted once per settlement.
 """
 
 from __future__ import annotations
@@ -43,29 +55,49 @@ from repro.fabrics.crossbar import CrossbarFabric
 from repro.fabrics.fully_connected import FullyConnectedFabric
 from repro.sim import ledger as cat
 from repro.sim.cellstore import CellStore
+from repro.sim.tracer import _bitwise_count
 
-try:  # numpy >= 2.0
-    _np_bitwise_count = np.bitwise_count
-
-    def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
-        return _np_bitwise_count(matrix).sum(axis=1)
-
-except AttributeError:  # pragma: no cover - legacy numpy fallback
-    from repro.sim.tracer import _bitwise_count
-
-    def _popcount_rows(matrix: np.ndarray) -> np.ndarray:
-        flat = _bitwise_count(matrix.ravel())
-        return flat.reshape(matrix.shape).sum(axis=1)
-
+#: Wire transfers a core queues before it settles them in one batch.  It
+#: bounds both the store rows held for settlement and the transient
+#: arrays of one settlement.
+SETTLE_TRANSFERS = 2048
 
 _BUF = 0
 _LATCH = 1
 
 
-class VectorFabricCore:
-    """Shared state and the batched wire-transfer machinery."""
+def charge_events(
+    components: dict[str, float],
+    names: list[str],
+    keys: np.ndarray,
+    energies: np.ndarray,
+) -> None:
+    """Add ``energies[i]`` to ``components[names[keys[i]]]`` for every i.
 
-    def __init__(self, fabric, store: CellStore, n_links: int) -> None:
+    Bit-identical to the per-event loop ``if e: components[name] += e``:
+    zero charges are skipped, each component's adds run in event order
+    (``np.add.at`` is unbuffered) starting from its current value, and
+    new components are inserted in first-occurrence order.
+    """
+    charged = energies != 0
+    keys = keys[charged]
+    if not keys.size:
+        return
+    uniq, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    labels = [names[k] for k in uniq.tolist()]
+    totals = np.array([components.get(label, 0.0) for label in labels])
+    np.add.at(totals, inverse, energies[charged])
+    totals = totals.tolist()
+    for j in np.argsort(first).tolist():
+        components[labels[j]] = totals[j]
+
+
+class VectorFabricCore:
+    """Shared state and the batched wire settlement."""
+
+    def __init__(self, fabric, store: CellStore, link_comp: list[str]) -> None:
         if store.cell_format != fabric.cell_format:
             raise ConfigurationError("store/fabric cell format mismatch")
         self.fabric = fabric
@@ -77,11 +109,14 @@ class VectorFabricCore:
         self._buffer_dict = self._ledger.component_dict(cat.BUFFER)
         self._refresh_dict = self._ledger.component_dict(cat.REFRESH)
         self._grid_energy = fabric.models.grid_energy_j
-        self._resting = np.zeros(n_links, dtype=np.uint64)
-        self._pend_link: list[int] = []
-        self._pend_cell: list[int] = []
-        self._pend_grids: list[float] = []
-        self._pend_comp: list[str] = []
+        self._bus_width = np.uint64(fabric.cell_format.bus_width)
+        #: Wire component of each link id.
+        self._link_comp = link_comp
+        self._resting = np.zeros(len(link_comp), dtype=np.uint64)
+        self._q_link: list[int] = []
+        self._q_cell: list[int] = []
+        self._q_grids: list[float] = []
+        self._released: list[int] = []
 
     # ------------------------------------------------------------------
     # Engine interface
@@ -97,45 +132,68 @@ class VectorFabricCore:
     def in_flight(self) -> int:
         return 0
 
+    def release(self, ids: list[int]) -> None:
+        """Take back delivered cells; their rows are freed at the next
+        settlement, once no queued transfer reads them."""
+        self._released.extend(ids)
+
+    def settle(self) -> None:
+        """Charge every queued wire transfer; free the released cells."""
+        if self._q_link:
+            self._settle_wires(
+                np.array(self._q_link, dtype=np.intp),
+                np.array(self._q_cell, dtype=np.intp),
+                np.array(self._q_grids, dtype=np.float64),
+            )
+            self._q_link.clear()
+            self._q_cell.clear()
+            self._q_grids.clear()
+        if self._released:
+            self.store.free_many(self._released)
+            self._released.clear()
+
     # ------------------------------------------------------------------
-    # Batched wire accounting
+    # Batched wire settlement
     # ------------------------------------------------------------------
 
-    def _record(self, link: int, cid: int, grids: float, comp: str) -> None:
-        self._pend_link.append(link)
-        self._pend_cell.append(cid)
-        self._pend_grids.append(grids)
-        self._pend_comp.append(comp)
-
-    def _flush_wires(self) -> None:
-        pend_link = self._pend_link
-        count = len(pend_link)
-        if not count:
-            return
-        links = np.fromiter(pend_link, dtype=np.intp, count=count)
-        ids = np.fromiter(self._pend_cell, dtype=np.intp, count=count)
+    def _settle_wires(
+        self, links: np.ndarray, cells: np.ndarray, grids: np.ndarray
+    ) -> None:
+        """Count flips and charge energy of transfers in event order."""
+        ids, cell_of = np.unique(cells, return_inverse=True)
         rows = self.store.words[ids]
-        prev = np.empty_like(rows)
-        prev[:, 0] = self._resting[links]
-        prev[:, 1:] = rows[:, :-1]
-        flips = _popcount_rows(rows ^ prev).tolist()
-        self._resting[links] = rows[:, -1]
-        wire = self._wire_dict
-        e_t = self._grid_energy
-        grids = self._pend_grids
-        comps = self._pend_comp
-        total = 0
-        for i in range(count):
-            f = flips[i]
-            total += f
-            energy = f * grids[i] * e_t
-            if energy:
-                wire[comps[i]] += energy
-        self._ledger.count("wire_flips", total)
-        pend_link.clear()
-        self._pend_cell.clear()
-        self._pend_grids.clear()
-        self._pend_comp.clear()
+        wide = (rows >> self._bus_width).any(axis=1)
+        if wide.any():
+            raise SimulationError(
+                f"cell {int(ids[wide.argmax()])} holds a word wider than "
+                f"the {int(self._bus_width)}-bit bus"
+            )
+        steps = rows[:, 1:] ^ rows[:, :-1]
+        interior = _bitwise_count(steps).reshape(steps.shape).sum(axis=1)
+        first = rows[cell_of, 0]
+        last = rows[cell_of, -1]
+        # Each transfer follows the previous one on its link in this
+        # batch, or else the link's resting word.
+        order = np.argsort(links, kind="stable")
+        by_link = links[order]
+        head = np.empty(by_link.size, dtype=bool)
+        head[0] = True
+        np.not_equal(by_link[1:], by_link[:-1], out=head[1:])
+        last_sorted = last[order]
+        prev_sorted = np.roll(last_sorted, 1)
+        prev_sorted[head] = self._resting[by_link[head]]
+        prev = np.empty_like(prev_sorted)
+        prev[order] = prev_sorted
+        tail = np.roll(head, -1)
+        self._resting[by_link[tail]] = last_sorted[tail]
+        flips = interior[cell_of] + _bitwise_count(first ^ prev)
+        self._ledger.count("wire_flips", int(flips.sum()))
+        charge_events(
+            self._wire_dict,
+            self._link_comp,
+            links,
+            flips * grids * self._grid_energy,
+        )
 
 
 class CrossbarCore(VectorFabricCore):
@@ -143,13 +201,14 @@ class CrossbarCore(VectorFabricCore):
 
     def __init__(self, fabric: CrossbarFabric, store: CellStore) -> None:
         n = fabric.ports
-        super().__init__(fabric, store, n_links=2 * n)
+        self._row_comp = [f"xbar.row{p}" for p in range(n)]
+        super().__init__(
+            fabric, store, self._row_comp + [f"xbar.col{d}" for d in range(n)]
+        )
         layout = fabric.layout
         fmt = fabric.cell_format
         self._row_grids = [layout.row_wire_grids(p) for p in range(n)]
         self._col_grids = [layout.column_wire_grids(d) for d in range(n)]
-        self._row_comp = [f"xbar.row{p}" for p in range(n)]
-        self._col_comp = [f"xbar.col{d}" for d in range(n)]
         base = fabric._crosspoint_lut.lookup((1,)) * fmt.bus_width * fmt.words
         self._row_energy = base * n
 
@@ -160,19 +219,22 @@ class CrossbarCore(VectorFabricCore):
         sw = self._switch_dict
         dest = self.store.dest
         n = self.ports
-        traversals = 0
+        energy = self._row_energy
+        q_link = self._q_link
+        q_cell = self._q_cell
+        q_grids = self._q_grids
         for port, cid in sorted(grants):
-            energy = self._row_energy
             if energy:
                 sw[self._row_comp[port]] += energy
-            traversals += n
             d = dest[cid]
-            self._record(port, cid, self._row_grids[port], self._row_comp[port])
-            self._record(n + d, cid, self._col_grids[d], self._col_comp[d])
+            q_link += (port, n + d)
+            q_cell += (cid, cid)
+            q_grids += (self._row_grids[port], self._col_grids[d])
             delivered.append(cid)
-        self._ledger.count("switch_traversals", traversals)
+        self._ledger.count("switch_traversals", n * len(delivered))
         self._ledger.count("cells_delivered", len(delivered))
-        self._flush_wires()
+        if len(q_link) >= SETTLE_TRANSFERS:
+            self.settle()
         return delivered
 
 
@@ -181,12 +243,11 @@ class FullyConnectedCore(VectorFabricCore):
 
     def __init__(self, fabric: FullyConnectedFabric, store: CellStore) -> None:
         n = fabric.ports
-        super().__init__(fabric, store, n_links=n)
+        super().__init__(fabric, store, [f"fc.bus{p}" for p in range(n)])
         layout = fabric.layout
         fmt = fabric.cell_format
         lut = fabric._mux_lut
         self._mux_comp = [f"fc.mux{d}" for d in range(n)]
-        self._bus_comp = [f"fc.bus{p}" for p in range(n)]
         self._mux_energy = []
         self._mux_traversals = []
         for p in range(n):
@@ -216,13 +277,14 @@ class FullyConnectedCore(VectorFabricCore):
             if energy:
                 sw[self._mux_comp[d]] += energy
             traversals += self._mux_traversals[port]
-            self._record(
-                port, cid, self._conn_grids[port][d], self._bus_comp[port]
-            )
+            self._q_link.append(port)
+            self._q_cell.append(cid)
+            self._q_grids.append(self._conn_grids[port][d])
             delivered.append(cid)
         self._ledger.count("switch_traversals", traversals)
         self._ledger.count("cells_delivered", len(delivered))
-        self._flush_wires()
+        if len(self._q_link) >= SETTLE_TRANSFERS:
+            self.settle()
         return delivered
 
 
@@ -238,7 +300,17 @@ class BanyanCore(VectorFabricCore):
     def __init__(self, fabric: BanyanFabric, store: CellStore) -> None:
         n = fabric.ports
         stages = fabric.stages
-        super().__init__(fabric, store, n_links=n + stages * n)
+        # Link ids: ingress port p, then n + stage * n + output line.
+        super().__init__(
+            fabric,
+            store,
+            [f"banyan.ingress{p}" for p in range(n)]
+            + [
+                f"banyan.stage{s}.out{line}"
+                for s in range(stages)
+                for line in range(n)
+            ],
+        )
         layout = fabric.layout
         fmt = fabric.cell_format
         wm = fabric.wire_mode
@@ -259,15 +331,10 @@ class BanyanCore(VectorFabricCore):
             ]
             for s in range(stages)
         ]
-        self._wire_comp = [
-            [f"banyan.stage{s}.out{line}" for line in range(n)]
-            for s in range(stages)
-        ]
         self._sw_comp = [
             [f"banyan.stage{s}.sw{k}" for k in range(n // 2)]
             for s in range(stages)
         ]
-        self._ingress_comp = [f"banyan.ingress{p}" for p in range(n)]
         lut = fabric._switch_lut
         self._sw_e = {
             v: lut.lookup(v) * fmt.bus_width * fmt.words
@@ -306,7 +373,6 @@ class BanyanCore(VectorFabricCore):
             self._advance_stage(stage, delivered, counts)
         self._admit(grants, slot)
         self._refresh_all()
-        self._flush_wires()
         ledger = self._ledger
         if counts[0]:
             ledger.count("contentions", counts[0])
@@ -324,6 +390,8 @@ class BanyanCore(VectorFabricCore):
             ledger.count("switch_traversals", counts[5])
         if delivered:
             ledger.count("cells_delivered", len(delivered))
+        if len(self._q_link) >= SETTLE_TRANSFERS:
+            self.settle()
         return delivered
 
     def _advance_stage(
@@ -338,7 +406,6 @@ class BanyanCore(VectorFabricCore):
         dest = self.store.dest
         entered = self.store.entered_slot
         grids_pair = self._stage_grids[stage]
-        wcomp = self._wire_comp[stage]
         swcomp = self._sw_comp[stage]
         link_base = self.ports + stage * self.ports
         sw_e = self._sw_e
@@ -347,10 +414,9 @@ class BanyanCore(VectorFabricCore):
         read_e = self._read_e
         write_e = self._write_e
         cap = self._cap
-        pend_link = self._pend_link
-        pend_cell = self._pend_cell
-        pend_grids = self._pend_grids
-        pend_comp = self._pend_comp
+        q_link = self._q_link
+        q_cell = self._q_cell
+        q_grids = self._q_grids
         for k in range(self.ports // 2):
             buf = bufs[k]
             l0, l1 = lines_tab[k]
@@ -404,10 +470,9 @@ class BanyanCore(VectorFabricCore):
                 else:
                     latch[l0 if input_index == 0 else l1] = -1
                 in_line = l0 if input_index == 0 else l1
-                pend_link.append(link_base + out_line)
-                pend_cell.append(cid)
-                pend_grids.append(grids_pair[1 if in_line != out_line else 0])
-                pend_comp.append(wcomp[out_line])
+                q_link.append(link_base + out_line)
+                q_cell.append(cid)
+                q_grids.append(grids_pair[1 if in_line != out_line else 0])
                 if last:
                     delivered.append(cid)
                     self._in_flight -= 1
@@ -444,7 +509,9 @@ class BanyanCore(VectorFabricCore):
                     "must respect can_admit()"
                 )
             entered[cid] = slot
-            self._record(port, cid, self._edge_grids, self._ingress_comp[port])
+            self._q_link.append(port)
+            self._q_cell.append(cid)
+            self._q_grids.append(self._edge_grids)
             latch0[port] = cid
             self._in_flight += 1
 
@@ -467,196 +534,208 @@ class BanyanCore(VectorFabricCore):
 class BatcherBanyanCore(VectorFabricCore):
     """Vectorized :class:`~repro.fabrics.batcher_banyan.BatcherBanyanFabric`.
 
-    Line occupancy through the sorter and banyan sections is a Python
-    int list plus an explicit insertion-order list that reproduces the
-    reference implementation's dict iteration orders (they fix the
-    within-slot charge order).
+    Stateless between slots: :meth:`advance` queues the grants and a
+    settlement sorts and routes every queued slot at once (see the
+    module docstring).
     """
 
     def __init__(self, fabric: BatcherBanyanFabric, store: CellStore) -> None:
         n = fabric.ports
+        half = n // 2
         schedule = fabric._schedule
-        n_sub = len(schedule)
-        self.stages = fabric.stages
+        stages = fabric.stages
+        # Link ids: ingress port p, then n + substage * n + output line,
+        # then n + (substages + stage) * n + output line.
         super().__init__(
-            fabric, store, n_links=n + n_sub * n + self.stages * n
+            fabric,
+            store,
+            [f"bb.ingress{p}" for p in range(n)]
+            + [
+                f"bb.sorter.p{sub.phase}s{sub.step}.out{line}"
+                for sub in schedule
+                for line in range(n)
+            ]
+            + [
+                f"bb.banyan.stage{s}.out{line}"
+                for s in range(stages)
+                for line in range(n)
+            ],
         )
+        self.stages = stages
         layout = fabric.layout
         fmt = fabric.cell_format
         wm = fabric.wire_mode
-        self._ingress_comp = [f"bb.ingress{p}" for p in range(n)]
-        self._comparators = [
-            [(c.low, c.high, c.ascending) for c in sub.comparators]
+        # Switch component ids: substage * half + comparator, then
+        # (substages + stage) * half + switch.
+        self._sw_names = [
+            f"bb.sorter.p{sub.phase}s{sub.step}.c{c.low}"
             for sub in schedule
+            for c in sub.comparators
+        ] + [
+            f"bb.banyan.stage{s}.sw{k}"
+            for s in range(stages)
+            for k in range(half)
         ]
-        self._sorter_grids = [
-            [
+        self._sorter = []
+        for si, sub in enumerate(schedule):
+            low = np.array([c.low for c in sub.comparators], dtype=np.intp)
+            high = np.array([c.high for c in sub.comparators], dtype=np.intp)
+            out_links = np.empty(n, dtype=np.intp)
+            out_links[0::2] = n + si * n + low
+            out_links[1::2] = n + si * n + high
+            self._sorter.append((
+                low,
+                high,
+                np.array([c.ascending for c in sub.comparators]),
+                out_links,
                 layout.sorter_link_grids(sub.phase, sub.step, False, mode=wm),
                 layout.sorter_link_grids(sub.phase, sub.step, True, mode=wm),
-            ]
-            for sub in schedule
-        ]
-        self._sorter_sw_comp = [
-            [
-                f"bb.sorter.p{sub.phase}s{sub.step}.c{c.low}"
-                for c in sub.comparators
-            ]
-            for sub in schedule
-        ]
-        self._sorter_wire_comp = [
-            [
-                f"bb.sorter.p{sub.phase}s{sub.step}.out{line}"
-                for line in range(n)
-            ]
-            for sub in schedule
-        ]
-        self._sorter_link_base = [n + si * n for si in range(n_sub)]
-        sort_lut = fabric._sorting_lut
-        binary_lut = fabric._binary_lut
-        self._sort_e = {
-            v: sort_lut.lookup(v) * fmt.bus_width * fmt.words
-            for v in ((0, 1), (1, 0), (1, 1))
-        }
-        self._binary_e = {
-            v: binary_lut.lookup(v) * fmt.bus_width * fmt.words
-            for v in ((0, 1), (1, 0), (1, 1))
-        }
+            ))
         banyan_layout = layout.banyan_layout()
-        self._bits = [topology.stage_bit(n, s) for s in range(self.stages)]
-        self._stage_masks = [1 << b for b in self._bits]
-        self._banyan_grids = [
-            [
-                banyan_layout.link_grids(self._bits[s], False, mode=wm),
-                banyan_layout.link_grids(self._bits[s], True, mode=wm),
-            ]
-            for s in range(self.stages)
-        ]
-        self._banyan_wire_comp = [
-            [f"bb.banyan.stage{s}.out{line}" for line in range(n)]
-            for s in range(self.stages)
-        ]
-        self._banyan_sw_comp = [
-            [f"bb.banyan.stage{s}.sw{k}" for k in range(n // 2)]
-            for s in range(self.stages)
-        ]
-        self._switch_idx = [
-            [topology.switch_index(n, s, line) for line in range(n)]
-            for s in range(self.stages)
-        ]
-        self._banyan_link_base = n + n_sub * n
+        self._banyan = []
+        top = 0
+        for s in range(stages):
+            bit = topology.stage_bit(n, s)
+            top |= 1 << bit
+            self._banyan.append((
+                bit,
+                top,
+                n + (len(schedule) + s) * n,
+                banyan_layout.link_grids(bit, False, mode=wm),
+                banyan_layout.link_grids(bit, True, mode=wm),
+            ))
+        # Switch energy by input occupancy (a, b) at index 2a + b; an
+        # idle switch, (0, 0), is never charged.
+        self._sort_e, self._binary_e = (
+            np.array([0.0] + [
+                lut.lookup(v) * fmt.bus_width * fmt.words
+                for v in ((0, 1), (1, 0), (1, 1))
+            ])
+            for lut in (fabric._sorting_lut, fabric._binary_lut)
+        )
+        self._traversals = len(schedule) + stages
+        self._sizes: list[int] = []
+        self._grants: list[tuple[int, int]] = []
 
     def advance(self, grants: list[tuple[int, int]], slot: int) -> list[int]:
         if not grants:
             return []
-        n = self.ports
+        cells = len(grants)
+        self._sizes.append(cells)
+        self._grants.extend(grants)
+        self._ledger.count("switch_traversals", cells * self._traversals)
+        self._ledger.count("cells_delivered", cells)
         dest = self.store.dest
-        # Ingress links, in grant (arbitration) order like the reference.
-        lines = [-1] * n
-        for port, cid in grants:
-            self._record(port, cid, 4, self._ingress_comp[port])
-            lines[port] = cid
-        traversals = 0
-        sw_dict = self._switch_dict
-        inf = 1 << 30
-        # Bitonic sorter.
-        for si, comps in enumerate(self._comparators):
-            new_lines = [-1] * n
-            swc = self._sorter_sw_comp[si]
-            wcomp = self._sorter_wire_comp[si]
-            grids_pair = self._sorter_grids[si]
-            base = self._sorter_link_base[si]
-            for ci in range(len(comps)):
-                low, high, ascending = comps[ci]
-                a = lines[low]
-                b = lines[high]
-                if a < 0 and b < 0:
-                    continue
-                key_a = dest[a] if a >= 0 else inf
-                key_b = dest[b] if b >= 0 else inf
-                swap = (key_a > key_b) if ascending else (key_a < key_b)
-                out_low, out_high = (b, a) if swap else (a, b)
-                energy = self._sort_e[
-                    (1 if a >= 0 else 0, 1 if b >= 0 else 0)
-                ]
-                if energy:
-                    sw_dict[swc[ci]] += energy
-                traversals += (1 if a >= 0 else 0) + (1 if b >= 0 else 0)
-                if out_low >= 0:
-                    came_from = high if swap else low
-                    self._record(
-                        base + low,
-                        out_low,
-                        grids_pair[1 if came_from != low else 0],
-                        wcomp[low],
-                    )
-                    new_lines[low] = out_low
-                if out_high >= 0:
-                    came_from = low if swap else high
-                    self._record(
-                        base + high,
-                        out_high,
-                        grids_pair[1 if came_from != high else 0],
-                        wcomp[high],
-                    )
-                    new_lines[high] = out_high
-            lines = new_lines
-        # Occupied-line order after the final substage (ascending pairs
-        # processed low-output-first) = ascending line order — the same
-        # insertion order the reference's next_lines dict ends up with.
-        order = [line for line in range(n) if lines[line] >= 0]
-        # Banyan section: conflict here is a broken invariant.
-        for stage in range(self.stages):
-            new_lines = [-1] * n
-            new_order: list[int] = []
-            mask = self._stage_masks[stage]
-            grids_pair = self._banyan_grids[stage]
-            wcomp = self._banyan_wire_comp[stage]
-            swidx = self._switch_idx[stage]
-            bit = self._bits[stage]
-            base = self._banyan_link_base + stage * n
-            vectors: dict[int, list[int]] = {}
-            for line in order:
-                cid = lines[line]
-                k = swidx[line]
-                vector = vectors.get(k)
-                if vector is None:
-                    vectors[k] = vector = [0, 0]
-                vector[(line >> bit) & 1] = 1
-                out_line = (line & ~mask) | (dest[cid] & mask)
-                if new_lines[out_line] >= 0:
-                    raise SimulationError(
-                        "internal blocking inside Batcher-Banyan: the sorted "
-                        "batch was not monotone — this is a library bug"
-                    )
-                self._record(
-                    base + out_line,
-                    cid,
-                    grids_pair[1 if line != out_line else 0],
-                    wcomp[out_line],
-                )
-                new_lines[out_line] = cid
-                new_order.append(out_line)
-            swcomp = self._banyan_sw_comp[stage]
-            for k, vector in vectors.items():
-                energy = self._binary_e[(vector[0], vector[1])]
-                if energy:
-                    sw_dict[swcomp[k]] += energy
-                traversals += vector[0] + vector[1]
-            lines = new_lines
-            order = new_order
-        delivered = []
-        for line in sorted(order):
-            cid = lines[line]
-            if line != dest[cid]:
-                raise SimulationError(
-                    f"cell for port {dest[cid]} delivered on line {line}"
-                )
-            delivered.append(cid)
-        if traversals:
-            self._ledger.count("switch_traversals", traversals)
-        self._ledger.count("cells_delivered", len(delivered))
-        self._flush_wires()
+        delivered = sorted([cid for _, cid in grants], key=dest.__getitem__)
+        if len(self._grants) * (1 + self._traversals) >= SETTLE_TRANSFERS:
+            self.settle()
         return delivered
+
+    def settle(self) -> None:
+        if self._grants:
+            self._sort_and_route()
+        super().settle()
+
+    def _sort_and_route(self) -> None:
+        """Sort and route every queued slot; charge switches and wires.
+
+        Each slot's wire events are laid out in the reference order:
+        ingress in grant order, each substage's comparators with the
+        low output first, then each banyan stage in sorter-output line
+        order.  Each slot's switch events follow the same order, a
+        banyan switch being charged at its first cell's position.
+        """
+        n = self.ports
+        half = n // 2
+        n_sub = len(self._sorter)
+        sizes = self._sizes
+        slots = len(sizes)
+        grants = np.array(self._grants, dtype=np.intp)
+        self._sizes = []
+        self._grants = []
+        ports, cells = grants[:, 0], grants[:, 1]
+        dest = self.store.dest
+        dests = np.array([dest[c] for c in cells.tolist()], dtype=np.intp)
+        g = np.arange(len(cells))
+        row = np.repeat(np.arange(slots), sizes)
+        rank = g - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        # Per slot: grant index, link and grids of every wire event.
+        ev_g = np.full((slots, n * (1 + self._traversals)), -1, dtype=np.intp)
+        ev_link = np.zeros(ev_g.shape, dtype=np.intp)
+        ev_grids = np.zeros(ev_g.shape)
+        sw_key = np.zeros((slots, n_sub * half + self.stages * n), dtype=np.intp)
+        sw_key[:, : n_sub * half] = np.arange(n_sub * half)
+        sw_e = np.zeros(sw_key.shape)
+        ev_g[row, rank] = g
+        ev_link[row, rank] = ports
+        ev_grids[:, :n] = 4
+        # Bitonic sorter: an empty line sorts as +inf (key n).
+        line_g = np.full((slots, n), -1, dtype=np.intp)
+        line_g[row, ports] = g
+        key = np.full((slots, n), n, dtype=np.intp)
+        key[row, ports] = dests
+        col = n
+        for si, (low, high, ascending, out_links, straight, crossed) in (
+            enumerate(self._sorter)
+        ):
+            ga = line_g[:, low]
+            gb = line_g[:, high]
+            ka = key[:, low]
+            kb = key[:, high]
+            swap = np.where(ascending, ka > kb, ka < kb)
+            sw_e[:, si * half : (si + 1) * half] = self._sort_e[
+                2 * (ga >= 0) + (gb >= 0)
+            ]
+            ga, gb = np.where(swap, gb, ga), np.where(swap, ga, gb)
+            line_g[:, low] = ga
+            line_g[:, high] = gb
+            key[:, low] = np.where(swap, kb, ka)
+            key[:, high] = np.where(swap, ka, kb)
+            grids = np.where(swap, crossed, straight)
+            ev_g[:, col : col + n : 2] = ga
+            ev_g[:, col + 1 : col + n : 2] = gb
+            ev_grids[:, col : col + n : 2] = grids
+            ev_grids[:, col + 1 : col + n : 2] = grids
+            ev_link[:, col : col + n] = out_links
+            col += n
+        # Banyan section, in closed form over the sorted cells.
+        r, pos = np.nonzero(line_g >= 0)
+        g = line_g[r, pos]
+        d = dests[g]
+        line = pos
+        sw_col = n_sub * half
+        for s, (bit, top, link_base, straight, crossed) in enumerate(
+            self._banyan
+        ):
+            out = (d & top) | (pos & (n - 1 - top))
+            if np.bincount(r * n + out).max() > 1:
+                raise SimulationError(
+                    "internal blocking inside Batcher-Banyan: the sorted "
+                    "batch was not monotone — this is a library bug"
+                )
+            ev_g[r, col + pos] = g
+            ev_link[r, col + pos] = link_base + out
+            ev_grids[r, col + pos] = np.where(line != out, crossed, straight)
+            # A switch is charged once, at its first cell's position.
+            at = np.full((slots, n), n, dtype=np.intp)
+            at[r, line] = pos
+            partner = at[r, line ^ (1 << bit)]
+            paired = partner < n
+            lead = pos < partner
+            vector = np.where((line >> bit) & 1, 1 + 2 * paired, 2 + paired)
+            k = ((line >> (bit + 1)) << bit) | (line & ((1 << bit) - 1))
+            sw_e[r[lead], sw_col + pos[lead]] = self._binary_e[vector[lead]]
+            sw_key[r[lead], sw_col + pos[lead]] = (n_sub + s) * half + k[lead]
+            line = out
+            col += n
+            sw_col += n
+        events = ev_g >= 0
+        self._settle_wires(
+            ev_link[events], cells[ev_g[events]], ev_grids[events]
+        )
+        charge_events(
+            self._switch_dict, self._sw_names, sw_key.ravel(), sw_e.ravel()
+        )
 
 
 # Kept because perfbench/tracing.py imports and wraps this name.

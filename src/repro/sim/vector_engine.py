@@ -7,7 +7,8 @@ of a :class:`~repro.sim.cellstore.CellStore`, ingress FIFOs (or VOQ
 occupancy matrices) hold integer cell ids, arbitration and egress
 accounting run on plain int arrays/lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
-batches each slot's wire-flip counting into one vectorized popcount.
+queues wire transfers and settles their flips and energy in batches of
+up to :data:`~repro.fabrics.vectorized.SETTLE_TRANSFERS` transfers.
 
 This is the fast tier of the two-engine stack: the reference engine
 (:mod:`repro.sim.engine`) is the bit-exact oracle, and this engine is
@@ -193,7 +194,13 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def step(self, generate_arrivals: bool = True) -> list[int]:
-        """Advance one slot; returns the delivered cell ids."""
+        """Advance one slot; returns the delivered cell ids.
+
+        The fabric core settles wire energy (and the Batcher-Banyan's
+        switch energy) in batches, so the ledger is complete only after
+        :meth:`run`, which settles before the warmup reset and at
+        collection.
+        """
         slot = self._slot
         if generate_arrivals:
             batch = self.router.traffic.arrivals_batch(slot, self.rng)
@@ -208,7 +215,7 @@ class VectorizedEngine:
             self._measurement_slots += 1
         if delivered:
             self._deliver(delivered, slot)
-            self.store.free_many(delivered)
+            self._core.release(delivered)
         self._slot += 1
         return delivered
 
@@ -519,6 +526,7 @@ class VectorizedEngine:
 
     def _reset_measurements(self) -> None:
         """Warmup boundary: zero statistics everywhere, keep state."""
+        self._core.settle()
         self.router.fabric.ledger.reset()
         self.router.fabric.tracer.reset(keep_states=True)
         self._measurement_slots = 0
@@ -565,6 +573,7 @@ class VectorizedEngine:
     def _collect(
         self, arrival_slots: int, warmup_slots: int, drain_slots: int
     ) -> SimulationResult:
+        self._core.settle()
         self._mirror_router_stats()
         router = self.router
         ledger = router.fabric.ledger
