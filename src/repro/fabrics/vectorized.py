@@ -30,7 +30,7 @@ slot order are its component's adds in order.
 
 The Batcher-Banyan core keeps no state between slots.  Its ``advance``
 only queues the grants and counts them.  Its settlement runs the
-bitonic substages as compare-exchanges on ``(slots, lines)`` arrays and
+bitonic substages as compare-exchanges on ``(line, slot)`` arrays and
 routes the banyan in closed form: after stage ``s`` a cell sits on the
 line whose top ``s + 1`` address bits are its destination's and whose
 other bits are its sorter output line's.  It charges comparator,
@@ -68,11 +68,13 @@ _LATCH = 1
 
 def charge_events(
     components: dict[str, float],
-    names: list[str],
+    names: np.ndarray,
     keys: np.ndarray,
     energies: np.ndarray,
 ) -> None:
     """Add ``energies[i]`` to ``components[names[keys[i]]]`` for every i.
+
+    ``names`` is an object array of component labels.
 
     Bit-identical to the per-event loop ``if e: components[name] += e``:
     zero charges are skipped, each component's adds run in event order
@@ -83,15 +85,14 @@ def charge_events(
     keys = keys[charged]
     if not keys.size:
         return
-    uniq, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    labels = [names[k] for k in uniq.tolist()]
-    totals = np.array([components.get(label, 0.0) for label in labels])
-    np.add.at(totals, inverse, energies[charged])
-    totals = totals.tolist()
-    for j in np.argsort(first).tolist():
-        components[labels[j]] = totals[j]
+    first = np.full(len(names), keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    hit = np.argsort(first)[: np.count_nonzero(first < keys.size)]
+    labels = names[hit].tolist()
+    totals = np.zeros(len(names))
+    totals[hit] = [components.get(label, 0.0) for label in labels]
+    np.add.at(totals, keys, energies[charged])
+    components.update(zip(labels, totals[hit].tolist()))
 
 
 class VectorFabricCore:
@@ -111,7 +112,7 @@ class VectorFabricCore:
         self._grid_energy = fabric.models.grid_energy_j
         self._bus_width = np.uint64(fabric.cell_format.bus_width)
         #: Wire component of each link id.
-        self._link_comp = link_comp
+        self._link_comp = np.array(link_comp, dtype=object)
         self._resting = np.zeros(len(link_comp), dtype=np.uint64)
         self._q_link: list[int] = []
         self._q_cell: list[int] = []
@@ -145,9 +146,7 @@ class VectorFabricCore:
                 np.array(self._q_cell, dtype=np.intp),
                 np.array(self._q_grids, dtype=np.float64),
             )
-            self._q_link.clear()
-            self._q_cell.clear()
-            self._q_grids.clear()
+            self._q_link, self._q_cell, self._q_grids = [], [], []
         if self._released:
             self.store.free_many(self._released)
             self._released.clear()
@@ -160,10 +159,15 @@ class VectorFabricCore:
         self, links: np.ndarray, cells: np.ndarray, grids: np.ndarray
     ) -> None:
         """Count flips and charge energy of transfers in event order."""
-        ids, cell_of = np.unique(cells, return_inverse=True)
+        # Distinct cells, indexed by row id: cell_of[i] is transfer i's.
+        index = np.zeros(self.store.capacity, dtype=np.intp)
+        index[cells] = 1
+        ids = np.flatnonzero(index)
+        index[ids] = np.arange(ids.size)
+        cell_of = index[cells]
         rows = self.store.words[ids]
-        wide = (rows >> self._bus_width).any(axis=1)
-        if wide.any():
+        if np.bitwise_or.reduce(rows, axis=None) >> self._bus_width:
+            wide = (rows >> self._bus_width).any(axis=1)
             raise SimulationError(
                 f"cell {int(ids[wide.argmax()])} holds a word wider than "
                 f"the {int(self._bus_width)}-bit bus"
@@ -173,8 +177,9 @@ class VectorFabricCore:
         first = rows[cell_of, 0]
         last = rows[cell_of, -1]
         # Each transfer follows the previous one on its link in this
-        # batch, or else the link's resting word.
-        order = np.argsort(links, kind="stable")
+        # batch, or else the link's resting word.  Sorting by (link,
+        # event) as one unique key is a stable sort by link, only faster.
+        order = np.argsort(links * links.size + np.arange(links.size))
         by_link = links[order]
         head = np.empty(by_link.size, dtype=bool)
         head[0] = True
@@ -544,22 +549,16 @@ class BatcherBanyanCore(VectorFabricCore):
         half = n // 2
         schedule = fabric._schedule
         stages = fabric.stages
+        sorter = [f"bb.sorter.p{sub.phase}s{sub.step}" for sub in schedule]
+        banyan = [f"bb.banyan.stage{s}" for s in range(stages)]
         # Link ids: ingress port p, then n + substage * n + output line,
         # then n + (substages + stage) * n + output line.
         super().__init__(
             fabric,
             store,
             [f"bb.ingress{p}" for p in range(n)]
-            + [
-                f"bb.sorter.p{sub.phase}s{sub.step}.out{line}"
-                for sub in schedule
-                for line in range(n)
-            ]
-            + [
-                f"bb.banyan.stage{s}.out{line}"
-                for s in range(stages)
-                for line in range(n)
-            ],
+            + [f"{col}.out{line}" for col in sorter + banyan
+               for line in range(n)],
         )
         self.stages = stages
         layout = fabric.layout
@@ -567,52 +566,65 @@ class BatcherBanyanCore(VectorFabricCore):
         wm = fabric.wire_mode
         # Switch component ids: substage * half + comparator, then
         # (substages + stage) * half + switch.
-        self._sw_names = [
-            f"bb.sorter.p{sub.phase}s{sub.step}.c{c.low}"
-            for sub in schedule
-            for c in sub.comparators
-        ] + [
-            f"bb.banyan.stage{s}.sw{k}"
-            for s in range(stages)
-            for k in range(half)
-        ]
-        self._sorter = []
-        for si, sub in enumerate(schedule):
-            low = np.array([c.low for c in sub.comparators], dtype=np.intp)
-            high = np.array([c.high for c in sub.comparators], dtype=np.intp)
-            out_links = np.empty(n, dtype=np.intp)
-            out_links[0::2] = n + si * n + low
-            out_links[1::2] = n + si * n + high
-            self._sorter.append((
-                low,
-                high,
-                np.array([c.ascending for c in sub.comparators]),
-                out_links,
-                layout.sorter_link_grids(sub.phase, sub.step, False, mode=wm),
-                layout.sorter_link_grids(sub.phase, sub.step, True, mode=wm),
-            ))
-        banyan_layout = layout.banyan_layout()
-        self._banyan = []
-        top = 0
-        for s in range(stages):
-            bit = topology.stage_bit(n, s)
-            top |= 1 << bit
-            self._banyan.append((
-                bit,
-                top,
-                n + (len(schedule) + s) * n,
-                banyan_layout.link_grids(bit, False, mode=wm),
-                banyan_layout.link_grids(bit, True, mode=wm),
-            ))
-        # Switch energy by input occupancy (a, b) at index 2a + b; an
-        # idle switch, (0, 0), is never charged.
-        self._sort_e, self._binary_e = (
-            np.array([0.0] + [
-                lut.lookup(v) * fmt.bus_width * fmt.words
-                for v in ((0, 1), (1, 0), (1, 1))
-            ])
-            for lut in (fabric._sorting_lut, fabric._binary_lut)
+        self._sw_names = np.array(
+            [f"{col}.c{c.low}" for col, sub in zip(sorter, schedule)
+             for c in sub.comparators]
+            + [f"{col}.sw{k}" for col in banyan for k in range(half)],
+            dtype=object,
         )
+        self._sorter = [
+            (
+                np.array([c.low for c in sub.comparators], dtype=np.intp),
+                np.array([c.high for c in sub.comparators], dtype=np.intp),
+                np.array([[c.ascending] for c in sub.comparators]),
+            )
+            for sub in schedule
+        ]
+        n_sub = len(schedule)
+        self._substage = np.arange(n_sub)[:, None, None]
+        # Sorter event (substage, comparator, low/high output) -> link.
+        self._sorter_links = (
+            n * (1 + self._substage)
+            + np.array([[(c.low, c.high) for c in sub.comparators]
+                        for sub in schedule])
+        ).ravel()
+        # Grids of a (substage, swapped) link; likewise (stage, crossed).
+        self._sorter_grids = np.array([
+            [layout.sorter_link_grids(sub.phase, sub.step, x, mode=wm)
+             for x in (False, True)]
+            for sub in schedule
+        ])
+        banyan_layout = layout.banyan_layout()
+        self._bits = [topology.stage_bit(n, s) for s in range(stages)]
+        self._banyan_grids = np.array([
+            [banyan_layout.link_grids(bit, x, mode=wm) for x in (False, True)]
+            for bit in self._bits
+        ])
+        self._stage = np.arange(stages)[:, None]
+        self._banyan_links = n * (1 + n_sub + self._stage)
+        # Per (stage, input line): the switch's component id and which
+        # of its two inputs the line is.
+        self._switch_id = np.array([
+            [(n_sub + s) * half + topology.switch_index(n, s, line)
+             for line in range(n)]
+            for s in range(stages)
+        ])
+        self._upper = np.array([
+            [topology.switch_input_index(n, s, line) for line in range(n)]
+            for s in range(stages)
+        ])
+        # Comparator energy by input occupancy (a, b) at index 2a + b;
+        # an idle comparator, (0, 0), is never charged.
+        self._sort_e = np.array([0.0] + [
+            fabric._sorting_lut.lookup(v) * fmt.bus_width * fmt.words
+            for v in ((0, 1), (1, 0), (1, 1))
+        ])
+        # Banyan switch energy at index 2 * input index + partner present,
+        # for the switch's first cell.
+        self._switch_e = np.array([
+            fabric._binary_lut.lookup(v) * fmt.bus_width * fmt.words
+            for v in ((1, 0), (1, 1), (0, 1), (1, 1))
+        ])
         self._traversals = len(schedule) + stages
         self._sizes: list[int] = []
         self._grants: list[tuple[int, int]] = []
@@ -648,93 +660,111 @@ class BatcherBanyanCore(VectorFabricCore):
         n = self.ports
         half = n // 2
         n_sub = len(self._sorter)
-        sizes = self._sizes
-        slots = len(sizes)
-        grants = np.array(self._grants, dtype=np.intp)
-        self._sizes = []
-        self._grants = []
-        ports, cells = grants[:, 0], grants[:, 1]
+        sizes, slots = self._sizes, len(self._sizes)
+        ports, cells = np.array(self._grants, dtype=np.intp).T
+        self._sizes, self._grants = [], []
         dest = self.store.dest
-        dests = np.array([dest[c] for c in cells.tolist()], dtype=np.intp)
+        # key[g] is grant g's destination; key[-1], for an empty line
+        # (grant index -1), sorts as +inf.
+        key = np.array([dest[c] for c in cells.tolist()] + [n], dtype=np.intp)
         g = np.arange(len(cells))
         row = np.repeat(np.arange(slots), sizes)
         rank = g - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        # Per slot: grant index, link and grids of every wire event.
-        ev_g = np.full((slots, n * (1 + self._traversals)), -1, dtype=np.intp)
-        ev_link = np.zeros(ev_g.shape, dtype=np.intp)
-        ev_grids = np.zeros(ev_g.shape)
-        sw_key = np.zeros((slots, n_sub * half + self.stages * n), dtype=np.intp)
-        sw_key[:, : n_sub * half] = np.arange(n_sub * half)
-        sw_e = np.zeros(sw_key.shape)
-        ev_g[row, rank] = g
-        ev_link[row, rank] = ports
-        ev_grids[:, :n] = 4
-        # Bitonic sorter: an empty line sorts as +inf (key n).
-        line_g = np.full((slots, n), -1, dtype=np.intp)
-        line_g[row, ports] = g
-        key = np.full((slots, n), n, dtype=np.intp)
-        key[row, ports] = dests
-        col = n
-        for si, (low, high, ascending, out_links, straight, crossed) in (
-            enumerate(self._sorter)
-        ):
-            ga = line_g[:, low]
-            gb = line_g[:, high]
-            ka = key[:, low]
-            kb = key[:, high]
-            swap = np.where(ascending, ka > kb, ka < kb)
-            sw_e[:, si * half : (si + 1) * half] = self._sort_e[
-                2 * (ga >= 0) + (gb >= 0)
-            ]
-            ga, gb = np.where(swap, gb, ga), np.where(swap, ga, gb)
-            line_g[:, low] = ga
-            line_g[:, high] = gb
-            key[:, low] = np.where(swap, kb, ka)
-            key[:, high] = np.where(swap, ka, kb)
-            grids = np.where(swap, crossed, straight)
-            ev_g[:, col : col + n : 2] = ga
-            ev_g[:, col + 1 : col + n : 2] = gb
-            ev_grids[:, col : col + n : 2] = grids
-            ev_grids[:, col + 1 : col + n : 2] = grids
-            ev_link[:, col : col + n] = out_links
-            col += n
-        # Banyan section, in closed form over the sorted cells.
-        r, pos = np.nonzero(line_g >= 0)
-        g = line_g[r, pos]
-        d = dests[g]
+        in_g = np.full((slots, n), -1, dtype=np.intp)
+        in_g[row, rank] = g
+        in_link = np.zeros((slots, n), dtype=np.intp)
+        in_link[row, rank] = ports
+        # Bitonic sorter on (line, slot) arrays: each comparator's
+        # (low, high) outputs and whether it swapped.
+        lines = np.full((n, slots), -1, dtype=np.intp)
+        lines[ports, row] = g
+        out_g = np.empty((n_sub, half, 2, slots), dtype=np.intp)
+        swaps = np.empty((n_sub, half, slots), dtype=np.intp)
+        for si, (low, high, ascending) in enumerate(self._sorter):
+            ga = lines[low]
+            gb = lines[high]
+            ka = key[ga]
+            kb = key[gb]
+            swaps[si] = swap = np.where(ascending, ka > kb, ka < kb)
+            lines[low] = out_g[si, :, 0] = np.where(swap, gb, ga)
+            lines[high] = out_g[si, :, 1] = np.where(swap, ga, gb)
+        # Input occupancy (a, b) of each comparator, from its outputs.
+        lo, hi = out_g[:, :, 0] >= 0, out_g[:, :, 1] >= 0
+        vectors = 2 * np.where(swaps, hi, lo) + np.where(swaps, lo, hi)
+        # Banyan section, in closed form over the sorted cells: every
+        # cell's input and output line at each stage.
+        pos, r = np.nonzero(lines >= 0)
+        g = lines[pos, r]
+        d = key[g]
+        stages = self.stages
+        ins = np.empty((stages, g.size), dtype=np.intp)
+        outs = np.empty_like(ins)
+        lead = np.empty(ins.shape, dtype=bool)
+        paired = np.empty_like(lead)
         line = pos
-        sw_col = n_sub * half
-        for s, (bit, top, link_base, straight, crossed) in enumerate(
-            self._banyan
-        ):
-            out = (d & top) | (pos & (n - 1 - top))
-            if np.bincount(r * n + out).max() > 1:
-                raise SimulationError(
-                    "internal blocking inside Batcher-Banyan: the sorted "
-                    "batch was not monotone — this is a library bug"
-                )
-            ev_g[r, col + pos] = g
-            ev_link[r, col + pos] = link_base + out
-            ev_grids[r, col + pos] = np.where(line != out, crossed, straight)
+        top = 0
+        for s, bit in enumerate(self._bits):
+            top |= 1 << bit
+            ins[s] = line
+            outs[s] = line = (d & top) | (pos & (n - 1 - top))
             # A switch is charged once, at its first cell's position.
             at = np.full((slots, n), n, dtype=np.intp)
-            at[r, line] = pos
-            partner = at[r, line ^ (1 << bit)]
-            paired = partner < n
-            lead = pos < partner
-            vector = np.where((line >> bit) & 1, 1 + 2 * paired, 2 + paired)
-            k = ((line >> (bit + 1)) << bit) | (line & ((1 << bit) - 1))
-            sw_e[r[lead], sw_col + pos[lead]] = self._binary_e[vector[lead]]
-            sw_key[r[lead], sw_col + pos[lead]] = (n_sub + s) * half + k[lead]
-            line = out
-            col += n
-            sw_col += n
+            at[r, ins[s]] = pos
+            partner = at[r, ins[s] ^ (1 << bit)]
+            lead[s] = pos < partner
+            paired[s] = partner < n
+        taken = (r * stages + self._stage) * n + outs
+        if np.bincount(taken.ravel()).max() > 1:
+            raise SimulationError(
+                "internal blocking inside Batcher-Banyan: the sorted "
+                "batch was not monotone — this is a library bug"
+            )
+        shape = (slots, stages, n)
+        ban_link = np.zeros(shape, dtype=np.intp)
+        ban_link[r, :, pos] = (outs + self._banyan_links).T
+        ban_grids = np.zeros(shape)
+        ban_grids[r, :, pos] = np.where(
+            ins != outs, self._banyan_grids[:, 1:], self._banyan_grids[:, :1]
+        ).T
+        ban_e = np.zeros(shape)
+        ban_e[r, :, pos] = np.where(
+            lead, self._switch_e[2 * self._upper[self._stage, ins] + paired], 0
+        ).T
+        ban_key = np.zeros(shape, dtype=np.intp)
+        ban_key[r, :, pos] = self._switch_id[self._stage, ins].T
+        # Per slot: ingress, then sorter, then banyan events.
+        ev_g = np.concatenate([
+            in_g,
+            out_g.transpose(3, 0, 1, 2).reshape(slots, -1),
+            np.repeat(lines.T, stages, axis=0).reshape(slots, -1),
+        ], axis=1)
         events = ev_g >= 0
+        sorter_grids = self._sorter_grids[self._substage, swaps]
         self._settle_wires(
-            ev_link[events], cells[ev_g[events]], ev_grids[events]
+            np.concatenate([
+                in_link,
+                np.broadcast_to(self._sorter_links, (slots, n_sub * n)),
+                ban_link.reshape(slots, -1),
+            ], axis=1)[events],
+            cells[ev_g[events]],
+            np.concatenate([
+                np.full((slots, n), 4.0),
+                np.repeat(sorter_grids.transpose(2, 0, 1), 2, axis=2)
+                .reshape(slots, -1),
+                ban_grids.reshape(slots, -1),
+            ], axis=1)[events],
         )
         charge_events(
-            self._switch_dict, self._sw_names, sw_key.ravel(), sw_e.ravel()
+            self._switch_dict,
+            self._sw_names,
+            np.concatenate([
+                np.tile(np.arange(n_sub * half), (slots, 1)),
+                ban_key.reshape(slots, -1),
+            ], axis=1).ravel(),
+            np.concatenate([
+                self._sort_e[vectors].transpose(2, 0, 1).reshape(slots, -1),
+                ban_e.reshape(slots, -1),
+            ], axis=1).ravel(),
         )
 
 

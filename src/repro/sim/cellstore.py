@@ -3,13 +3,14 @@
 The reference engine moves :class:`~repro.router.cells.Cell` objects;
 the vectorized engine moves integer cell ids into this store instead.
 Bus words live in one contiguous ``(capacity, words)`` uint64 matrix so
-a whole slot's wire transfers can be flip-counted in a single batched
-popcount, while the scalar per-cell metadata (destination, reassembly
+a fabric core can flip-count a whole batch of queued wire transfers in
+one popcount, while the scalar per-cell metadata (destination, reassembly
 coordinates, timestamps) lives in plain Python lists — scalar reads in
 the fabric inner loops are cheaper there than through numpy.
 
 Rows are recycled through a free list, so a long run's memory stays
-proportional to the peak number of in-flight + queued cells.
+proportional to the peak number of in-flight + queued cells, plus the
+delivered cells a core holds until its next wire settlement.
 
 When every packet of a batch is one cell of a common width
 (:attr:`ArrivalBatch.words_per_packet`), :meth:`CellStore.add_batch`

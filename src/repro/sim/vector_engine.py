@@ -196,10 +196,8 @@ class VectorizedEngine:
     def step(self, generate_arrivals: bool = True) -> list[int]:
         """Advance one slot; returns the delivered cell ids.
 
-        The fabric core settles wire energy (and the Batcher-Banyan's
-        switch energy) in batches, so the ledger is complete only after
-        :meth:`run`, which settles before the warmup reset and at
-        collection.
+        The core settles wire (and Batcher-Banyan switch) energy in
+        batches, so the ledger is complete only after :meth:`run`.
         """
         slot = self._slot
         if generate_arrivals:

@@ -28,7 +28,7 @@ from repro.sim.vector_engine import VectorizedEngine
 
 ARCHES = ("crossbar", "fully_connected", "banyan", "batcher_banyan")
 
-NAMES = [f"comp{i}" for i in range(6)]
+LABELS = [f"comp{i}" for i in range(6)]
 
 _energy = st.one_of(
     st.just(0.0),
@@ -39,20 +39,20 @@ _energy = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(
-    prefill=st.dictionaries(st.sampled_from(NAMES), _energy, max_size=4),
+    prefill=st.dictionaries(st.sampled_from(LABELS), _energy, max_size=4),
     events=st.lists(
-        st.tuples(st.integers(0, len(NAMES) - 1), _energy), max_size=60
+        st.tuples(st.integers(0, len(LABELS) - 1), _energy), max_size=60
     ),
 )
 def test_charge_events_replays_the_per_event_loop(prefill, events):
     expected = defaultdict(float, prefill)
     for key, energy in events:
         if energy:
-            expected[NAMES[key]] += energy
+            expected[LABELS[key]] += energy
     charged = defaultdict(float, prefill)
     charge_events(
         charged,
-        NAMES,
+        np.array(LABELS, dtype=object),
         np.array([key for key, _ in events], dtype=np.intp),
         np.array([energy for _, energy in events], dtype=np.float64),
     )
