@@ -1,15 +1,18 @@
 """Slot-loop engine benchmark: vectorized vs reference slots/sec.
 
-The acceptance benchmark of the vectorized engine: run the 32-port
-banyan at 0.9 offered load through both engines, verify the seeded
-results are bit-identical, and report slots/sec plus the speedup.
+The acceptance benchmark of the vectorized engine: run each of the four
+fabrics at 32 ports, 0.9 offered load and FIFO ingress through both
+engines, verify the seeded results are bit-identical, and report
+slots/sec plus the speedup.  The top-level fields and the >= 5x gate
+are the 32-port banyan's; ``fabrics`` holds every fabric's figures.
 
 Run as a script (what CI does) to write the machine-readable artifact::
 
     PYTHONPATH=src python benchmarks/bench_slotloop.py \
         --output BENCH_slotloop.json
 
-or through pytest alongside the other benches::
+It exits 1 if any fabric's engines diverge or the banyan speedup is
+below 5x.  Or run it through pytest alongside the other benches::
 
     pytest benchmarks/bench_slotloop.py -s
 """
@@ -26,6 +29,7 @@ from repro.sim.runner import build_router
 from repro.sim.vector_engine import VectorizedEngine
 
 ARCH = "banyan"
+FABRICS = ("crossbar", "fully_connected", "banyan", "batcher_banyan")
 PORTS = 32
 LOAD = 0.9
 SEED = 2002
@@ -36,9 +40,9 @@ _ENGINES = {
 }
 
 
-def run_engine(engine: str, slots: int, warmup: int):
+def run_engine(engine: str, arch: str, slots: int, warmup: int):
     """One timed run; returns (slots_per_sec, seconds, result)."""
-    router = build_router(ARCH, PORTS, load=LOAD)
+    router = build_router(arch, PORTS, load=LOAD)
     eng = _ENGINES[engine](router, seed=SEED)
     timed_slots = slots + warmup
     start = time.perf_counter()
@@ -47,13 +51,33 @@ def run_engine(engine: str, slots: int, warmup: int):
     return timed_slots / seconds, seconds, result
 
 
-def run_benchmark(slots: int = 600, warmup: int = 100, repeats: int = 3) -> dict:
-    """Both engines on the acceptance operating point; returns the report.
+def run_fabric(arch: str, slots: int, warmup: int, repeats: int):
+    """Both engines on one fabric; returns (engines report, results).
 
     Each engine runs ``repeats`` times and reports its best (minimum
     wall-clock) repetition — the standard way to strip scheduler noise
     from a throughput figure.
     """
+    engines = {}
+    results = {}
+    for engine in ("reference", "vectorized"):
+        best = None
+        for _ in range(repeats):
+            slots_per_sec, seconds, result = run_engine(
+                engine, arch, slots, warmup
+            )
+            if best is None or seconds < best[1]:
+                best = (slots_per_sec, seconds, result)
+        results[engine] = best[2]
+        engines[engine] = {
+            "slots_per_sec": round(best[0], 1),
+            "seconds": round(best[1], 4),
+        }
+    return engines, results
+
+
+def run_benchmark(slots: int = 600, warmup: int = 100, repeats: int = 3) -> dict:
+    """Both engines on every fabric's operating point; returns the report."""
     report = {
         "benchmark": "slotloop",
         "architecture": ARCH,
@@ -64,37 +88,41 @@ def run_benchmark(slots: int = 600, warmup: int = 100, repeats: int = 3) -> dict
         "warmup_slots": warmup,
         "repeats": repeats,
         "python": platform.python_version(),
-        "engines": {},
+        "fabrics": {},
     }
-    results = {}
-    for engine in ("reference", "vectorized"):
-        best = None
-        for _ in range(repeats):
-            slots_per_sec, seconds, result = run_engine(engine, slots, warmup)
-            if best is None or seconds < best[1]:
-                best = (slots_per_sec, seconds, result)
-        results[engine] = best[2]
-        report["engines"][engine] = {
-            "slots_per_sec": round(best[0], 1),
-            "seconds": round(best[1], 4),
+    for arch in FABRICS:
+        engines, results = run_fabric(arch, slots, warmup, repeats)
+        speedup = round(
+            engines["vectorized"]["slots_per_sec"]
+            / engines["reference"]["slots_per_sec"],
+            2,
+        )
+        identical = results["reference"] == results["vectorized"]
+        report["fabrics"][arch] = {
+            "reference_slots_per_sec": engines["reference"]["slots_per_sec"],
+            "vectorized_slots_per_sec": engines["vectorized"]["slots_per_sec"],
+            "speedup": speedup,
+            "identical_results": identical,
         }
-    report["speedup"] = round(
-        report["engines"]["vectorized"]["slots_per_sec"]
-        / report["engines"]["reference"]["slots_per_sec"],
-        2,
-    )
-    report["identical_results"] = results["reference"] == results["vectorized"]
-    report["energy_total_j"] = results["vectorized"].energy.total_j
-    report["throughput"] = results["vectorized"].throughput
+        if arch == ARCH:
+            report["engines"] = engines
+            report["speedup"] = speedup
+            report["identical_results"] = identical
+            report["energy_total_j"] = results["vectorized"].energy.total_j
+            report["throughput"] = results["vectorized"].throughput
     return report
 
 
+def all_identical(report: dict) -> bool:
+    return all(f["identical_results"] for f in report["fabrics"].values())
+
+
 def test_slotloop_speedup_and_equivalence():
-    """Pytest entry: >= 5x on the 32-port banyan with identical results."""
+    """Pytest entry: >= 5x on the 32-port banyan, every fabric identical."""
     report = run_benchmark(slots=400, warmup=50)
     print()
     print(json.dumps(report, indent=2))
-    assert report["identical_results"], "engines diverged on seeded results"
+    assert all_identical(report), "engines diverged on seeded results"
     assert report["speedup"] >= 5.0, (
         f"vectorized engine is only {report['speedup']}x the reference "
         "(needs >= 5x)"
@@ -113,14 +141,15 @@ def main(argv=None) -> int:
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    ref = report["engines"]["reference"]["slots_per_sec"]
-    vec = report["engines"]["vectorized"]["slots_per_sec"]
-    print(
-        f"{ARCH} {PORTS}x{PORTS} @ load {LOAD}: reference {ref:.0f} "
-        f"slots/s, vectorized {vec:.0f} slots/s ({report['speedup']}x), "
-        f"identical={report['identical_results']} -> {args.output}"
-    )
-    return 0 if report["identical_results"] and report["speedup"] >= 5 else 1
+    for arch, f in report["fabrics"].items():
+        print(
+            f"{arch} {PORTS}x{PORTS} @ load {LOAD}: reference "
+            f"{f['reference_slots_per_sec']:.0f} slots/s, vectorized "
+            f"{f['vectorized_slots_per_sec']:.0f} slots/s ({f['speedup']}x), "
+            f"identical={f['identical_results']}"
+        )
+    print(f"-> {args.output}")
+    return 0 if all_identical(report) and report["speedup"] >= 5 else 1
 
 
 if __name__ == "__main__":

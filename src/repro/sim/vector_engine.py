@@ -8,7 +8,7 @@ occupancy matrices) hold integer cell ids, arbitration and egress
 accounting run on plain int arrays/lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
 queues wire transfers and settles their flips and energy in batches of
-up to :data:`~repro.fabrics.vectorized.SETTLE_TRANSFERS` transfers.
+about :data:`~repro.fabrics.vectorized.SETTLE_TRANSFERS` transfers.
 
 This is the fast tier of the two-engine stack: the reference engine
 (:mod:`repro.sim.engine`) is the bit-exact oracle, and this engine is
