@@ -20,6 +20,15 @@ These tests compare against ``tests/golden/digests.json`` instead:
   iterations at 32 ports, both at load 0.9.  Every other key runs 40 + 8
   slots; this one crosses many batched wire settlements of the
   vectorized cores, with the warmup boundary falling inside a batch.
+* ``cli_grammar`` — a canonical JSON walk of ``repro.cli.build_parser()``:
+  every parser's prog and description, every action's option strings,
+  dest, default, choices, nargs, metavar, type name, required flag and
+  help, every subcommand's help line and every argument-group title;
+* ``cli_transcripts`` — (argv, exit code, stdout, stderr) of the fixed
+  ``repro.cli.main`` calls in :data:`CLI_CALLS`, run in order in a fresh
+  working directory, plus the bytes of every export file they write
+  (not the cache, figure and journal stores, whose lines carry
+  ``elapsed_s``).
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints every key's
 current digest beside ``same`` or ``CHANGED`` against the committed
@@ -29,9 +38,14 @@ is then copied into the file by hand, as an explicit, reviewed diff.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -39,6 +53,10 @@ import pytest
 from repro.api import PowerModel, Scenario
 from repro.campaigns.presets import get_campaign
 from repro.campaigns.runner import run_campaign
+from repro.campaigns import Campaign
+from repro.cli import build_parser, main as cli_main
+from repro.control import ControlSpec, DemandSeries
+from repro.network import Demand, NetworkSpec, TrafficMatrix, line
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
@@ -70,6 +88,53 @@ QUEUE_CASES = (
     dict(architecture="banyan", queueing="voq", islip_iterations=2,
          ingress_queue_cells=3),
 )
+
+#: The ``cli_transcripts`` calls, in order: every ``list``, one dry-run
+#: per kind, the table2 campaign in each format, then small grid,
+#: network and control spec files (see :func:`_cli_specs`) run cold,
+#: warm and reported, and the error paths.
+CLI_CALLS = (
+    ("campaign", "list"),
+    ("network", "list"),
+    ("control", "list"),
+    ("campaign", "run", "fig9", "--dry-run"),
+    ("network", "run", "dumbbell_switchoff", "--scale", "0.5",
+     "--dry-run"),
+    ("control", "run", "dumbbell_sleep_sweep", "--dry-run"),
+    ("campaign", "run", "table2"),
+    ("campaign", "run", "table2", "--format", "csv"),
+    ("campaign", "run", "table2", "--format", "json"),
+    ("campaign", "run", "table2", "--format", "markdown",
+     "--output", "table2.md"),
+    ("campaign", "report", "table2"),
+    ("campaign", "run", "table2", "--cache", "c.jsonl", "--workers", "2",
+     "--resume"),
+    ("campaign", "run", "grid.json", "--cache", "cache.jsonl",
+     "--csv", "grid.csv", "--json", "grid.out.json"),
+    ("campaign", "run", "grid.json", "--cache", "cache.jsonl",
+     "--figures", "figures.jsonl", "--format", "json"),
+    ("campaign", "report", "grid.json", "--figures", "figures.jsonl"),
+    ("network", "run", "line.json", "--csv", "line.csv",
+     "--links-csv", "links.csv", "--json", "line.out.json"),
+    ("network", "run", "line.json", "--format", "markdown",
+     "--journal", "journal.jsonl"),
+    ("network", "report", "line.json", "--scale", "0.5"),
+    ("control", "run", "ctl.json", "--csv", "ctl.csv",
+     "--sla-csv", "sla.csv", "--json", "ctl.out.json", "--format", "csv"),
+    ("control", "run", "ctl.json", "--format", "json"),
+    ("control", "report", "ctl.json"),
+    ("campaign", "run", "nosuch"),
+    ("network", "run", "nosuch"),
+    ("control", "run", "nosuch"),
+    ("campaign", "report", "x.json"),
+    ("network", "report", "x.json"),
+    ("control", "report", "x.json"),
+    ("network", "run", "line.json", "--resume"),
+)
+
+#: Stores the calls open (with their ``.lock`` files); their lines
+#: carry ``elapsed_s``.
+CLI_STORES = {"c.jsonl", "cache.jsonl", "figures.jsonl", "journal.jsonl"}
 
 
 def _sha256(text: str) -> str:
@@ -143,8 +208,119 @@ def fig9_digests() -> dict[str, str]:
     }
 
 
+def _grammar(parser: argparse.ArgumentParser) -> dict:
+    """One parser's grammar, recursing into its subcommands."""
+    actions = []
+    for action in parser._actions:
+        entry = {
+            "class": type(action).__name__,
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "default": action.default,
+            "choices": action.choices,
+            "nargs": action.nargs,
+            "metavar": action.metavar,
+            "type": getattr(action.type, "__name__", action.type),
+            "required": action.required,
+            "help": action.help,
+        }
+        if isinstance(action, argparse._SubParsersAction):
+            entry["choices"] = {
+                name: _grammar(sub) for name, sub in action.choices.items()
+            }
+            entry["commands"] = [
+                [choice.dest, choice.help]
+                for choice in action._choices_actions
+            ]
+        actions.append(entry)
+    return {
+        "prog": parser.prog,
+        "description": parser.description,
+        "groups": [
+            [group.title, [a.dest for a in group._group_actions]]
+            for group in parser._action_groups
+        ],
+        "actions": actions,
+    }
+
+
+def cli_grammar_digest() -> str:
+    return _sha256(json.dumps(_grammar(build_parser()), sort_keys=True))
+
+
+def _cli_specs() -> dict[str, str]:
+    """The spec files :data:`CLI_CALLS` name: a 4-point grid campaign, a
+    3-node line network and a 2-epoch control spec."""
+    grid = Campaign(
+        name="grid4",
+        architectures=("crossbar", "banyan"),
+        ports=(4,),
+        loads=(0.1, 0.3),
+        base=WINDOW,
+    )
+    network = NetworkSpec(
+        name="line3",
+        topology=line(3),
+        matrix=TrafficMatrix((Demand("r0", "r2", 0.4),)),
+        base=WINDOW,
+    )
+    edge = NetworkSpec(
+        name="edge3",
+        topology=line(3),
+        matrix=TrafficMatrix((Demand("r0", "r1", 0.4),)),
+        port_power_w=0.01,
+        base=WINDOW,
+    )
+    control = ControlSpec(
+        name="ctl2",
+        network=edge,
+        series=DemandSeries.step(edge.matrix, (1.0, 0.5), name="s"),
+        max_utilization=0.9,
+        sleep=True,
+        sleep_power_fraction=0.1,
+        wake_energy_j=0.5,
+    )
+    return {
+        "grid.json": grid.to_json(),
+        "line.json": network.to_json(),
+        "ctl.json": control.to_json(),
+    }
+
+
+def cli_transcripts_digest() -> str:
+    digest = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in _cli_specs().items():
+                Path(name).write_text(text)
+            inputs = set(os.listdir())
+            for argv in CLI_CALLS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    try:
+                        code = cli_main(list(argv))
+                    except SystemExit as exc:
+                        code = exc.code
+                digest.update(json.dumps(
+                    [argv, code, out.getvalue(), err.getvalue()]
+                ).encode())
+            for name in sorted(set(os.listdir()) - inputs):
+                if name.removesuffix(".lock") in CLI_STORES:
+                    continue
+                data = Path(name).read_bytes()
+                digest.update(f"{name} {len(data)}\n".encode() + data)
+        finally:
+            os.chdir(cwd)
+    return digest.hexdigest()
+
+
 def current_digests() -> dict[str, str]:
     return {
+        "cli_grammar": cli_grammar_digest(),
+        "cli_transcripts": cli_transcripts_digest(),
         "saturation_voq": saturation_voq_digest(),
         "traffic_kinds": traffic_kinds_digest(),
         "long_window": long_window_digest(),
@@ -173,6 +349,14 @@ def test_fig9_exports_match_golden(golden):
     digests = fig9_digests()
     assert digests["fig9_csv"] == golden["fig9_csv"]
     assert digests["fig9_json"] == golden["fig9_json"]
+
+
+def test_cli_grammar_matches_golden(golden):
+    assert cli_grammar_digest() == golden["cli_grammar"]
+
+
+def test_cli_transcripts_match_golden(golden):
+    assert cli_transcripts_digest() == golden["cli_transcripts"]
 
 
 def main() -> int:
