@@ -55,7 +55,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
+from repro import campaigns, control, network
 from repro.analysis.report import format_table
 from repro.core import tables
 from repro.errors import ConfigurationError, ReproError
@@ -186,6 +189,49 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_kind(sub, command: str, kind: _Kind) -> None:
+    """``repro <command> run|list|report`` from one :data:`_KINDS` entry."""
+    parser = sub.add_parser(command, help=kind.help)
+    kind_sub = parser.add_subparsers(dest=f"{command}_command",
+                                     required=True)
+
+    def add_exec(p: argparse.ArgumentParser) -> None:
+        p.add_argument("name", help=kind.name_help)
+        for flag, options in kind.flags:
+            p.add_argument(flag, **options)
+        _add_execution(p)
+
+    run_p = kind_sub.add_parser("run", help=kind.run_help)
+    add_exec(run_p)
+    run_p.add_argument(
+        "--format",
+        choices=("table", "csv", "json", "markdown"),
+        default="table",
+        help="report format written to stdout (or --output)",
+    )
+    run_p.add_argument(
+        "--output",
+        default=None,
+        help="write the report to this file instead of stdout",
+    )
+    for flag, help_text, _, _ in kind.exports:
+        run_p.add_argument(
+            flag,
+            default=None,
+            metavar="PATH",
+            dest=_export_dest(flag),
+            help=help_text,
+        )
+    run_p.add_argument(
+        "--dry-run", action="store_true", help=kind.dry_run_help
+    )
+
+    kind_sub.add_parser("list", help=f"list the built-in {command} presets")
+
+    report_p = kind_sub.add_parser("report", help=kind.report_help)
+    add_exec(report_p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -262,227 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_execution(batch, figures=False)
 
-    campaign = sub.add_parser(
-        "campaign",
-        help="declarative paper-reproduction campaigns (figures/tables)",
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command",
-                                           required=True)
-
-    def _add_campaign_exec(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "name",
-            help="built-in preset (repro campaign list) or a campaign "
-            "JSON file",
-        )
-        _add_execution(p)
-
-    run_p = campaign_sub.add_parser(
-        "run", help="execute a campaign into a ComparisonRecord"
-    )
-    _add_campaign_exec(run_p)
-    run_p.add_argument(
-        "--format",
-        choices=("table", "csv", "json", "markdown"),
-        default="table",
-        help="report format written to stdout (or --output)",
-    )
-    run_p.add_argument(
-        "--output",
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
-    run_p.add_argument(
-        "--csv",
-        default=None,
-        metavar="PATH",
-        dest="csv_path",
-        help="additionally export the record as CSV to this file",
-    )
-    run_p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_path",
-        help="additionally export the record as JSON to this file",
-    )
-    run_p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="validate the campaign and print its point plan without "
-        "executing anything",
-    )
-
-    campaign_sub.add_parser(
-        "list", help="list the built-in campaign presets"
-    )
-
-    report_p = campaign_sub.add_parser(
-        "report",
-        help="execute (cache-aware) and print the paper-style report",
-    )
-    _add_campaign_exec(report_p)
-
-    network = sub.add_parser(
-        "network",
-        help="network-level aggregate power (topology + traffic matrix)",
-    )
-    network_sub = network.add_subparsers(dest="network_command",
-                                         required=True)
-
-    def _add_network_exec(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "name",
-            help="built-in network preset (repro network list) or a "
-            "NetworkSpec JSON file",
-        )
-        p.add_argument(
-            "--scale",
-            type=float,
-            default=1.0,
-            help="multiply every demand of the traffic matrix",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=None,
-            metavar="N",
-            help="partition the per-router scenario grid into N "
-            "contiguous node-order shards, each run as its own batch "
-            "and folded into the record incrementally — bounded peak "
-            "memory, byte-identical exports",
-        )
-        p.add_argument(
-            "--detail",
-            choices=("none", "summary", "full"),
-            default="full",
-            help="what the in-memory record retains after aggregation: "
-            "per-router RunRecords + routing (full, default), routing "
-            "only (summary), or nothing (none); exports are unaffected",
-        )
-        _add_execution(p)
-
-    net_run = network_sub.add_parser(
-        "run", help="execute a network spec into a NetworkRecord"
-    )
-    _add_network_exec(net_run)
-    net_run.add_argument(
-        "--format",
-        choices=("table", "csv", "json", "markdown"),
-        default="table",
-        help="report format written to stdout (or --output)",
-    )
-    net_run.add_argument(
-        "--output",
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
-    net_run.add_argument(
-        "--csv",
-        default=None,
-        metavar="PATH",
-        dest="csv_path",
-        help="additionally export the per-node record as CSV",
-    )
-    net_run.add_argument(
-        "--links-csv",
-        default=None,
-        metavar="PATH",
-        dest="links_csv_path",
-        help="additionally export the per-link record as CSV",
-    )
-    net_run.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_path",
-        help="additionally export the record as JSON",
-    )
-    net_run.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="route the matrix and print the derived per-router plan "
-        "without simulating anything",
-    )
-
-    network_sub.add_parser(
-        "list", help="list the built-in network presets"
-    )
-
-    net_report = network_sub.add_parser(
-        "report",
-        help="execute (cache-aware) and print the network power report",
-    )
-    _add_network_exec(net_report)
-
-    control = sub.add_parser(
-        "control",
-        help="energy-aware control plane (demand series + green routing "
-        "+ link power states)",
-    )
-    control_sub = control.add_subparsers(dest="control_command",
-                                         required=True)
-
-    def _add_control_exec(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "name",
-            help="built-in control preset (repro control list) or a "
-            "ControlSpec JSON file",
-        )
-        _add_execution(p)
-
-    ctl_run = control_sub.add_parser(
-        "run", help="execute a control spec into a ControlRecord"
-    )
-    _add_control_exec(ctl_run)
-    ctl_run.add_argument(
-        "--format",
-        choices=("table", "csv", "json", "markdown"),
-        default="table",
-        help="report format written to stdout (or --output)",
-    )
-    ctl_run.add_argument(
-        "--output",
-        default=None,
-        help="write the report to this file instead of stdout",
-    )
-    ctl_run.add_argument(
-        "--csv",
-        default=None,
-        metavar="PATH",
-        dest="csv_path",
-        help="additionally export the per-epoch record as CSV",
-    )
-    ctl_run.add_argument(
-        "--sla-csv",
-        default=None,
-        metavar="PATH",
-        dest="sla_csv_path",
-        help="additionally export the savings-vs-SLA curve as CSV",
-    )
-    ctl_run.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        dest="json_path",
-        help="additionally export the record as JSON",
-    )
-    ctl_run.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="route every epoch and print the per-epoch demand plan "
-        "without simulating anything",
-    )
-
-    control_sub.add_parser(
-        "list", help="list the built-in control presets"
-    )
-
-    ctl_report = control_sub.add_parser(
-        "report",
-        help="execute (cache-aware) and print the control-plane report",
-    )
-    _add_control_exec(ctl_report)
+    for command, kind in _KINDS.items():
+        _add_kind(sub, command, kind)
 
     surrogate = sub.add_parser(
         "surrogate",
@@ -684,8 +511,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    from pathlib import Path
-
     from repro.api import (
         default_session,
         load_scenarios,
@@ -694,13 +519,7 @@ def cmd_batch(args) -> int:
         summary_rows,
     )
 
-    try:
-        text = Path(args.scenarios).read_text()
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read scenario file {args.scenarios!r}: {exc}"
-        ) from exc
-    scenarios = load_scenarios(text)
+    scenarios = load_scenarios(_read_text(args.scenarios, "scenario file"))
     if args.rng_stream is not None:
         scenarios = [
             s.replace(rng_stream=args.rng_stream) for s in scenarios
@@ -717,7 +536,7 @@ def cmd_batch(args) -> int:
     # With --retries, exhausted units are recorded holes (None): the
     # report covers the completed scenarios, the failures print below.
     records = [r for r in records if r is not None]
-    _campaign_cache_stats(args, store)
+    _store_stats("cache", args.cache, store)
     _resilience_summary(args, resilience)
 
     if args.format == "json":
@@ -730,59 +549,8 @@ def cmd_batch(args) -> int:
             summary_rows(records),
             title=f"batch: {len(records)} scenarios",
         )
-    if args.output:
-        Path(args.output).write_text(report + "\n")
-        print(f"{len(records)} scenarios -> {args.output}")
-    else:
-        print(report)
+    _emit(args, report, f"{len(records)} scenarios")
     return 0
-
-
-def _resolve_campaign(name: str):
-    """A preset name or a campaign JSON file path -> :class:`Campaign`."""
-    from pathlib import Path
-
-    from repro.campaigns import Campaign, PRESET_CAMPAIGNS, get_campaign
-
-    if name in PRESET_CAMPAIGNS:
-        return get_campaign(name)
-    path = Path(name)
-    if path.exists():
-        return Campaign.from_json(path.read_text())
-    if name.endswith(".json"):
-        raise ConfigurationError(f"cannot read campaign file {name!r}")
-    return get_campaign(name)  # raises with the known-presets list
-
-
-def _campaign_store(args, campaign):
-    """A RunRecordStore for scenario-running campaigns
-    (grid/network/control); table kinds do not run scenarios, so
-    batch-only flags are called out instead of silently ignored (and no
-    misleading cache stats get printed)."""
-    if campaign.kind not in ("grid", "network", "control",
-                             "surrogate_eval"):
-        ignored = [
-            flag
-            for flag, given in (
-                ("--cache", args.cache),
-                ("--workers", args.workers > 1),
-                ("--executor", args.executor != "thread"),
-                ("--retries", args.retries is not None),
-                ("--timeout", args.timeout is not None),
-                ("--journal", args.journal),
-                ("--resume", args.resume),
-                ("--fault-plan", args.fault_plan),
-            )
-            if given
-        ]
-        if ignored:
-            print(
-                f"note: {campaign.kind!r} campaigns run no scenario "
-                f"batch; ignoring {', '.join(ignored)}",
-                file=sys.stderr,
-            )
-        return None
-    return _cache_store(args)
 
 
 def _cache_store(args):
@@ -794,38 +562,24 @@ def _cache_store(args):
     return RunRecordStore(args.cache)
 
 
-def _campaign_cache_stats(args, store) -> None:
-    if store is not None:
-        stats = store.stats()
-        line = (
-            f"cache {args.cache}: {stats['hits']} hits, "
-            f"{stats['misses']} misses, {stats['entries']} entries"
-        )
-        # Damage is loud: corrupt lines degrade to misses but are
-        # counted and quarantined, never silently dropped.
-        if stats.get("skipped_lines"):
-            line += (
-                f", {stats['skipped_lines']} skipped, "
-                f"{stats['quarantined']} quarantined"
-            )
-        print(line, file=sys.stderr)
-
-
 def _figure_store(args):
-    if not getattr(args, "figures", None):
+    if not args.figures:
         return None
     from repro.api.figstore import DerivedRecordStore
 
     return DerivedRecordStore(args.figures)
 
 
-def _figure_store_stats(args, figures) -> None:
-    if figures is not None:
-        stats = figures.stats()
+def _store_stats(label: str, path: str, store) -> None:
+    """A ``--cache``/``--figures`` store's tally, to stderr."""
+    if store is not None:
+        stats = store.stats()
         line = (
-            f"figures {args.figures}: {stats['hits']} hits, "
+            f"{label} {path}: {stats['hits']} hits, "
             f"{stats['misses']} misses, {stats['entries']} entries"
         )
+        # Damage is loud: corrupt lines degrade to misses but are
+        # counted and quarantined, never silently dropped.
         if stats.get("skipped_lines"):
             line += (
                 f", {stats['skipped_lines']} skipped, "
@@ -847,6 +601,22 @@ def _batch_key(scenarios) -> str:
     return "batch-" + digest.hexdigest()[:16]
 
 
+def _retry_policy(args, on_failure: str):
+    """The :class:`RetryPolicy` of ``--retries``/``--timeout``, or
+    ``None`` when neither is given."""
+    if args.retries is None and args.timeout is None:
+        return None
+    if args.retries is not None and args.retries < 0:
+        raise ConfigurationError("--retries must be >= 0")
+    from repro.resilience import RetryPolicy
+
+    return RetryPolicy(
+        max_attempts=(args.retries or 0) + 1,
+        timeout_s=args.timeout,
+        on_failure=on_failure,
+    )
+
+
 def _resilience_kwargs(args, journal_key: str) -> dict:
     """``retry``/``journal``/``faults``/``report`` call kwargs from the
     shared resilience flags (empty dict when none are given).
@@ -857,42 +627,24 @@ def _resilience_kwargs(args, journal_key: str) -> dict:
     control command tightens this back to ``"raise"`` internally, since
     savings need complete epochs.)
     """
-    retries = getattr(args, "retries", None)
-    timeout = getattr(args, "timeout", None)
-    journal_path = getattr(args, "journal", None)
-    resume = getattr(args, "resume", False)
-    fault_path = getattr(args, "fault_plan", None)
-    if resume and not journal_path:
+    if args.resume and not args.journal:
         raise ConfigurationError("--resume needs --journal PATH")
     kwargs: dict = {}
-    if retries is not None or timeout is not None:
-        if retries is not None and retries < 0:
-            raise ConfigurationError("--retries must be >= 0")
-        from repro.resilience import RetryPolicy
-
-        kwargs["retry"] = RetryPolicy(
-            max_attempts=(retries or 0) + 1,
-            timeout_s=timeout,
-            on_failure="record",
-        )
-    if journal_path:
+    retry = _retry_policy(args, "record")
+    if retry is not None:
+        kwargs["retry"] = retry
+    if args.journal:
         from repro.resilience import CampaignJournal
 
         kwargs["journal"] = CampaignJournal(
-            journal_path, journal_key, replay=resume
+            args.journal, journal_key, replay=args.resume
         )
-    if fault_path:
-        from pathlib import Path
-
+    if args.fault_plan:
         from repro.resilience import FaultPlan
 
-        try:
-            text = Path(fault_path).read_text()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read fault plan {fault_path!r}: {exc}"
-            ) from exc
-        kwargs["faults"] = FaultPlan.from_json(text)
+        kwargs["faults"] = FaultPlan.from_json(
+            _read_text(args.fault_plan, "fault plan")
+        )
     if kwargs:
         from repro.resilience import BatchReport
 
@@ -923,100 +675,36 @@ def _resilience_summary(args, kwargs: dict) -> None:
         )
 
 
-def cmd_campaign(args) -> int:
-    from pathlib import Path
+def _read_text(path: str, what: str) -> str:
+    """A spec or plan file's text; a path that cannot be read (missing,
+    a directory, no permission) is a user error, not a crash."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read {what} {path!r}: {exc}"
+        ) from exc
 
-    from repro.campaigns import (
-        campaign_names,
-        campaign_plan,
-        get_campaign,
-        render_report,
-        run_campaign,
-    )
 
-    if args.campaign_command == "list":
-        rows = []
-        for name in campaign_names():
-            preset = get_campaign(name)
-            rows.append([name, preset.kind, preset.size(), preset.title])
-        print(
-            format_table(
-                ["name", "kind", "points", "title"],
-                rows,
-                title="built-in campaign presets",
-            )
-        )
-        return 0
+def _write(path: str, text: str) -> None:
+    """Write a report or export file ending in one newline (CSV already
+    ends in one); a path that cannot be written is a user error."""
+    try:
+        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path!r}: {exc}") from exc
 
-    campaign = _resolve_campaign(args.name)
 
-    scenario_kind = campaign.kind in ("grid", "network", "control",
-                                      "surrogate_eval")
-
-    if args.campaign_command == "run" and args.dry_run:
-        plan = campaign_plan(campaign)
-        print(
-            f"campaign {campaign.name} ({campaign.kind}): "
-            f"{len(plan)} points"
-        )
-        for point in plan:
-            print("  " + ", ".join(f"{k}={v}" for k, v in point.items()))
-        return 0
-    store = _campaign_store(args, campaign)
-    figures = _figure_store(args)
-    resilience = (
-        _resilience_kwargs(args, campaign.content_hash())
-        if scenario_kind
-        else {}
-    )
-    record = run_campaign(
-        campaign,
-        workers=args.workers,
-        executor=args.executor,
-        store=store,
-        figures=figures,
-        **resilience,
-    )
-    _campaign_cache_stats(args, store)
-    _figure_store_stats(args, figures)
-    _resilience_summary(args, resilience)
-    if args.campaign_command == "report":
-        print(render_report(record))
-        return 0
-    if args.csv_path:
-        Path(args.csv_path).write_text(record.to_csv())
-        print(f"{len(record.points)} points -> {args.csv_path}",
-              file=sys.stderr)
-    if args.json_path:
-        Path(args.json_path).write_text(record.to_json() + "\n")
-        print(f"{len(record.points)} points -> {args.json_path}",
-              file=sys.stderr)
-    if args.format == "csv":
-        report = record.to_csv()
-    elif args.format == "json":
-        report = record.to_json()
-    elif args.format == "markdown":
-        report = record.to_markdown()
-    else:
-        rows = [
-            [_cell(point.get(col)) for col in record.columns]
-            for point in record.points
-        ]
-        report = format_table(
-            list(record.columns),
-            rows,
-            title=f"campaign {campaign.name}: {len(record.points)} points",
-        )
+def _emit(args, report: str, what: str) -> None:
+    """The report to ``--output`` (announced as ``what -> PATH``) or to
+    stdout."""
     if args.output:
-        Path(args.output).write_text(
-            report if report.endswith("\n") else report + "\n"
-        )
-        print(f"campaign {campaign.name} -> {args.output}")
+        _write(args.output, report)
+        print(f"{what} -> {args.output}")
     else:
         # CSV already ends with a newline; don't add a second one, so
         # stdout and --csv/--output files stay byte-identical.
         print(report, end="" if report.endswith("\n") else "\n")
-    return 0
 
 
 def _cell(value) -> str:
@@ -1027,270 +715,362 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _resolve_network(name: str):
-    """A preset name or a NetworkSpec JSON file -> :class:`NetworkSpec`."""
-    from pathlib import Path
+class _Kind(NamedTuple):
+    """What differs between ``repro campaign``, ``network`` and
+    ``control``: :func:`_add_kind` builds each one's parsers from it and
+    :func:`cmd_kind` runs all three.
 
-    from repro.network import NETWORK_PRESETS, NetworkSpec, get_network
+    ``get`` raises with the known presets, ``noun`` names a spec file in
+    errors and ``run(spec, args, **kwargs)`` returns the record.  Each
+    export is ``(flag, help, text(record), label(record))``; ``flags``
+    are ``(flag, kwargs)`` pairs only this kind has, applied by
+    ``prepare(spec, args)``.  ``batchless(spec)`` names a spec that runs
+    no scenario batch (its batch flags are ignored, with a note).
+    """
 
-    if name in NETWORK_PRESETS:
-        return get_network(name)
-    path = Path(name)
-    if path.exists():
-        return NetworkSpec.from_json(path.read_text())
-    if name.endswith(".json"):
-        raise ConfigurationError(f"cannot read network spec file {name!r}")
-    return get_network(name)  # raises with the known-presets list
+    help: str
+    run_help: str
+    report_help: str
+    name_help: str
+    dry_run_help: str
+    names: Callable[[], list[str]]
+    get: Callable[[str], Any]
+    load: Callable[[str], Any]
+    noun: str
+    columns: tuple[str, ...]
+    row: Callable[[str, Any], list]
+    dry_run: Callable[[Any], None]
+    run: Callable[..., Any]
+    exports: tuple[tuple[str, str, Callable, Callable], ...]
+    report: Callable[[Any], str]
+    table: Callable[[Any], str]
+    flags: tuple = ()
+    prepare: Callable[[Any, Any], Any] = lambda spec, args: spec
+    batchless: Callable[[Any], str | None] = lambda spec: None
 
 
-def cmd_network(args) -> int:
-    from pathlib import Path
+def _campaign_dry_run(campaign) -> None:
+    plan = campaigns.campaign_plan(campaign)
+    print(
+        f"campaign {campaign.name} ({campaign.kind}): "
+        f"{len(plan)} points"
+    )
+    for point in plan:
+        print("  " + ", ".join(f"{k}={v}" for k, v in point.items()))
 
-    from repro.network import (
-        NetworkPowerModel,
-        get_network,
-        network_names,
-        render_network_report,
+
+def _campaign_table(record) -> str:
+    rows = [
+        [_cell(point.get(col)) for col in record.columns]
+        for point in record.points
+    ]
+    return format_table(
+        list(record.columns),
+        rows,
+        title=f"campaign {record.campaign.name}: "
+        f"{len(record.points)} points",
     )
 
-    if args.network_command == "list":
-        rows = []
-        for name in network_names():
-            spec = get_network(name)
-            rows.append(
-                [
-                    name,
-                    len(spec.topology.nodes),
-                    len(spec.topology.links),
-                    spec.routing,
-                    1,  # a bare network spec is a single-epoch series
-                    "on" if spec.switch_off else "off",
-                    f"{spec.matrix.total():.3f}",
-                ]
-            )
+
+def _campaign_batchless(campaign) -> str | None:
+    """Table kinds run no scenario batch."""
+    if campaign.kind in ("grid", "network", "control", "surrogate_eval"):
+        return None
+    return f"{campaign.kind!r} campaigns"
+
+
+def _network_row(name: str, spec) -> list:
+    return [
+        name,
+        len(spec.topology.nodes),
+        len(spec.topology.links),
+        spec.routing,
+        1,  # a bare network spec is a single-epoch series
+        "on" if spec.switch_off else "off",
+        f"{spec.matrix.total():.3f}",
+    ]
+
+
+def _network_dry_run(spec) -> None:
+    model = network.NetworkPowerModel()
+    routing = model.route(spec)
+    pairs = model.scenarios(spec, routing)
+    print(
+        f"network {spec.name}: {len(pairs)} routers, "
+        f"{len(spec.topology.links)} links, routing={spec.routing}"
+    )
+    for name, scenario in pairs:
+        print(
+            f"  {name}: {scenario.architecture} "
+            f"{scenario.ports}x{scenario.ports} "
+            f"load={_cell(scenario.mean_load)} "
+            f"backend={scenario.backend}"
+        )
+    for row in routing.link_rows():
+        print(
+            f"  link {row['src']}->{row['dst']}: "
+            f"load={row['load']:.3f} "
+            f"utilization={row['utilization']:.1%}"
+        )
+
+
+def _control_row(name: str, spec) -> list:
+    flags = []
+    if spec.optimize:
+        flags.append("green")
+    if spec.sleep:
+        flags.append("sleep")
+    if spec.link_rates != (1.0,):
+        flags.append("rates")
+    return [
+        name,
+        len(spec.network.topology.nodes),
+        len(spec.network.topology.links),
+        spec.network.routing,
+        spec.series.epochs,
+        f"{spec.max_utilization:g}",
+        "+".join(flags) or "-",
+    ]
+
+
+def _control_dry_run(spec) -> None:
+    topology = spec.network.topology
+    print(
+        f"control {spec.name}: {spec.series.epochs} epochs x "
+        f"{spec.series.epoch_seconds:g} s, "
+        f"{len(spec.network.topology.nodes)} nodes, "
+        f"{len(spec.network.topology.links)} links, "
+        f"routing={spec.network.routing}, "
+        f"headrooms={','.join(f'{h:g}' for h in spec.headrooms())}"
+    )
+    for i in range(spec.series.epochs):
+        matrix = spec.series.matrix(i)
+        routing = network.route(topology, matrix, mode=spec.network.routing)
+        max_util = max(
+            (row["utilization"] for row in routing.link_rows()),
+            default=0.0,
+        )
+        print(
+            f"  epoch {i}: scale={spec.series.scale(i):g} "
+            f"demand={matrix.total():.3f} "
+            f"max_util={max_util:.1%}"
+        )
+
+
+#: ``repro <kind> run|list|report`` for each spec kind.
+_KINDS = {
+    "campaign": _Kind(
+        help="declarative paper-reproduction campaigns (figures/tables)",
+        run_help="execute a campaign into a ComparisonRecord",
+        report_help="execute (cache-aware) and print the paper-style report",
+        name_help="built-in preset (repro campaign list) or a campaign "
+        "JSON file",
+        dry_run_help="validate the campaign and print its point plan "
+        "without executing anything",
+        names=campaigns.campaign_names,
+        get=campaigns.get_campaign,
+        load=campaigns.Campaign.from_json,
+        noun="campaign",
+        columns=("name", "kind", "points", "title"),
+        row=lambda name, c: [name, c.kind, c.size(), c.title],
+        dry_run=_campaign_dry_run,
+        run=lambda c, args, **kw: campaigns.run_campaign(c, **kw),
+        exports=(
+            ("--csv", "additionally export the record as CSV to this file",
+             lambda r: r.to_csv(), lambda r: f"{len(r.points)} points"),
+            ("--json", "additionally export the record as JSON to this file",
+             lambda r: r.to_json(), lambda r: f"{len(r.points)} points"),
+        ),
+        report=campaigns.render_report,
+        table=_campaign_table,
+        batchless=_campaign_batchless,
+    ),
+    "network": _Kind(
+        help="network-level aggregate power (topology + traffic matrix)",
+        run_help="execute a network spec into a NetworkRecord",
+        report_help="execute (cache-aware) and print the network power report",
+        name_help="built-in network preset (repro network list) or a "
+        "NetworkSpec JSON file",
+        dry_run_help="route the matrix and print the derived per-router "
+        "plan without simulating anything",
+        names=network.network_names,
+        get=network.get_network,
+        load=network.NetworkSpec.from_json,
+        noun="network spec",
+        columns=("name", "nodes", "links", "routing", "epochs",
+                 "switch-off", "demand"),
+        row=_network_row,
+        dry_run=_network_dry_run,
+        run=lambda spec, args, **kw: network.NetworkPowerModel().run(
+            spec, shards=args.shards, detail=args.detail, **kw
+        ),
+        exports=(
+            ("--csv", "additionally export the per-node record as CSV",
+             lambda r: r.to_csv(), lambda r: f"{len(r.nodes)} nodes"),
+            ("--links-csv", "additionally export the per-link record as CSV",
+             lambda r: r.links_to_csv(), lambda r: f"{len(r.links)} links"),
+            ("--json", "additionally export the record as JSON",
+             lambda r: r.to_json(), lambda r: "network record"),
+        ),
+        report=network.render_network_report,
+        table=network.render_network_report,
+        flags=(
+            ("--scale", dict(
+                type=float,
+                default=1.0,
+                help="multiply every demand of the traffic matrix",
+            )),
+            ("--shards", dict(
+                type=int,
+                default=None,
+                metavar="N",
+                help="partition the per-router scenario grid into N "
+                "contiguous node-order shards, each run as its own batch "
+                "and folded into the record incrementally — bounded peak "
+                "memory, byte-identical exports",
+            )),
+            ("--detail", dict(
+                choices=("none", "summary", "full"),
+                default="full",
+                help="what the in-memory record retains after aggregation: "
+                "per-router RunRecords + routing (full, default), routing "
+                "only (summary), or nothing (none); exports are unaffected",
+            )),
+        ),
+        prepare=lambda spec, args: (
+            spec.scaled(args.scale) if args.scale != 1.0 else spec
+        ),
+    ),
+    "control": _Kind(
+        help="energy-aware control plane (demand series + green routing "
+        "+ link power states)",
+        run_help="execute a control spec into a ControlRecord",
+        report_help="execute (cache-aware) and print the control-plane report",
+        name_help="built-in control preset (repro control list) or a "
+        "ControlSpec JSON file",
+        dry_run_help="route every epoch and print the per-epoch demand "
+        "plan without simulating anything",
+        names=control.control_names,
+        get=control.get_control,
+        load=control.ControlSpec.from_json,
+        noun="control spec",
+        columns=("name", "nodes", "links", "routing", "epochs",
+                 "headroom", "policies"),
+        row=_control_row,
+        dry_run=_control_dry_run,
+        run=lambda spec, args, **kw: control.ControlModel().run(spec, **kw),
+        exports=(
+            ("--csv", "additionally export the per-epoch record as CSV",
+             lambda r: r.to_csv(), lambda r: f"{len(r.epochs)} epochs"),
+            ("--sla-csv", "additionally export the savings-vs-SLA curve "
+             "as CSV",
+             lambda r: r.sla_to_csv(), lambda r: f"{len(r.sla)} SLA points"),
+            ("--json", "additionally export the record as JSON",
+             lambda r: r.to_json(), lambda r: "control record"),
+        ),
+        report=control.render_control_report,
+        table=control.render_control_report,
+    ),
+}
+
+
+def _export_dest(flag: str) -> str:
+    """``--links-csv`` -> ``links_csv_path``."""
+    return flag[2:].replace("-", "_") + "_path"
+
+
+def _resolve(kind: _Kind, name: str):
+    """A preset name or a spec JSON file path -> the kind's spec."""
+    if name in kind.names():
+        return kind.get(name)
+    if Path(name).exists():
+        return kind.load(_read_text(name, f"{kind.noun} file"))
+    if name.endswith(".json"):
+        raise ConfigurationError(f"cannot read {kind.noun} file {name!r}")
+    return kind.get(name)  # raises with the known-presets list
+
+
+def _note_ignored(args, subject: str) -> None:
+    """Batch-only flags given for a spec that runs no scenario batch are
+    called out instead of silently ignored (and no misleading cache
+    stats get printed)."""
+    ignored = [
+        flag
+        for flag, given in (
+            ("--cache", args.cache),
+            ("--workers", args.workers > 1),
+            ("--executor", args.executor != "thread"),
+            ("--retries", args.retries is not None),
+            ("--timeout", args.timeout is not None),
+            ("--journal", args.journal),
+            ("--resume", args.resume),
+            ("--fault-plan", args.fault_plan),
+        )
+        if given
+    ]
+    if ignored:
+        print(
+            f"note: {subject} run no scenario batch; ignoring "
+            f"{', '.join(ignored)}",
+            file=sys.stderr,
+        )
+
+
+def cmd_kind(args) -> int:
+    """``repro campaign|network|control run|list|report``."""
+    kind = _KINDS[args.command]
+    command = getattr(args, f"{args.command}_command")
+    if command == "list":
+        rows = [kind.row(name, kind.get(name)) for name in kind.names()]
         print(
             format_table(
-                ["name", "nodes", "links", "routing", "epochs",
-                 "switch-off", "demand"],
+                list(kind.columns),
                 rows,
-                title="built-in network presets",
+                title=f"built-in {args.command} presets",
             )
         )
         return 0
 
-    spec = _resolve_network(args.name)
-    if args.scale != 1.0:
-        spec = spec.scaled(args.scale)
-    model = NetworkPowerModel()
-
-    if args.network_command == "run" and args.dry_run:
-        routing = model.route(spec)
-        pairs = model.scenarios(spec, routing)
-        print(
-            f"network {spec.name}: {len(pairs)} routers, "
-            f"{len(spec.topology.links)} links, routing={spec.routing}"
-        )
-        for name, scenario in pairs:
-            print(
-                f"  {name}: {scenario.architecture} "
-                f"{scenario.ports}x{scenario.ports} "
-                f"load={_cell(scenario.mean_load)} "
-                f"backend={scenario.backend}"
-            )
-        for row in routing.link_rows():
-            print(
-                f"  link {row['src']}->{row['dst']}: "
-                f"load={row['load']:.3f} "
-                f"utilization={row['utilization']:.1%}"
-            )
+    spec = kind.prepare(_resolve(kind, args.name), args)
+    if command == "run" and args.dry_run:
+        kind.dry_run(spec)
         return 0
-
-    store = _cache_store(args)
+    batchless = kind.batchless(spec)
+    if batchless:
+        _note_ignored(args, batchless)
+    store = None if batchless else _cache_store(args)
     figures = _figure_store(args)
-    resilience = _resilience_kwargs(args, spec.content_hash())
-    record = model.run(
+    resilience = (
+        {} if batchless else _resilience_kwargs(args, spec.content_hash())
+    )
+    record = kind.run(
         spec,
+        args,
         workers=args.workers,
         executor=args.executor,
         store=store,
         figures=figures,
-        shards=args.shards,
-        detail=args.detail,
         **resilience,
     )
-    _campaign_cache_stats(args, store)
-    _figure_store_stats(args, figures)
+    _store_stats("cache", args.cache, store)
+    _store_stats("figures", args.figures, figures)
     _resilience_summary(args, resilience)
-
-    if args.network_command == "report":
-        print(render_network_report(record))
+    if command == "report":
+        print(kind.report(record))
         return 0
 
-    if args.csv_path:
-        Path(args.csv_path).write_text(record.to_csv())
-        print(f"{len(record.nodes)} nodes -> {args.csv_path}",
-              file=sys.stderr)
-    if args.links_csv_path:
-        Path(args.links_csv_path).write_text(record.links_to_csv())
-        print(f"{len(record.links)} links -> {args.links_csv_path}",
-              file=sys.stderr)
-    if args.json_path:
-        Path(args.json_path).write_text(record.to_json() + "\n")
-        print(f"network record -> {args.json_path}", file=sys.stderr)
-    if args.format == "csv":
-        report = record.to_csv()
-    elif args.format == "json":
-        report = record.to_json()
-    elif args.format == "markdown":
-        report = record.to_markdown()
-    else:
-        report = render_network_report(record)
-    if args.output:
-        Path(args.output).write_text(
-            report if report.endswith("\n") else report + "\n"
-        )
-        print(f"network {spec.name} -> {args.output}")
-    else:
-        # CSV already ends with a newline; don't add a second one, so
-        # stdout and --csv/--output files stay byte-identical.
-        print(report, end="" if report.endswith("\n") else "\n")
-    return 0
-
-
-def _resolve_control(name: str):
-    """A preset name or a ControlSpec JSON file -> :class:`ControlSpec`."""
-    from pathlib import Path
-
-    from repro.control import CONTROL_PRESETS, ControlSpec, get_control
-
-    if name in CONTROL_PRESETS:
-        return get_control(name)
-    path = Path(name)
-    if path.exists():
-        return ControlSpec.from_json(path.read_text())
-    if name.endswith(".json"):
-        raise ConfigurationError(f"cannot read control spec file {name!r}")
-    return get_control(name)  # raises with the known-presets list
-
-
-def cmd_control(args) -> int:
-    from pathlib import Path
-
-    from repro.control import (
-        ControlModel,
-        control_names,
-        get_control,
-        render_control_report,
-    )
-
-    if args.control_command == "list":
-        rows = []
-        for name in control_names():
-            spec = get_control(name)
-            flags = []
-            if spec.optimize:
-                flags.append("green")
-            if spec.sleep:
-                flags.append("sleep")
-            if spec.link_rates != (1.0,):
-                flags.append("rates")
-            rows.append(
-                [
-                    name,
-                    len(spec.network.topology.nodes),
-                    len(spec.network.topology.links),
-                    spec.network.routing,
-                    spec.series.epochs,
-                    f"{spec.max_utilization:g}",
-                    "+".join(flags) or "-",
-                ]
-            )
-        print(
-            format_table(
-                ["name", "nodes", "links", "routing", "epochs",
-                 "headroom", "policies"],
-                rows,
-                title="built-in control presets",
-            )
-        )
-        return 0
-
-    spec = _resolve_control(args.name)
-    model = ControlModel()
-
-    if args.control_command == "run" and args.dry_run:
-        from repro.network.routing import route
-
-        topology = spec.network.topology
-        print(
-            f"control {spec.name}: {spec.series.epochs} epochs x "
-            f"{spec.series.epoch_seconds:g} s, "
-            f"{len(spec.network.topology.nodes)} nodes, "
-            f"{len(spec.network.topology.links)} links, "
-            f"routing={spec.network.routing}, "
-            f"headrooms={','.join(f'{h:g}' for h in spec.headrooms())}"
-        )
-        for i in range(spec.series.epochs):
-            matrix = spec.series.matrix(i)
-            routing = route(topology, matrix, mode=spec.network.routing)
-            max_util = max(
-                (row["utilization"] for row in routing.link_rows()),
-                default=0.0,
-            )
-            print(
-                f"  epoch {i}: scale={spec.series.scale(i):g} "
-                f"demand={matrix.total():.3f} "
-                f"max_util={max_util:.1%}"
-            )
-        return 0
-
-    store = _cache_store(args)
-    figures = _figure_store(args)
-    resilience = _resilience_kwargs(args, spec.content_hash())
-    record = model.run(
-        spec,
-        workers=args.workers,
-        executor=args.executor,
-        store=store,
-        figures=figures,
-        **resilience,
-    )
-    _campaign_cache_stats(args, store)
-    _figure_store_stats(args, figures)
-    _resilience_summary(args, resilience)
-
-    if args.control_command == "report":
-        print(render_control_report(record))
-        return 0
-
-    if args.csv_path:
-        Path(args.csv_path).write_text(record.to_csv())
-        print(f"{len(record.epochs)} epochs -> {args.csv_path}",
-              file=sys.stderr)
-    if args.sla_csv_path:
-        Path(args.sla_csv_path).write_text(record.sla_to_csv())
-        print(f"{len(record.sla)} SLA points -> {args.sla_csv_path}",
-              file=sys.stderr)
-    if args.json_path:
-        Path(args.json_path).write_text(record.to_json() + "\n")
-        print(f"control record -> {args.json_path}", file=sys.stderr)
-    if args.format == "csv":
-        report = record.to_csv()
-    elif args.format == "json":
-        report = record.to_json()
-    elif args.format == "markdown":
-        report = record.to_markdown()
-    else:
-        report = render_control_report(record)
-    if args.output:
-        Path(args.output).write_text(
-            report if report.endswith("\n") else report + "\n"
-        )
-        print(f"control {spec.name} -> {args.output}")
-    else:
-        # CSV already ends with a newline; don't add a second one, so
-        # stdout and --csv/--output files stay byte-identical.
-        print(report, end="" if report.endswith("\n") else "\n")
+    for flag, _, text, label in kind.exports:
+        path = getattr(args, _export_dest(flag))
+        if path:
+            _write(path, text(record))
+            print(f"{label(record)} -> {path}", file=sys.stderr)
+    report = {
+        "csv": record.to_csv,
+        "json": record.to_json,
+        "markdown": record.to_markdown,
+        "table": lambda: kind.table(record),
+    }[args.format]()
+    _emit(args, report, f"{args.command} {spec.name}")
     return 0
 
 
@@ -1338,26 +1118,10 @@ def cmd_serve(args) -> int:
     from repro.surrogate.train import SurrogateModel
 
     model = SurrogateModel.load(args.model)
-    store = None
-    if args.cache:
-        from repro.api.store import RunRecordStore
-
-        store = RunRecordStore(args.cache)
-    retry = None
-    if args.retries is not None or args.timeout is not None:
-        if args.retries is not None and args.retries < 0:
-            raise ConfigurationError("--retries must be >= 0")
-        from repro.resilience import RetryPolicy
-
-        retry = RetryPolicy(
-            max_attempts=(args.retries or 0) + 1,
-            timeout_s=args.timeout,
-            on_failure="raise",
-        )
     predictor = SurrogatePredictor(
         model,
-        store=store,
-        retry=retry,
+        store=_cache_store(args),
+        retry=_retry_policy(args, "raise"),
         drift_tolerance=args.drift_tolerance,
     )
     server = SurrogateServer(
@@ -1445,9 +1209,7 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "sweep": cmd_sweep,
     "batch": cmd_batch,
-    "campaign": cmd_campaign,
-    "network": cmd_network,
-    "control": cmd_control,
+    **dict.fromkeys(_KINDS, cmd_kind),
     "surrogate": cmd_surrogate,
     "serve": cmd_serve,
     "table1": cmd_table1,

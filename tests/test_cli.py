@@ -150,3 +150,72 @@ class TestBatchCommand:
                      "--output", str(out_path)]) == 0
         assert "2 scenarios" in capsys.readouterr().out
         assert len(json.loads(out_path.read_text())) == 2
+
+
+@pytest.fixture
+def estimate_file(tmp_path):
+    """A two-scenario file on the closed-form backend (no simulation)."""
+    path = tmp_path / "estimates.json"
+    path.write_text(json.dumps([
+        Scenario("crossbar", 4, 0.3, backend="estimate").to_dict(),
+        Scenario("banyan", 8, 0.5, backend="estimate").to_dict(),
+    ]))
+    return path
+
+
+class TestSpecPaths:
+    @pytest.mark.parametrize(
+        "kind, noun",
+        [("campaign", "campaign"), ("network", "network spec"),
+         ("control", "control spec")],
+    )
+    def test_directory_spec_is_a_clean_error(
+        self, tmp_path, capsys, kind, noun
+    ):
+        assert main([kind, "run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: cannot read {noun} file {str(tmp_path)!r}: "
+        )
+
+
+class TestOutputPaths:
+    @pytest.fixture
+    def afile(self, tmp_path):
+        """A regular file, so ``afile/x`` cannot be written."""
+        path = tmp_path / "afile"
+        path.write_text("")
+        return path
+
+    @pytest.mark.parametrize("flag", ["--output", "--json"])
+    def test_unwritable_kind_path_is_a_clean_error(
+        self, afile, capsys, flag
+    ):
+        target = str(afile / "x.txt")
+        assert main(["campaign", "run", "table2", flag, target]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {target!r}: "
+        )
+
+    def test_unwritable_batch_output_is_a_clean_error(
+        self, estimate_file, afile, capsys
+    ):
+        target = str(afile / "r.json")
+        assert main(["batch", str(estimate_file), "--output", target]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {target!r}: "
+        )
+
+    def test_batch_csv_file_is_the_printed_csv(
+        self, estimate_file, tmp_path, capsys
+    ):
+        # The cache serves the second run the same records (elapsed_s
+        # included), so the two reports must match byte for byte.
+        batch = ["batch", str(estimate_file), "--format", "csv",
+                 "--cache", str(tmp_path / "cache.jsonl")]
+        assert main(batch) == 0
+        printed = capsys.readouterr().out
+        assert printed.endswith("\n") and not printed.endswith("\n\n")
+        out_path = tmp_path / "report.csv"
+        assert main(batch + ["--output", str(out_path)]) == 0
+        assert out_path.read_bytes() == printed.encode()

@@ -51,9 +51,9 @@ from pathlib import Path
 import pytest
 
 from repro.api import PowerModel, Scenario
+from repro.campaigns import Campaign
 from repro.campaigns.presets import get_campaign
 from repro.campaigns.runner import run_campaign
-from repro.campaigns import Campaign
 from repro.cli import build_parser, main as cli_main
 from repro.control import ControlSpec, DemandSeries
 from repro.network import Demand, NetworkSpec, TrafficMatrix, line

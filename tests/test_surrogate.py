@@ -735,6 +735,18 @@ class TestCli:
         assert "error:" in err
         assert "cannot read surrogate model" in err
 
+    def test_negative_retries_is_user_error(self, trained, tmp_path, capsys):
+        from repro.cli import main
+
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text(json.dumps(
+            [Scenario("crossbar", 4, 0.3, backend="estimate").to_dict()]
+        ))
+        assert main(["batch", str(scenarios), "--retries", "-1"]) == 2
+        assert main(["serve", str(trained), "--retries", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: --retries must be >= 0\n") == 2
+
     def test_campaign_cli_accepts_surrogate_eval(self, tmp_path, capsys):
         from repro.cli import main
 
