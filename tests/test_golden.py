@@ -28,7 +28,18 @@ These tests compare against ``tests/golden/digests.json`` instead:
   ``repro.cli.main`` calls in :data:`CLI_CALLS`, run in order in a fresh
   working directory, plus the bytes of every export file they write
   (not the cache, figure and journal stores, whose lines carry
-  ``elapsed_s``).
+  ``elapsed_s``);
+* ``spec_hashes`` — the name, ``content_hash()`` and ``to_json()`` of
+  every preset spec: each scenario of every scenario preset, every
+  campaign, network and control preset, each network preset's topology
+  and matrix and each control preset's series, plus one hand-written
+  fault plan's ``to_json()``.  The hash keys every run store, figure
+  store and journal, so a change here silently empties them;
+* ``preset_exports`` — the CSV, JSON and markdown exports and the
+  rendered report of every campaign preset (the grid ones at ports 4
+  and 8 only), four network presets and both control presets, all at
+  the 40 + 8 slot window (network and control specs are rebased onto
+  it), plus each network's links CSV and each control's SLA CSV.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints every key's
 current digest beside ``same`` or ``CHANGED`` against the committed
@@ -50,13 +61,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import PowerModel, Scenario
-from repro.campaigns import Campaign
-from repro.campaigns.presets import get_campaign
+from repro.api import PRESET_SCENARIOS, PowerModel, Scenario
+from repro.campaigns import Campaign, render_report
+from repro.campaigns.presets import PRESET_CAMPAIGNS, get_campaign
 from repro.campaigns.runner import run_campaign
 from repro.cli import build_parser, main as cli_main
-from repro.control import ControlSpec, DemandSeries
-from repro.network import Demand, NetworkSpec, TrafficMatrix, line
+from repro.control import (
+    ControlModel,
+    ControlSpec,
+    DemandSeries,
+    render_control_report,
+)
+from repro.control.presets import CONTROL_PRESETS, get_control
+from repro.network import (
+    Demand,
+    NetworkPowerModel,
+    NetworkSpec,
+    TrafficMatrix,
+    line,
+    render_network_report,
+)
+from repro.network.presets import NETWORK_PRESETS, get_network
+from repro.resilience import Fault, FaultPlan
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
 
@@ -135,6 +161,25 @@ CLI_CALLS = (
 #: Stores the calls open (with their ``.lock`` files); their lines
 #: carry ``elapsed_s``.
 CLI_STORES = {"c.jsonl", "cache.jsonl", "figures.jsonl", "journal.jsonl"}
+
+#: The hand-written fault plan of the ``spec_hashes`` digest.
+FAULT_PLAN = FaultPlan(
+    faults=(
+        Fault("hang", 2, hang_s=60.0),
+        Fault("transient", 5, attempts=(1, 2)),
+        Fault("crash", 15),
+    ),
+    seed=2002,
+)
+
+#: Grid campaign presets; ``preset_exports`` runs them at these ports.
+GRID_PRESETS = ("fig9", "fig10", "fig9_vs_analytical", "fig9_surrogate")
+GRID_PORTS = (4, 8)
+
+#: Network presets ``preset_exports`` runs (the large ones are left to
+#: ``spec_hashes``).
+EXPORT_NETWORKS = ("single_crossbar8", "fat_tree_k4", "dumbbell_switchoff",
+                   "mesh4_ecmp")
 
 
 def _sha256(text: str) -> str:
@@ -317,10 +362,110 @@ def cli_transcripts_digest() -> str:
     return digest.hexdigest()
 
 
+def _preset_specs() -> list[tuple[str, object]]:
+    """Every preset spec with a label, in a fixed order."""
+    specs: list[tuple[str, object]] = []
+    for name in sorted(PRESET_SCENARIOS):
+        for i, scenario in enumerate(PRESET_SCENARIOS[name]()):
+            specs.append((f"scenario {name} {i}", scenario))
+    for name in sorted(PRESET_CAMPAIGNS):
+        specs.append((f"campaign {name}", get_campaign(name)))
+    for name in sorted(NETWORK_PRESETS):
+        spec = get_network(name)
+        specs.append((f"network {name}", spec))
+        specs.append((f"topology {name}", spec.topology))
+        specs.append((f"matrix {name}", spec.matrix))
+    for name in sorted(CONTROL_PRESETS):
+        spec = get_control(name)
+        specs.append((f"control {name}", spec))
+        specs.append((f"series {name}", spec.series))
+    return specs
+
+
+def spec_hashes_digest() -> str:
+    lines = [
+        f"{label} {spec.content_hash()} {spec.to_json()}"
+        for label, spec in _preset_specs()
+    ]
+    lines.append(f"fault_plan {FAULT_PLAN.to_json()}")
+    return _sha256("\n".join(lines))
+
+
+def _rebase(spec: NetworkSpec) -> NetworkSpec:
+    """A network spec moved onto the short golden window."""
+    return spec.replace(base=dict(spec.base_dict, **WINDOW))
+
+
+def _windowed_campaign(name: str) -> Campaign:
+    """A campaign preset cut down to the golden window: grid kinds at
+    :data:`GRID_PORTS`, network and control kinds with their specs
+    rebased inline; table kinds unchanged."""
+    campaign = get_campaign(name)
+    if name in GRID_PRESETS:
+        return campaign.replace(
+            ports=GRID_PORTS, base=dict(campaign.base_dict, **WINDOW)
+        )
+    if campaign.kind == "network":
+        params = dict(campaign.params_dict,
+                      spec=_rebase(campaign.network_spec()).to_dict())
+        del params["network"]
+        return Campaign.from_dict(dict(campaign.to_dict(), params=params))
+    if campaign.kind == "control":
+        spec = campaign.control_spec()
+        spec = spec.replace(network=_rebase(spec.network))
+        return Campaign.from_dict(
+            dict(campaign.to_dict(), params={"spec": spec.to_dict()})
+        )
+    return campaign
+
+
+def preset_exports_digest() -> str:
+    session = PowerModel()
+    exports: list[tuple[str, str]] = []
+    for name in sorted(PRESET_CAMPAIGNS):
+        record = run_campaign(_windowed_campaign(name), session=session,
+                              workers=1)
+        exports += [
+            (f"campaign {name} csv", record.to_csv()),
+            (f"campaign {name} json", record.to_json()),
+            (f"campaign {name} markdown", record.to_markdown()),
+            (f"campaign {name} report", render_report(record)),
+        ]
+    networks = NetworkPowerModel(session)
+    for name in EXPORT_NETWORKS:
+        record = networks.run(_rebase(get_network(name)), workers=1)
+        exports += [
+            (f"network {name} csv", record.to_csv()),
+            (f"network {name} links", record.links_to_csv()),
+            (f"network {name} json", record.to_json()),
+            (f"network {name} markdown", record.to_markdown()),
+            (f"network {name} report", render_network_report(record)),
+        ]
+    controls = ControlModel(session)
+    for name in sorted(CONTROL_PRESETS):
+        spec = get_control(name)
+        record = controls.run(spec.replace(network=_rebase(spec.network)),
+                              workers=1)
+        exports += [
+            (f"control {name} csv", record.to_csv()),
+            (f"control {name} sla", record.sla_to_csv()),
+            (f"control {name} json", record.to_json()),
+            (f"control {name} markdown", record.to_markdown()),
+            (f"control {name} report", render_control_report(record)),
+        ]
+    digest = hashlib.sha256()
+    for label, text in exports:
+        data = text.encode()
+        digest.update(f"{label} {len(data)}\n".encode() + data)
+    return digest.hexdigest()
+
+
 def current_digests() -> dict[str, str]:
     return {
         "cli_grammar": cli_grammar_digest(),
         "cli_transcripts": cli_transcripts_digest(),
+        "spec_hashes": spec_hashes_digest(),
+        "preset_exports": preset_exports_digest(),
         "saturation_voq": saturation_voq_digest(),
         "traffic_kinds": traffic_kinds_digest(),
         "long_window": long_window_digest(),
@@ -357,6 +502,14 @@ def test_cli_grammar_matches_golden(golden):
 
 def test_cli_transcripts_match_golden(golden):
     assert cli_transcripts_digest() == golden["cli_transcripts"]
+
+
+def test_spec_hashes_match_golden(golden):
+    assert spec_hashes_digest() == golden["spec_hashes"]
+
+
+def test_preset_exports_match_golden(golden):
+    assert preset_exports_digest() == golden["preset_exports"]
 
 
 def main() -> int:
