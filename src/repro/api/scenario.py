@@ -21,9 +21,7 @@ Construction helpers mirror how the paper's figures are built:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.estimator import ARCHITECTURES
@@ -42,6 +40,7 @@ from repro.router.traffic import (
     TrafficGenerator,
     TrimodalPacketTraffic,
 )
+from repro.serial import Spec, build, check_fields, parse_json
 from repro.sim.engine import ENGINES
 from repro.tech import Technology
 from repro.tech.presets import PRESETS as TECH_PRESETS
@@ -94,7 +93,7 @@ def _freeze_params(params: Any) -> tuple[tuple[str, Any], ...]:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(Spec):
     """One fully-specified experiment (frozen and JSON round-trippable).
 
     Attributes
@@ -190,6 +189,8 @@ class Scenario:
     drain: bool = True
     seed: int | None = 12345
     name: str = ""
+
+    noun = "scenario"
 
     # ------------------------------------------------------------------
     # Validation
@@ -405,42 +406,15 @@ class Scenario:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
+    def from_dict(cls, data: Any) -> "Scenario":
         """Rebuild a scenario from :meth:`to_dict` output (or hand-written
-        JSON); unknown keys raise so typos in scenario files fail loud."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        kwargs = dict(data)
-        tech = kwargs.get("tech")
+        JSON); unknown keys raise so typos in scenario files fail loud.
+        A ``tech`` object is a :class:`~repro.tech.Technology` by value,
+        checked field by field like the scenario itself."""
+        tech = data.get("tech") if isinstance(data, Mapping) else None
         if isinstance(tech, Mapping):
-            kwargs["tech"] = Technology(**tech)
-        return cls(**kwargs)
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the scenario's full content.
-
-        Two scenarios hash equal iff every field that influences the
-        run (including seed, engine, and measurement window) is equal —
-        the key of the on-disk :class:`repro.api.store.RunRecordStore`.
-        """
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
-    def replace(self, **overrides: Any) -> "Scenario":
-        """A copy with some fields swapped (re-validated)."""
-        return replace(self, **overrides)
+            data = dict(data, tech=build(Technology, tech, "technology"))
+        return super().from_dict(data)
 
     # ------------------------------------------------------------------
     # Grid expansion
@@ -483,23 +457,21 @@ def load_scenarios(source: str | Iterable[Mapping[str, Any]]) -> list[Scenario]:
     """Parse a scenario list from JSON text or an iterable of dicts.
 
     Accepts either a bare JSON array or ``{"scenarios": [...]}`` — the
-    format consumed by ``python -m repro batch``.
+    format consumed by ``python -m repro batch``; anything else raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if isinstance(source, str):
-        try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"scenario file is not valid JSON: {exc}"
-            ) from exc
+        data = parse_json(source, "scenario file")
     else:
         data = source
     if isinstance(data, Mapping):
-        data = data.get("scenarios")
-        if data is None:
-            raise ConfigurationError(
-                'scenario file object must have a "scenarios" array'
-            )
+        data = check_fields(data, "scenario file", ("scenarios",))
+        data = data["scenarios"]
+    if isinstance(data, (str, Mapping)) or not isinstance(data, Iterable):
+        raise ConfigurationError(
+            'a scenario file holds a JSON array or {"scenarios": [...]}, '
+            f"not {type(data).__name__}"
+        )
     items = list(data)
     if not items:
         raise ConfigurationError("scenario list is empty")

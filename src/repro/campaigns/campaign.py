@@ -40,13 +40,12 @@ surrogate-vs-simulation error.  All kinds produce the same
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, fields
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture
+from repro.serial import Spec
 from repro.tech.presets import get_technology
 from repro.wire_modes import WireMode
 
@@ -80,7 +79,7 @@ def _freeze_axis(value: Any) -> tuple:
 
 
 @dataclass(frozen=True)
-class Campaign:
+class Campaign(Spec):
     """A frozen, JSON round-trippable multi-configuration experiment.
 
     Attributes
@@ -133,6 +132,8 @@ class Campaign:
     traffics: tuple[str, ...] = ("bernoulli",)
     base: tuple[tuple[str, Any], ...] = ()
     params: tuple[tuple[str, Any], ...] = ()
+
+    noun = "campaign"
 
     # ------------------------------------------------------------------
     # Validation
@@ -409,42 +410,3 @@ class Campaign:
             "base": self.base_dict,
             "params": self.params_dict,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Campaign":
-        """Rebuild a campaign from :meth:`to_dict` output (or a
-        hand-written campaign file); unknown keys raise."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown campaign fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Campaign":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"campaign file is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                "a campaign file holds one JSON object"
-            )
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the campaign's full content."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "Campaign":
-        """A copy with some fields swapped (re-validated)."""
-        return replace(self, **overrides)

@@ -23,15 +23,15 @@ characterisation dict for Table 1) — is dropped on serialisation.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
+from repro.api.scenario import _thaw_value
 from repro.errors import ConfigurationError
+from repro.serial import check_fields, csv_table, markdown_table, parse_json
 
 from repro.campaigns.campaign import Campaign
 from repro.resilience.records import FailureRecord
@@ -46,16 +46,6 @@ def _hashable(value: Any) -> Any:
     are stored as lists in points; group/pivot keys need tuples)."""
     if isinstance(value, list):
         return tuple(value)
-    return value
-
-
-def _csv_value(value: Any) -> Any:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return json.dumps(list(value))
     return value
 
 
@@ -248,31 +238,11 @@ class ComparisonRecord:
     def to_csv(self) -> str:
         """Deterministic CSV: axis columns then metric columns, one row
         per point, floats at full ``repr`` precision."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self.columns)
-        for p in self.points:
-            writer.writerow([_csv_value(p.get(c)) for c in self.columns])
-        return buffer.getvalue()
+        return csv_table(self.columns, self.points)
 
     def to_markdown(self, float_format: str = "{:.6g}") -> str:
         """A GitHub-flavoured pipe table of every point."""
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, float):
-                return float_format.format(value)
-            return str(value)
-
-        lines = [
-            "| " + " | ".join(self.columns) + " |",
-            "|" + "|".join("---" for _ in self.columns) + "|",
-        ]
-        for p in self.points:
-            lines.append(
-                "| " + " | ".join(fmt(p.get(c)) for c in self.columns) + " |"
-            )
-        return "\n".join(lines)
+        return markdown_table(self.columns, self.points, float_format)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dict; :meth:`from_dict` round-trips it (minus
@@ -284,7 +254,8 @@ class ComparisonRecord:
             "axes": list(self.axes),
             "metrics": list(self.metrics),
             "points": [
-                {k: _thaw(v) for k, v in p.items()} for p in self.points
+                {k: _thaw_value(v) for k, v in p.items()}
+                for p in self.points
             ],
         }
         if self.failures:
@@ -295,41 +266,20 @@ class ComparisonRecord:
         return json.dumps(self.to_dict(), indent=indent, **dumps_kwargs)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ComparisonRecord":
-        known = {"campaign", "axes", "metrics", "points", "failures"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown comparison-record fields: {sorted(unknown)}"
-            )
-        try:
-            return cls(
-                campaign=Campaign.from_dict(data["campaign"]),
-                axes=tuple(data["axes"]),
-                metrics=tuple(data["metrics"]),
-                points=[dict(p) for p in data["points"]],
-                failures=[
-                    FailureRecord.from_dict(f)
-                    for f in data.get("failures", ())
-                ],
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"comparison record is missing field {exc}"
-            ) from exc
+    def from_dict(cls, data: Any) -> "ComparisonRecord":
+        data = check_fields(data, "comparison-record",
+                            ("campaign", "axes", "metrics", "points"),
+                            ("failures",))
+        return cls(
+            campaign=Campaign.from_dict(data["campaign"]),
+            axes=tuple(data["axes"]),
+            metrics=tuple(data["metrics"]),
+            points=[dict(p) for p in data["points"]],
+            failures=[
+                FailureRecord.from_dict(f) for f in data.get("failures", ())
+            ],
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ComparisonRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"comparison record is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-
-def _thaw(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
+        return cls.from_dict(parse_json(text, "comparison-record"))

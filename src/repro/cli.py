@@ -677,10 +677,11 @@ def _resilience_summary(args, kwargs: dict) -> None:
 
 def _read_text(path: str, what: str) -> str:
     """A spec or plan file's text; a path that cannot be read (missing,
-    a directory, no permission) is a user error, not a crash."""
+    a directory, no permission, not UTF-8) is a user error, not a
+    crash."""
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(
             f"cannot read {what} {path!r}: {exc}"
         ) from exc

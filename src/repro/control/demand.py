@@ -20,19 +20,18 @@ JSON round-trippable, and content-hashable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
+from repro.serial import Spec
 
 from repro.network.traffic_matrix import TrafficMatrix
 
 
 @dataclass(frozen=True)
-class DemandSeries:
+class DemandSeries(Spec):
     """A frozen sequence of demand epochs: ``base`` x ``scales[i]``.
 
     >>> from repro.network import TrafficMatrix
@@ -58,17 +57,14 @@ class DemandSeries:
     scales: tuple[float, ...]
     epoch_seconds: float = 3600.0
 
+    noun = "demand-series"
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a demand series needs a name")
-        if isinstance(self.base, Mapping):
-            object.__setattr__(
-                self, "base", TrafficMatrix.from_dict(self.base)
-            )
-        if not isinstance(self.base, TrafficMatrix):
-            raise ConfigurationError(
-                f"base must be a TrafficMatrix, got {self.base!r}"
-            )
+        object.__setattr__(
+            self, "base", TrafficMatrix.coerce(self.base, "base")
+        )
         scales = tuple(float(s) for s in self.scales)
         object.__setattr__(self, "scales", scales)
         if not scales:
@@ -233,35 +229,3 @@ class DemandSeries:
             "scales": list(self.scales),
             "epoch_seconds": self.epoch_seconds,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DemandSeries":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown demand-series fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DemandSeries":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"demand series is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the series' full content."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "DemandSeries":
-        return replace(self, **overrides)

@@ -12,13 +12,12 @@ markdown, and a JSON round trip that drops only the runtime ``detail``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.serial import check_fields, csv_table, markdown_table, parse_json
 
 from repro.control.spec import ControlSpec
 
@@ -56,14 +55,6 @@ SLA_COLUMNS = (
     "mean_links_up",
     "min_links_up",
 )
-
-
-def _csv_value(value: Any) -> Any:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 @dataclass
@@ -117,50 +108,23 @@ class ControlRecord:
 
     def to_csv(self) -> str:
         """Per-epoch CSV (axis column ``epoch`` first, then metrics)."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(EPOCH_COLUMNS)
-        for row in self.epochs:
-            writer.writerow([_csv_value(row.get(c)) for c in EPOCH_COLUMNS])
-        return buffer.getvalue()
+        return csv_table(EPOCH_COLUMNS, self.epochs)
 
     def sla_to_csv(self) -> str:
         """Savings-vs-SLA curve CSV (one row per headroom)."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(SLA_COLUMNS)
-        for row in self.sla:
-            writer.writerow([_csv_value(row.get(c)) for c in SLA_COLUMNS])
-        return buffer.getvalue()
+        return csv_table(SLA_COLUMNS, self.sla)
 
     def to_markdown(self, float_format: str = "{:.6g}") -> str:
         """A GitHub-flavoured pipe table of the epoch rows plus totals."""
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, float):
-                return float_format.format(value)
-            return str(value)
-
-        lines = [
-            "| " + " | ".join(EPOCH_COLUMNS) + " |",
-            "|" + "|".join("---" for _ in EPOCH_COLUMNS) + "|",
-        ]
-        for row in self.epochs:
-            lines.append(
-                "| "
-                + " | ".join(fmt(row.get(c)) for c in EPOCH_COLUMNS)
-                + " |"
-            )
-        lines.append("")
-        lines.append(
+        return (
+            markdown_table(EPOCH_COLUMNS, self.epochs, float_format)
+            + "\n\n"
             f"**Total**: {float_format.format(self.totals['energy_j'])} J "
             f"over {self.totals['epochs']} epochs "
             f"(fixed {float_format.format(self.totals['fixed_energy_j'])} J; "
             f"saved {float_format.format(self.totals['savings_j'])} J = "
             f"{float_format.format(self.totals['savings_pct'])}%)"
         )
-        return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dict; :meth:`from_dict` round-trips it (minus
@@ -176,31 +140,16 @@ class ControlRecord:
         return json.dumps(self.to_dict(), indent=indent, **dumps_kwargs)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ControlRecord":
-        known = {"spec", "epochs", "sla", "totals"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown control-record fields: {sorted(unknown)}"
-            )
-        try:
-            return cls(
-                spec=ControlSpec.from_dict(data["spec"]),
-                epochs=[dict(row) for row in data["epochs"]],
-                sla=[dict(row) for row in data["sla"]],
-                totals=dict(data["totals"]),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"control record is missing field {exc}"
-            ) from exc
+    def from_dict(cls, data: Any) -> "ControlRecord":
+        data = check_fields(data, "control-record",
+                            ("spec", "epochs", "sla", "totals"))
+        return cls(
+            spec=ControlSpec.from_dict(data["spec"]),
+            epochs=[dict(row) for row in data["epochs"]],
+            sla=[dict(row) for row in data["sla"]],
+            totals=dict(data["totals"]),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ControlRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"control record is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text, "control-record"))

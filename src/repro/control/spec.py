@@ -22,12 +22,11 @@ derived-figure cache.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.serial import Spec
 
 from repro.network.power import NetworkSpec
 
@@ -35,7 +34,7 @@ from repro.control.demand import DemandSeries
 
 
 @dataclass(frozen=True)
-class ControlSpec:
+class ControlSpec(Spec):
     """A frozen, JSON round-trippable control-plane experiment.
 
     Attributes
@@ -90,25 +89,17 @@ class ControlSpec:
     wake_energy_j: float = 0.0
     grid_intensity_gco2_per_kwh: float = 0.0
 
+    noun = "control-spec"
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a control spec needs a name")
-        if isinstance(self.network, Mapping):
-            object.__setattr__(
-                self, "network", NetworkSpec.from_dict(self.network)
-            )
-        if not isinstance(self.network, NetworkSpec):
-            raise ConfigurationError(
-                f"network must be a NetworkSpec, got {self.network!r}"
-            )
-        if isinstance(self.series, Mapping):
-            object.__setattr__(
-                self, "series", DemandSeries.from_dict(self.series)
-            )
-        if not isinstance(self.series, DemandSeries):
-            raise ConfigurationError(
-                f"series must be a DemandSeries, got {self.series!r}"
-            )
+        object.__setattr__(
+            self, "network", NetworkSpec.coerce(self.network, "network")
+        )
+        object.__setattr__(
+            self, "series", DemandSeries.coerce(self.series, "series")
+        )
         object.__setattr__(self, "optimize", bool(self.optimize))
         object.__setattr__(self, "sleep", bool(self.sleep))
         if not 0.0 < self.max_utilization <= 1.0:
@@ -196,36 +187,3 @@ class ControlSpec:
                 self.grid_intensity_gco2_per_kwh
             )
         return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ControlSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown control-spec fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ControlSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"control spec is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable digest over the full spec — the key of the derived
-        control-record cache."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "ControlSpec":
-        return replace(self, **overrides)

@@ -25,14 +25,18 @@ same scenario a standalone session run would use, so the
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import json
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
+from repro.serial import (
+    Spec,
+    check_fields,
+    csv_table,
+    markdown_table,
+    parse_json,
+)
 from repro.tech.presets import get_technology
 
 from repro.api.model import PowerModel, default_session
@@ -117,16 +121,8 @@ LINK_COLUMNS = (
 )
 
 
-def _csv_value(value: Any) -> Any:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Spec):
     """A frozen, JSON round-trippable network experiment.
 
     Attributes
@@ -175,25 +171,17 @@ class NetworkSpec:
     propagation_j_per_bit_m: float = 0.0
     grid_intensity_gco2_per_kwh: float = 0.0
 
+    noun = "network-spec"
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a network spec needs a name")
-        if isinstance(self.topology, Mapping):
-            object.__setattr__(
-                self, "topology", NetworkTopology.from_dict(self.topology)
-            )
-        if not isinstance(self.topology, NetworkTopology):
-            raise ConfigurationError(
-                f"topology must be a NetworkTopology, got {self.topology!r}"
-            )
-        if isinstance(self.matrix, Mapping):
-            object.__setattr__(
-                self, "matrix", TrafficMatrix.from_dict(self.matrix)
-            )
-        if not isinstance(self.matrix, TrafficMatrix):
-            raise ConfigurationError(
-                f"matrix must be a TrafficMatrix, got {self.matrix!r}"
-            )
+        object.__setattr__(
+            self, "topology", NetworkTopology.coerce(self.topology, "topology")
+        )
+        object.__setattr__(
+            self, "matrix", TrafficMatrix.coerce(self.matrix, "matrix")
+        )
         if self.routing not in ROUTING_MODES:
             raise ConfigurationError(
                 f"routing must be one of {ROUTING_MODES}, got "
@@ -265,39 +253,6 @@ class NetworkSpec:
             )
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown network-spec fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"network spec is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable digest over topology + matrix + routing + base — the
-        key of the derived-figure store."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "NetworkSpec":
-        return replace(self, **overrides)
-
 
 @dataclass
 class NetworkRecord:
@@ -356,50 +311,23 @@ class NetworkRecord:
 
     def to_csv(self) -> str:
         """Per-node CSV (axis column ``node`` first, then metrics)."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(NODE_COLUMNS)
-        for row in self.nodes:
-            writer.writerow([_csv_value(row.get(c)) for c in NODE_COLUMNS])
-        return buffer.getvalue()
+        return csv_table(NODE_COLUMNS, self.nodes)
 
     def links_to_csv(self) -> str:
         """Per-link CSV."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(LINK_COLUMNS)
-        for row in self.links:
-            writer.writerow([_csv_value(row.get(c)) for c in LINK_COLUMNS])
-        return buffer.getvalue()
+        return csv_table(LINK_COLUMNS, self.links)
 
     def to_markdown(self, float_format: str = "{:.6g}") -> str:
         """A GitHub-flavoured pipe table of the node rows plus totals."""
-        def fmt(value: Any) -> str:
-            if value is None:
-                return "-"
-            if isinstance(value, float):
-                return float_format.format(value)
-            return str(value)
-
-        lines = [
-            "| " + " | ".join(NODE_COLUMNS) + " |",
-            "|" + "|".join("---" for _ in NODE_COLUMNS) + "|",
-        ]
-        for row in self.nodes:
-            lines.append(
-                "| "
-                + " | ".join(fmt(row.get(c)) for c in NODE_COLUMNS)
-                + " |"
-            )
-        lines.append("")
-        lines.append(
+        return (
+            markdown_table(NODE_COLUMNS, self.nodes, float_format)
+            + "\n\n"
             f"**Total**: {float_format.format(self.totals['power_w'])} W "
             f"(fabric {float_format.format(self.totals['fabric_power_w'])}, "
             f"ports {float_format.format(self.totals['port_power_w'])}; "
             "switch-off saved "
             f"{float_format.format(self.totals['switch_off_delta_w'])})"
         )
-        return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dict; :meth:`from_dict` round-trips it (minus
@@ -419,38 +347,23 @@ class NetworkRecord:
         return json.dumps(self.to_dict(), indent=indent, **dumps_kwargs)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkRecord":
-        known = {"spec", "nodes", "links", "totals", "failures"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown network-record fields: {sorted(unknown)}"
-            )
-        try:
-            return cls(
-                spec=NetworkSpec.from_dict(data["spec"]),
-                nodes=[dict(row) for row in data["nodes"]],
-                links=[dict(row) for row in data["links"]],
-                totals=dict(data["totals"]),
-                failures=[
-                    FailureRecord.from_dict(f)
-                    for f in data.get("failures", ())
-                ],
-            )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"network record is missing field {exc}"
-            ) from exc
+    def from_dict(cls, data: Any) -> "NetworkRecord":
+        data = check_fields(data, "network-record",
+                            ("spec", "nodes", "links", "totals"),
+                            ("failures",))
+        return cls(
+            spec=NetworkSpec.from_dict(data["spec"]),
+            nodes=[dict(row) for row in data["nodes"]],
+            links=[dict(row) for row in data["links"]],
+            totals=dict(data["totals"]),
+            failures=[
+                FailureRecord.from_dict(f) for f in data.get("failures", ())
+            ],
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkRecord":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"network record is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
+        return cls.from_dict(parse_json(text, "network-record"))
 
 
 class NetworkPowerModel:

@@ -32,15 +32,14 @@ Generators for the classic evaluation shapes are provided:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture
+from repro.serial import Spec, build
 from repro.tech.presets import get_technology
 
 
@@ -155,20 +154,14 @@ def _coerce(value: Any, cls: type) -> Any:
     if isinstance(value, cls):
         return value
     if isinstance(value, Mapping):
-        known = {f.name for f in fields(cls)}
-        unknown = set(value) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {cls.__name__} fields: {sorted(unknown)}"
-            )
-        return cls(**value)
+        return build(cls, value, cls.__name__)
     raise ConfigurationError(
         f"expected a {cls.__name__} or mapping, got {value!r}"
     )
 
 
 @dataclass(frozen=True)
-class NetworkTopology:
+class NetworkTopology(Spec):
     """A frozen, JSON round-trippable network of routers.
 
     >>> topo = NetworkTopology(
@@ -183,6 +176,8 @@ class NetworkTopology:
     name: str
     nodes: tuple[RouterNode, ...]
     links: tuple[Link, ...] = ()
+
+    noun = "topology"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -310,38 +305,6 @@ class NetworkTopology:
             "nodes": [n.to_dict() for n in self.nodes],
             "links": [l.to_dict() for l in self.links],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NetworkTopology":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown topology fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkTopology":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"topology is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the topology's full content."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "NetworkTopology":
-        return replace(self, **overrides)
 
 
 # ----------------------------------------------------------------------

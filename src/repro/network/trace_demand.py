@@ -27,13 +27,12 @@ File formats accepted by :meth:`TraceDemand.from_file`:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
+from repro.serial import Spec, build, parse_json
 
 from repro.network.traffic_matrix import TrafficMatrix
 
@@ -67,13 +66,7 @@ def _coerce_sample(value: Any) -> TraceSample:
     if isinstance(value, TraceSample):
         return value
     if isinstance(value, Mapping):
-        known = {f.name for f in fields(TraceSample)}
-        unknown = set(value) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown trace-sample fields: {sorted(unknown)}"
-            )
-        return TraceSample(**value)
+        return build(TraceSample, value, "trace-sample")
     if isinstance(value, Sequence) and len(value) == 2:
         return TraceSample(float(value[0]), float(value[1]))
     raise ConfigurationError(
@@ -83,7 +76,7 @@ def _coerce_sample(value: Any) -> TraceSample:
 
 
 @dataclass(frozen=True)
-class TraceDemand:
+class TraceDemand(Spec):
     """A frozen demand trace: ``base`` matrix x sampled scale series.
 
     >>> base = TrafficMatrix.uniform(("a", "b"), 0.4)
@@ -100,17 +93,14 @@ class TraceDemand:
     base: TrafficMatrix
     samples: tuple[TraceSample, ...]
 
+    noun = "trace-demand"
+
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a trace demand needs a name")
-        if isinstance(self.base, Mapping):
-            object.__setattr__(
-                self, "base", TrafficMatrix.from_dict(self.base)
-            )
-        if not isinstance(self.base, TrafficMatrix):
-            raise ConfigurationError(
-                f"base must be a TrafficMatrix, got {self.base!r}"
-            )
+        object.__setattr__(
+            self, "base", TrafficMatrix.coerce(self.base, "base")
+        )
         samples = tuple(
             sorted(
                 (_coerce_sample(s) for s in self.samples),
@@ -213,27 +203,22 @@ class TraceDemand:
         path = Path(path)
         try:
             text = path.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(
                 f"cannot read trace file {str(path)!r}: {exc}"
             ) from exc
         if path.suffix.lower() == ".json":
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"trace file {path.name!r} is not valid JSON: {exc}"
-                ) from exc
+            data = parse_json(text, f"trace file {path.name!r}")
             if not isinstance(data, Mapping) or "samples" not in data:
                 raise ConfigurationError(
                     f"trace file {path.name!r} needs a top-level "
                     "'samples' list"
                 )
-            return cls(
-                name or data.get("name") or path.stem,
-                base,
-                tuple(data["samples"]),
-            )
+            return cls.from_dict({
+                "name": name or data.get("name") or path.stem,
+                "base": base,
+                "samples": data["samples"],
+            })
         samples = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -267,35 +252,3 @@ class TraceDemand:
             "base": self.base.to_dict(),
             "samples": [s.to_dict() for s in self.samples],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TraceDemand":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown trace-demand fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceDemand":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"trace demand is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the trace's full content."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "TraceDemand":
-        return replace(self, **overrides)

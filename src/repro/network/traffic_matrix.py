@@ -21,12 +21,11 @@ Presets mirror the classic evaluation workloads:
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
+from repro.serial import Spec, build
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,7 @@ def _coerce_demand(value: Any) -> Demand:
     if isinstance(value, Demand):
         return value
     if isinstance(value, Mapping):
-        known = {f.name for f in fields(Demand)}
-        unknown = set(value) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown demand fields: {sorted(unknown)}"
-            )
-        return Demand(**value)
+        return build(Demand, value, "demand")
     if isinstance(value, Sequence) and len(value) == 3:
         return Demand(str(value[0]), str(value[1]), float(value[2]))
     raise ConfigurationError(
@@ -79,7 +72,7 @@ def _coerce_demand(value: Any) -> Demand:
 
 
 @dataclass(frozen=True)
-class TrafficMatrix:
+class TrafficMatrix(Spec):
     """A frozen set of demands, canonically sorted by (src, dst).
 
     >>> tm = TrafficMatrix.uniform(("a", "b", "c"), 0.2)
@@ -89,6 +82,8 @@ class TrafficMatrix:
 
     demands: tuple[Demand, ...]
     name: str = ""
+
+    noun = "traffic-matrix"
 
     def __post_init__(self) -> None:
         demands = tuple(
@@ -277,35 +272,3 @@ class TrafficMatrix:
             "name": self.name,
             "demands": [d.to_dict() for d in self.demands],
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TrafficMatrix":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown traffic-matrix fields: {sorted(unknown)}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**dict(data))
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrafficMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"traffic matrix is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
-
-    def content_hash(self) -> str:
-        """Stable hex digest of the matrix's full content."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def replace(self, **overrides: Any) -> "TrafficMatrix":
-        return replace(self, **overrides)

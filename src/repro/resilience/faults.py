@@ -31,15 +31,15 @@ store file, which the hardened stores must quarantine on load.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError
+from repro.serial import Spec
 
 FAULT_KINDS = ("crash", "hang", "transient")
 
@@ -55,7 +55,7 @@ class SimulatedCrash(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Fault:
+class Fault(Spec):
     """One scripted failure: a kind, a unit index, the attempts it hits.
 
     Attributes
@@ -78,6 +78,8 @@ class Fault:
     unit: int
     attempts: tuple[int, ...] = (1,)
     hang_s: float = 30.0
+
+    noun = "fault"
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -109,22 +111,9 @@ class Fault:
             out["hang_s"] = self.hang_s
         return out
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Fault":
-        known = {"kind", "unit", "attempts", "hang_s"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault fields: {sorted(unknown)}"
-            )
-        kwargs = dict(data)
-        if "attempts" in kwargs:
-            kwargs["attempts"] = tuple(kwargs["attempts"])
-        return cls(**kwargs)
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Spec):
     """A seeded, deterministic script of faults for one batch.
 
     The plan is declarative data — it travels by pickle into process
@@ -137,11 +126,10 @@ class FaultPlan:
     faults: tuple[Fault, ...] = ()
     seed: int = 0
 
+    noun = "fault-plan"
+
     def __post_init__(self) -> None:
-        faults = tuple(
-            f if isinstance(f, Fault) else Fault.from_dict(f)
-            for f in self.faults
-        )
+        faults = tuple(Fault.coerce(f, "fault") for f in self.faults)
         object.__setattr__(self, "faults", faults)
 
     def fault_for(self, unit: int, attempt: int) -> Fault | None:
@@ -159,33 +147,17 @@ class FaultPlan:
             "faults": [f.to_dict() for f in self.faults],
         }
 
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        known = {"seed", "faults"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault-plan fields: {sorted(unknown)}"
-            )
-        return cls(
-            faults=tuple(
-                Fault.from_dict(f) for f in data.get("faults", ())
-            ),
-            seed=int(data.get("seed", 0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
+    def from_dict(cls, data: Any) -> "FaultPlan":
+        """Rebuild a plan from :meth:`to_dict` output or a plan file,
+        where ``seed`` may be any number: it is truncated to an int."""
+        plan = super().from_dict(data)
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            return plan.replace(seed=int(plan.seed))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(
-                f"fault plan is not valid JSON: {exc}"
+                f"invalid fault-plan seed {plan.seed!r}: {exc}"
             ) from exc
-        return cls.from_dict(data)
 
 
 def apply_fault(

@@ -17,16 +17,16 @@ the resilience tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.serial import Spec
 
 #: Degradation rungs a unit may reach, in ladder order.
 STAGES = ("planned", "reference")
 
 
 @dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(Spec):
     """One scenario the supervisor gave up on.
 
     Attributes
@@ -52,6 +52,8 @@ class FailureRecord:
     attempts: int
     stage: str = "planned"
 
+    noun = "failure-record"
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "label": self.label,
@@ -61,22 +63,6 @@ class FailureRecord:
             "attempts": self.attempts,
             "stage": self.stage,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FailureRecord":
-        known = {"label", "key", "error_type", "message", "attempts",
-                 "stage"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown failure-record fields: {sorted(unknown)}"
-            )
-        try:
-            return cls(**dict(data))
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"invalid failure record: {exc}"
-            ) from exc
 
     @classmethod
     def from_exception(

@@ -61,6 +61,10 @@ class Technology:
     cell_energy_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigurationError(
+                f"technology name must be a string, got {self.name!r}"
+            )
         if self.feature_size_m <= 0:
             raise ConfigurationError("feature_size_m must be positive")
         if self.voltage_v <= 0:

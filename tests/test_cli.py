@@ -219,3 +219,47 @@ class TestOutputPaths:
         out_path = tmp_path / "report.csv"
         assert main(batch + ["--output", str(out_path)]) == 0
         assert out_path.read_bytes() == printed.encode()
+
+
+#: ``(command, file content)`` of malformed spec files: JSON scalars,
+#: empty objects, wrong field types, a nested ``tech`` object with an
+#: unknown field, an integer too large for a float and bytes that are
+#: not UTF-8.
+MALFORMED_SPECS = [
+    ("network", "1"),
+    ("network", "null"),
+    ("control", "1"),
+    ("control", "null"),
+    ("batch", "1"),
+    ("batch", "null"),
+    ("batch", "[1]"),
+    ("campaign", "{}"),
+    ("network", "{}"),
+    ("control", "{}"),
+    ("batch", "[{}]"),
+    ("batch", '[{"architecture": "crossbar", "ports": "x", "load": 0.3}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"tech": {"x": 1}}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 1'
+              + "0" * 400 + "}]"),
+    ("campaign", '{"name": "c", "base": 5}'),
+    ("control", b"\xff\xfe{}"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text", MALFORMED_SPECS,
+    ids=[f"{c}:{t[:40]}" for c, t in MALFORMED_SPECS],
+)
+def test_malformed_spec_file_is_a_clean_error(tmp_path, capsys, command,
+                                              text):
+    path = tmp_path / "spec.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = [command, str(path)] if command == "batch" else [
+        command, "run", str(path)
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,0 +1,160 @@
+"""Fuzz every spec parser: malformed input ends in a ``ReproError``.
+
+Each property takes a preset spec's ``to_dict()``, replaces one path in
+it (the root included) with an arbitrary JSON value and parses the
+result.  The parser must either raise a :class:`~repro.errors.ReproError`
+or return a spec whose ``to_json()`` survives another round trip
+unchanged; a ``TypeError`` or ``ValueError`` escaping the parser would
+reach the CLI as a traceback instead of an exit-2 ``error:`` line.
+``TraceDemand.from_file`` gets arbitrary ``.json`` and ``.csv`` files,
+bytes that are not UTF-8 included.
+
+Runs are derandomized, so the suite sees the same examples every time.
+Integers stay within +-10**6: a scenario's validation allocates one
+array entry per port, so a port count near 2**31 would allocate
+gigabytes before any check could reject it.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import Scenario
+from repro.api.scenario import preset
+from repro.campaigns import Campaign
+from repro.campaigns.presets import get_campaign
+from repro.control import ControlSpec, DemandSeries
+from repro.control.presets import get_control
+from repro.errors import ReproError
+from repro.network import NetworkSpec, NetworkTopology, TrafficMatrix
+from repro.network.presets import get_network
+from repro.network.trace_demand import TraceDemand
+from repro.resilience import Fault, FaultPlan
+from repro.resilience.records import FailureRecord
+from repro.tech.presets import get_technology
+
+SETTINGS = settings(max_examples=60, derandomize=True, database=None,
+                    deadline=None)
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+_MESH = get_network("mesh4_ecmp")
+_CONTROL = get_control("dumbbell_sleep_sweep")
+_FAULT = Fault("hang", 2, attempts=(1, 2), hang_s=5.0)
+
+#: The specs each property mutates, by class.
+BASES = {
+    Scenario: [
+        preset("bursty"),
+        preset("hotspot").replace(tech=replace(
+            get_technology("0.18um"), name="custom", voltage_v=1.8
+        )),
+    ],
+    Campaign: [
+        get_campaign("fig9").replace(ports=(4,), loads=(0.1, 0.3)),
+        get_campaign("dumbbell_switchoff"),
+        get_campaign("table2"),
+    ],
+    NetworkSpec: [get_network("dumbbell_switchoff")],
+    ControlSpec: [_CONTROL],
+    DemandSeries: [_CONTROL.series],
+    NetworkTopology: [_MESH.topology],
+    TrafficMatrix: [_MESH.matrix],
+    TraceDemand: [
+        TraceDemand("trace", _MESH.matrix, ((0.0, 0.5), (60.0, 1.0)))
+    ],
+    Fault: [_FAULT],
+    FaultPlan: [FaultPlan((_FAULT, Fault("crash", 5)), seed=7)],
+    FailureRecord: [
+        FailureRecord("x", "k", "TransientFault", "boom", 3, "reference")
+    ],
+}
+
+
+def _paths(value, prefix=()):
+    """Every path into a JSON value, the root ``()`` first."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, prefix + (index,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def mutated(draw, cls):
+    data = draw(st.sampled_from(BASES[cls])).to_dict()
+    path = draw(st.sampled_from(list(_paths(data))))
+    return _replaced(data, path, draw(JSON_VALUES))
+
+
+def _round_trips(parse):
+    """``parse()`` raises a ReproError or yields a stable spec."""
+    try:
+        spec = parse()
+    except ReproError:
+        return
+    text = spec.to_json()
+    assert type(spec).from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("cls", list(BASES), ids=lambda c: c.__name__)
+def test_mutated_spec_parses_or_raises_repro_error(cls):
+    @SETTINGS
+    @given(data=mutated(cls))
+    def check(data):
+        _round_trips(lambda: cls.from_dict(data))
+
+    check()
+
+
+def test_unmutated_presets_round_trip():
+    for specs in BASES.values():
+        for spec in specs:
+            assert type(spec).from_json(spec.to_json()) == spec
+
+
+TRACE_FILES = st.one_of(
+    st.text(max_size=40).map(str.encode),
+    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    JSON_VALUES.map(
+        lambda samples: json.dumps({"samples": samples}).encode()
+    ),
+    st.lists(
+        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+        max_size=4,
+    ).map(lambda rows: "\n".join(f"{t},{s}" for t, s in rows).encode()),
+    st.binary(max_size=40),
+)
+
+
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+@settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=TRACE_FILES)
+def test_trace_file_parses_or_raises_repro_error(tmp_path, suffix, content):
+    path = tmp_path / f"trace{suffix}"
+    path.write_bytes(content)
+    _round_trips(lambda: TraceDemand.from_file(path, _MESH.matrix))
