@@ -22,7 +22,7 @@ and the analytical estimator consume a single object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import tables
 from repro.errors import ConfigurationError

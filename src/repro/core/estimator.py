@@ -23,7 +23,7 @@ gap between the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core import contention, tables
 from repro.core.analytical import (

@@ -20,7 +20,6 @@ other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import TopologyError

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.bit_energy import EnergyModelSet, SwitchEnergyLUT
+from repro.core.bit_energy import EnergyModelSet
 from repro.fabrics.base import SwitchFabric
 from repro.router.cells import Cell, CellFormat
 from repro.thompson.layouts import CrossbarLayout

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.bit_energy import EnergyModelSet, MuxEnergyLUT
+from repro.core.bit_energy import EnergyModelSet
 from repro.fabrics.base import SwitchFabric
 from repro.router.cells import Cell, CellFormat
 from repro.thompson.layouts import FullyConnectedLayout

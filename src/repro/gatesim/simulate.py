@@ -8,7 +8,7 @@ value changed — the switching-activity input to the power step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

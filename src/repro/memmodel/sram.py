@@ -22,7 +22,7 @@ Constants are least-squares fitted to the four Table 2 points with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

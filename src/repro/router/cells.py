@@ -13,7 +13,7 @@ so that bit-level wire energy stays reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,7 @@ properties:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.router.cells import Cell, CellFormat, segment_packet

@@ -10,12 +10,11 @@ bit-accurate, so payload *content* matters for wire energy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import MAX_BUS_WIDTH
 from repro.units import bus_mask as _units_bus_mask
 
 

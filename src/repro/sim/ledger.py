@@ -10,7 +10,6 @@ the Fig. 9 totals and the component breakdown behind Observation 2.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 

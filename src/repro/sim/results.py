@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.sim import ledger as categories
 from repro.units import to_mW
 
 
