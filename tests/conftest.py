@@ -9,10 +9,16 @@ and ``benchmarks/conftest.py`` at collection time.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.router.cells import CellFormat
 from repro.tech import TECH_180NM
 from repro.tech.wires import WireModel
+
+#: ``--hypothesis-profile engine-fuzz``: the large derandomized budget
+#: CI gives ``tests/test_engine_fuzz.py``, whose settings leave the
+#: example count to the active profile.
+settings.register_profile("engine-fuzz", max_examples=1000)
 
 
 @pytest.fixture
