@@ -3,9 +3,9 @@
 Drop-in counterpart of :class:`~repro.sim.engine.SimulationEngine` built
 on struct-of-arrays state: arrivals come in as
 :class:`~repro.router.traffic.ArrivalBatch` arrays, cells live as rows
-of a :class:`~repro.sim.cellstore.CellStore`, ingress FIFOs (or VOQ
-occupancy matrices) hold integer cell ids, arbitration and egress
-accounting run on plain int arrays/lists, and the fabric is driven
+of a :class:`~repro.sim.cellstore.CellStore`, ingress FIFOs (or
+per-destination VOQs) hold integer cell ids, arbitration and egress
+accounting run on plain ints and lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
 queues wire transfers and settles their flips and energy in batches of
 about :data:`~repro.fabrics.vectorized.SETTLE_TRANSFERS` transfers.
@@ -18,9 +18,10 @@ The engine is an exact functional mirror of the reference: for any
 seeded run of a supported router it produces a bit-identical
 :class:`~repro.sim.results.SimulationResult` (energy breakdown,
 throughput, delivered cells, latency statistics, counters — enforced by
-``tests/test_engine_equivalence.py``).  Both engines consume the same
-RNG stream because :meth:`TrafficGenerator.arrivals_batch` is the single
-random-drawing primitive for both.
+``tests/test_engine_equivalence.py`` and ``tests/test_engine_fuzz.py``).
+Both engines consume the same RNG stream because
+:meth:`TrafficGenerator.arrivals_batch` is the single random-drawing
+primitive for both.
 
 Supported configurations: a plain :class:`~repro.router.router.
 NetworkRouter` (FIFO ingress, bounded or unbounded) with the FCFS
@@ -32,13 +33,18 @@ plus custom registrations).  Anything else raises
 :class:`~repro.errors.ConfigurationError` naming the registered cores —
 use the reference engine there.
 
-The VOQ path mirrors :class:`~repro.router.voq.IslipArbiter` with array
-state: the request matrix is the ``(ports, ports)`` VOQ occupancy
-against the fabric admission mask, the grant and accept phases of each
-iSLIP iteration are batched modular-distance ``argmin`` reductions over
-round-robin pointer vectors, and the accepted matches are emitted in
-the reference arbiter's dict-insertion order so the fabric cores charge
-the ledger in the exact same sequence.
+The VOQ path mirrors :class:`~repro.router.voq.IslipArbiter` on
+Python-int bitsets.  Each output keeps one request int whose bit i is
+set while input i's VOQ for that output is non-empty (set on enqueue,
+cleared when the VOQ drains).  In each iSLIP iteration every unmatched
+output grants the first free requester at or after its grant pointer
+(the lowest set bit of ``mask >> pointer``, else of ``mask``), and every
+winner accepts its granted output closest to its accept pointer the
+same way; pointers move only on first-iteration accepts.  Winners come
+out in first-grant order, the reference arbiter's dict-insertion order.
+That order is part of the bit-exact contract: the fabric cores charge
+the ledger in grant order, and the Batcher-Banyan lays out its ingress
+wire events by it.
 
 The engine takes ownership of the router's energy ledger; do not run
 the same router instance through both engines.
@@ -80,31 +86,13 @@ def supports_router(router) -> bool:
     return False
 
 
-def _islip_accept(
-    requested: np.ndarray, winner: np.ndarray, accept_keys: np.ndarray
-) -> tuple[list[int], list[int]]:
-    """Batched iSLIP accept phase in reference emission order.
-
-    ``requested`` are the outputs with grants this iteration (ascending),
-    ``winner[i]`` the input granted by ``requested[i]``, and
-    ``accept_keys[i]`` that output's modular distance from the winner's
-    accept pointer.  Each winning input accepts its minimum-key output;
-    winners are emitted by first appearance over the ascending output
-    scan — exactly the dict-insertion order the reference arbiter's
-    per-slot Python loop produced, reconstructed here from two sorts.
-    """
-    uniq, first = np.unique(winner, return_index=True)
-    order = np.lexsort((accept_keys, winner))
-    w_sorted = winner[order]
-    head = np.empty(w_sorted.size, dtype=bool)
-    head[0] = True
-    head[1:] = w_sorted[1:] != w_sorted[:-1]
-    # Group heads after the (winner, key) sort are each winner's
-    # minimum-key output, aligned with ``uniq`` (both winner-ascending);
-    # stable sorts keep the reference's earliest-output tie-break.
-    chosen = requested[order[head]]
-    emit = np.argsort(first, kind="stable")
-    return uniq[emit].tolist(), chosen[emit].tolist()
+def _round_robin(mask: int, pointer: int) -> int:
+    """The set bit of ``mask`` closest clockwise to ``pointer``: the
+    first at or after it, else the lowest."""
+    ahead = mask >> pointer
+    if ahead:
+        return pointer + (ahead & -ahead).bit_length() - 1
+    return (mask & -mask).bit_length() - 1
 
 
 class VectorizedEngine:
@@ -145,28 +133,18 @@ class VectorizedEngine:
         self._queue_cap = router.ingress[0].queue_capacity_cells
         self._is_voq = type(router) is VoqNetworkRouter
         if self._is_voq:
-            from repro.fabrics.vectorized import VectorFabricCore
-
-            # Per-(input, destination) FIFOs of cell ids.  The iSLIP
-            # request mask is maintained incrementally (set on enqueue,
-            # cleared when a VOQ drains) so arbitration never rebuilds
-            # it; the occupancy counts back the per-VOQ capacity bound.
+            # Per-(input, destination) FIFOs of cell ids, and per output
+            # an int whose bit i is set while input i's VOQ for that
+            # output is non-empty (set on enqueue, cleared on drain).
             self._vq: list[list[deque[int]]] = [
                 [deque() for _ in range(ports)] for _ in range(ports)
             ]
-            self._req = np.zeros((ports, ports), dtype=bool)
-            self._voq_occ = [[0] * ports for _ in range(ports)]
+            self._requests = [0] * ports
             self._port_depth = [0] * ports
             arbiter = router.arbiter
             self._islip_iterations = arbiter.iterations
-            self._grant_ptr = np.array(arbiter._grant_ptr, dtype=np.int64)
-            self._accept_ptr = np.array(arbiter._accept_ptr, dtype=np.int64)
-            #: modular distance table: ``dist[a, b] == (a - b) % ports``.
-            index = np.arange(ports, dtype=np.int64)
-            self._dist = (index[:, None] - index[None, :]) % ports
-            self._admit_all = (
-                type(self._core).can_admit is VectorFabricCore.can_admit
-            )
+            self._grant_ptr = list(arbiter._grant_ptr)
+            self._accept_ptr = list(arbiter._accept_ptr)
         else:
             self._queues: list[list[int]] = [[] for _ in range(ports)]
             self._qhead = [0] * ports
@@ -323,8 +301,7 @@ class VectorizedEngine:
         """
         store = self.store
         vq = self._vq
-        req = self._req
-        occ = self._voq_occ
+        requests = self._requests
         depth = self._port_depth
         srcs = batch.srcs.tolist()
         dests = batch.dests.tolist()
@@ -337,7 +314,7 @@ class VectorizedEngine:
                 dest = dests[i]
                 n_cells = slices[i + 1] - slices[i]
                 vq[src][dest].extend(ids[slices[i] : slices[i + 1]])
-                req[src, dest] = True
+                requests[dest] |= 1 << src
                 depth[src] += n_cells
                 self._packets_in[src] += 1
                 self._cells_in[src] += n_cells
@@ -350,12 +327,12 @@ class VectorizedEngine:
             src = srcs[i]
             dest = dests[i]
             n_cells = max(1, -(-int(offsets[i + 1] - offsets[i]) // per_cell))
-            if occ[src][dest] + n_cells > cap:
+            queue = vq[src][dest]
+            if len(queue) + n_cells > cap:
                 self._cells_dropped[src] += n_cells
                 continue
-            vq[src][dest].extend(store.add_packet(batch, i))
-            req[src, dest] = True
-            occ[src][dest] += n_cells
+            queue.extend(store.add_packet(batch, i))
+            requests[dest] |= 1 << src
             depth[src] += n_cells
             self._packets_in[src] += 1
             self._cells_in[src] += n_cells
@@ -363,85 +340,57 @@ class VectorizedEngine:
                 self._queue_peak[src] = depth[src]
 
     def _arbitrate_voq(self) -> list[tuple[int, int]]:
-        """One slot of K-iteration iSLIP as batched array reductions.
+        """One slot of K-iteration iSLIP on request bitsets.
 
         Produces the same matches in the same order as
-        :meth:`repro.router.voq.IslipArbiter.select`: grant and accept
-        winners are modular-distance ``argmin`` reductions against the
-        pointer vectors (distances within a phase are unique, so argmin
-        needs no tie-break), and the emitted order reproduces the
-        reference's dict-insertion order (winners by first appearance
-        over the output scan) so downstream ledger charging matches
-        bit for bit.
+        :meth:`repro.router.voq.IslipArbiter.select`: winners come out
+        in first-grant order (the reference's dict-insertion order),
+        which the fabric cores charge the ledger in, bit for bit.
         """
         ports = self.router.ports
-        req = self._req
+        requests = self._requests
+        grant_ptr = self._grant_ptr
+        accept_ptr = self._accept_ptr
         depth = self._port_depth
-        dist = self._dist
-        # The request mask already has all-False rows for empty ports,
-        # so fabric admission is the only extra eligibility filter.
-        if self._admit_all:
-            base = req
-        else:
-            can_admit = self._core.can_admit
-            blocked = [
-                p for p in range(ports) if depth[p] > 0 and not can_admit(p)
-            ]
-            if blocked:
-                admit = np.ones(ports, dtype=bool)
-                admit[blocked] = False
-                base = req & admit[:, None]
-            else:
-                base = req
-        matched_in: np.ndarray | None = None
-        matched_out: np.ndarray | None = None
+        can_admit = self._core.can_admit
+        # Inputs free to match: cells queued and admitted by the fabric.
+        free_in = 0
+        for port in range(ports):
+            if depth[port] and can_admit(port):
+                free_in |= 1 << port
+        free_out = (1 << ports) - 1
         pairs: list[tuple[int, int]] = []
-        sentinel = ports  # > any modular distance
         for iteration in range(self._islip_iterations):
-            if iteration == 0:
-                active = base
-            else:
-                active = base & ~matched_in[:, None] & ~matched_out[None, :]
-            requested = np.flatnonzero(active.any(axis=0))
-            if requested.size == 0:
+            # Grant: every free output grants its free requester closest
+            # clockwise to its pointer; each winner's granted outputs
+            # collect in a dict, so winners keep first-grant order.
+            granted: dict[int, int] = {}
+            for out in range(ports):
+                mask = requests[out] & free_in
+                if mask and free_out >> out & 1:
+                    port = _round_robin(mask, grant_ptr[out])
+                    granted[port] = granted.get(port, 0) | 1 << out
+            if not granted:
                 break
-            # Grant phase: every requested output grants the requester
-            # closest clockwise to its grant pointer.  Distances within
-            # a phase are unique, so argmin needs no tie-break.
-            grant_keys = np.where(
-                active, dist[:, self._grant_ptr], sentinel
-            )
-            winner = grant_keys.argmin(axis=0)[requested]
-            # Accept phase: every granted input accepts the output
-            # closest clockwise to its accept pointer (group-by-min of
-            # each requested output's distance from its winner's ptr).
-            accept_keys = dist[requested, self._accept_ptr[winner]]
-            ports_sel, outs_sel = _islip_accept(requested, winner, accept_keys)
-            if matched_in is None:
-                matched_in = np.zeros(ports, dtype=bool)
-                matched_out = np.zeros(ports, dtype=bool)
-            first_iteration = iteration == 0
-            for port, out in zip(ports_sel, outs_sel):
+            # Accept: every winner takes its granted output closest
+            # clockwise to its pointer.
+            for port, outs in granted.items():
+                out = _round_robin(outs, accept_ptr[port])
                 pairs.append((port, out))
-                matched_in[port] = True
-                matched_out[out] = True
+                free_in ^= 1 << port
+                free_out ^= 1 << out
                 # iSLIP pointer update: first-iteration accepts only.
-                if first_iteration:
-                    self._accept_ptr[port] = (out + 1) % ports
-                    self._grant_ptr[out] = (port + 1) % ports
+                if iteration == 0:
+                    accept_ptr[port] = (out + 1) % ports
+                    grant_ptr[out] = (port + 1) % ports
         vq = self._vq
-        occ = self._voq_occ
-        bounded = self._queue_cap is not None
         grants: list[tuple[int, int]] = []
         for port, out in pairs:
             queue = vq[port][out]
-            cid = queue.popleft()
+            grants.append((port, queue.popleft()))
             if not queue:
-                req[port, out] = False
-            if bounded:
-                occ[port][out] -= 1
+                requests[out] ^= 1 << port
             depth[port] -= 1
-            grants.append((port, cid))
         return grants
 
     def _deliver(self, delivered: list[int], slot: int) -> None:
