@@ -38,6 +38,7 @@ from repro.core.estimator import (
 from repro.errors import ConfigurationError
 from repro.fabrics import registry
 from repro.fabrics.factory import default_models
+from repro.fabrics.topology import stage_count
 from repro.memmodel.buffers import banyan_buffer_model
 from repro.sim.engine import create_engine
 from repro.sim.results import SimulationResult
@@ -310,6 +311,8 @@ class PowerModel:
         from repro.sim.runner import build_router
 
         arch = registry.canonical_architecture(architecture)
+        if arch == "banyan":
+            stage_count(ports)  # TopologyError before any model is built
         mode = WireMode.parse(wire_mode)
         if models is None and arch in ARCHITECTURES:
             buffer_opts = {

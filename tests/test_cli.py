@@ -223,8 +223,8 @@ class TestOutputPaths:
 
 #: ``(command, file content)`` of malformed spec files: JSON scalars,
 #: empty objects, wrong field types, a nested ``tech`` object with an
-#: unknown field, an integer too large for a float and bytes that are
-#: not UTF-8.
+#: unknown field, an integer too large for a float, bytes that are not
+#: UTF-8 and a banyan whose port count is not a power of two.
 MALFORMED_SPECS = [
     ("network", "1"),
     ("network", "null"),
@@ -244,6 +244,7 @@ MALFORMED_SPECS = [
               + "0" * 400 + "}]"),
     ("campaign", '{"name": "c", "base": 5}'),
     ("control", b"\xff\xfe{}"),
+    ("batch", '[{"architecture": "banyan", "ports": 6, "load": 0.3}]'),
 ]
 
 
@@ -258,6 +259,24 @@ def test_malformed_spec_file_is_a_clean_error(tmp_path, capsys, command,
     argv = [command, str(path)] if command == "batch" else [
         command, "run", str(path)
     ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+#: Command lines that ask for a banyan whose port count is not a power
+#: of two.
+BAD_BANYAN_COMMANDS = [
+    ["simulate", "--arch", "banyan", "--ports", "6", "--load", "0.3"],
+    ["sweep", "--arch", "banyan", "--ports", "6", "--slots", "20",
+     "--loads", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_BANYAN_COMMANDS, ids=lambda a: a[0])
+def test_non_power_of_two_banyan_is_a_clean_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
