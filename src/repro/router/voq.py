@@ -14,9 +14,10 @@ This module extends the reproduction with that design point:
   pointer-update rule (pointers advance only past *accepted* grants);
 * :class:`VoqNetworkRouter` — drop-in router variant: the reference
   engine runs it unchanged because arbitration is router-owned, and the
-  vectorized engine recognises it and switches to its array-based
-  VOQ/iSLIP path (occupancy matrices, batched grant/accept reductions
-  in :mod:`repro.sim.vector_engine`) with bit-identical results.
+  vectorized engine recognises it and switches to its VOQ/iSLIP path on
+  request bitsets (:mod:`repro.sim.vector_engine`), which emits the
+  matches in this arbiter's first-grant order with bit-identical
+  results.
 
 The `bench_ablation_voq` and `bench_voq` benches and the
 `test_router_voq` / `test_engine_equivalence` suites quantify the gain

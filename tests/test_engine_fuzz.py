@@ -70,8 +70,9 @@ def scenarios(draw) -> Scenario:
 @SETTINGS
 @given(scenarios())
 # The Batcher-Banyan lays out its ingress wire events in grant order, so
-# a matcher that emits its winners in any order but the reference's
-# first-grant order diverges here after one slot.
+# a matcher that emits its winners in ascending input order instead of
+# the reference's first-grant order diverges here after one slot; the
+# default random budget misses that break.
 @example(
     Scenario(
         "batcher_banyan", 8, 1.0, queueing="voq", islip_iterations=2,
