@@ -20,8 +20,9 @@ This module extends the reproduction with that design point:
   results.
 
 The `bench_ablation_voq` and `bench_voq` benches and the
-`test_router_voq` / `test_engine_equivalence` suites quantify the gain
-against the paper's baseline and pin the two engines to each other.
+`test_router_voq` / `test_engine_equivalence` / `test_engine_fuzz`
+suites quantify the gain against the paper's baseline and pin the two
+engines to each other.
 ``Scenario(queueing="voq", islip_iterations=K)`` and ``repro simulate
 --queueing voq`` select this router; see ``docs/ARCHITECTURE.md``.
 """
