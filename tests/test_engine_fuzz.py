@@ -5,8 +5,10 @@ fixed matrix of ``tests/test_engine_equivalence.py`` samples sparsely:
 every built-in fabric at the port counts it accepts (odd counts and
 64-port crossbars included), loads 0 to 1 with both ends, FIFO or VOQ
 with K = 1..6 iSLIP iterations, bounded and unbounded ingress queues,
-four traffic kinds, both RNG streams, every wire mode, and short
-windows down to a single arrival slot.  Each scenario runs through the
+four traffic kinds (the fixed-size ones at packet sizes from 0 bits to
+three cells), both RNG streams, every wire mode, and windows from a
+single arrival slot to a few hundred, so that some span several of the
+vectorized engine's arrival blocks.  Each scenario runs through the
 reference and the vectorized engine, and the two results must be equal
 field for field.
 
@@ -45,23 +47,37 @@ PORTS = {
 }
 
 
+#: Packet sizes for the fixed-size traffic kinds: empty, sub-word,
+#: around one bus word, one full cell (the default) and three cells.
+PACKET_BITS = [0, 1, 31, 33, 480, 1000]
+
+
 @st.composite
 def scenarios(draw) -> Scenario:
     architecture = draw(st.sampled_from(sorted(PORTS)))
     queueing = draw(st.sampled_from(["fifo", "voq"]))
+    traffic = draw(
+        st.sampled_from(["bernoulli", "hotspot", "trimodal", "permutation"])
+    )
+    params = {}
+    if traffic != "trimodal":
+        params["packet_bits"] = draw(st.sampled_from(PACKET_BITS))
+    ports = draw(PORTS[architecture])
+    # Mostly short windows; some longer than one 64-slot arrival block,
+    # as long as the port count keeps the run cheap.
+    long_window = st.integers(65, min(250, max(65, 3000 // ports)))
     return Scenario(
         architecture,
-        draw(PORTS[architecture]),
+        ports,
         draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
         queueing=queueing,
         islip_iterations=draw(st.integers(1, 6)) if queueing == "voq" else 1,
         ingress_queue_cells=draw(st.sampled_from([None, 1, 3])),
-        traffic=draw(
-            st.sampled_from(["bernoulli", "hotspot", "trimodal", "permutation"])
-        ),
+        traffic=traffic,
+        traffic_params=params,
         rng_stream=draw(st.sampled_from([1, 2])),
         wire_mode=draw(st.sampled_from(list(WireMode))),
-        arrival_slots=draw(st.integers(1, 60)),
+        arrival_slots=draw(st.integers(1, 60) | long_window),
         warmup_slots=draw(st.integers(0, 10)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
@@ -77,6 +93,24 @@ def scenarios(draw) -> Scenario:
     Scenario(
         "batcher_banyan", 8, 1.0, queueing="voq", islip_iterations=2,
         arrival_slots=1, warmup_slots=0, seed=0,
+    )
+)
+# Stream-v1 Bernoulli traffic at odd port counts over windows that span
+# several arrival blocks, into bounded FIFOs (multi-cell packets) and
+# unbounded VOQs (packets of one word and one bit); the derandomized
+# budget draws few such cases.
+@example(
+    Scenario(
+        "crossbar", 5, 0.6, ingress_queue_cells=3,
+        traffic_params={"packet_bits": 1000},
+        arrival_slots=150, warmup_slots=7, seed=3,
+    )
+)
+@example(
+    Scenario(
+        "fully_connected", 7, 0.45, queueing="voq", islip_iterations=2,
+        traffic_params={"packet_bits": 33},
+        arrival_slots=130, warmup_slots=3, seed=11,
     )
 )
 def test_engines_agree(scenario):
