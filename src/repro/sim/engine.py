@@ -32,7 +32,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.router.router import NetworkRouter
 from repro.sim import ledger as categories
-from repro.sim.results import EnergyBreakdown, SimulationResult
+from repro.sim.results import (
+    EnergyBreakdown,
+    SimulationResult,
+    check_run_invariants,
+)
 
 #: Selectable slot-loop implementations (see :func:`create_engine`).
 ENGINES = ("vectorized", "reference")
@@ -82,6 +86,7 @@ class SimulationEngine:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self._slot = 0
+        self._cells_out = 0  # delivered over the whole run
 
     # ------------------------------------------------------------------
 
@@ -95,6 +100,7 @@ class SimulationEngine:
         delivered = router.fabric.advance_slot(admitted, self._slot)
         router.egress.tick()
         router.egress.deliver(delivered, self._slot)
+        self._cells_out += len(delivered)
         self._slot += 1
         return delivered
 
@@ -156,6 +162,13 @@ class SimulationEngine:
     ) -> SimulationResult:
         router = self.router
         ledger = router.fabric.ledger
+        check_run_invariants(
+            ledger,
+            sum(unit.stats.cells_in for unit in router.ingress),
+            self._cells_out,
+            router.ingress_backlog_cells,
+            router.fabric.in_flight(),
+        )
         energy = EnergyBreakdown(
             switch_j=ledger.category_total_j(categories.SWITCH),
             wire_j=ledger.category_total_j(categories.WIRE),

@@ -4,7 +4,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import SimulationError
+from repro.sim.ledger import CATEGORIES
 from repro.units import to_mW
+
+
+def check_run_invariants(
+    ledger, cells_in: int, cells_out: int, backlog: int, in_flight: int
+) -> None:
+    """Raise :class:`SimulationError` unless every admitted cell of the
+    run (warmup included) was delivered, is queued or is in flight, and
+    every ledger entry is >= 0.  Both engines call this at collection."""
+    if cells_in != cells_out + backlog + in_flight:
+        raise SimulationError(
+            f"cells not conserved: {cells_in} admitted, {cells_out} "
+            f"delivered, {backlog} queued, {in_flight} in the fabric"
+        )
+    entries = [ledger.counters()] + [
+        ledger.component_dict(category) for category in CATEGORIES
+    ]
+    for table in entries:
+        bad = {key: value for key, value in table.items() if not value >= 0}
+        if bad:
+            raise SimulationError(f"negative ledger entries: {bad}")
 
 
 def latency_stats_from_slots(latency_slots: list[int]) -> dict[str, float]:

@@ -66,6 +66,7 @@ from repro.sim.cellstore import CellStore
 from repro.sim.results import (
     EnergyBreakdown,
     SimulationResult,
+    check_run_invariants,
     latency_stats_from_slots,
 )
 
@@ -161,6 +162,7 @@ class VectorizedEngine:
         self._measurement_slots = 0
         self._measured_cells = 0
         self._cells_delivered = 0
+        self._cells_out = 0  # delivered over the whole run
         self._payload_bits_delivered = 0
         self._packets_completed = 0
         self._latency: list[int] = []
@@ -190,6 +192,7 @@ class VectorizedEngine:
         if self._measuring:
             self._measurement_slots += 1
         if delivered:
+            self._cells_out += len(delivered)
             self._deliver(delivered, slot)
             self._core.release(delivered)
         self._slot += 1
@@ -524,6 +527,13 @@ class VectorizedEngine:
         self._mirror_router_stats()
         router = self.router
         ledger = router.fabric.ledger
+        check_run_invariants(
+            ledger,
+            sum(self._cells_in),
+            self._cells_out,
+            self.ingress_backlog_cells,
+            self._core.in_flight(),
+        )
         energy = EnergyBreakdown(
             switch_j=ledger.category_total_j(categories.SWITCH),
             wire_j=ledger.category_total_j(categories.WIRE),

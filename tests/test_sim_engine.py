@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.router.traffic import TraceEntry, TraceTraffic
-from repro.sim.engine import SimulationEngine
+from repro.errors import ConfigurationError, SimulationError
+from repro.router.traffic import BernoulliUniformTraffic, TraceEntry, TraceTraffic
+from repro.sim.engine import SimulationEngine, create_engine
 from repro.sim.runner import build_router, run_simulation
 
 
@@ -62,6 +62,45 @@ class TestConservation:
         assert result.fabric_in_flight_cells == 0
         assert result.ingress_backlog_cells == 0
         assert result.packets_completed == result.delivered_cells  # 1-cell pkts
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_leaked_cell_is_an_error(self, engine, monkeypatch):
+        """A fabric that loses one delivered cell breaks the run's cell
+        conservation, which collection reports instead of a record."""
+        router = build_router(
+            "crossbar", 4, traffic=BernoulliUniformTraffic(4, 0.5)
+        )
+        sim = create_engine(router, seed=2, engine=engine)
+        core = router.fabric if engine == "reference" else sim._core
+        name = "advance_slot" if engine == "reference" else "advance"
+        advance = getattr(core, name)
+        leaked = []
+
+        def leaky(grants, slot):
+            delivered = advance(grants, slot)
+            if delivered and not leaked:
+                leaked.append(delivered.pop())
+            return delivered
+
+        monkeypatch.setattr(core, name, leaky)
+        with pytest.raises(SimulationError, match="not conserved"):
+            sim.run(arrival_slots=30, warmup_slots=5)
+        assert leaked
+
+    def test_negative_ledger_entry_is_an_error(self, monkeypatch):
+        router = build_router(
+            "crossbar", 4, traffic=BernoulliUniformTraffic(4, 0.5)
+        )
+        sim = create_engine(router, seed=2)
+        advance = sim._core.advance
+
+        def uncounting(grants, slot):
+            router.fabric.ledger.count("bit_flips", -(10**9))
+            return advance(grants, slot)
+
+        monkeypatch.setattr(sim._core, "advance", uncounting)
+        with pytest.raises(SimulationError, match="negative ledger"):
+            sim.run(arrival_slots=10)
 
     def test_throughput_tracks_offered_load_below_saturation(self):
         result = run_simulation(
