@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture, get_entry
 from repro.router.cells import CellFormat
 from repro.router.traffic import (
+    MAX_PORTS,
     RNG_STREAMS,
     per_port_loads,
     BernoulliUniformTraffic,
@@ -230,6 +231,10 @@ class Scenario(Spec):
             )
         if self.ports < 2:
             raise ConfigurationError("a scenario needs at least 2 ports")
+        if self.ports > MAX_PORTS:
+            raise ConfigurationError(
+                f"a scenario has at most {MAX_PORTS} ports, got {self.ports}"
+            )
         if isinstance(self.load, (list, tuple)):
             object.__setattr__(
                 self, "load", tuple(float(value) for value in self.load)

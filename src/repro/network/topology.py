@@ -39,6 +39,7 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture
+from repro.router.traffic import MAX_PORTS
 from repro.serial import Spec, build
 from repro.tech.presets import get_technology
 
@@ -70,6 +71,11 @@ class RouterNode:
         if self.ports < 2:
             raise ConfigurationError(
                 f"node {self.name!r}: a router needs at least 2 ports"
+            )
+        if self.ports > MAX_PORTS:
+            raise ConfigurationError(
+                f"node {self.name!r}: a router has at most {MAX_PORTS} "
+                f"ports, got {self.ports}"
             )
         object.__setattr__(
             self, "architecture", canonical_architecture(self.architecture)

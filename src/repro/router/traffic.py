@@ -73,6 +73,9 @@ RNG_STREAM_V2 = 2
 RNG_STREAMS = (RNG_STREAM_V1, RNG_STREAM_V2)
 #: Chunk length C of stream v2 — part of the versioned contract.
 RNG_STREAM_V2_CHUNK_SLOTS = 64
+#: Largest port count of a scenario or a router node (the presets use
+#: at most 128), checked before any per-port array is allocated.
+MAX_PORTS = 4096
 
 
 def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:
@@ -285,28 +288,16 @@ class TrafficGenerator(ABC):
         self.bus_width = bus_width
         self._next_packet_id = 0
         self.rng_stream = RNG_STREAM_V1
-        self._chunk_slots = RNG_STREAM_V2_CHUNK_SLOTS
         self._chunk: list[ArrivalBatch] | None = None
         self._chunk_start = 0
 
-    def use_rng_stream(
-        self, version: int, chunk_slots: int | None = None
-    ) -> "TrafficGenerator":
-        """Select the RNG-consumption contract; returns ``self``.
-
-        ``chunk_slots`` overrides the v2 chunk length — doing so leaves
-        the versioned contract (the stream then matches no recorded v2
-        seed), so it is for experimentation only.
-        """
+    def use_rng_stream(self, version: int) -> "TrafficGenerator":
+        """Select the RNG-consumption contract; returns ``self``."""
         if version not in RNG_STREAMS:
             raise ConfigurationError(
                 f"rng_stream must be one of {RNG_STREAMS}, got {version!r}"
             )
-        if chunk_slots is not None and chunk_slots < 1:
-            raise ConfigurationError("chunk_slots must be >= 1")
         self.rng_stream = version
-        if chunk_slots is not None:
-            self._chunk_slots = chunk_slots
         self._chunk = None
         return self
 
@@ -329,7 +320,7 @@ class TrafficGenerator(ABC):
             self._chunk_start <= slot < self._chunk_start + len(chunk)
         ):
             self._chunk = chunk = self._pregenerate_chunk(
-                slot, self._chunk_slots, rng
+                slot, RNG_STREAM_V2_CHUNK_SLOTS, rng
             )
             self._chunk_start = slot
         return chunk[slot - self._chunk_start]

@@ -13,6 +13,7 @@ from repro.api import (
 )
 from repro.errors import ConfigurationError
 from repro.router.traffic import (
+    MAX_PORTS,
     BernoulliUniformTraffic,
     BurstyTraffic,
     HotspotTraffic,
@@ -49,6 +50,11 @@ class TestValidation:
     def test_bad_ports(self):
         with pytest.raises(ConfigurationError):
             Scenario("crossbar", 1, 0.3)
+
+    def test_ports_capped(self):
+        assert Scenario("crossbar", MAX_PORTS, 0.3).ports == MAX_PORTS
+        with pytest.raises(ConfigurationError, match="at most 4096 ports"):
+            Scenario("crossbar", MAX_PORTS + 1, 0.3)
 
     def test_bad_traffic_kind(self):
         with pytest.raises(ConfigurationError, match="traffic"):

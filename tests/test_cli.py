@@ -224,7 +224,8 @@ class TestOutputPaths:
 #: ``(command, file content)`` of malformed spec files: JSON scalars,
 #: empty objects, wrong field types, a nested ``tech`` object with an
 #: unknown field, an integer too large for a float, bytes that are not
-#: UTF-8 and a banyan whose port count is not a power of two.
+#: UTF-8, a banyan whose port count is not a power of two and a router
+#: one port over the cap.
 MALFORMED_SPECS = [
     ("network", "1"),
     ("network", "null"),
@@ -245,6 +246,7 @@ MALFORMED_SPECS = [
     ("campaign", '{"name": "c", "base": 5}'),
     ("control", b"\xff\xfe{}"),
     ("batch", '[{"architecture": "banyan", "ports": 6, "load": 0.3}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4097, "load": 0.3}]'),
 ]
 
 

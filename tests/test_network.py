@@ -118,6 +118,13 @@ class TestTopology:
                 links=[Link("a", "b"), Link("a", "c"), Link("a", "d")],
             )
 
+    def test_node_ports_capped(self):
+        from repro.router.traffic import MAX_PORTS
+
+        assert RouterNode("a", MAX_PORTS).ports == MAX_PORTS
+        with pytest.raises(ConfigurationError, match="at most 4096 ports"):
+            RouterNode("a", MAX_PORTS + 1)
+
     def test_duplicate_and_unknown_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate node"):
             NetworkTopology(
