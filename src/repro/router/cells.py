@@ -63,7 +63,8 @@ class CellFormat:
     def header_word(self, dest_port: int, cell_index: int, packet_id: int) -> int:
         """Deterministic header: dest in bits 0-7, index 8-15, id above.
 
-        The one definition of the header layout, called once per cell.
+        The one definition of the header layout, called once per cell,
+        or once per batch with uint64 arrays of destinations and ids.
         """
         word = (dest_port & 0xFF) | ((cell_index & 0xFF) << 8)
         word |= (packet_id << 16)

@@ -15,10 +15,11 @@ Generation is *batched*: the RNG-consuming primitive is
 :meth:`TrafficGenerator.arrivals_batch`, which returns one
 :class:`ArrivalBatch` — parallel source/destination/size arrays plus a
 single concatenated payload-word array — per slot.  The legacy
-:meth:`TrafficGenerator.arrivals` (a list of :class:`Packet` objects)
-is a thin wrapper that materialises the batch, so the object-based
-reference engine and the array-based vectorized engine consume exactly
-the same random stream and therefore see exactly the same workload.
+:meth:`TrafficGenerator.arrivals` (a list of :class:`Packet` objects),
+which the reference engine draws, is a thin wrapper that materialises
+the batch; the vectorized engine draws :meth:`TrafficGenerator.
+arrival_block`, the same packets of several slots as one batch.  Both
+consume exactly the same random stream and see the same workload.
 
 Generators whose packets all have one size (Bernoulli, hotspot,
 permutation, bursty) work out the payload layout once, at construction
@@ -35,7 +36,17 @@ result:
 
 * **Stream v1** (:data:`RNG_STREAM_V1`, the default) draws one slot at
   a time — the contract of the original engines, kept bit-stable
-  forever as the oracle for old seeds.
+  forever as the oracle for old seeds.  For Bernoulli-uniform traffic,
+  :meth:`~BernoulliUniformTraffic.arrival_block` *replays* v1 from one
+  ``random_raw`` draw of the PCG64 words those calls would consume,
+  then advances the generator past them.  The replay is an execution
+  strategy that reproduces v1 exactly, not a new stream.  It runs only
+  for exactly :class:`BernoulliUniformTraffic` on v1 with one load on
+  every port, ``allow_self``, a 32-bit bus and a PCG64 bit generator,
+  once a first-use probe against real ``Generator`` calls has passed.
+  A block whose destination draw numpy would reject (Lemire's method,
+  ports not a power of two) is redrawn by the per-slot calls, and so
+  is everything if the probe fails.
 * **Stream v2** (:data:`RNG_STREAM_V2`, opt-in via
   :meth:`TrafficGenerator.use_rng_stream` or
   ``Scenario(rng_stream=2)``) pregenerates
@@ -57,6 +68,7 @@ bit-identical to the historical scalar-only implementation.
 
 from __future__ import annotations
 
+import math
 from abc import ABC
 from dataclasses import dataclass
 
@@ -76,6 +88,9 @@ RNG_STREAM_V2_CHUNK_SLOTS = 64
 #: Largest port count of a scenario or a router node (the presets use
 #: at most 128), checked before any per-port array is allocated.
 MAX_PORTS = 4096
+#: Most raw PCG64 words one stream-v1 replay draws at once; longer
+#: blocks are replayed in parts.  Results do not depend on it.
+REPLAY_WORDS = 1 << 16
 
 
 def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:
@@ -118,6 +133,13 @@ def _common_width(word_offsets: np.ndarray) -> int | None:
     words = np.diff(word_offsets)
     same = words.size and words.min() == words.max()
     return int(words[0]) if same else None
+
+
+def _cut(srcs_by_slot: list[np.ndarray], *columns: np.ndarray) -> list:
+    """A stream-v2 chunk plan: each slot's sources with the chunk-wide
+    ``columns`` (destinations, sizes) cut at the same slot boundaries."""
+    cuts = np.cumsum([srcs.size for srcs in srcs_by_slot])[:-1]
+    return list(zip(srcs_by_slot, *(np.split(c, cuts) for c in columns)))
 
 
 def draw_payload_batch(
@@ -172,11 +194,12 @@ class ArrivalBatch:
     word_offsets: ``payload_words[word_offsets[i]:word_offsets[i+1]]``
         is packet ``i``'s payload.
     created_slots: optional per-packet creation slots overriding
-        ``created_slot``.  The built-in generators leave this None
-        (their packets are created in the slot they arrive); the
-        :meth:`from_packets` adapter fills it so legacy generators
-        whose packets carry their own ``created_slot`` (``Packet``
-        defaults it to 0) behave identically through both engines.
+        ``created_slot``.  The built-in generators' slot batches leave
+        this None (their packets are created in the slot they arrive);
+        a block of slots sets it, and the :meth:`from_packets` adapter
+        fills it so legacy generators whose packets carry their own
+        ``created_slot`` (``Packet`` defaults it to 0) behave
+        identically through both engines.
     words_per_packet: the payload word count every packet shares
         (as they do whenever all share one size), None when the counts
         differ or the batch is empty.
@@ -265,6 +288,29 @@ class ArrivalBatch:
         return packets
 
 
+def _join(start: int, bus_width: int, batches: list[ArrivalBatch]) -> ArrivalBatch:
+    """Consecutive batches as one, every packet's creation slot set."""
+    bases = np.cumsum([0] + [batch.payload_words.size for batch in batches])
+    word_offsets = np.concatenate(
+        [bases[:1]] + [b.word_offsets[1:] + n for b, n in zip(batches, bases)]
+    )
+    created = [
+        np.full(len(b), b.created_slot, dtype=np.int64)
+        if b.created_slots is None
+        else b.created_slots
+        for b in batches
+    ]
+    names = ("srcs", "dests", "size_bits", "packet_ids", "payload_words")
+    return ArrivalBatch(
+        start,
+        bus_width,
+        *(np.concatenate([getattr(b, name) for b in batches]) for name in names),
+        word_offsets=word_offsets,
+        created_slots=np.concatenate(created),
+        words_per_packet=_common_width(word_offsets),
+    )
+
+
 class TrafficGenerator(ABC):
     """Produces the packets arriving at each ingress port every slot.
 
@@ -324,6 +370,22 @@ class TrafficGenerator(ABC):
             )
             self._chunk_start = slot
         return chunk[slot - self._chunk_start]
+
+    def arrival_block(
+        self, start: int, count: int, rng: np.random.Generator
+    ) -> tuple[ArrivalBatch, np.ndarray]:
+        """The arrivals of slots ``start .. start + count - 1`` (count >= 1).
+
+        Returns ``(batch, offsets)``: packets ``offsets[k]:offsets[k + 1]``
+        of ``batch`` arrived in slot ``start + k``, and
+        ``batch.created_slots`` is set for every packet.  Draws, packets
+        and ids are exactly those of ``count`` :meth:`arrivals_batch`
+        calls, which this generic body makes.
+        """
+        batches = [self.arrivals_batch(start + k, rng) for k in range(count)]
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum([len(batch) for batch in batches], out=offsets[1:])
+        return _join(start, self.bus_width, batches), offsets
 
     def _slot_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
         """One slot's arrivals drawn slot-at-a-time (stream v1)."""
@@ -465,27 +527,6 @@ class TrafficGenerator(ABC):
             words_per_packet=words,
         )
 
-    def _new_packet(
-        self,
-        rng: np.random.Generator,
-        src: int,
-        dest: int,
-        size_bits: int,
-        slot: int,
-    ) -> Packet:
-        """Legacy helper for packet-at-a-time generator subclasses."""
-        packet = Packet.random(
-            rng,
-            packet_id=self._next_packet_id,
-            src_port=src,
-            dest_port=dest,
-            size_bits=size_bits,
-            bus_width=self.bus_width,
-            created_slot=slot,
-        )
-        self._next_packet_id += 1
-        return packet
-
 
 class BernoulliUniformTraffic(TrafficGenerator):
     """Independent Bernoulli arrivals with uniform random destinations.
@@ -538,31 +579,160 @@ class BernoulliUniformTraffic(TrafficGenerator):
         dests = self._draw_dests(rng, srcs)
         return self._fixed_size_batch(slot, rng, srcs, dests)
 
+    def arrival_block(self, start, count, rng):
+        loads = self._load_per_port
+        replays = (
+            type(self) is BernoulliUniformTraffic
+            and self.rng_stream == RNG_STREAM_V1
+            and self.allow_self
+            and self.bus_width == 32
+            and type(rng.bit_generator) is np.random.PCG64
+            and bool((loads == loads[0]).all())
+            and _replay_is_exact()
+        )
+        if not replays:
+            return super().arrival_block(start, count, rng)
+        # Bound each raw draw: a slot takes at most ports words for its
+        # doubles plus half a word per 32-bit draw.
+        slot_words = self.ports * (3 + self._words_per_packet) // 2
+        span = max(1, REPLAY_WORDS // slot_words)
+        parts = []
+        for first in range(start, start + count, span):
+            n = min(span, start + count - first)
+            part = self._replay(first, n, rng)
+            if part is None:
+                part = super().arrival_block(first, n, rng)[0]
+            parts.append(part)
+        block = parts[0] if len(parts) == 1 else _join(start, 32, parts)
+        slots = np.arange(start, start + count + 1)
+        return block, np.searchsorted(block.created_slots, slots)
+
+    def _replay(self, start, count, rng) -> ArrivalBatch | None:
+        """Stream v1 of ``count`` slots replayed from one raw PCG64 draw.
+
+        Returns None, with the generator state restored, when a
+        destination draw would be rejected (numpy would then draw again).
+        """
+        bits = rng.bit_generator
+        saved = bits.state
+        carry = saved["has_uint32"]
+        ports = self.ports
+        words = self._words_per_packet
+        per = 1 + words  # 32-bit draws per packet: destination, payload
+        raw = bits.random_raw(count * ports + -(-count * ports * per // 2))
+        # random() maps a word to (raw >> 11) * 2**-53, which is below
+        # the load iff the word is below ceil(load * 2**53) << 11.
+        load = float(self._load_per_port[0])
+        if load < 1.0:
+            fire = raw < np.uint64(math.ceil(load * 2.0**53) << 11)
+        else:
+            fire = np.ones(raw.size, dtype=bool)
+        fired = np.zeros(raw.size + 1, dtype=np.int64)
+        np.cumsum(fire, out=fired[1:])
+        # A slot's doubles take `ports` words; its 32-bit draws then take
+        # the buffered half, if any, and fresh words low half first.
+        starts = [0] * count
+        used = drawn = 0
+        for k in range(count):
+            starts[k] = used
+            drawn += per * (int(fired[used + ports]) - int(fired[used]))
+            used = (k + 1) * ports + (max(0, drawn - carry) + 1) // 2
+        window = np.add.outer(starts, np.arange(ports))
+        slots, srcs = np.nonzero(fire[window])
+        halves = np.ones(used, dtype=bool)
+        halves[window] = False
+        stream = raw[:used][halves].view(np.uint32)
+        if carry:
+            buffered = np.array([saved["uinteger"]], dtype=np.uint32)
+            stream = np.concatenate((buffered, stream))
+        # Each slot's draws: its destinations, then its payload words.
+        n = srcs.size
+        offsets = np.searchsorted(slots, np.arange(count + 1))
+        first = offsets[slots]
+        local = np.arange(n) - first
+        scaled = stream[per * first + local].astype(np.uint64) * np.uint64(ports)
+        threshold = _lemire_threshold(ports)
+        if threshold and np.any((scaled & 0xFFFFFFFF) < threshold):
+            bits.state = saved
+            return None
+        if words:
+            at = per * first + offsets[slots + 1] - first + local * words
+            payload = stream[at[:, None] + np.arange(words)].astype(np.uint64)
+            if self._tail_mask is not None:
+                payload[:, -1] &= self._tail_mask
+            payload = payload.ravel()
+        else:
+            payload = np.zeros(0, dtype=np.uint64)
+        # The words consumed, and the high half of the last word used for
+        # 32-bit draws left buffered when an odd count used its low half.
+        bits.state = saved
+        bits.advance(used)
+        if (per * n + carry) % 2:
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = 1, int(stream[per * n])
+            bits.state = state
+        return ArrivalBatch(
+            created_slot=start,
+            bus_width=self.bus_width,
+            srcs=srcs,
+            dests=(scaled >> 32).astype(np.int64),
+            size_bits=np.full(n, self.packet_bits, dtype=np.int64),
+            packet_ids=self._claim_packet_ids(n),
+            payload_words=payload,
+            word_offsets=np.arange(n + 1, dtype=np.int64) * words,
+            created_slots=slots + start,
+            words_per_packet=words if n else None,
+        )
+
     def _plan_chunk(self, start, count, rng):
         # One draw for the whole chunk's arrival mask, then one
         # destination draw over every arrival of the chunk.
         mask = rng.random((count, self.ports)) < self._load_per_port[None, :]
-        srcs_by_slot = [np.flatnonzero(mask[i]) for i in range(count)]
-        total = int(mask.sum())
-        if total:
-            dests_all = self._draw_dests(rng, np.concatenate(srcs_by_slot))
-        plan = []
-        k = 0
-        empty = np.zeros(0, dtype=np.int64)
-        for srcs in srcs_by_slot:
-            n = srcs.size
-            if n == 0:
-                plan.append((empty, empty, empty))
-                continue
-            plan.append(
-                (
-                    srcs,
-                    dests_all[k : k + n],
-                    self._size_table[:n],
+        srcs_by_slot = [np.flatnonzero(row) for row in mask]
+        srcs = np.concatenate(srcs_by_slot)
+        dests = self._draw_dests(rng, srcs) if srcs.size else srcs
+        return _cut(srcs_by_slot, dests, np.full(srcs.size, self.packet_bits))
+
+
+def _lemire_threshold(ports: int) -> int:
+    """numpy draws ``integers(0, ports)`` from a 32-bit ``u`` as
+    ``(u * ports) >> 32``, rejecting ``u`` when the low 32 bits of the
+    product fall below this (Lemire's method; 0 for powers of two)."""
+    return (1 << 32) % ports
+
+
+#: Whether the stream-v1 replay matches this numpy's Generator calls;
+#: None until the first replay probes it.
+_replay_exact: bool | None = None
+
+
+def _replay_is_exact() -> bool:
+    """Probe the replay once against real Generator calls: several blocks
+    of 5 ports and 40-bit packets (three 32-bit draws each, the last
+    payload word masked).  A difference, or an error, turns it off."""
+    global _replay_exact
+    if _replay_exact is None:
+        _replay_exact = False
+        twins = [BernoulliUniformTraffic(5, 0.7, packet_bits=40) for _ in "ab"]
+        rngs = [np.random.default_rng(2002) for _ in "ab"]
+        try:
+            same = True
+            for start, count in ((0, 3), (3, 1), (4, 9), (13, 5)):
+                got = twins[0]._replay(start, count, rngs[0])
+                want = TrafficGenerator.arrival_block(
+                    twins[1], start, count, rngs[1]
+                )[0]
+                state, real = (rng.bit_generator.state for rng in rngs)
+                if not real["has_uint32"]:  # numpy never reads it then
+                    real["uinteger"] = state["uinteger"]
+                same = same and got is not None and state == real and all(
+                    np.array_equal(getattr(got, name), getattr(want, name))
+                    for name in ("srcs", "dests", "payload_words")
                 )
-            )
-            k += n
-        return plan
+            _replay_exact = same
+        except Exception:  # a numpy internal moved: keep the generic body
+            pass
+    return _replay_exact
 
 
 class HotspotTraffic(BernoulliUniformTraffic):
@@ -600,8 +770,9 @@ class HotspotTraffic(BernoulliUniformTraffic):
         return dests
 
 
-class PermutationTraffic(TrafficGenerator):
-    """Each source always targets one fixed destination (a permutation).
+class PermutationTraffic(BernoulliUniformTraffic):
+    """Each source always targets one fixed destination (a permutation):
+    Bernoulli arrivals whose destinations take no draws.
 
     Contention free at admission by construction — useful to isolate
     interconnect contention (banyan internal blocking still occurs for
@@ -616,43 +787,16 @@ class PermutationTraffic(TrafficGenerator):
         packet_bits: int = 480,
         bus_width: int = 32,
     ) -> None:
-        super().__init__(ports, bus_width)
-        self.load, self._load_per_port = per_port_loads(load, ports)
+        super().__init__(ports, load, packet_bits, bus_width)
         if permutation is None:
             permutation = [(p + 1) % ports for p in range(ports)]
         if sorted(permutation) != list(range(ports)):
             raise ConfigurationError("permutation must be a bijection on ports")
         self.permutation = list(permutation)
         self._permutation_array = np.array(permutation, dtype=np.int64)
-        self._set_packet_bits(packet_bits)
 
-    def _slot_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
-        draws = rng.random(self.ports)
-        srcs = (draws < self._load_per_port).nonzero()[0]
-        if srcs.size == 0:
-            return ArrivalBatch.empty(slot, self.bus_width)
-        dests = self._permutation_array[srcs]
-        return self._fixed_size_batch(slot, rng, srcs, dests)
-
-    def _plan_chunk(self, start, count, rng):
-        # Destinations are deterministic, so the arrival mask is the
-        # chunk's only selection draw.
-        mask = rng.random((count, self.ports)) < self._load_per_port[None, :]
-        plan = []
-        empty = np.zeros(0, dtype=np.int64)
-        for i in range(count):
-            srcs = np.flatnonzero(mask[i])
-            if srcs.size == 0:
-                plan.append((empty, empty, empty))
-                continue
-            plan.append(
-                (
-                    srcs,
-                    self._permutation_array[srcs],
-                    self._size_table[: srcs.size],
-                )
-            )
-        return plan
+    def _draw_dests(self, rng, srcs):
+        return self._permutation_array[srcs]
 
 
 class BurstyTraffic(TrafficGenerator):
@@ -732,25 +876,8 @@ class BurstyTraffic(TrafficGenerator):
             srcs_by_slot.append(np.flatnonzero(state))
         self._state = state
         total = sum(int(s.size) for s in srcs_by_slot)
-        if total:
-            dests_all = rng.integers(0, self.ports, size=total)
-        plan = []
-        k = 0
-        empty = np.zeros(0, dtype=np.int64)
-        for srcs in srcs_by_slot:
-            n = srcs.size
-            if n == 0:
-                plan.append((empty, empty, empty))
-                continue
-            plan.append(
-                (
-                    srcs,
-                    dests_all[k : k + n],
-                    self._size_table[:n],
-                )
-            )
-            k += n
-        return plan
+        dests = rng.integers(0, self.ports, size=total) if total else np.zeros(0)
+        return _cut(srcs_by_slot, dests, np.full(total, self.packet_bits))
 
 
 class TrimodalPacketTraffic(TrafficGenerator):
@@ -806,24 +933,13 @@ class TrimodalPacketTraffic(TrafficGenerator):
 
     def _plan_chunk(self, start, count, rng):
         mask = rng.random((count, self.ports)) < self._rate_per_port[None, :]
-        srcs_by_slot = [np.flatnonzero(mask[i]) for i in range(count)]
+        srcs_by_slot = [np.flatnonzero(row) for row in mask]
         total = int(mask.sum())
-        if total:
-            sizes_all = rng.choice(
-                self._sizes, size=total, p=self._probs
-            ).astype(np.int64)
-            dests_all = rng.integers(0, self.ports, size=total)
-        plan = []
-        k = 0
-        empty = np.zeros(0, dtype=np.int64)
-        for srcs in srcs_by_slot:
-            n = srcs.size
-            if n == 0:
-                plan.append((empty, empty, empty))
-                continue
-            plan.append((srcs, dests_all[k : k + n], sizes_all[k : k + n]))
-            k += n
-        return plan
+        if not total:
+            return _cut(srcs_by_slot, np.zeros(0), np.zeros(0))
+        sizes = rng.choice(self._sizes, size=total, p=self._probs)
+        dests = rng.integers(0, self.ports, size=total)
+        return _cut(srcs_by_slot, dests, sizes.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -845,35 +961,27 @@ class TraceTraffic(TrafficGenerator):
         self, ports: int, entries: list[TraceEntry], bus_width: int = 32
     ) -> None:
         super().__init__(ports, bus_width)
-        self._by_slot: dict[int, list[TraceEntry]] = {}
+        by_slot: dict[int, list[TraceEntry]] = {}
         for entry in entries:
             if not 0 <= entry.src < ports or not 0 <= entry.dest < ports:
                 raise ConfigurationError(f"trace entry out of range: {entry}")
-            self._by_slot.setdefault(entry.slot, []).append(entry)
+            by_slot.setdefault(entry.slot, []).append(entry)
+        #: slot -> (srcs, dests, size_bits) of its scripted arrivals
+        self._by_slot = {
+            slot: tuple(
+                np.array([getattr(e, name) for e in rows], dtype=np.int64)
+                for name in ("src", "dest", "size_bits")
+            )
+            for slot, rows in by_slot.items()
+        }
 
     def _slot_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
-        entries = self._by_slot.get(slot)
-        if not entries:
+        arrivals = self._by_slot.get(slot)
+        if arrivals is None:
             return ArrivalBatch.empty(slot, self.bus_width)
-        srcs = np.array([e.src for e in entries], dtype=np.int64)
-        dests = np.array([e.dest for e in entries], dtype=np.int64)
-        sizes = np.array([e.size_bits for e in entries], dtype=np.int64)
-        return self._batch(slot, rng, srcs, dests, sizes)
+        return self._batch(slot, rng, *arrivals)
 
     def _plan_chunk(self, start, count, rng):
         # Arrivals are scripted; only the payload draw is chunked.
-        plan = []
-        empty = np.zeros(0, dtype=np.int64)
-        for i in range(count):
-            entries = self._by_slot.get(start + i)
-            if not entries:
-                plan.append((empty, empty, empty))
-                continue
-            plan.append(
-                (
-                    np.array([e.src for e in entries], dtype=np.int64),
-                    np.array([e.dest for e in entries], dtype=np.int64),
-                    np.array([e.size_bits for e in entries], dtype=np.int64),
-                )
-            )
-        return plan
+        empty = (np.zeros(0, dtype=np.int64),) * 3
+        return [self._by_slot.get(start + i, empty) for i in range(count)]

@@ -120,15 +120,15 @@ class CellStore:
         block[:, 1 : 1 + width] = batch.payload_words.reshape(n, width)
         if width < fmt.payload_words:
             block[:, 1 + width :] = 0
+        block[:, 0] = fmt.header_word(
+            batch.dests.astype(np.uint64), 0, batch.packet_ids.astype(np.uint64)
+        )
         slots = batch.created_slots
         slots = [batch.created_slot] * n if slots is None else slots.tolist()
-        header_word = fmt.header_word
-        headers = []
         for cid, dest, src, pid, bits, slot in zip(
             ids, batch.dests.tolist(), batch.srcs.tolist(),
             batch.packet_ids.tolist(), batch.size_bits.tolist(), slots,
         ):
-            headers.append(header_word(dest, 0, pid))
             self.dest[cid] = dest
             self.src[cid] = src
             self.packet_id[cid] = pid
@@ -136,7 +136,6 @@ class CellStore:
             self.cell_count[cid] = 1
             self.payload_bits[cid] = bits
             self.created_slot[cid] = slot
-        block[:, 0] = headers
         self.words[ids] = block
         return ids, list(range(n + 1))
 

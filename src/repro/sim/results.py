@@ -20,13 +20,11 @@ def check_run_invariants(
             f"cells not conserved: {cells_in} admitted, {cells_out} "
             f"delivered, {backlog} queued, {in_flight} in the fabric"
         )
-    entries = [ledger.counters()] + [
-        ledger.component_dict(category) for category in CATEGORIES
-    ]
-    for table in entries:
-        bad = {key: value for key, value in table.items() if not value >= 0}
-        if bad:
-            raise SimulationError(f"negative ledger entries: {bad}")
+    tables = [ledger.counters()]
+    tables += [ledger.component_dict(category) for category in CATEGORIES]
+    bad = {k: v for table in tables for k, v in table.items() if not v >= 0}
+    if bad:
+        raise SimulationError(f"negative ledger entries: {bad}")
 
 
 def latency_stats_from_slots(latency_slots: list[int]) -> dict[str, float]:

@@ -1,9 +1,12 @@
 """The vectorized slot-loop engine.
 
 Drop-in counterpart of :class:`~repro.sim.engine.SimulationEngine` built
-on struct-of-arrays state: arrivals come in as
-:class:`~repro.router.traffic.ArrivalBatch` arrays, cells live as rows
-of a :class:`~repro.sim.cellstore.CellStore`, ingress FIFOs (or
+on struct-of-arrays state: arrivals come in as one
+:class:`~repro.router.traffic.ArrivalBatch` per block of up to
+:data:`BLOCK_SLOTS` slots (never past the run's last arrival slot),
+cells live as rows of a :class:`~repro.sim.cellstore.CellStore` (with
+unbounded queues, a whole block's cells are written at once; each
+slot then only queues its own ids), ingress FIFOs (or
 per-destination VOQs) hold integer cell ids, arbitration and egress
 accounting run on plain ints and lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
@@ -19,9 +22,10 @@ seeded run of a supported router it produces a bit-identical
 :class:`~repro.sim.results.SimulationResult` (energy breakdown,
 throughput, delivered cells, latency statistics, counters — enforced by
 ``tests/test_engine_equivalence.py`` and ``tests/test_engine_fuzz.py``).
-Both engines consume the same RNG stream because
-:meth:`TrafficGenerator.arrivals_batch` is the single random-drawing
-primitive for both.
+Both engines consume the same RNG stream:
+:meth:`TrafficGenerator.arrival_block` draws exactly the packets of its
+slots' :meth:`TrafficGenerator.arrivals_batch` calls, which the
+reference engine makes one slot at a time.
 
 Supported configurations: a plain :class:`~repro.router.router.
 NetworkRouter` (FIFO ingress, bounded or unbounded) with the FCFS
@@ -69,6 +73,11 @@ from repro.sim.results import (
     check_run_invariants,
     latency_stats_from_slots,
 )
+
+
+#: Arrival slots drawn and segmented at once.  Not part of any contract:
+#: results do not depend on it.
+BLOCK_SLOTS = 64
 
 
 def supports_router(router) -> bool:
@@ -128,6 +137,9 @@ class VectorizedEngine:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self._slot = 0
+        # Arrival slots run() has yet to draw, and the current block.
+        self._arrivals_left = 0
+        self._block_start = self._block_end = 0
         ports = router.ports
         self.store = CellStore(router.fabric.cell_format)
         self._core = make_vector_core(router.fabric, self.store)
@@ -181,12 +193,12 @@ class VectorizedEngine:
         """
         slot = self._slot
         if generate_arrivals:
-            batch = self.router.traffic.arrivals_batch(slot, self.rng)
-            if len(batch):
-                if self._is_voq:
-                    self._accept_voq(batch)
-                else:
-                    self._accept(batch)
+            if slot >= self._block_end:
+                self._draw_block(slot)
+            k = slot - self._block_start
+            lo, hi = self._slot_offsets[k], self._slot_offsets[k + 1]
+            if lo < hi:
+                self._accept(lo, hi)
         grants = self._arbitrate_voq() if self._is_voq else self._arbitrate()
         delivered = self._core.advance(grants, slot)
         if self._measuring:
@@ -207,42 +219,68 @@ class VectorizedEngine:
             bad = next(d for d in dests if not 0 <= d < ports)
             raise ConfigurationError(f"packet destination {bad} out of range")
 
-    def _accept(self, batch) -> None:
-        store = self.store
-        queues = self._queues
-        qhead = self._qhead
-        srcs = batch.srcs.tolist()
-        dests = batch.dests.tolist()
-        self._validate_batch(srcs, dests)
-        if self._queue_cap is None:
-            ids, slices = store.add_batch(batch)
-            for i in range(len(srcs)):
-                src = srcs[i]
-                n_cells = slices[i + 1] - slices[i]
-                queue = queues[src]
-                queue.extend(ids[slices[i] : slices[i + 1]])
-                self._packets_in[src] += 1
-                self._cells_in[src] += n_cells
-                depth = len(queue) - qhead[src]
-                if depth > self._queue_peak[src]:
-                    self._queue_peak[src] = depth
+    def _draw_block(self, slot: int) -> None:
+        """Draw the arrivals of up to :data:`BLOCK_SLOTS` slots from
+        ``slot`` on, never past the last arrival slot of :meth:`run`.
+        Unbounded queues admit every packet, so the block's cells go
+        into the store at once; bounded ones segment packet by packet."""
+        count = max(1, min(BLOCK_SLOTS, self._arrivals_left))
+        self._arrivals_left -= count
+        block, offsets = self.router.traffic.arrival_block(
+            slot, count, self.rng
+        )
+        self._block = block
+        self._block_start, self._block_end = slot, slot + count
+        self._slot_offsets = offsets.tolist()
+        self._srcs = block.srcs.tolist()
+        self._dests = block.dests.tolist()
+        if not self._srcs:
             return
-        # Bounded input buffers: whole-packet tail drop, like the
-        # reference ingress unit.
-        per_cell = store.cell_format.payload_words
+        self._validate_batch(self._srcs, self._dests)
+        if self._queue_cap is None:
+            self._ids, self._cell_slices = self.store.add_batch(block)
+        else:
+            per_cell = self.store.cell_format.payload_words
+            words = np.diff(block.word_offsets)
+            self._n_cells = np.maximum(1, -(-words // per_cell)).tolist()
+
+    def _accept(self, lo: int, hi: int) -> None:
+        """Queue packets ``lo:hi`` of the block, one slot's arrivals.
+
+        Mirrors the reference ingress units: a bounded queue drops whole
+        packets, against the port's backlog for a FIFO and the VOQ's own
+        length for a VOQ (:meth:`repro.router.voq.VoqIngressUnit.
+        accept_packet`), whose queue peaks count all of a port's VOQs.
+        """
+        srcs = self._srcs
+        dests = self._dests
         cap = self._queue_cap
-        offsets = batch.word_offsets
-        for i in range(len(srcs)):
+        voq = self._is_voq
+        for i in range(lo, hi):
             src = srcs[i]
-            n_cells = max(1, -(-int(offsets[i + 1] - offsets[i]) // per_cell))
-            queue = queues[src]
-            if len(queue) - qhead[src] + n_cells > cap:
-                self._cells_dropped[src] += n_cells
-                continue
-            queue.extend(store.add_packet(batch, i))
+            if voq:
+                queue = self._vq[src][dests[i]]
+                backlog = len(queue)
+            else:
+                queue = self._queues[src]
+                backlog = len(queue) - self._qhead[src]
+            if cap is None:
+                cells = self._ids[self._cell_slices[i] : self._cell_slices[i + 1]]
+            else:
+                n_cells = self._n_cells[i]
+                if backlog + n_cells > cap:
+                    self._cells_dropped[src] += n_cells
+                    continue
+                cells = self.store.add_packet(self._block, i)
+            queue.extend(cells)
+            if voq:
+                self._requests[dests[i]] |= 1 << src
+                self._port_depth[src] += len(cells)
+                depth = self._port_depth[src]
+            else:
+                depth = backlog + len(cells)
             self._packets_in[src] += 1
-            self._cells_in[src] += n_cells
-            depth = len(queue) - qhead[src]
+            self._cells_in[src] += len(cells)
             if depth > self._queue_peak[src]:
                 self._queue_peak[src] = depth
 
@@ -293,54 +331,6 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
     # VOQ/iSLIP path (mirrors VoqIngressUnit + IslipArbiter exactly)
     # ------------------------------------------------------------------
-
-    def _accept_voq(self, batch) -> None:
-        """Segment a batch into per-(input, destination) VOQs.
-
-        Mirrors :meth:`repro.router.voq.VoqIngressUnit.accept_packet`:
-        whole-packet tail drop against the *per-VOQ* capacity (the FIFO
-        ingress bounds the whole port instead), queue peaks tracked per
-        port across all of its VOQs.
-        """
-        store = self.store
-        vq = self._vq
-        requests = self._requests
-        depth = self._port_depth
-        srcs = batch.srcs.tolist()
-        dests = batch.dests.tolist()
-        self._validate_batch(srcs, dests)
-        cap = self._queue_cap
-        if cap is None:
-            ids, slices = store.add_batch(batch)
-            for i in range(len(srcs)):
-                src = srcs[i]
-                dest = dests[i]
-                n_cells = slices[i + 1] - slices[i]
-                vq[src][dest].extend(ids[slices[i] : slices[i + 1]])
-                requests[dest] |= 1 << src
-                depth[src] += n_cells
-                self._packets_in[src] += 1
-                self._cells_in[src] += n_cells
-                if depth[src] > self._queue_peak[src]:
-                    self._queue_peak[src] = depth[src]
-            return
-        per_cell = store.cell_format.payload_words
-        offsets = batch.word_offsets
-        for i in range(len(srcs)):
-            src = srcs[i]
-            dest = dests[i]
-            n_cells = max(1, -(-int(offsets[i + 1] - offsets[i]) // per_cell))
-            queue = vq[src][dest]
-            if len(queue) + n_cells > cap:
-                self._cells_dropped[src] += n_cells
-                continue
-            queue.extend(store.add_packet(batch, i))
-            requests[dest] |= 1 << src
-            depth[src] += n_cells
-            self._packets_in[src] += 1
-            self._cells_in[src] += n_cells
-            if depth[src] > self._queue_peak[src]:
-                self._queue_peak[src] = depth[src]
 
     def _arbitrate_voq(self) -> list[tuple[int, int]]:
         """One slot of K-iteration iSLIP on request bitsets.
@@ -454,6 +444,7 @@ class VectorizedEngine:
             raise ConfigurationError("arrival_slots must be >= 1")
         if warmup_slots < 0 or max_drain_slots < 0:
             raise ConfigurationError("negative slot counts")
+        self._arrivals_left = warmup_slots + arrival_slots
 
         for _ in range(warmup_slots):
             self.step(generate_arrivals=True)

@@ -4,10 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.router import traffic as traffic_module
+from repro.router.packet import Packet
 from repro.router.traffic import (
     ArrivalBatch,
     BernoulliUniformTraffic,
@@ -16,6 +18,7 @@ from repro.router.traffic import (
     PermutationTraffic,
     TraceEntry,
     TraceTraffic,
+    TrafficGenerator,
     TrimodalPacketTraffic,
 )
 
@@ -369,3 +372,193 @@ class TestFixedSizeLayout:
         assert gen.arrivals_batch(0, rng).words_per_packet is None
         assert gen.arrivals_batch(1, rng).words_per_packet == 2
         assert gen.arrivals_batch(2, rng).words_per_packet is None
+
+
+class _PacketListTraffic(TrafficGenerator):
+    """A generator with only the legacy ``arrivals()``: every third slot
+    is empty, and each packet says it was created a slot early."""
+
+    def arrivals(self, slot, rng):
+        if slot % 3 == 0:
+            return []
+        return [
+            Packet.random(rng, packet_id=slot, src_port=slot % self.ports,
+                          dest_port=0, size_bits=40, bus_width=32,
+                          created_slot=slot - 1)
+        ]
+
+
+#: Every traffic kind, built from a port count.
+KINDS = {
+    "bernoulli": lambda ports: BernoulliUniformTraffic(
+        ports, 0.6, packet_bits=100),
+    "hotspot": lambda ports: HotspotTraffic(ports, 0.6, packet_bits=100),
+    "permutation": lambda ports: PermutationTraffic(
+        ports, 0.6, packet_bits=100),
+    "bursty": lambda ports: BurstyTraffic(
+        ports, 0.6, burst_len=3.0, packet_bits=100),
+    "trimodal": lambda ports: TrimodalPacketTraffic(ports, 0.6),
+    "trace": lambda ports: TraceTraffic(ports, [
+        TraceEntry(s, s % ports, 3 * s % ports, 40 * (1 + s % 40))
+        for s in range(0, 300, 2)
+    ]),
+    "packet_list": lambda ports: _PacketListTraffic(ports, 32),
+}
+
+#: Derandomized like the engine fuzz; the example count comes from the
+#: active hypothesis profile (1,000 under ``engine-fuzz``).
+DERANDOMIZED = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _v1_state(rng: np.random.Generator) -> dict:
+    """The bit generator's state, less the buffered half-word when none
+    is buffered (numpy never reads it then)."""
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        state["uinteger"] = 0
+    return state
+
+
+def _assert_block(block, offsets, batches, start):
+    """``block`` holds the packets of ``batches``, the consecutive slots
+    from ``start``, in order, ``offsets`` delimiting each slot's."""
+    assert block.created_slot == start
+    assert len(offsets) == len(batches) + 1
+    assert offsets[0] == 0 and offsets[-1] == len(block)
+    assert block.word_offsets[0] == 0
+    assert block.word_offsets[-1] == block.payload_words.size
+    for k, batch in enumerate(batches):
+        lo, hi = int(offsets[k]), int(offsets[k + 1])
+        assert hi - lo == len(batch)
+        for name in ("srcs", "dests", "size_bits", "packet_ids"):
+            got, want = getattr(block, name)[lo:hi], getattr(batch, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert block.created_slots[lo:hi].tolist() == [
+            batch.packet_created_slot(i) for i in range(len(batch))
+        ]
+        words = block.word_offsets[lo : hi + 1]
+        assert np.array_equal(np.diff(words), np.diff(batch.word_offsets))
+        payload = block.payload_words[words[0] : words[-1]]
+        assert payload.dtype == np.uint64
+        assert np.array_equal(payload, batch.payload_words)
+    widths = set(np.diff(block.word_offsets).tolist())
+    assert block.words_per_packet == (widths.pop() if len(widths) == 1 else None)
+
+
+def _slot_batches(generator, start, count, rng):
+    return [generator.arrivals_batch(start + k, rng) for k in range(count)]
+
+
+class TestArrivalBlock:
+    """A block of slots is the concatenation of the slots' batches and
+    leaves the generator where the per-slot draws leave it."""
+
+    @DERANDOMIZED
+    @given(
+        kind=st.sampled_from(sorted(KINDS)),
+        stream=st.sampled_from([1, 2]),
+        ports=st.integers(2, 12),
+        before=st.integers(0, 70),
+        count=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_slot_batches(
+        self, kind, stream, ports, before, count, seed
+    ):
+        gen, twin = (KINDS[kind](ports).use_rng_stream(stream) for _ in "ab")
+        rng, rng_twin = (np.random.default_rng(seed) for _ in "ab")
+        _slot_batches(gen, 0, before, rng)
+        _slot_batches(twin, 0, before, rng_twin)
+        block, offsets = gen.arrival_block(before, count, rng)
+        _assert_block(
+            block, offsets, _slot_batches(twin, before, count, rng_twin), before
+        )
+        assert _v1_state(rng) == _v1_state(rng_twin)
+
+    @DERANDOMIZED
+    @given(
+        ports=st.integers(2, 64),
+        load=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        packet_bits=st.integers(0, 3 * 480),
+        count=st.integers(1, 200),
+        carry=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The half-word left buffered after a block is the high half of the
+    # last word used for 32-bit draws, not of the last word drawn: here
+    # the block's last slot has no arrivals, so its doubles come last.
+    @example(ports=3, load=0.4, packet_bits=33, count=2, carry=False, seed=1)
+    def test_replay_matches_v1(
+        self, ports, load, packet_bits, count, carry, seed
+    ):
+        gen, twin = (
+            BernoulliUniformTraffic(ports, load, packet_bits=packet_bits)
+            for _ in "ab"
+        )
+        rng, rng_twin = (np.random.default_rng(seed) for _ in "ab")
+        if carry:  # one 32-bit draw leaves the high half buffered
+            for r in (rng, rng_twin):
+                r.integers(0, 2**32, dtype=np.uint64)
+        block, offsets = gen.arrival_block(0, count, rng)
+        _assert_block(block, offsets, _slot_batches(twin, 0, count, rng_twin), 0)
+        assert _v1_state(rng) == _v1_state(rng_twin)
+
+    def test_replay_makes_no_slot_draws(self, monkeypatch):
+        gen = BernoulliUniformTraffic(32, 0.5)
+
+        def slot_draw(slot, rng):
+            raise AssertionError("the replay drew a slot batch")
+
+        monkeypatch.setattr(gen, "arrivals_batch", slot_draw)
+        block, _ = gen.arrival_block(0, 64, np.random.default_rng(1))
+        assert len(block) > 0
+
+    def test_numpy_rejection_is_replayed_by_slot_draws(self):
+        # A buffered zero half is the next destination draw, and Lemire's
+        # method rejects 0 for any port count that is not a power of two.
+        gen, twin = (BernoulliUniformTraffic(5, 1.0, packet_bits=40)
+                     for _ in "ab")
+        rng, rng_twin = (np.random.default_rng(3) for _ in "ab")
+        for r in (rng, rng_twin):
+            r.bit_generator.state = dict(
+                r.bit_generator.state, has_uint32=1, uinteger=0
+            )
+        block, offsets = gen.arrival_block(0, 10, rng)
+        _assert_block(block, offsets, _slot_batches(twin, 0, 10, rng_twin), 0)
+        assert _v1_state(rng) == _v1_state(rng_twin)
+
+    @pytest.mark.parametrize("ports", [5, 32])
+    def test_forced_rejection_falls_back(self, monkeypatch, ports):
+        monkeypatch.setattr(
+            traffic_module, "_lemire_threshold", lambda ports: 2**32 - 1
+        )
+        gen, twin = (BernoulliUniformTraffic(ports, 0.5, packet_bits=33)
+                     for _ in "ab")
+        rng, rng_twin = (np.random.default_rng(8) for _ in "ab")
+        calls = []
+        slot_draw = gen.arrivals_batch
+        monkeypatch.setattr(
+            gen, "arrivals_batch",
+            lambda slot, rng: calls.append(slot) or slot_draw(slot, rng),
+        )
+        block, offsets = gen.arrival_block(7, 40, rng)
+        assert calls == list(range(7, 47))
+        _assert_block(block, offsets, _slot_batches(twin, 7, 40, rng_twin), 7)
+        assert _v1_state(rng) == _v1_state(rng_twin)
+
+    def test_failed_probe_falls_back(self, monkeypatch):
+        monkeypatch.setattr(traffic_module, "_replay_exact", False)
+        gen, twin = (BernoulliUniformTraffic(6, 0.5) for _ in "ab")
+        monkeypatch.setattr(gen, "_replay", None)  # never called
+        rng, rng_twin = (np.random.default_rng(9) for _ in "ab")
+        block, offsets = gen.arrival_block(0, 30, rng)
+        _assert_block(block, offsets, _slot_batches(twin, 0, 30, rng_twin), 0)
+        assert rng.bit_generator.state == rng_twin.bit_generator.state
+
+    def test_probe_passes_on_this_numpy(self):
+        assert traffic_module._replay_is_exact()
