@@ -317,9 +317,11 @@ class TrafficGenerator(ABC):
     Subclasses implement :meth:`_slot_batch` (preferred — the per-slot
     RNG primitive of stream v1) or the legacy :meth:`arrivals`; each
     default-delegates to the other.  :meth:`arrivals_batch` is the
-    engine-facing entry point: it dispatches on the generator's RNG
-    stream version (per-slot draws for v1, chunked pregeneration for
-    v2).  Generators that additionally implement :meth:`_plan_chunk`
+    per-slot entry point (the reference engine's; the vectorized engine
+    draws :meth:`arrival_block`, which joins it over slots): it
+    dispatches on the generator's RNG stream version (per-slot draws
+    for v1, chunked pregeneration for v2).  Generators that additionally
+    implement :meth:`_plan_chunk`
     get truly chunked v2 draws; the rest fall back to per-slot draws
     inside the chunk (still a valid v2 stream — just not faster).
 
