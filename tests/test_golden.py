@@ -9,11 +9,11 @@ These tests compare against ``tests/golden/digests.json`` instead:
   banyan with 4 iSLIP iterations at loads 0.6-0.9;
 * ``fig9_csv`` / ``fig9_json`` — the fig9 campaign's exports at a short
   40 + 8 slot window;
-* ``traffic_kinds`` — the canonical records of twelve 8-port scenarios,
-  every traffic kind on RNG streams 1 and 2, spread over unbounded,
-  bounded and VOQ ingress on the crossbar and the banyan (so both
-  segmentation paths of the cell store run), with packet sizes that
-  fill part of a word, part of a cell and several cells;
+* ``traffic_kinds`` — the canonical records of six 8-port scenarios,
+  one per traffic kind, spread over unbounded, bounded and VOQ ingress
+  on the crossbar and the banyan (so both segmentation paths of the
+  cell store run), with packet sizes that fill part of a word, part of
+  a cell and several cells;
 * ``long_window`` — the canonical records of ten FIFO and VOQ scenarios
   at a 300 + 45 slot window: the four fabrics at 16 ports and loads 0.5
   and 0.9, the Batcher-Banyan at 32 ports and the banyan with 2 iSLIP
@@ -220,11 +220,9 @@ def traffic_kinds_digest() -> str:
             load=load,
             traffic=traffic,
             traffic_params=params,
-            rng_stream=stream,
-            **QUEUE_CASES[(i + 2 * (stream - 1)) % len(QUEUE_CASES)],
+            **QUEUE_CASES[i % len(QUEUE_CASES)],
             **WINDOW,
         )
-        for stream in (1, 2)
         for i, (traffic, params, load) in enumerate(TRAFFIC_CASES)
     ])
 
