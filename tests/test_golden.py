@@ -45,6 +45,10 @@ These tests compare against ``tests/golden/digests.json`` instead:
 current digest beside ``same`` or ``CHANGED`` against the committed
 file and exits 1 if any key changed; an intended change to the numbers
 is then copied into the file by hand, as an explicit, reviewed diff.
+``--items KEY`` prints, for a record key (``saturation_voq``,
+``traffic_kinds`` or ``long_window``), one line per scenario: its label
+and the sha256 of its canonical record.  A ``diff`` of that output from
+two checkouts names the scenarios that moved.
 """
 
 from __future__ import annotations
@@ -196,25 +200,26 @@ def _strip_timing(value):
     return value
 
 
-def _records_digest(scenarios: list[Scenario]) -> str:
+def _canonical_records(scenarios: list[Scenario]) -> list[str]:
+    """Each scenario's record as key-sorted JSON, ``elapsed_s`` stripped."""
     records = PowerModel().run_batch(scenarios, workers=1)
-    return _sha256("\n".join(
+    return [
         json.dumps(_strip_timing(r.to_cache_dict()), sort_keys=True)
         for r in records
-    ))
+    ]
 
 
-def saturation_voq_digest() -> str:
-    return _records_digest([
+def saturation_voq_scenarios() -> list[Scenario]:
+    return [
         Scenario(arch, 32, load, queueing="voq", islip_iterations=4,
                  **WINDOW)
         for arch in ("crossbar", "banyan")
         for load in (0.6, 0.7, 0.8, 0.9)
-    ])
+    ]
 
 
-def traffic_kinds_digest() -> str:
-    return _records_digest([
+def traffic_kinds_scenarios() -> list[Scenario]:
+    return [
         Scenario(
             ports=8,
             load=load,
@@ -224,11 +229,11 @@ def traffic_kinds_digest() -> str:
             **WINDOW,
         )
         for i, (traffic, params, load) in enumerate(TRAFFIC_CASES)
-    ])
+    ]
 
 
-def long_window_digest() -> str:
-    return _records_digest([
+def long_window_scenarios() -> list[Scenario]:
+    return [
         *(
             Scenario(arch, 16, load, **LONG_WINDOW)
             for arch in ("crossbar", "fully_connected", "banyan",
@@ -238,7 +243,31 @@ def long_window_digest() -> str:
         Scenario("batcher_banyan", 32, 0.9, **LONG_WINDOW),
         Scenario("banyan", 32, 0.9, queueing="voq", islip_iterations=2,
                  **LONG_WINDOW),
-    ])
+    ]
+
+
+#: The keys that pin a list of scenarios' canonical records.
+RECORD_KEYS = {
+    "saturation_voq": saturation_voq_scenarios,
+    "traffic_kinds": traffic_kinds_scenarios,
+    "long_window": long_window_scenarios,
+}
+
+
+def records_digest(key: str) -> str:
+    return _sha256("\n".join(_canonical_records(RECORD_KEYS[key]())))
+
+
+def record_items(key: str) -> list[str]:
+    """One line per scenario of a record key: its position, label,
+    traffic and queueing, then the sha256 of its canonical record."""
+    scenarios = RECORD_KEYS[key]()
+    return [
+        f"{i:>2} {s.label} {s.traffic} {s.queueing}  {_sha256(record)}"
+        for i, (s, record) in enumerate(
+            zip(scenarios, _canonical_records(scenarios))
+        )
+    ]
 
 
 def fig9_digests() -> dict[str, str]:
@@ -464,9 +493,7 @@ def current_digests() -> dict[str, str]:
         "cli_transcripts": cli_transcripts_digest(),
         "spec_hashes": spec_hashes_digest(),
         "preset_exports": preset_exports_digest(),
-        "saturation_voq": saturation_voq_digest(),
-        "traffic_kinds": traffic_kinds_digest(),
-        "long_window": long_window_digest(),
+        **{key: records_digest(key) for key in RECORD_KEYS},
         **fig9_digests(),
     }
 
@@ -477,15 +504,15 @@ def golden() -> dict[str, str]:
 
 
 def test_saturation_voq_records_match_golden(golden):
-    assert saturation_voq_digest() == golden["saturation_voq"]
+    assert records_digest("saturation_voq") == golden["saturation_voq"]
 
 
 def test_traffic_kinds_records_match_golden(golden):
-    assert traffic_kinds_digest() == golden["traffic_kinds"]
+    assert records_digest("traffic_kinds") == golden["traffic_kinds"]
 
 
 def test_long_window_records_match_golden(golden):
-    assert long_window_digest() == golden["long_window"]
+    assert records_digest("long_window") == golden["long_window"]
 
 
 def test_fig9_exports_match_golden(golden):
@@ -510,9 +537,16 @@ def test_preset_exports_match_golden(golden):
     assert preset_exports_digest() == golden["preset_exports"]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     """Print every key's digest against the committed file; 1 if any
-    key changed (or is missing from the file)."""
+    key changed (or is missing from the file).  With ``--items KEY``,
+    print the record key's per-scenario lines instead."""
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--items", choices=sorted(RECORD_KEYS))
+    args = parser.parse_args(argv)
+    if args.items:
+        print("\n".join(record_items(args.items)))
+        return 0
     committed = json.loads(GOLDEN.read_text())
     changed = 0
     for key, digest in sorted(current_digests().items()):
