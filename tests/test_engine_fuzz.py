@@ -5,10 +5,10 @@ fixed matrix of ``tests/test_engine_equivalence.py`` samples sparsely:
 every built-in fabric at the port counts it accepts (odd counts and
 64-port crossbars included), loads 0 to 1 with both ends, FIFO or VOQ
 with K = 1..6 iSLIP iterations, bounded and unbounded ingress queues,
-four traffic kinds (the fixed-size ones at packet sizes from 0 bits to
-three cells), both RNG streams, every wire mode, and windows from a
-single arrival slot to a few hundred, so that some span several of the
-vectorized engine's arrival blocks.  Each scenario runs through the
+five traffic kinds (the fixed-size ones at packet sizes from 0 bits to
+three cells, bursty with mean bursts of 1 to 16 slots), every wire
+mode, and windows from a single arrival slot to a few hundred, so that
+some span several of the vectorized engine's arrival blocks.  Each scenario runs through the
 reference and the vectorized engine, and the two results must be equal
 field for field.
 
@@ -56,12 +56,17 @@ PACKET_BITS = [0, 1, 31, 33, 480, 1000]
 def scenarios(draw) -> Scenario:
     architecture = draw(st.sampled_from(sorted(PORTS)))
     queueing = draw(st.sampled_from(["fifo", "voq"]))
-    traffic = draw(
-        st.sampled_from(["bernoulli", "hotspot", "trimodal", "permutation"])
-    )
+    traffic = draw(st.sampled_from(
+        ["bernoulli", "hotspot", "trimodal", "permutation", "bursty"]
+    ))
     params = {}
     if traffic != "trimodal":
         params["packet_bits"] = draw(st.sampled_from(PACKET_BITS))
+    if traffic == "bursty":  # rejects loads 0 and 1
+        params["burst_len"] = draw(st.floats(1.0, 16.0))
+        load = draw(st.floats(0.01, 0.99))
+    else:
+        load = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     ports = draw(PORTS[architecture])
     # Mostly short windows; some longer than one 64-slot arrival block,
     # as long as the port count keeps the run cheap.
@@ -69,13 +74,12 @@ def scenarios(draw) -> Scenario:
     return Scenario(
         architecture,
         ports,
-        draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        load,
         queueing=queueing,
         islip_iterations=draw(st.integers(1, 6)) if queueing == "voq" else 1,
         ingress_queue_cells=draw(st.sampled_from([None, 1, 3])),
         traffic=traffic,
         traffic_params=params,
-        rng_stream=draw(st.sampled_from([1, 2])),
         wire_mode=draw(st.sampled_from(list(WireMode))),
         arrival_slots=draw(st.integers(1, 60) | long_window),
         warmup_slots=draw(st.integers(0, 10)),
