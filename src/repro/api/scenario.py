@@ -30,7 +30,7 @@ from repro.fabrics.registry import canonical_architecture, get_entry
 from repro.router.cells import CellFormat
 from repro.router.traffic import (
     MAX_PORTS,
-    RNG_STREAMS,
+    RNG_STREAM_V1,
     per_port_loads,
     BernoulliUniformTraffic,
     BurstyTraffic,
@@ -130,11 +130,12 @@ class Scenario(Spec):
     islip_iterations:
         iSLIP match iterations per slot (VOQ only; K >= 1).
     rng_stream:
-        RNG-consumption contract version: 1 (slot-at-a-time, default —
-        bit-stable with all previously recorded seeds) or 2 (chunked
-        cross-slot pregeneration — faster on long runs, a different
-        equally-valid workload per seed).  Part of
-        :meth:`content_hash`, so cached v1/v2 results never mix.
+        RNG-consumption contract version.  Its only value is 1
+        (slot-at-a-time draws, bit-stable with every recorded seed);
+        stream 2 was removed.  The tag stays a field because it is part
+        of :meth:`to_dict`, so of every :meth:`content_hash` (the key of
+        the run store, the figure store and the journal) and of every
+        record export.
     tech:
         Technology node: a preset name (``"0.18um"``) or a
         :class:`~repro.tech.Technology` instance (serialised by value
@@ -224,10 +225,10 @@ class Scenario(Spec):
             raise ConfigurationError(
                 "islip_iterations is a VOQ parameter; set queueing='voq'"
             )
-        if self.rng_stream not in RNG_STREAMS:
+        if self.rng_stream != RNG_STREAM_V1:
             raise ConfigurationError(
-                f"rng_stream must be one of {RNG_STREAMS}, "
-                f"got {self.rng_stream!r}"
+                f"rng_stream must be {RNG_STREAM_V1}, the only RNG stream "
+                f"since stream 2 was removed; got {self.rng_stream!r}"
             )
         if self.ports < 2:
             raise ConfigurationError("a scenario needs at least 2 ports")
@@ -317,12 +318,7 @@ class Scenario(Spec):
         )
 
     def build_traffic(self) -> TrafficGenerator:
-        """Instantiate this scenario's traffic generator (with this
-        scenario's RNG stream version selected)."""
-        generator = self._build_traffic()
-        return generator.use_rng_stream(self.rng_stream)
-
-    def _build_traffic(self) -> TrafficGenerator:
+        """Instantiate this scenario's traffic generator."""
         fmt = self.cell_format
         params = dict(self.traffic_params)
         if self.traffic == "trace":

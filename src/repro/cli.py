@@ -285,16 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON file: an array of scenario objects (or {"scenarios": [...]})',
     )
     batch.add_argument(
-        "--rng-stream",
-        type=int,
-        choices=(1, 2),
-        default=None,
-        help="override every scenario's RNG-consumption contract: "
-        "1 = slot-at-a-time (bit-stable with old seeds), 2 = chunked "
-        "pregeneration (faster long runs).  The version is part of the "
-        "scenario content hash, so cached v1/v2 results never mix",
-    )
-    batch.add_argument(
         "--format",
         choices=("json", "csv", "table"),
         default="json",
@@ -520,10 +510,6 @@ def cmd_batch(args) -> int:
     )
 
     scenarios = load_scenarios(_read_text(args.scenarios, "scenario file"))
-    if args.rng_stream is not None:
-        scenarios = [
-            s.replace(rng_stream=args.rng_stream) for s in scenarios
-        ]
     store = _cache_store(args)
     resilience = _resilience_kwargs(args, _batch_key(scenarios))
     records = default_session().run_batch(

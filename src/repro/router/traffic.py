@@ -24,39 +24,26 @@ consume exactly the same random stream and see the same workload.
 Generators whose packets all have one size (Bernoulli, hotspot,
 permutation, bursty) work out the payload layout once, at construction
 (words per packet, tail-word mask, read-only size and offset tables),
-so a stream-v1 slot lays out its one payload draw in a fixed handful
-of numpy calls.  Trimodal and trace traffic and stream-v2 chunks use
-:func:`draw_payload_batch`, which works the layout out per call.
+so a slot lays out its one payload draw in a fixed handful of numpy
+calls.  Trimodal and trace traffic use :func:`draw_payload_batch`,
+which works the layout out per call.
 
 RNG-consumption contract
 ------------------------
-*How* a generator draws from the engine's seeded RNG is versioned,
-because any change to the draw order silently changes every seeded
-result:
-
-* **Stream v1** (:data:`RNG_STREAM_V1`, the default) draws one slot at
-  a time — the contract of the original engines, kept bit-stable
-  forever as the oracle for old seeds.  For Bernoulli-uniform traffic,
-  :meth:`~BernoulliUniformTraffic.arrival_block` *replays* v1 from one
-  ``random_raw`` draw of the PCG64 words those calls would consume,
-  then advances the generator past them.  The replay is an execution
-  strategy that reproduces v1 exactly, not a new stream.  It runs only
-  for exactly :class:`BernoulliUniformTraffic` on v1 with one load on
-  every port, ``allow_self``, a 32-bit bus and a PCG64 bit generator,
-  once a first-use probe against real ``Generator`` calls has passed.
-  A block whose destination draw numpy would reject (Lemire's method,
-  ports not a power of two) is redrawn by the per-slot calls, and so
-  is everything if the probe fails.
-* **Stream v2** (:data:`RNG_STREAM_V2`, opt-in via
-  :meth:`TrafficGenerator.use_rng_stream` or
-  ``Scenario(rng_stream=2)``) pregenerates
-  :data:`RNG_STREAM_V2_CHUNK_SLOTS` slots of arrivals per chunk — the
-  arrival mask, destinations, sizes and all payload words each come
-  from one big draw — and serves per-slot slices from the chunk.  The
-  chunk length is part of the contract (changing it changes the
-  stream).  v2 produces a *different* (equally valid) workload than v1
-  for the same seed; within a version, both engines still consume
-  identically, so reference-vs-vectorized equivalence holds per stream.
+Generators draw from the engine's seeded RNG one slot at a time, in a
+fixed order: RNG stream v1 (:data:`RNG_STREAM_V1`), the contract of the
+original engines, kept bit-stable because any change to the draw order
+silently changes every seeded result.  For Bernoulli-uniform traffic,
+:meth:`~BernoulliUniformTraffic.arrival_block` *replays* those draws
+from one ``random_raw`` draw of the PCG64 words they would consume,
+then advances the generator past them.  The replay is an execution
+strategy that reproduces v1 exactly, not a new stream.  It runs only
+for exactly :class:`BernoulliUniformTraffic` with one load on every
+port, ``allow_self``, a 32-bit bus and a PCG64 bit generator, once a
+first-use probe against real ``Generator`` calls has passed.  A block
+whose destination draw numpy would reject (Lemire's method, ports not a
+power of two) is redrawn by the per-slot calls, and so is everything if
+the probe fails.
 
 ``load`` may be a per-port vector (one arrival probability per ingress
 port) anywhere a generator accepts a scalar.  :data:`BurstyTraffic`
@@ -77,19 +64,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.router.packet import Packet, bus_mask
 
-#: Slot-at-a-time RNG consumption (the original engines' contract).
+#: The RNG-consumption contract's version: slot-at-a-time draws (the
+#: original engines' contract, and the only one).
 RNG_STREAM_V1 = 1
-#: Chunked consumption: arrivals pregenerated C slots at a time.
-RNG_STREAM_V2 = 2
-#: All valid RNG stream versions.
-RNG_STREAMS = (RNG_STREAM_V1, RNG_STREAM_V2)
-#: Chunk length C of stream v2 — part of the versioned contract.
-RNG_STREAM_V2_CHUNK_SLOTS = 64
 #: Largest port count of a scenario or a router node (the presets use
 #: at most 128), checked before any per-port array is allocated.
 MAX_PORTS = 4096
-#: Most raw PCG64 words one stream-v1 replay draws at once; longer
-#: blocks are replayed in parts.  Results do not depend on it.
+#: Most raw PCG64 words one replay draws at once; longer blocks are
+#: replayed in parts.  Results do not depend on it.
 REPLAY_WORDS = 1 << 16
 
 
@@ -133,13 +115,6 @@ def _common_width(word_offsets: np.ndarray) -> int | None:
     words = np.diff(word_offsets)
     same = words.size and words.min() == words.max()
     return int(words[0]) if same else None
-
-
-def _cut(srcs_by_slot: list[np.ndarray], *columns: np.ndarray) -> list:
-    """A stream-v2 chunk plan: each slot's sources with the chunk-wide
-    ``columns`` (destinations, sizes) cut at the same slot boundaries."""
-    cuts = np.cumsum([srcs.size for srcs in srcs_by_slot])[:-1]
-    return list(zip(srcs_by_slot, *(np.split(c, cuts) for c in columns)))
 
 
 def draw_payload_batch(
@@ -315,18 +290,12 @@ class TrafficGenerator(ABC):
     """Produces the packets arriving at each ingress port every slot.
 
     Subclasses implement :meth:`_slot_batch` (preferred — the per-slot
-    RNG primitive of stream v1) or the legacy :meth:`arrivals`; each
+    RNG primitive) or the legacy :meth:`arrivals`; each
     default-delegates to the other.  :meth:`arrivals_batch` is the
     per-slot entry point (the reference engine's; the vectorized engine
-    draws :meth:`arrival_block`, which joins it over slots): it
-    dispatches on the generator's RNG stream version (per-slot draws
-    for v1, chunked pregeneration for v2).  Generators that additionally
-    implement :meth:`_plan_chunk`
-    get truly chunked v2 draws; the rest fall back to per-slot draws
-    inside the chunk (still a valid v2 stream — just not faster).
-
-    A subclass that overrides :meth:`arrivals_batch` itself defines its
-    own consumption contract and opts out of stream versioning.
+    draws :meth:`arrival_block`, which joins it over slots).  It stays
+    a method of its own, apart from the hook, because
+    ``perfbench/tracing.py`` wraps it by name.
     """
 
     def __init__(self, ports: int, bus_width: int) -> None:
@@ -335,43 +304,15 @@ class TrafficGenerator(ABC):
         self.ports = ports
         self.bus_width = bus_width
         self._next_packet_id = 0
-        self.rng_stream = RNG_STREAM_V1
-        self._chunk: list[ArrivalBatch] | None = None
-        self._chunk_start = 0
-
-    def use_rng_stream(self, version: int) -> "TrafficGenerator":
-        """Select the RNG-consumption contract; returns ``self``."""
-        if version not in RNG_STREAMS:
-            raise ConfigurationError(
-                f"rng_stream must be one of {RNG_STREAMS}, got {version!r}"
-            )
-        self.rng_stream = version
-        self._chunk = None
-        return self
 
     def arrivals(self, slot: int, rng: np.random.Generator) -> list[Packet]:
         """Packets arriving during ``slot`` (any ports, any count)."""
         return self.arrivals_batch(slot, rng).to_packets()
 
     def arrivals_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
-        """Arrivals of one slot as an :class:`ArrivalBatch`.
-
-        The single RNG-consuming entry point of both engines; draws
-        according to the generator's stream version (see the module
-        docstring).  Slots must be consumed in nondecreasing order
-        under stream v2 (the engines always do).
-        """
-        if self.rng_stream == RNG_STREAM_V1:
-            return self._slot_batch(slot, rng)
-        chunk = self._chunk
-        if chunk is None or not (
-            self._chunk_start <= slot < self._chunk_start + len(chunk)
-        ):
-            self._chunk = chunk = self._pregenerate_chunk(
-                slot, RNG_STREAM_V2_CHUNK_SLOTS, rng
-            )
-            self._chunk_start = slot
-        return chunk[slot - self._chunk_start]
+        """Arrivals of one slot as an :class:`ArrivalBatch`: the
+        per-slot entry point, which :meth:`_slot_batch` implements."""
+        return self._slot_batch(slot, rng)
 
     def arrival_block(
         self, start: int, count: int, rng: np.random.Generator
@@ -390,7 +331,7 @@ class TrafficGenerator(ABC):
         return _join(start, self.bus_width, batches), offsets
 
     def _slot_batch(self, slot: int, rng: np.random.Generator) -> ArrivalBatch:
-        """One slot's arrivals drawn slot-at-a-time (stream v1)."""
+        """One slot's arrivals, adapted from :meth:`arrivals`."""
         if type(self).arrivals is TrafficGenerator.arrivals:
             raise ConfigurationError(
                 f"{type(self).__name__} implements neither arrivals() nor "
@@ -399,63 +340,6 @@ class TrafficGenerator(ABC):
         return ArrivalBatch.from_packets(
             slot, self.bus_width, self.arrivals(slot, rng)
         )
-
-    # ------------------------------------------------------------------
-    # Stream v2: chunked pregeneration
-    # ------------------------------------------------------------------
-
-    def _plan_chunk(
-        self, start: int, count: int, rng: np.random.Generator
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
-        """Chunked arrival plan: ``count`` per-slot ``(srcs, dests,
-        size_bits)`` triples drawn in as few RNG calls as possible.
-
-        Return ``None`` (the default) to fall back to per-slot draws.
-        """
-        return None
-
-    def _pregenerate_chunk(
-        self, start: int, count: int, rng: np.random.Generator
-    ) -> list[ArrivalBatch]:
-        """Materialise one stream-v2 chunk of per-slot batches.
-
-        All payload words of the chunk come from **one**
-        :func:`draw_payload_batch` call; per-slot batches are views
-        into the shared arrays.
-        """
-        plan = self._plan_chunk(start, count, rng)
-        bus_width = self.bus_width
-        if plan is None:
-            return [self._slot_batch(start + i, rng) for i in range(count)]
-        sizes_all = np.concatenate([sizes for _, _, sizes in plan])
-        payload, offsets = draw_payload_batch(rng, sizes_all, bus_width)
-        batches: list[ArrivalBatch] = []
-        k = 0
-        for i, (srcs, dests, sizes) in enumerate(plan):
-            n = int(srcs.size)
-            if n == 0:
-                batches.append(ArrivalBatch.empty(start + i, bus_width))
-                continue
-            word_offsets = (offsets[k : k + n + 1] - offsets[k]).astype(
-                np.int64
-            )
-            batches.append(
-                ArrivalBatch(
-                    created_slot=start + i,
-                    bus_width=bus_width,
-                    srcs=np.asarray(srcs, dtype=np.int64),
-                    dests=np.asarray(dests, dtype=np.int64),
-                    size_bits=np.asarray(sizes, dtype=np.int64),
-                    packet_ids=self._claim_packet_ids(n),
-                    payload_words=payload[offsets[k] : offsets[k + n]],
-                    word_offsets=word_offsets,
-                    words_per_packet=_common_width(word_offsets),
-                )
-            )
-            k += n
-        return batches
-
-    # ------------------------------------------------------------------
 
     def _claim_packet_ids(self, count: int) -> np.ndarray:
         """Sequential globally-unique packet ids for a batch."""
@@ -504,8 +388,8 @@ class TrafficGenerator(ABC):
         self._offset_table.flags.writeable = False
 
     def _fixed_size_batch(self, slot, rng, srcs, dests) -> ArrivalBatch:
-        """Stream-v1 batch of ``packet_bits``-sized packets: the payload
-        draw of :func:`draw_payload_batch`, laid out from the tables."""
+        """A batch of ``packet_bits``-sized packets: the payload draw of
+        :func:`draw_payload_batch`, laid out from the tables."""
         n = srcs.size
         words = self._words_per_packet
         if words:
@@ -585,7 +469,6 @@ class BernoulliUniformTraffic(TrafficGenerator):
         loads = self._load_per_port
         replays = (
             type(self) is BernoulliUniformTraffic
-            and self.rng_stream == RNG_STREAM_V1
             and self.allow_self
             and self.bus_width == 32
             and type(rng.bit_generator) is np.random.PCG64
@@ -610,7 +493,7 @@ class BernoulliUniformTraffic(TrafficGenerator):
         return block, np.searchsorted(block.created_slots, slots)
 
     def _replay(self, start, count, rng) -> ArrivalBatch | None:
-        """Stream v1 of ``count`` slots replayed from one raw PCG64 draw.
+        """The draws of ``count`` slots replayed from one raw PCG64 draw.
 
         Returns None, with the generator state restored, when a
         destination draw would be rejected (numpy would then draw again).
@@ -686,15 +569,6 @@ class BernoulliUniformTraffic(TrafficGenerator):
             words_per_packet=words if n else None,
         )
 
-    def _plan_chunk(self, start, count, rng):
-        # One draw for the whole chunk's arrival mask, then one
-        # destination draw over every arrival of the chunk.
-        mask = rng.random((count, self.ports)) < self._load_per_port[None, :]
-        srcs_by_slot = [np.flatnonzero(row) for row in mask]
-        srcs = np.concatenate(srcs_by_slot)
-        dests = self._draw_dests(rng, srcs) if srcs.size else srcs
-        return _cut(srcs_by_slot, dests, np.full(srcs.size, self.packet_bits))
-
 
 def _lemire_threshold(ports: int) -> int:
     """numpy draws ``integers(0, ports)`` from a 32-bit ``u`` as
@@ -703,7 +577,7 @@ def _lemire_threshold(ports: int) -> int:
     return (1 << 32) % ports
 
 
-#: Whether the stream-v1 replay matches this numpy's Generator calls:
+#: Whether the replay matches this numpy's Generator calls:
 #: a property of the install, so one probe serves the whole process.
 #: None until the first replay probes it.
 _replay_exact: bool | None = None
@@ -866,22 +740,6 @@ class BurstyTraffic(TrafficGenerator):
         dests = rng.integers(0, self.ports, size=srcs.size)
         return self._fixed_size_batch(slot, rng, srcs, dests)
 
-    def _plan_chunk(self, start, count, rng):
-        # The Markov chain stays sequential, but all its flip draws (and
-        # every destination of the chunk) come from single RNG calls.
-        if self._state is None:
-            self._state = rng.random(self.ports) < self._load_per_port
-        flips = rng.random((count, self.ports))
-        state = self._state
-        srcs_by_slot = []
-        for i in range(count):
-            state = np.where(state, flips[i] >= self._p_off, flips[i] < self._p_on)
-            srcs_by_slot.append(np.flatnonzero(state))
-        self._state = state
-        total = sum(int(s.size) for s in srcs_by_slot)
-        dests = rng.integers(0, self.ports, size=total) if total else np.zeros(0)
-        return _cut(srcs_by_slot, dests, np.full(total, self.packet_bits))
-
 
 class TrimodalPacketTraffic(TrafficGenerator):
     """Internet-like trimodal packet size mix (40 / 576 / 1500 bytes).
@@ -934,16 +792,6 @@ class TrimodalPacketTraffic(TrafficGenerator):
         dests = rng.integers(0, self.ports, size=srcs.size)
         return self._batch(slot, rng, srcs, dests, sizes)
 
-    def _plan_chunk(self, start, count, rng):
-        mask = rng.random((count, self.ports)) < self._rate_per_port[None, :]
-        srcs_by_slot = [np.flatnonzero(row) for row in mask]
-        total = int(mask.sum())
-        if not total:
-            return _cut(srcs_by_slot, np.zeros(0), np.zeros(0))
-        sizes = rng.choice(self._sizes, size=total, p=self._probs)
-        dests = rng.integers(0, self.ports, size=total)
-        return _cut(srcs_by_slot, dests, sizes.astype(np.int64))
-
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -983,8 +831,3 @@ class TraceTraffic(TrafficGenerator):
         if arrivals is None:
             return ArrivalBatch.empty(slot, self.bus_width)
         return self._batch(slot, rng, *arrivals)
-
-    def _plan_chunk(self, start, count, rng):
-        # Arrivals are scripted; only the payload draw is chunked.
-        empty = (np.zeros(0, dtype=np.int64),) * 3
-        return [self._by_slot.get(start + i, empty) for i in range(count)]

@@ -1,10 +1,12 @@
 """Process-pool batches, the on-disk result cache, and trace scenarios."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.api import PowerModel, RunRecord, RunRecordStore, Scenario, run_batch
+from repro.api.jsonl import locked_append, quarantine_path
 from repro.errors import ConfigurationError
 
 SIM_KWARGS = dict(arrival_slots=60, warmup_slots=10, seed=77)
@@ -130,6 +132,22 @@ class TestRunRecordStore:
         reloaded = RunRecordStore(path)
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 2
+
+    def test_removed_stream_line_is_quarantined(self, tmp_path):
+        # A checksummed line for a stream-2 scenario, keyed and stamped
+        # the way stores wrote them while stream 2 existed.
+        path = tmp_path / "cache.jsonl"
+        scenario = Scenario("crossbar", 4, 0.3, **SIM_KWARGS)
+        payload = PowerModel().run(scenario).to_cache_dict()
+        payload["scenario"]["rng_stream"] = 2
+        key = hashlib.sha256(
+            json.dumps(payload["scenario"], sort_keys=True).encode()
+        ).hexdigest()
+        locked_append(path, {"key": key, "record": payload})
+        store = RunRecordStore(path)
+        assert store.quarantined == 1
+        assert len(store) == 0 and store.get(scenario) is None
+        assert "stream 2 was removed" in quarantine_path(path).read_text()
 
     def test_store_with_parallel_workers(self, tmp_path):
         path = tmp_path / "cache.jsonl"

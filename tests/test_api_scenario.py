@@ -303,8 +303,7 @@ class TestPerPortLoadVectors:
 
 class TestQueueingAndRngStream:
     def test_voq_fields_round_trip(self):
-        s = Scenario("crossbar", 8, 0.9, queueing="voq", islip_iterations=3,
-                     rng_stream=2)
+        s = Scenario("crossbar", 8, 0.9, queueing="voq", islip_iterations=3)
         assert Scenario.from_json(s.to_json()) == s
 
     def test_unknown_queueing_rejected(self):
@@ -323,21 +322,23 @@ class TestQueueingAndRngStream:
         with pytest.raises(ConfigurationError, match="rng_stream"):
             Scenario("crossbar", 8, 0.5, rng_stream=3)
 
-    def test_rng_stream_changes_content_hash(self):
+    def test_removed_stream_two_rejected(self):
+        # The tag stays in every content hash, with its one value.
         v1 = Scenario("crossbar", 8, 0.5)
-        v2 = v1.replace(rng_stream=2)
-        assert v1.content_hash() != v2.content_hash()
+        assert v1.to_dict()["rng_stream"] == 1
+        with pytest.raises(ConfigurationError, match="stream 2 was removed"):
+            v1.replace(rng_stream=2)
+
+    def test_bad_stream_version_rejected(self):
+        # A spec file or store line written while stream 2 existed.
+        data = dict(Scenario("crossbar", 8, 0.5).to_dict(), rng_stream=2)
+        with pytest.raises(ConfigurationError, match="stream 2 was removed"):
+            Scenario.from_dict(data)
 
     def test_queueing_changes_content_hash(self):
         fifo = Scenario("crossbar", 8, 0.5)
         voq = fifo.replace(queueing="voq")
         assert fifo.content_hash() != voq.content_hash()
-
-    def test_build_traffic_selects_stream(self):
-        from repro.router.traffic import RNG_STREAM_V2
-
-        s = Scenario("crossbar", 8, 0.5, rng_stream=2)
-        assert s.build_traffic().rng_stream == RNG_STREAM_V2
 
     def test_custom_registered_architecture_validates(self):
         from repro.fabrics.crossbar import CrossbarFabric

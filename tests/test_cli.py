@@ -247,6 +247,8 @@ MALFORMED_SPECS = [
     ("control", b"\xff\xfe{}"),
     ("batch", '[{"architecture": "banyan", "ports": 6, "load": 0.3}]'),
     ("batch", '[{"architecture": "crossbar", "ports": 4097, "load": 0.3}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"rng_stream": 2}]'),
 ]
 
 

@@ -370,76 +370,6 @@ class TestVoqMatrix:
         assert voq.throughput > fifo.throughput + 0.15
 
 
-class TestRngStreamV2:
-    """Stream v2 (chunked pregeneration): reference-v2 == vectorized-v2."""
-
-    @pytest.mark.parametrize("arch", ARCHES)
-    def test_all_fabrics(self, arch):
-        ref, vec = run_pair(Scenario(arch, 8, 0.7, rng_stream=2, **RUN))
-        assert_identical(ref, vec)
-
-    @pytest.mark.parametrize(
-        "traffic,params",
-        [
-            ("bernoulli", {}),
-            ("hotspot", {"hotspot_fraction": 0.6}),
-            ("bursty", {"burst_len": 6.0}),
-            ("permutation", {}),
-            ("trimodal", {}),
-        ],
-    )
-    def test_all_traffic_kinds(self, traffic, params):
-        ref, vec = run_pair(
-            Scenario(
-                "banyan", 8, 0.5, traffic=traffic, traffic_params=params,
-                rng_stream=2, **RUN,
-            )
-        )
-        assert_identical(ref, vec)
-
-    def test_voq_with_stream_v2(self):
-        ref, vec = run_pair(
-            Scenario(
-                "crossbar", 8, 0.9, queueing="voq", islip_iterations=2,
-                rng_stream=2, **RUN,
-            )
-        )
-        assert_identical(ref, vec)
-
-    def test_run_longer_than_one_chunk(self):
-        """140 arrival slots + warmup spans multiple 64-slot chunks."""
-        ref, vec = run_pair(
-            Scenario(
-                "crossbar", 4, 0.6, rng_stream=2,
-                arrival_slots=200, warmup_slots=30, seed=11,
-            )
-        )
-        assert_identical(ref, vec)
-
-    def test_v2_differs_from_v1_but_v1_is_stable(self):
-        """v2 is a different seeded workload; v1 must not move at all."""
-        session = PowerModel()
-        v1 = session.simulate(Scenario("banyan", 8, 0.6, **RUN)).detail
-        v1_again = session.simulate(Scenario("banyan", 8, 0.6, **RUN)).detail
-        v2 = session.simulate(
-            Scenario("banyan", 8, 0.6, rng_stream=2, **RUN)
-        ).detail
-        assert v1 == v1_again
-        assert v1 != v2
-
-    def test_trace_entries_replay_identically_on_v2(self):
-        entries = [[s, s % 8, (3 * s + 1) % 8, 480] for s in range(60)]
-        ref, vec = run_pair(
-            Scenario(
-                "banyan", 8, 0.5, traffic="trace",
-                traffic_params={"entries": entries}, rng_stream=2,
-                arrival_slots=140, warmup_slots=0, seed=97,
-            )
-        )
-        assert_identical(ref, vec)
-        assert ref.delivered_cells == 60
-
-
 class TestPerPortLoads:
     def test_vector_load_equivalence(self):
         ref, vec = run_pair(
@@ -450,11 +380,10 @@ class TestPerPortLoads:
         assert_identical(ref, vec)
         assert ref.offered_load == pytest.approx(0.35)
 
-    def test_vector_load_with_voq_and_v2(self):
+    def test_vector_load_with_voq(self):
         ref, vec = run_pair(
             Scenario(
-                "banyan", 4, [0.2, 0.8, 0.5, 0.9], queueing="voq",
-                rng_stream=2, **RUN,
+                "banyan", 4, [0.2, 0.8, 0.5, 0.9], queueing="voq", **RUN
             )
         )
         assert_identical(ref, vec)

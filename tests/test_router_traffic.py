@@ -182,44 +182,6 @@ class TestTrace:
             TraceTraffic(4, [TraceEntry(0, 5, 0, 480)])
 
 
-class TestRngStreamV2:
-    def test_v2_chunk_serves_consecutive_slots(self):
-        gen = BernoulliUniformTraffic(4, 0.5).use_rng_stream(2)
-        rng = np.random.default_rng(3)
-        batches = [gen.arrivals_batch(slot, rng) for slot in range(130)]
-        assert [b.created_slot for b in batches] == list(range(130))
-
-    def test_v2_is_deterministic_per_seed(self):
-        def run():
-            gen = BernoulliUniformTraffic(4, 0.5).use_rng_stream(2)
-            rng = np.random.default_rng(7)
-            out = []
-            for slot in range(70):
-                b = gen.arrivals_batch(slot, rng)
-                out.append((b.srcs.tolist(), b.dests.tolist(),
-                            b.payload_words.tolist()))
-            return out
-
-        assert run() == run()
-
-    def test_v2_differs_from_v1(self):
-        v1 = BernoulliUniformTraffic(4, 0.5)
-        v2 = BernoulliUniformTraffic(4, 0.5).use_rng_stream(2)
-        a = [v1.arrivals_batch(s, np.random.default_rng(5)) for s in (0,)]
-        b = [v2.arrivals_batch(s, np.random.default_rng(5)) for s in (0,)]
-        # same seed, different consumption contract -> different stream
-        # (first-slot sources may coincide; payloads will not)
-        differs = (
-            a[0].srcs.tolist() != b[0].srcs.tolist()
-            or a[0].payload_words.tolist() != b[0].payload_words.tolist()
-        )
-        assert differs
-
-    def test_bad_stream_version_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BernoulliUniformTraffic(4, 0.5).use_rng_stream(9)
-
-
 class TestPerPortLoadVectors:
     def test_zero_load_port_never_sends(self):
         gen = BernoulliUniformTraffic(4, [0.0, 1.0, 0.5, 0.0])
@@ -461,16 +423,13 @@ class TestArrivalBlock:
     @DERANDOMIZED
     @given(
         kind=st.sampled_from(sorted(KINDS)),
-        stream=st.sampled_from([1, 2]),
         ports=st.integers(2, 12),
         before=st.integers(0, 70),
         count=st.integers(1, 150),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_block_equals_slot_batches(
-        self, kind, stream, ports, before, count, seed
-    ):
-        gen, twin = (KINDS[kind](ports).use_rng_stream(stream) for _ in "ab")
+    def test_block_equals_slot_batches(self, kind, ports, before, count, seed):
+        gen, twin = (KINDS[kind](ports) for _ in "ab")
         rng, rng_twin = (np.random.default_rng(seed) for _ in "ab")
         _slot_batches(gen, 0, before, rng)
         _slot_batches(twin, 0, before, rng_twin)
