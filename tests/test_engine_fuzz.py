@@ -8,9 +8,9 @@ with K = 1..6 iSLIP iterations, bounded and unbounded ingress queues,
 five traffic kinds (the fixed-size ones at packet sizes from 0 bits to
 three cells, bursty with mean bursts of 1 to 16 slots), every wire
 mode, and windows from a single arrival slot to a few hundred, so that
-some span several of the vectorized engine's arrival blocks.  Each scenario runs through the
-reference and the vectorized engine, and the two results must be equal
-field for field.
+some span several of the vectorized engine's arrival blocks.  Each
+scenario runs through the reference and the vectorized engine, and the
+two results must be equal field for field.
 
 Runs are derandomized, so the suite sees the same examples every time.
 The example count comes from the active hypothesis profile: the default
@@ -62,7 +62,7 @@ def scenarios(draw) -> Scenario:
     params = {}
     if traffic != "trimodal":
         params["packet_bits"] = draw(st.sampled_from(PACKET_BITS))
-    if traffic == "bursty":  # rejects loads 0 and 1
+    if traffic == "bursty":  # BurstyTraffic rejects loads 0 and 1
         params["burst_len"] = draw(st.floats(1.0, 16.0))
         load = draw(st.floats(0.01, 0.99))
     else:

@@ -515,6 +515,14 @@ def test_long_window_records_match_golden(golden):
     assert records_digest("long_window") == golden["long_window"]
 
 
+def test_record_items_name_every_scenario():
+    items = record_items("traffic_kinds")
+    assert [line.split()[2] for line in items] == [
+        traffic for traffic, _, _ in TRAFFIC_CASES
+    ]
+    assert all(len(line.split()[-1]) == 64 for line in items)
+
+
 def test_fig9_exports_match_golden(golden):
     digests = fig9_digests()
     assert digests["fig9_csv"] == golden["fig9_csv"]
@@ -537,13 +545,13 @@ def test_preset_exports_match_golden(golden):
     assert preset_exports_digest() == golden["preset_exports"]
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     """Print every key's digest against the committed file; 1 if any
     key changed (or is missing from the file).  With ``--items KEY``,
     print the record key's per-scenario lines instead."""
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--items", choices=sorted(RECORD_KEYS))
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.items:
         print("\n".join(record_items(args.items)))
         return 0
