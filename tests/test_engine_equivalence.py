@@ -122,6 +122,28 @@ class TestTrafficMatrix:
         assert_identical(ref, vec)
         assert ref.delivered_cells == 60
 
+    def test_trace_entries_replay_identically(self):
+        """Two mixed-size arrivals in each slot on either side of the
+        vectorized engine's 64-slot block edges, on a FIFO and a VOQ
+        router: the blocks must cut the trace at exactly the same slots
+        the reference engine reads it."""
+        slots = (0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 139)
+        entries = [
+            [s, (s + k) % 8, (3 * s + 5 * k + 1) % 8, (480, 1500)[k]]
+            for s in slots
+            for k in (0, 1)
+        ]
+        for queueing in ("fifo", "voq"):
+            ref, vec = run_pair(
+                Scenario(
+                    "banyan", 8, 0.5, traffic="trace",
+                    traffic_params={"entries": entries}, queueing=queueing,
+                    arrival_slots=140, warmup_slots=0, seed=97,
+                )
+            )
+            assert_identical(ref, vec)
+            assert ref.packets_completed == len(entries)
+
     def test_legacy_packet_generator(self):
         """A generator that only implements arrivals() — and leaves
         Packet.created_slot at its default 0 — must behave identically
