@@ -7,9 +7,11 @@ every built-in fabric at the port counts it accepts (odd counts and
 with K = 1..6 iSLIP iterations, bounded and unbounded ingress queues,
 five traffic kinds (the fixed-size ones at packet sizes from 0 bits to
 three cells, bursty with mean bursts of 1 to 16 slots), every wire
-mode, and windows from a single arrival slot to a few hundred, so that
-some span several of the vectorized engine's arrival blocks.  Each
-scenario runs through the reference and the vectorized engine, and the
+mode, banyan node buffers of 1 to 8 cells in SRAM or refreshed DRAM,
+and windows from a single arrival slot to a few hundred, so that some
+span several of the vectorized engine's arrival blocks.  Each scenario
+runs through the reference and the vectorized engine, with the vector
+cores settling their wire queues every 1 to 2,048 transfers, and the
 two results must be equal field for field.
 
 Runs are derandomized, so the suite sees the same examples every time.
@@ -23,11 +25,14 @@ The example count comes from the active hypothesis profile: the default
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from test_engine_equivalence import assert_identical, run_pair
 
 from repro.api import Scenario
+from repro.fabrics import vectorized
 from repro.wire_modes import WireMode
 
 SETTINGS = settings(
@@ -50,6 +55,11 @@ PORTS = {
 #: Packet sizes for the fixed-size traffic kinds: empty, sub-word,
 #: around one bus word, one full cell (the default) and three cells.
 PACKET_BITS = [0, 1, 31, 33, 480, 1000]
+
+#: Banyan node-buffer sizes: the paper's 4 Kbit default (8 of the
+#: default 512-bit cells), then 1, 2 and 3 cells, where buffer-full
+#: stalls are common.
+BUFFER_BITS = [None, 512, 1024, 1536]
 
 
 @st.composite
@@ -81,6 +91,8 @@ def scenarios(draw) -> Scenario:
         traffic=traffic,
         traffic_params=params,
         wire_mode=draw(st.sampled_from(list(WireMode))),
+        buffer_memory=draw(st.sampled_from(["sram", "dram"])),
+        buffer_bits_per_switch=draw(st.sampled_from(BUFFER_BITS)),
         arrival_slots=draw(st.integers(1, 60) | long_window),
         warmup_slots=draw(st.integers(0, 10)),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -88,35 +100,50 @@ def scenarios(draw) -> Scenario:
 
 
 @SETTINGS
-@given(scenarios())
+@given(scenario=scenarios(), settle_transfers=st.integers(1, 2048))
 # The Batcher-Banyan lays out its ingress wire events in grant order, so
 # a matcher that emits its winners in ascending input order instead of
 # the reference's first-grant order diverges here after one slot; the
 # default random budget misses that break.
 @example(
-    Scenario(
+    scenario=Scenario(
         "batcher_banyan", 8, 1.0, queueing="voq", islip_iterations=2,
         arrival_slots=1, warmup_slots=0, seed=0,
-    )
+    ),
+    settle_transfers=2048,
 )
 # Stream-v1 Bernoulli traffic at odd port counts over windows that span
 # several arrival blocks, into bounded FIFOs (multi-cell packets) and
 # unbounded VOQs (packets of one word and one bit); the derandomized
 # budget draws few such cases.
 @example(
-    Scenario(
+    scenario=Scenario(
         "crossbar", 5, 0.6, ingress_queue_cells=3,
         traffic_params={"packet_bits": 1000},
         arrival_slots=150, warmup_slots=7, seed=3,
-    )
+    ),
+    settle_transfers=2048,
 )
 @example(
-    Scenario(
+    scenario=Scenario(
         "fully_connected", 7, 0.45, queueing="voq", islip_iterations=2,
         traffic_params={"packet_bits": 33},
         arrival_slots=130, warmup_slots=3, seed=11,
-    )
+    ),
+    settle_transfers=2048,
 )
-def test_engines_agree(scenario):
-    ref, vec = run_pair(scenario)
+# A banyan with one-cell node buffers under full load: during the drain
+# two latch cells at a switch with an empty buffer contend, the winner is
+# blocked downstream, and the loser fills the buffer, so the winner
+# stalls in its latch.  Without buffer draws the budget never sees it.
+@example(
+    scenario=Scenario(
+        "banyan", 16, 1.0, buffer_bits_per_switch=512,
+        arrival_slots=17, warmup_slots=0, seed=2,
+    ),
+    settle_transfers=2048,
+)
+def test_engines_agree(scenario, settle_transfers):
+    with mock.patch.object(vectorized, "SETTLE_TRANSFERS", settle_transfers):
+        ref, vec = run_pair(scenario)
     assert_identical(ref, vec)
