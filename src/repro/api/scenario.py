@@ -276,6 +276,15 @@ class Scenario(Spec):
             raise ConfigurationError("arrival_slots must be >= 1")
         if self.warmup_slots < 0:
             raise ConfigurationError("warmup_slots must be >= 0")
+        # A bool is an int, but True would run as seed 1 under another hash.
+        if self.seed is not None and (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, int)
+            or self.seed < 0
+        ):
+            raise ConfigurationError(
+                f"seed must be a non-negative int or null, got {self.seed!r}"
+            )
         if isinstance(self.tech, str):
             get_technology(self.tech)  # fail fast on unknown preset names
         elif not isinstance(self.tech, Technology):

@@ -56,6 +56,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="at most 4096 ports"):
             Scenario("crossbar", MAX_PORTS + 1, 0.3)
 
+    def test_seed_is_a_non_negative_int_or_none(self):
+        assert Scenario("crossbar", 8, 0.3, seed=0).seed == 0
+        assert Scenario("crossbar", 8, 0.3, seed=None).seed is None
+        # True would run as seed 1 under another content hash.
+        for seed in (True, 1.0, "3", -1):
+            with pytest.raises(ConfigurationError, match="seed"):
+                Scenario("crossbar", 8, 0.3, seed=seed)
+
     def test_bad_traffic_kind(self):
         with pytest.raises(ConfigurationError, match="traffic"):
             Scenario("crossbar", 8, 0.3, traffic="adversarial")

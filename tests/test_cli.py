@@ -249,6 +249,12 @@ MALFORMED_SPECS = [
     ("batch", '[{"architecture": "crossbar", "ports": 4097, "load": 0.3}]'),
     ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
               '"rng_stream": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"seed": 1.5, "arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"seed": "3", "arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"seed": -1, "arrival_slots": 10, "warmup_slots": 2}]'),
 ]
 
 
