@@ -47,14 +47,17 @@ file and exits 1 if any key changed; an intended change to the numbers
 is then copied into the file by hand, as an explicit, reviewed diff.
 ``--items KEY`` prints, for a record key (``saturation_voq``,
 ``traffic_kinds`` or ``long_window``), one line per scenario: its label
-and the sha256 of its canonical record.  A ``diff`` of that output from
-two checkouts names the scenarios that moved.
+and the sha256 of its canonical record; for ``fig9_csv``, one line per
+row of the CSV export: its architecture, ports and load and the sha256
+of the row.  A ``diff`` of that output from two checkouts names the
+scenarios or rows that moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -270,14 +273,31 @@ def record_items(key: str) -> list[str]:
     ]
 
 
-def fig9_digests() -> dict[str, str]:
+def fig9_campaign() -> Campaign:
     campaign = get_campaign("fig9")
-    campaign = campaign.replace(base=dict(campaign.base_dict, **WINDOW))
-    record = run_campaign(campaign, session=PowerModel(), workers=1)
+    return campaign.replace(base=dict(campaign.base_dict, **WINDOW))
+
+
+def fig9_digests(record=None) -> dict[str, str]:
+    record = record or run_campaign(fig9_campaign(), session=PowerModel(),
+                                    workers=1)
     return {
         "fig9_csv": _sha256(record.to_csv()),
         "fig9_json": _sha256(record.to_json()),
     }
+
+
+def fig9_csv_items(record=None) -> list[str]:
+    """One line per row of the fig9 CSV export: its position,
+    architecture, ports and load, then the sha256 of the row."""
+    record = record or run_campaign(fig9_campaign(), session=PowerModel(),
+                                    workers=1)
+    lines = record.to_csv().splitlines()
+    return [
+        f"{i:>2} {row['architecture']} {row['ports']} {row['load']}  "
+        f"{_sha256(line)}"
+        for i, (row, line) in enumerate(zip(csv.DictReader(lines), lines[1:]))
+    ]
 
 
 def _grammar(parser: argparse.ArgumentParser) -> dict:
@@ -523,8 +543,22 @@ def test_record_items_name_every_scenario():
     assert all(len(line.split()[-1]) == 64 for line in items)
 
 
-def test_fig9_exports_match_golden(golden):
-    digests = fig9_digests()
+@pytest.fixture(scope="module")
+def fig9_record():
+    return run_campaign(fig9_campaign(), session=PowerModel(), workers=1)
+
+
+def test_fig9_csv_items_name_every_row(fig9_record):
+    items = fig9_csv_items(fig9_record)
+    assert [tuple(line.split()[:4]) for line in items] == [
+        (str(i), s.architecture, str(s.ports), str(s.load))
+        for i, s in enumerate(fig9_campaign().scenarios())
+    ]
+    assert all(len(line.split()[-1]) == 64 for line in items)
+
+
+def test_fig9_exports_match_golden(golden, fig9_record):
+    digests = fig9_digests(fig9_record)
     assert digests["fig9_csv"] == golden["fig9_csv"]
     assert digests["fig9_json"] == golden["fig9_json"]
 
@@ -548,10 +582,14 @@ def test_preset_exports_match_golden(golden):
 def main() -> int:
     """Print every key's digest against the committed file; 1 if any
     key changed (or is missing from the file).  With ``--items KEY``,
-    print the record key's per-scenario lines instead."""
+    print the record key's per-scenario lines (or the fig9 CSV's
+    per-row lines) instead."""
     parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--items", choices=sorted(RECORD_KEYS))
+    parser.add_argument("--items", choices=sorted([*RECORD_KEYS, "fig9_csv"]))
     args = parser.parse_args()
+    if args.items == "fig9_csv":
+        print("\n".join(fig9_csv_items()))
+        return 0
     if args.items:
         print("\n".join(record_items(args.items)))
         return 0
