@@ -28,6 +28,15 @@ Every wire component belongs to one physical link, and a link carries
 at most one cell per slot in every fabric, so a link's transfers in
 slot order are its component's adds in order.
 
+The banyan core advances its stages egress first, in one pass per slot
+inside ``advance``.  A switch's two lines differ only in the stage's
+address bit, so a cell leaves on the line whose bit is its
+destination's.  A switch with an empty node buffer is resolved from its
+one or two latch cells with a few local ints; only a switch whose
+buffer holds a cell builds the reference's ranked candidates.  Both
+paths make the reference's charges, counters and wire transfers in its
+order.
+
 The Batcher-Banyan core keeps no state between slots.  Its ``advance``
 only queues the grants and counts them.  Its settlement runs the
 bitonic substages as compare-exchanges on ``(line, slot)`` arrays and
@@ -61,9 +70,6 @@ from repro.sim.tracer import _bitwise_count
 #: bounds both the store rows held for settlement and the transient
 #: arrays of one settlement.
 SETTLE_TRANSFERS = 2048
-
-_BUF = 0
-_LATCH = 1
 
 
 def charge_events(
@@ -298,8 +304,11 @@ class BanyanCore(VectorFabricCore):
 
     Latches are indexed by line number (``latch[stage][line]`` is a cell
     id or -1); node buffers are per-switch deques of ``(cell_id,
-    input_index)``.  The per-switch candidate/contention/move/park logic
-    follows the reference implementation statement by statement.
+    input_line)``.  :meth:`advance` resolves a switch with an empty
+    buffer inline: its latch cells rank by (fabric entry slot, input
+    index), a loser of contention parks first, and each other cell moves
+    or, if blocked, parks.  A switch whose buffer holds a cell goes
+    through :meth:`_resolve_buffered` (see the module docstring).
     """
 
     def __init__(self, fabric: BanyanFabric, store: CellStore) -> None:
@@ -323,28 +332,17 @@ class BanyanCore(VectorFabricCore):
         self._cap = fabric.buffer_cells_per_switch
         self._cell_bits = fmt.cell_bits
         self._edge_grids = layout.edge_link_grids()
-        self._bits = [topology.stage_bit(n, s) for s in range(stages)]
-        self._stage_masks = [1 << b for b in self._bits]
-        self._lines = [
-            [topology.switch_lines(n, s, k) for k in range(n // 2)]
-            for s in range(stages)
-        ]
-        self._stage_grids = [
-            [
-                layout.link_grids(self._bits[s], False, mode=wm),
-                layout.link_grids(self._bits[s], True, mode=wm),
-            ]
-            for s in range(stages)
-        ]
+        bits = [topology.stage_bit(n, s) for s in range(stages)]
         self._sw_comp = [
             [f"banyan.stage{s}.sw{k}" for k in range(n // 2)]
             for s in range(stages)
         ]
         lut = fabric._switch_lut
-        self._sw_e = {
-            v: lut.lookup(v) * fmt.bus_width * fmt.words
-            for v in ((0, 1), (1, 0), (1, 1))
-        }
+        # Switch energy by served inputs: 1 = input 0, 2 = input 1, 3 = both.
+        self._sw_e = [0.0] + [
+            lut.lookup(v) * fmt.bus_width * fmt.words
+            for v in ((1, 0), (0, 1), (1, 1))
+        ]
         buffer = fabric.models.buffer
         self._write_e = buffer.write_energy_j(self._cell_bits)
         self._read_e = buffer.read_energy_j(self._cell_bits)
@@ -362,6 +360,22 @@ class BanyanCore(VectorFabricCore):
         self._buf: list[list[deque]] = [
             [deque() for _ in range(n // 2)] for _ in range(stages)
         ]
+        # Per stage, egress first: latches, buffers, each switch's
+        # (bit-clear, bit-set) lines, the address-bit mask, straight and
+        # crossed link grids, switch components and the first link id.
+        self._stage_tab = [
+            (
+                self._latch[s],
+                self._buf[s],
+                [topology.switch_lines(n, s, k) for k in range(n // 2)],
+                1 << bits[s],
+                layout.link_grids(bits[s], False, mode=wm),
+                layout.link_grids(bits[s], True, mode=wm),
+                self._sw_comp[s],
+                n + s * n,
+            )
+            for s in range(stages - 1, -1, -1)
+        ]
         self._in_flight = 0
 
     def can_admit(self, port: int) -> bool:
@@ -372,12 +386,86 @@ class BanyanCore(VectorFabricCore):
 
     def advance(self, grants: list[tuple[int, int]], slot: int) -> list[int]:
         delivered: list[int] = []
-        counts = [0, 0, 0, 0, 0, 0]  # contentions, blocked, stalls,
-        # buffer writes, buffer reads, switch traversals
-        for stage in range(self.stages - 1, -1, -1):
-            self._advance_stage(stage, delivered, counts)
+        # contentions, blocked, stalls, buffer writes, buffer reads,
+        # switch traversals
+        counts = [0, 0, 0, 0, 0, 0]
+        dest = self.store.dest
+        entered = self.store.entered_slot
+        sw_e = self._sw_e
+        sw_dict = self._switch_dict
+        buf_dict = self._buffer_dict
+        write_e = self._write_e
+        cap = self._cap
+        q_link = self._q_link
+        q_cell = self._q_cell
+        q_grids = self._q_grids
+        # Stages advance egress first, so a stage moves into latches its
+        # downstream stage has already emptied; the last has none.
+        next_latch = None
+        for tab in self._stage_tab:
+            latch, bufs, lines, mask, straight, crossed, comps, link_base = tab
+            for k, (l0, l1) in enumerate(lines):
+                c0 = latch[l0]
+                c1 = latch[l1]
+                buf = bufs[k]
+                if buf:
+                    self._resolve_buffered(tab, k, next_latch, delivered,
+                                           counts)
+                    continue
+                # c ranks first by (fabric entry slot, input index); d is
+                # the other latch cell or -1.
+                if c0 < 0:
+                    if c1 < 0:
+                        continue
+                    c, line, d = c1, l1, -1
+                elif c1 < 0 or entered[c0] <= entered[c1]:
+                    c, line, d = c0, l0, c1
+                else:
+                    c, line, d = c1, l1, c0
+                if d >= 0 and not (dest[c] ^ dest[d]) & mask:
+                    # Both want one output: d loses and parks in the empty
+                    # buffer (it holds at least one cell) before c moves
+                    # or, if blocked, parks.
+                    counts[0] += 1
+                    latch[line ^ mask] = -1
+                    buf.append((d, line ^ mask))
+                    if write_e:
+                        buf_dict[comps[k]] += write_e
+                    counts[3] += 1
+                    d = -1
+                served = 0
+                while True:  # c, then d if it did not lose
+                    out = l0 | dest[c] & mask
+                    if next_latch is not None and next_latch[out] >= 0:
+                        counts[1] += 1
+                        if len(buf) >= cap:
+                            counts[2] += 1  # stalls in the latch
+                        else:
+                            latch[line] = -1
+                            buf.append((c, line))
+                            if write_e:
+                                buf_dict[comps[k]] += write_e
+                            counts[3] += 1
+                    else:
+                        latch[line] = -1
+                        q_link.append(link_base + out)
+                        q_cell.append(c)
+                        q_grids.append(straight if out == line else crossed)
+                        if next_latch is None:
+                            delivered.append(c)
+                        else:
+                            next_latch[out] = c
+                        served |= 1 if line == l0 else 2
+                        counts[5] += 1
+                    if d < 0:
+                        break
+                    c, line, d = d, line ^ mask, -1
+                if sw_e[served]:
+                    sw_dict[comps[k]] += sw_e[served]
+            next_latch = latch
         self._admit(grants, slot)
         self._refresh_all()
+        self._in_flight -= len(delivered)
         ledger = self._ledger
         if counts[0]:
             ledger.count("contentions", counts[0])
@@ -399,110 +487,74 @@ class BanyanCore(VectorFabricCore):
             self.settle()
         return delivered
 
-    def _advance_stage(
-        self, stage: int, delivered: list[int], counts: list[int]
-    ) -> None:
-        latch = self._latch[stage]
-        last = stage == self.stages - 1
-        next_latch = None if last else self._latch[stage + 1]
-        bufs = self._buf[stage]
-        lines_tab = self._lines[stage]
-        mask = self._stage_masks[stage]
-        dest = self.store.dest
+    def _resolve_buffered(self, tab, k, next_latch, delivered, counts) -> None:
+        """Resolve switch ``k`` of a stage whose node buffer holds a cell,
+        as the reference does: candidates in priority order (the buffer
+        head, then latch cells by fabric entry slot and input index), one
+        winner per output line, winners moved in claim order, then the
+        losing latch cells parked."""
+        latch, bufs, lines, mask, straight, crossed, comps, link_base = tab
+        buf = bufs[k]
+        l0, l1 = lines[k]
+        comp = comps[k]
         entered = self.store.entered_slot
-        grids_pair = self._stage_grids[stage]
-        swcomp = self._sw_comp[stage]
-        link_base = self.ports + stage * self.ports
-        sw_e = self._sw_e
-        sw_dict = self._switch_dict
-        buf_dict = self._buffer_dict
-        read_e = self._read_e
-        write_e = self._write_e
-        cap = self._cap
-        q_link = self._q_link
-        q_cell = self._q_cell
-        q_grids = self._q_grids
-        for k in range(self.ports // 2):
-            buf = bufs[k]
-            l0, l1 = lines_tab[k]
-            c0 = latch[l0]
-            c1 = latch[l1]
-            if not buf and c0 < 0 and c1 < 0:
-                continue
-            # Candidates in reference priority order: buffer head first,
-            # then latch cells by (fabric entry slot, input index).
-            candidates = []
-            if buf:
-                head_cid, head_ii = buf[0]
-                candidates.append((_BUF, head_ii, head_cid))
+        c0 = latch[l0]
+        c1 = latch[l1]
+        head = buf[0]
+        candidates = [head]
+        if c0 >= 0 and c1 >= 0 and entered[c1] < entered[c0]:
+            candidates += ((c1, l1), (c0, l0))
+        else:
             if c0 >= 0:
-                if c1 >= 0:
-                    if entered[c0] <= entered[c1]:
-                        candidates.append((_LATCH, 0, c0))
-                        candidates.append((_LATCH, 1, c1))
-                    else:
-                        candidates.append((_LATCH, 1, c1))
-                        candidates.append((_LATCH, 0, c0))
-                else:
-                    candidates.append((_LATCH, 0, c0))
-            elif c1 >= 0:
-                candidates.append((_LATCH, 1, c1))
-            # One winner per output line; claim order = priority order.
-            winners: dict[int, tuple[int, int, int]] = {}
-            win_order: list[int] = []
-            losers: list[tuple[int, int, int]] = []
-            for cand in candidates:
-                in_line = l0 if cand[1] == 0 else l1
-                out_line = (in_line & ~mask) | (dest[cand[2]] & mask)
-                if out_line in winners:
-                    losers.append(cand)
-                    counts[0] += 1
-                else:
-                    winners[out_line] = cand
-                    win_order.append(out_line)
-            v0 = v1 = 0
-            for out_line in win_order:
-                origin, input_index, cid = winners[out_line]
-                if not last and next_latch[out_line] >= 0:
-                    counts[1] += 1
-                    losers.append((origin, input_index, cid))
-                    continue
-                if origin == _BUF:
-                    buf.popleft()
-                    if read_e:
-                        buf_dict[swcomp[k]] += read_e
-                    counts[4] += 1
-                else:
-                    latch[l0 if input_index == 0 else l1] = -1
-                in_line = l0 if input_index == 0 else l1
-                q_link.append(link_base + out_line)
-                q_cell.append(cid)
-                q_grids.append(grids_pair[1 if in_line != out_line else 0])
-                if last:
-                    delivered.append(cid)
-                    self._in_flight -= 1
-                else:
-                    next_latch[out_line] = cid
-                if input_index == 0:
-                    v0 = 1
-                else:
-                    v1 = 1
-            if v0 or v1:
-                energy = sw_e[(v0, v1)]
-                if energy:
-                    sw_dict[swcomp[k]] += energy
-                counts[5] += v0 + v1
-            for origin, input_index, cid in losers:
-                if origin == _BUF:
-                    continue  # stays at the buffer head; no new energy
-                if len(buf) >= cap:
-                    counts[2] += 1
-                    continue  # stalls in the latch (backpressure)
-                latch[l0 if input_index == 0 else l1] = -1
-                buf.append((cid, input_index))
-                if write_e:
-                    buf_dict[swcomp[k]] += write_e
-                counts[3] += 1
+                candidates.append((c0, l0))
+            if c1 >= 0:
+                candidates.append((c1, l1))
+        dest = self.store.dest
+        winners: dict[int, tuple[int, int]] = {}
+        losers: list[tuple[int, int]] = []
+        for cand in candidates:
+            out = l0 | dest[cand[0]] & mask
+            if out in winners:
+                losers.append(cand)
+                counts[0] += 1
+            else:
+                winners[out] = cand
+        served = 0
+        for out, cand in winners.items():
+            if next_latch is not None and next_latch[out] >= 0:
+                counts[1] += 1
+                losers.append(cand)
+                continue
+            cid, line = cand
+            if cand is head:
+                buf.popleft()
+                if self._read_e:
+                    self._buffer_dict[comp] += self._read_e
+                counts[4] += 1
+            else:
+                latch[line] = -1
+            self._q_link.append(link_base + out)
+            self._q_cell.append(cid)
+            self._q_grids.append(straight if out == line else crossed)
+            if next_latch is None:
+                delivered.append(cid)
+            else:
+                next_latch[out] = cid
+            served |= 1 if line == l0 else 2
+        if self._sw_e[served]:
+            self._switch_dict[comp] += self._sw_e[served]
+        counts[5] += (served + 1) // 2  # inputs served
+        for cand in losers:
+            if cand is head:
+                continue  # stays at the buffer head; no new energy
+            if len(buf) >= self._cap:
+                counts[2] += 1
+                continue  # stalls in the latch (backpressure)
+            latch[cand[1]] = -1
+            buf.append(cand)
+            if self._write_e:
+                self._buffer_dict[comp] += self._write_e
+            counts[3] += 1
 
     def _admit(self, grants: list[tuple[int, int]], slot: int) -> None:
         entered = self.store.entered_slot
