@@ -162,7 +162,8 @@ class Scenario(Spec):
     arrival_slots / warmup_slots / drain:
         Simulated measurement window.
     seed:
-        RNG seed for payload bits and arrivals.
+        RNG seed for payload bits and arrivals: a non-negative int, or
+        None for fresh OS entropy (not reproducible).
     name:
         Optional label carried through to results and reports.
     """
@@ -276,14 +277,12 @@ class Scenario(Spec):
             raise ConfigurationError("arrival_slots must be >= 1")
         if self.warmup_slots < 0:
             raise ConfigurationError("warmup_slots must be >= 0")
-        # A bool is an int, but True would run as seed 1 under another hash.
+        # Not a bool either: True would run as seed 1 under another hash.
         if self.seed is not None and (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, int)
-            or self.seed < 0
+            type(self.seed) is not int or self.seed < 0
         ):
             raise ConfigurationError(
-                f"seed must be a non-negative int or null, got {self.seed!r}"
+                f"seed must be a non-negative int or None, got {self.seed!r}"
             )
         if isinstance(self.tech, str):
             get_technology(self.tech)  # fail fast on unknown preset names
