@@ -273,25 +273,23 @@ def record_items(key: str) -> list[str]:
     ]
 
 
-def fig9_campaign() -> Campaign:
+def run_fig9():
+    """The fig9 campaign's record at the golden window."""
     campaign = get_campaign("fig9")
-    return campaign.replace(base=dict(campaign.base_dict, **WINDOW))
+    campaign = campaign.replace(base=dict(campaign.base_dict, **WINDOW))
+    return run_campaign(campaign, session=PowerModel(), workers=1)
 
 
-def fig9_digests(record=None) -> dict[str, str]:
-    record = record or run_campaign(fig9_campaign(), session=PowerModel(),
-                                    workers=1)
+def fig9_digests(record) -> dict[str, str]:
     return {
         "fig9_csv": _sha256(record.to_csv()),
         "fig9_json": _sha256(record.to_json()),
     }
 
 
-def fig9_csv_items(record=None) -> list[str]:
+def fig9_csv_items(record) -> list[str]:
     """One line per row of the fig9 CSV export: its position,
     architecture, ports and load, then the sha256 of the row."""
-    record = record or run_campaign(fig9_campaign(), session=PowerModel(),
-                                    workers=1)
     lines = record.to_csv().splitlines()
     return [
         f"{i:>2} {row['architecture']} {row['ports']} {row['load']}  "
@@ -514,7 +512,7 @@ def current_digests() -> dict[str, str]:
         "spec_hashes": spec_hashes_digest(),
         "preset_exports": preset_exports_digest(),
         **{key: records_digest(key) for key in RECORD_KEYS},
-        **fig9_digests(),
+        **fig9_digests(run_fig9()),
     }
 
 
@@ -545,14 +543,14 @@ def test_record_items_name_every_scenario():
 
 @pytest.fixture(scope="module")
 def fig9_record():
-    return run_campaign(fig9_campaign(), session=PowerModel(), workers=1)
+    return run_fig9()
 
 
 def test_fig9_csv_items_name_every_row(fig9_record):
     items = fig9_csv_items(fig9_record)
     assert [tuple(line.split()[:4]) for line in items] == [
         (str(i), s.architecture, str(s.ports), str(s.load))
-        for i, s in enumerate(fig9_campaign().scenarios())
+        for i, s in enumerate(get_campaign("fig9").scenarios())
     ]
     assert all(len(line.split()[-1]) == 64 for line in items)
 
@@ -588,7 +586,7 @@ def main() -> int:
     parser.add_argument("--items", choices=sorted([*RECORD_KEYS, "fig9_csv"]))
     args = parser.parse_args()
     if args.items == "fig9_csv":
-        print("\n".join(fig9_csv_items()))
+        print("\n".join(fig9_csv_items(run_fig9())))
         return 0
     if args.items:
         print("\n".join(record_items(args.items)))
