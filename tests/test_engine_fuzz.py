@@ -143,6 +143,24 @@ def scenarios(draw) -> Scenario:
     ),
     settle_transfers=2048,
 )
+# Long Batcher-Banyan settlement batches at the full budget: at 32 ports
+# and low load a batch spans many slots of few cells, at 16 ports and
+# full load many cells in few slots.  Random budgets are mostly far
+# smaller.
+@example(
+    scenario=Scenario(
+        "batcher_banyan", 32, 0.03,
+        arrival_slots=250, warmup_slots=5, seed=3,
+    ),
+    settle_transfers=2048,
+)
+@example(
+    scenario=Scenario(
+        "batcher_banyan", 16, 1.0,
+        arrival_slots=120, warmup_slots=5, seed=3,
+    ),
+    settle_transfers=2048,
+)
 def test_engines_agree(scenario, settle_transfers):
     with mock.patch.object(vectorized, "SETTLE_TRANSFERS", settle_transfers):
         ref, vec = run_pair(scenario)
