@@ -5,13 +5,14 @@ a :class:`~repro.sim.cellstore.CellStore`: cells are integer row ids and
 latches are small Python int lists.  Wire transfers are not charged
 when they happen.  A core queues each one as ``(link, cell, grids)``
 and *settles* the queue in one batch when it reaches
-:data:`SETTLE_TRANSFERS` transfers, and whenever the engine asks (before
-the warmup reset and at collection).  A settlement counts each distinct
-cell's interior word flips once, chains every link's resting word
-through the batch in event order, and charges the energy through
-:func:`charge_events`.  Delivered cells come back through
-:meth:`VectorFabricCore.release` and are freed at the next settlement,
-so no queued transfer reads a recycled row.
+:data:`SETTLE_TRANSFERS` transfers (the Batcher-Banyan core by its own
+bounds, below), and whenever the engine asks (before the warmup reset
+and at collection).  A settlement counts each distinct cell's interior
+word flips once, chains every link's resting word through the batch in
+event order, and charges the energy through :func:`charge_events`.
+Delivered cells come back through :meth:`VectorFabricCore.release` and
+are freed at the next settlement, so no queued transfer reads a
+recycled row.
 
 Bit-for-bit equivalence with the reference fabrics is a hard contract
 (tested in ``tests/test_engine_equivalence.py``).  The ledger's bytes
@@ -38,12 +39,19 @@ paths make the reference's charges, counters and wire transfers in its
 order.
 
 The Batcher-Banyan core keeps no state between slots.  Its ``advance``
-only queues the grants and counts them.  Its settlement runs the
-bitonic substages as compare-exchanges on ``(line, slot)`` arrays and
-routes the banyan in closed form: after stage ``s`` a cell sits on the
-line whose top ``s + 1`` address bits are its destination's and whose
-other bits are its sorter output line's.  It charges comparator,
-banyan-switch and wire energy in the reference per-slot order.
+only queues the grants and counts them.  It settles once its held cells
+make 4 x :data:`SETTLE_TRANSFERS` wire events (one at ingress and one
+per traversal: 21 a cell at 32 ports), which caps its held rows and
+event arrays while spreading the kernel's fixed numpy cost over about
+390 cells, or once its held slots (those with grants) x ports reach
+:data:`SETTLE_TRANSFERS`, which caps the kernel's dense (slot, line)
+grids as the same cells spread over more slots at low load.  Its
+settlement runs the bitonic substages as compare-exchanges on ``(line,
+slot)`` arrays and routes the banyan in closed form: after stage ``s``
+a cell sits on the line whose top ``s + 1`` address bits are its
+destination's and whose other bits are its sorter output line's.  It
+charges comparator, banyan-switch and wire energy in the reference
+per-slot order.
 
 Counters are plain ints, counted with the same "only if the event
 happened" key-creation behaviour as the reference ``ledger.count`` call
@@ -66,9 +74,13 @@ from repro.sim import ledger as cat
 from repro.sim.cellstore import CellStore
 from repro.sim.tracer import _bitwise_count
 
-#: Wire transfers a core queues before it settles them in one batch.  It
-#: bounds both the store rows held for settlement and the transient
-#: arrays of one settlement.
+#: Settlement budget.  The crossbar, fully connected and banyan cores
+#: settle once they queue this many wire transfers, which bounds both the
+#: store rows held for settlement and the transient arrays of one
+#: settlement.  The Batcher-Banyan core settles once its held cells make
+#: four times this many wire events (bounding its held rows and event
+#: arrays) or its held slots x ports reach it (bounding its kernel's
+#: dense grids).
 SETTLE_TRANSFERS = 2048
 
 
@@ -592,7 +604,9 @@ class BatcherBanyanCore(VectorFabricCore):
     """Vectorized :class:`~repro.fabrics.batcher_banyan.BatcherBanyanFabric`.
 
     Stateless between slots: :meth:`advance` queues the grants and a
-    settlement sorts and routes every queued slot at once (see the
+    settlement sorts and routes every queued slot at once.  It settles
+    once its held cells make 4 x :data:`SETTLE_TRANSFERS` wire events or
+    its held slots x ports reach :data:`SETTLE_TRANSFERS` (see the
     module docstring).
     """
 
@@ -691,7 +705,10 @@ class BatcherBanyanCore(VectorFabricCore):
         self._ledger.count("cells_delivered", cells)
         dest = self.store.dest
         delivered = sorted([cid for _, cid in grants], key=dest.__getitem__)
-        if len(self._grants) * (1 + self._traversals) >= SETTLE_TRANSFERS:
+        if (
+            len(self._grants) * (1 + self._traversals) >= 4 * SETTLE_TRANSFERS
+            or len(self._sizes) * self.ports >= SETTLE_TRANSFERS
+        ):
             self.settle()
         return delivered
 

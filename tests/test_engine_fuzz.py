@@ -143,10 +143,10 @@ def scenarios(draw) -> Scenario:
     ),
     settle_transfers=2048,
 )
-# Long Batcher-Banyan settlement batches at the full budget: at 32 ports
-# and low load a batch spans many slots of few cells, at 16 ports and
-# full load many cells in few slots.  Random budgets are mostly far
-# smaller.
+# The two edges of a Batcher-Banyan settlement batch at the full
+# budget: at 32 ports and low load a batch ends when its held slots fill
+# the line-slot bound, at 16 ports and full load when its held cells
+# fill the cell bound.  Random budgets are mostly far smaller.
 @example(
     scenario=Scenario(
         "batcher_banyan", 32, 0.03,

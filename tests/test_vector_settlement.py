@@ -4,8 +4,9 @@ The cores queue wire transfers and settle them in batches; these tests
 pin what a settlement must preserve: the ledger's per-component add
 sequence and first-insertion order (:func:`charge_events`), equivalence
 with the reference engine when settlements land every slot or two, the
-Batcher-Banyan kernel's blocking check, the flip-bound invariant, and
-the cell rows a core holds between settlements.
+Batcher-Banyan kernel's blocking check, the flip-bound invariant, the
+cell rows a core holds between settlements, and the Batcher-Banyan's
+two bounds on a settlement batch.
 """
 
 from __future__ import annotations
@@ -120,3 +121,36 @@ def test_held_rows_stay_bounded_by_the_budget():
     held = ports * queue + vectorized.SETTLE_TRANSFERS // 2 + ports
     assert result.delivered_cells > 8 * held
     assert engine.store.capacity <= max(1024, 2 * held)
+
+
+@pytest.mark.parametrize("load", [0.02, 1.0])
+def test_batcher_settlements_stay_within_both_bounds(load, monkeypatch):
+    # At load 0.02 the held slots reach their bound first, at 1.0 the
+    # held cells do.
+    ports, queue = 32, 16
+    budget = vectorized.SETTLE_TRANSFERS
+    held = []
+    sort_and_route = vectorized.BatcherBanyanCore._sort_and_route
+
+    def recorded(core):
+        held.append((len(core._grants), len(core._sizes)))
+        sort_and_route(core)
+
+    monkeypatch.setattr(
+        vectorized.BatcherBanyanCore, "_sort_and_route", recorded
+    )
+    router = build_router(
+        "batcher_banyan", ports, load=load, ingress_queue_cells=queue
+    )
+    engine = VectorizedEngine(router, seed=3)
+    result = engine.run(2000, warmup_slots=100)
+    cost = 1 + engine._core._traversals  # wire events per cell
+    # Each bound is checked after a slot adds at most one line-slot per
+    # port and one cell per port.
+    assert max(slots for _, slots in held) * ports < budget + ports
+    assert max(cells for cells, _ in held) * cost < 4 * budget + ports * cost
+    assert len(held) > 10
+    # Live rows: queued ingress cells plus the cells held for settlement.
+    rows = ports * queue + 4 * budget // cost + ports
+    assert result.delivered_cells > rows
+    assert engine.store.capacity <= max(1024, 2 * rows)
