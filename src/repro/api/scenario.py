@@ -207,6 +207,21 @@ class Scenario(Spec):
         object.__setattr__(
             self, "traffic_params", _freeze_params(self.traffic_params)
         )
+        # Integer fields take only an int: a bool or an equal float would
+        # run the same simulation under another content hash.
+        optional = ("ingress_queue_cells", "buffer_bits_per_switch", "seed")
+        for name in (
+            "ports", "islip_iterations", "rng_stream", "bus_width",
+            "cell_words", "arrival_slots", "warmup_slots", *optional,
+        ):
+            value = getattr(self, name)
+            if type(value) is not int and (
+                value is not None or name not in optional
+            ):
+                kind = "an int or None" if name in optional else "an int"
+                raise ConfigurationError(
+                    f"{name} must be {kind}, got {value!r}"
+                )
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
@@ -277,10 +292,7 @@ class Scenario(Spec):
             raise ConfigurationError("arrival_slots must be >= 1")
         if self.warmup_slots < 0:
             raise ConfigurationError("warmup_slots must be >= 0")
-        # Not a bool either: True would run as seed 1 under another hash.
-        if self.seed is not None and (
-            type(self.seed) is not int or self.seed < 0
-        ):
+        if self.seed is not None and self.seed < 0:
             raise ConfigurationError(
                 f"seed must be a non-negative int or None, got {self.seed!r}"
             )

@@ -64,6 +64,20 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="seed"):
                 Scenario("crossbar", 8, 0.3, seed=seed)
 
+    @pytest.mark.parametrize("field", [
+        "ports", "islip_iterations", "rng_stream", "bus_width",
+        "cell_words", "arrival_slots", "warmup_slots",
+        "ingress_queue_cells", "buffer_bits_per_switch",
+    ])
+    def test_integer_fields_take_only_an_int(self, field):
+        # True or 1.0 would run as 1 under another content hash (the
+        # seed's own test above checks it too).
+        base = {"architecture": "crossbar", "ports": 8, "load": 0.3,
+                "queueing": "voq"}
+        for value in (True, 1.0):
+            with pytest.raises(ConfigurationError, match=f"{field} must be"):
+                Scenario(**dict(base, **{field: value}))
+
     def test_bad_traffic_kind(self):
         with pytest.raises(ConfigurationError, match="traffic"):
             Scenario("crossbar", 8, 0.3, traffic="adversarial")

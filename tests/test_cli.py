@@ -255,6 +255,13 @@ MALFORMED_SPECS = [
               '"seed": "3", "arrival_slots": 10, "warmup_slots": 2}]'),
     ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
               '"seed": -1, "arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"queueing": "voq", "islip_iterations": 2.5, '
+              '"arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"arrival_slots": 10.5, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"rng_stream": true, "arrival_slots": 10, "warmup_slots": 2}]'),
 ]
 
 
