@@ -207,8 +207,8 @@ class Scenario(Spec):
         object.__setattr__(
             self, "traffic_params", _freeze_params(self.traffic_params)
         )
-        # Integer fields take only an int: a bool or an equal float would
-        # run the same simulation under another content hash.
+        # Integer fields take only an int: a float fails inside the run,
+        # and a bool or an equal float runs under another content hash.
         optional = ("ingress_queue_cells", "buffer_bits_per_switch", "seed")
         for name in (
             "ports", "islip_iterations", "rng_stream", "bus_width",

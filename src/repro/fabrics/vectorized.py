@@ -75,12 +75,11 @@ from repro.sim.cellstore import CellStore
 from repro.sim.tracer import _bitwise_count
 
 #: Settlement budget.  The crossbar, fully connected and banyan cores
-#: settle once they queue this many wire transfers, which bounds both the
-#: store rows held for settlement and the transient arrays of one
-#: settlement.  The Batcher-Banyan core settles once its held cells make
-#: four times this many wire events (bounding its held rows and event
-#: arrays) or its held slots x ports reach it (bounding its kernel's
-#: dense grids).
+#: settle at this many queued wire transfers, which bounds the store rows
+#: held for settlement and one settlement's arrays.  The Batcher-Banyan
+#: settles once its held cells make 4x this many wire events (bounding
+#: its rows and event arrays) or its held slots x ports reach it
+#: (bounding its kernel's dense grids).
 SETTLE_TRANSFERS = 2048
 
 
@@ -605,9 +604,7 @@ class BatcherBanyanCore(VectorFabricCore):
 
     Stateless between slots: :meth:`advance` queues the grants and a
     settlement sorts and routes every queued slot at once.  It settles
-    once its held cells make 4 x :data:`SETTLE_TRANSFERS` wire events or
-    its held slots x ports reach :data:`SETTLE_TRANSFERS` (see the
-    module docstring).
+    on held cells, bounded by held line-slots (see the module docstring).
     """
 
     def __init__(self, fabric: BatcherBanyanFabric, store: CellStore) -> None:

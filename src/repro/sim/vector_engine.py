@@ -11,10 +11,8 @@ per-destination VOQs) hold integer cell ids, arbitration and egress
 accounting run on plain ints and lists, and the fabric is driven
 through a :class:`~repro.fabrics.vectorized.VectorFabricCore` that
 queues wire transfers and settles their flips and energy in batches
-bounded by :data:`~repro.fabrics.vectorized.SETTLE_TRANSFERS`: that
-many transfers for the crossbar, fully connected and banyan cores; for
-the Batcher-Banyan, held cells making four times that many wire events,
-or held slots x ports reaching it.
+bounded by :data:`~repro.fabrics.vectorized.SETTLE_TRANSFERS` (in
+transfers, or for the Batcher-Banyan in held cells and line-slots).
 
 This is the fast tier of the two-engine stack: the reference engine
 (:mod:`repro.sim.engine`) is the bit-exact oracle, and this engine is
