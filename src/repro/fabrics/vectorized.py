@@ -46,12 +46,12 @@ event arrays while spreading the kernel's fixed numpy cost over about
 390 cells, or once its held slots (those with grants) x ports reach
 :data:`SETTLE_TRANSFERS`, which caps the kernel's dense (slot, line)
 grids as the same cells spread over more slots at low load.  Its
-settlement runs the bitonic substages as compare-exchanges on ``(line,
-slot)`` arrays and routes the banyan in closed form: after stage ``s``
-a cell sits on the line whose top ``s + 1`` address bits are its
-destination's and whose other bits are its sorter output line's.  It
-charges comparator, banyan-switch and wire energy in the reference
-per-slot order.
+settlement runs the bitonic substages as compare-exchanges on
+``(line, slot)`` arrays and routes the banyan in closed form: after
+stage ``s`` a cell sits on the line whose top ``s + 1`` address bits
+are its destination's and whose other bits are its sorter output
+line's.  It charges comparator, banyan-switch and wire energy in the
+reference per-slot order.
 
 Counters are plain ints, counted with the same "only if the event
 happened" key-creation behaviour as the reference ``ledger.count`` call
