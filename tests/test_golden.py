@@ -29,6 +29,10 @@ These tests compare against ``tests/golden/digests.json`` instead:
   working directory, plus the bytes of every export file they write
   (not the cache, figure and journal stores, whose lines carry
   ``elapsed_s``);
+* ``sweep_transcripts`` — (argv, exit code, stdout, stderr) of the five
+  successful ``repro sweep`` calls in :data:`SWEEP_CALLS`: the four
+  fabrics and the ``fc`` alias, both engines, the three wire modes, two
+  technology nodes and explicit loads and seeds;
 * ``spec_hashes`` — the name, ``content_hash()`` and ``to_json()`` of
   every preset spec: each scenario of every scenario preset, every
   campaign, network and control preset, each network preset's topology
@@ -168,6 +172,19 @@ CLI_CALLS = (
 #: Stores the calls open (with their ``.lock`` files); their lines
 #: carry ``elapsed_s``.
 CLI_STORES = {"c.jsonl", "cache.jsonl", "figures.jsonl", "journal.jsonl"}
+
+#: The ``sweep_transcripts`` calls.
+SWEEP_CALLS = (
+    ("sweep", "--arch", "crossbar", "--ports", "4", "--slots", "60"),
+    ("sweep", "--arch", "fully_connected", "--ports", "8", "--slots", "60",
+     "--loads", "0.1", "0.4"),
+    ("sweep", "--arch", "banyan", "--ports", "8", "--slots", "60",
+     "--wire-mode", "per_link", "--tech", "0.13um"),
+    ("sweep", "--arch", "batcher_banyan", "--ports", "8", "--slots", "60",
+     "--wire-mode", "expected"),
+    ("sweep", "--arch", "fc", "--ports", "4", "--slots", "40",
+     "--engine", "reference", "--seed", "7", "--loads", "0.05", "0.9"),
+)
 
 #: The hand-written fault plan of the ``spec_hashes`` digest.
 FAULT_PLAN = FaultPlan(
@@ -377,6 +394,18 @@ def _cli_specs() -> dict[str, str]:
     }
 
 
+def _transcript(argv: tuple[str, ...]) -> bytes:
+    """One ``repro.cli.main`` call as JSON: argv, exit code, stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return json.dumps([argv, code, out.getvalue(), err.getvalue()]).encode()
+
+
 def cli_transcripts_digest() -> str:
     digest = hashlib.sha256()
     cwd = os.getcwd()
@@ -387,16 +416,7 @@ def cli_transcripts_digest() -> str:
                 Path(name).write_text(text)
             inputs = set(os.listdir())
             for argv in CLI_CALLS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), \
-                        contextlib.redirect_stderr(err):
-                    try:
-                        code = cli_main(list(argv))
-                    except SystemExit as exc:
-                        code = exc.code
-                digest.update(json.dumps(
-                    [argv, code, out.getvalue(), err.getvalue()]
-                ).encode())
+                digest.update(_transcript(argv))
             for name in sorted(set(os.listdir()) - inputs):
                 if name.removesuffix(".lock") in CLI_STORES:
                     continue
@@ -404,6 +424,13 @@ def cli_transcripts_digest() -> str:
                 digest.update(f"{name} {len(data)}\n".encode() + data)
         finally:
             os.chdir(cwd)
+    return digest.hexdigest()
+
+
+def sweep_transcripts_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in SWEEP_CALLS:
+        digest.update(_transcript(argv))
     return digest.hexdigest()
 
 
@@ -509,6 +536,7 @@ def current_digests() -> dict[str, str]:
     return {
         "cli_grammar": cli_grammar_digest(),
         "cli_transcripts": cli_transcripts_digest(),
+        "sweep_transcripts": sweep_transcripts_digest(),
         "spec_hashes": spec_hashes_digest(),
         "preset_exports": preset_exports_digest(),
         **{key: records_digest(key) for key in RECORD_KEYS},
@@ -569,6 +597,10 @@ def test_cli_transcripts_match_golden(golden):
     assert cli_transcripts_digest() == golden["cli_transcripts"]
 
 
+def test_sweep_transcripts_match_golden(golden):
+    assert sweep_transcripts_digest() == golden["sweep_transcripts"]
+
+
 def test_spec_hashes_match_golden(golden):
     assert spec_hashes_digest() == golden["spec_hashes"]
 
@@ -596,7 +628,7 @@ def main() -> int:
     for key, digest in sorted(current_digests().items()):
         same = committed.get(key) == digest
         changed += not same
-        print(f"{key:<16} {digest}  {'same' if same else 'CHANGED'}")
+        print(f"{key:<17} {digest}  {'same' if same else 'CHANGED'}")
     return 1 if changed else 0
 
 
