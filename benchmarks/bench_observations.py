@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.report import format_comparison, format_series
-from repro.analysis.sweeps import throughput_sweep
+from repro.api import Scenario, default_session
 from repro.sim.runner import run_simulation
 
 LOADS = [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50]
@@ -22,41 +22,46 @@ SLOTS = dict(arrival_slots=700, warmup_slots=140, seed=31415)
 
 
 def _crossover_sweep():
-    banyan = throughput_sweep("banyan", 32, loads=LOADS, **SLOTS)
-    crossbar = throughput_sweep("crossbar", 32, loads=LOADS, **SLOTS)
-    return banyan, crossbar
+    records = default_session().run_batch(
+        Scenario.grid(
+            architectures=("banyan", "crossbar"), ports=(32,), loads=LOADS,
+            **SLOTS,
+        )
+    )
+    return records[:len(LOADS)], records[len(LOADS):]
+
+
+def _power_at(grid, records):
+    """Total power interpolated at each grid throughput (``np.interp``
+    needs the measured throughputs in increasing order)."""
+    series = sorted(records, key=lambda r: r.throughput)
+    return np.interp(
+        grid,
+        [r.throughput for r in series],
+        [r.total_power_w for r in series],
+    )
 
 
 def test_observation1_banyan_crossover_at_32_ports(once):
     banyan, crossbar = once(_crossover_sweep)
 
-    xs = [p.throughput for p in banyan.points]
     print()
-    print(
-        format_series(
-            "banyan 32x32",
-            xs,
-            [p.total_power_w for p in banyan.points],
-            "throughput",
-            "W",
+    for label, records in (("banyan 32x32", banyan),
+                           ("crossbar 32x32", crossbar)):
+        print(
+            format_series(
+                label,
+                [r.throughput for r in records],
+                [r.total_power_w for r in records],
+                "throughput",
+                "W",
+            )
         )
-    )
-    print(
-        format_series(
-            "crossbar 32x32",
-            [p.throughput for p in crossbar.points],
-            [p.total_power_w for p in crossbar.points],
-            "throughput",
-            "W",
-        )
-    )
 
     # Interpolate both power curves on a common throughput grid and
     # find where the banyan stops being cheapest.
-    grid = np.linspace(0.10, min(banyan.max_throughput, 0.42), 33)
-    b = np.array([banyan.power_at_throughput(t) for t in grid])
-    x = np.array([crossbar.power_at_throughput(t) for t in grid])
-    cheaper = b < x
+    grid = np.linspace(0.10, min(max(r.throughput for r in banyan), 0.42), 33)
+    cheaper = _power_at(grid, banyan) < _power_at(grid, crossbar)
     assert cheaper[0], "banyan must win at low throughput"
     if cheaper.all():
         crossover = grid[-1]

@@ -10,9 +10,8 @@ Run:  python examples/architecture_comparison.py [ports]
 
 import sys
 
-from repro import ARCHITECTURES, PowerModel
+from repro import ARCHITECTURES, PowerModel, Scenario
 from repro.analysis.report import format_table, sparkline
-from repro.analysis.sweeps import throughput_sweep
 from repro.units import to_mW
 
 LOADS = [0.1, 0.2, 0.3, 0.4, 0.5]
@@ -20,21 +19,24 @@ LOADS = [0.1, 0.2, 0.3, 0.4, 0.5]
 
 def main(ports: int = 8) -> None:
     # One session: wire models and LUTs are built once and shared by
-    # all four sweeps; re-running a sweep would hit the series memo.
+    # all four sweeps.
     session = PowerModel()
-    sweeps = {}
+    power = {}
     for arch in ARCHITECTURES:
         print(f"sweeping {arch} ...")
-        sweeps[arch] = throughput_sweep(
-            arch, ports, loads=LOADS, arrival_slots=600, warmup_slots=120,
-            seed=7, session=session,
+        records = session.run_batch(
+            Scenario.grid(
+                architectures=(arch,), ports=(ports,), loads=LOADS,
+                arrival_slots=600, warmup_slots=120, seed=7,
+            )
         )
+        power[arch] = [r.total_power_w for r in records]
 
     rows = []
     for i, load in enumerate(LOADS):
         row = [f"{load:.1f}"]
         for arch in ARCHITECTURES:
-            row.append(f"{to_mW(sweeps[arch].points[i].total_power_w):.3f}")
+            row.append(f"{to_mW(power[arch][i]):.3f}")
         rows.append(row)
     print()
     print(
@@ -48,12 +50,10 @@ def main(ports: int = 8) -> None:
     print()
     print("Shape of each curve (power over load):")
     for arch in ARCHITECTURES:
-        series = [p.total_power_w for p in sweeps[arch].points]
+        series = power[arch]
         print(f"  {arch:16s} {sparkline(series, width=len(series))}")
 
-    final = {
-        arch: sweeps[arch].points[-1].total_power_w for arch in ARCHITECTURES
-    }
+    final = {arch: power[arch][-1] for arch in ARCHITECTURES}
     ranking = sorted(final, key=final.get)
     print()
     print(f"Ranking at 50% offered load ({ports}x{ports}):")

@@ -51,7 +51,7 @@ Package map
   batcher-banyan dynamic fabric models.
 - :mod:`repro.router` — ingress/egress units, arbiter, traffic.
 - :mod:`repro.sim` — the slotted bit-accurate simulation platform.
-- :mod:`repro.analysis` — sweeps, queueing theory, report formatting.
+- :mod:`repro.analysis` — queueing theory, report formatting.
 """
 
 from repro.version import PAPER, __version__

@@ -1,18 +1,10 @@
-"""Measurement harness: sweeps, queueing theory, report formatting.
+"""Measurement helpers: queueing theory and report formatting.
 
-These are the tools the benches use to regenerate the paper's evaluation
-section: throughput sweeps (Fig. 9), port sweeps (Fig. 10), the
-input-queueing saturation theory behind the 58.6% ceiling, and ASCII
-table/series formatting that mirrors the paper's presentation.
+These are the tools the benches use to present the paper's evaluation
+section: the input-queueing saturation theory behind the 58.6% ceiling,
+and ASCII table/series formatting that mirrors the paper's presentation.
 """
 
-from repro.analysis.sweeps import (
-    PortSweepResult,
-    SweepPoint,
-    ThroughputSweepResult,
-    port_sweep,
-    throughput_sweep,
-)
 from repro.analysis.theory import (
     hol_saturation_throughput,
     hol_saturation_asymptote,
@@ -21,11 +13,6 @@ from repro.analysis.theory import (
 from repro.analysis.report import format_series, format_table
 
 __all__ = [
-    "SweepPoint",
-    "ThroughputSweepResult",
-    "PortSweepResult",
-    "throughput_sweep",
-    "port_sweep",
     "hol_saturation_throughput",
     "hol_saturation_asymptote",
     "KAROL_HLUCHYJ_TABLE",

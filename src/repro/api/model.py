@@ -112,9 +112,6 @@ class PowerModel:
         self._buffer_models = _Memo()
         self._estimator_buffers = _Memo()
         self._model_sets = _Memo()
-        #: Scratch memo used by :mod:`repro.analysis.sweeps` to
-        #: deduplicate whole sweep runs per (arch, ports, grid) key.
-        self.sweep_cache: dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
     # Cached component accessors

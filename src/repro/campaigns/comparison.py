@@ -188,8 +188,7 @@ class ComparisonRecord:
         power is linearly interpolated at ``target_throughput`` over
         the measured (throughput, power) series; a group that saturates
         below the target reports its power at saturation with
-        ``saturated=True`` — exactly how
-        :func:`repro.analysis.sweeps.port_sweep` reads a measured curve.
+        ``saturated=True``, the closest point a measured curve reaches.
 
         ``target_throughput`` defaults to the campaign's
         ``params["target_throughput"]``.

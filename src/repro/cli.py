@@ -468,33 +468,34 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.analysis.sweeps import throughput_sweep
-    from repro.tech.presets import get_technology
+    from repro.api import Scenario, default_session
 
-    sweep = throughput_sweep(
-        args.arch,
-        args.ports,
-        loads=args.loads,
-        arrival_slots=args.slots,
-        warmup_slots=args.slots // 5,
-        seed=args.seed,
-        tech=get_technology(args.tech),
-        wire_mode=WireMode.parse(args.wire_mode).simulated,
-        engine=args.engine,
+    records = default_session().run_batch(
+        Scenario.grid(
+            architectures=(args.arch,),
+            ports=(args.ports,),
+            loads=args.loads,
+            techs=(args.tech,),
+            engine=args.engine,
+            wire_mode=args.wire_mode,
+            arrival_slots=args.slots,
+            warmup_slots=args.slots // 5,
+            seed=args.seed,
+        )
     )
     rows = [
-        [f"{p.offered_load:.2f}", f"{p.throughput:.3f}",
-         f"{to_mW(p.total_power_w):.4f}",
-         f"{to_mW(p.switch_power_w):.4f}",
-         f"{to_mW(p.wire_power_w):.4f}",
-         f"{to_mW(p.buffer_power_w):.4f}"]
-        for p in sweep.points
+        [f"{r.scenario.load:.2f}", f"{r.throughput:.3f}",
+         f"{to_mW(r.total_power_w):.4f}",
+         f"{to_mW(r.switch_power_w):.4f}",
+         f"{to_mW(r.wire_power_w):.4f}",
+         f"{to_mW(r.buffer_power_w):.4f}"]
+        for r in records
     ]
     print(
         format_table(
             ["offered", "throughput", "total mW", "switch", "wire", "buffer"],
             rows,
-            title=f"{sweep.architecture} {args.ports}x{args.ports}",
+            title=f"{records[0].architecture} {args.ports}x{args.ports}",
         )
     )
     return 0

@@ -1,4 +1,4 @@
-"""Analysis harness: theory, sweeps, reporting."""
+"""Analysis helpers: queueing theory and report formatting."""
 
 import math
 
@@ -10,7 +10,6 @@ from repro.analysis.report import (
     format_table,
     sparkline,
 )
-from repro.analysis.sweeps import port_sweep, throughput_sweep
 from repro.analysis.theory import (
     KAROL_HLUCHYJ_TABLE,
     effective_capacity,
@@ -48,65 +47,6 @@ class TestSaturationTheory:
         assert mm1_queue_delay_slots(0.5) == pytest.approx(1.0)
         with pytest.raises(ConfigurationError):
             mm1_queue_delay_slots(1.0)
-
-
-class TestThroughputSweep:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return throughput_sweep(
-            "crossbar",
-            4,
-            loads=[0.1, 0.3, 0.5],
-            arrival_slots=300,
-            warmup_slots=50,
-            seed=2,
-        )
-
-    def test_points_collected(self, sweep):
-        assert len(sweep.points) == 3
-        assert all(p.architecture == "crossbar" for p in sweep.points)
-
-    def test_power_monotone_in_load(self, sweep):
-        powers = [p.total_power_w for p in sorted(sweep.points, key=lambda q: q.offered_load)]
-        assert powers == sorted(powers)
-
-    def test_interpolation(self, sweep):
-        mid = sweep.power_at_throughput(0.2)
-        lo = sweep.power_at_throughput(0.1)
-        hi = sweep.power_at_throughput(0.3)
-        assert lo < mid < hi
-
-    def test_out_of_range_interpolation_raises(self, sweep):
-        with pytest.raises(ConfigurationError):
-            sweep.power_at_throughput(0.99)
-
-
-class TestPortSweep:
-    def test_fig10_harness_shape(self):
-        result = port_sweep(
-            throughput=0.3,
-            ports_list=[4, 8],
-            architectures=("crossbar", "fully_connected"),
-            arrival_slots=250,
-            warmup_slots=50,
-            loads=[0.15, 0.3, 0.45],
-        )
-        assert set(result.power_w) == {"crossbar", "fully_connected"}
-        assert set(result.power_w["crossbar"]) == {4, 8}
-        # Bigger fabric burns more power at equal throughput.
-        assert result.power_w["crossbar"][8] > result.power_w["crossbar"][4]
-
-    def test_gap_computation(self):
-        result = port_sweep(
-            throughput=0.3,
-            ports_list=[4],
-            architectures=("crossbar", "fully_connected"),
-            arrival_slots=250,
-            warmup_slots=50,
-            loads=[0.15, 0.3, 0.45],
-        )
-        gap = result.gap("fully_connected", "crossbar", 4)
-        assert 0 < gap < 1  # FC cheaper than crossbar at 4x4
 
 
 class TestReport:

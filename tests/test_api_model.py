@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.sweeps import port_sweep, throughput_sweep
 from repro.api import PowerModel, RunRecord, Scenario, records_to_csv, records_to_json
 from repro.core.estimator import ARCHITECTURES, estimate_power
 from repro.errors import ConfigurationError
@@ -190,74 +189,3 @@ class TestLegacyShims:
         b = session.simulation("banyan", 4, load=0.3, wire_mode="per_link",
                                **SIM_KWARGS)
         assert a == b
-
-
-class TestSweepDedup:
-    def _counting_session(self):
-        session = PowerModel()
-        counter = {"runs": 0}
-        original = session.simulation
-
-        def counting(*args, **kwargs):
-            counter["runs"] += 1
-            return original(*args, **kwargs)
-
-        session.simulation = counting
-        return session, counter
-
-    def test_throughput_sweep_memoised(self):
-        session, counter = self._counting_session()
-        kwargs = dict(loads=[0.1, 0.3], arrival_slots=60, warmup_slots=12,
-                      seed=5, session=session)
-        first = throughput_sweep("crossbar", 4, **kwargs)
-        assert counter["runs"] == 2
-        second = throughput_sweep("crossbar", 4, **kwargs)
-        assert counter["runs"] == 2  # served from the memo
-        assert [p.total_power_w for p in first.points] == [
-            p.total_power_w for p in second.points
-        ]
-
-    def test_memo_returns_fresh_container(self):
-        session, _ = self._counting_session()
-        kwargs = dict(loads=[0.2], arrival_slots=60, warmup_slots=12,
-                      seed=5, session=session)
-        first = throughput_sweep("crossbar", 4, **kwargs)
-        first.points.clear()
-        assert throughput_sweep("crossbar", 4, **kwargs).points
-
-    def test_stateful_traffic_generator_disables_memo(self):
-        from repro.router.traffic import BurstyTraffic
-
-        session, counter = self._counting_session()
-        generator = BurstyTraffic(4, 0.3)
-        kwargs = dict(loads=[0.3], arrival_slots=60, warmup_slots=12,
-                      seed=5, session=session, traffic=generator)
-        throughput_sweep("crossbar", 4, **kwargs)
-        throughput_sweep("crossbar", 4, **kwargs)
-        # Identity-hashed live objects must not be memo keys: the
-        # generator's state advances between calls, so both must run.
-        assert counter["runs"] == 2
-        assert not session.sweep_cache
-
-    def test_port_sweep_reuses_grids(self):
-        session, counter = self._counting_session()
-        kwargs = dict(loads=[0.2, 0.5], arrival_slots=60, warmup_slots=12,
-                      seed=5)
-        port_sweep(
-            throughput=0.3,
-            ports_list=[4],
-            architectures=("crossbar", "banyan"),
-            session=session,
-            **kwargs,
-        )
-        runs_after_first = counter["runs"]
-        assert runs_after_first == 2 * 2  # 2 archs x 2 loads
-        # A second sweep over the same grids is fully served from cache.
-        port_sweep(
-            throughput=0.5,
-            ports_list=[4],
-            architectures=("crossbar", "banyan"),
-            session=session,
-            **kwargs,
-        )
-        assert counter["runs"] == runs_after_first

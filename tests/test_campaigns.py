@@ -2,9 +2,9 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.analysis.sweeps import port_sweep, throughput_sweep
 from repro.api import Scenario
 from repro.api.store import RunRecordStore
 from repro.campaigns import (
@@ -174,47 +174,50 @@ class TestPresets:
 
 
 class TestGridExecution:
-    def test_points_bit_identical_to_legacy_sweep(self):
-        """A campaign's per-point values equal the legacy
-        throughput_sweep harness exactly (same scenarios, same seeds)."""
-        record = run_campaign(small_campaign())
-        assert record.axes == GRID_AXES
-        assert record.metrics == GRID_METRICS
-        for arch in ("crossbar", "banyan"):
-            sweep = throughput_sweep(
-                arch, 4, loads=[0.1, 0.3],
-                arrival_slots=80, warmup_slots=10, seed=7,
-            )
-            points = record.select(architecture=arch)
-            assert len(points) == len(sweep.points) == 2
-            for point, legacy in zip(points, sweep.points):
-                assert point["throughput"] == legacy.throughput
-                assert point["total_power_w"] == legacy.total_power_w
-                assert point["switch_power_w"] == legacy.switch_power_w
-                assert point["wire_power_w"] == legacy.wire_power_w
-                assert point["buffer_power_w"] == legacy.buffer_power_w
-                assert point["energy_per_bit_j"] == legacy.energy_per_bit_j
-
-    def test_interpolated_power_matches_port_sweep(self):
-        campaign = small_campaign(
+    @pytest.fixture(scope="class")
+    def fig10_record(self):
+        """Crossbar and fully connected at 4 and 8 ports, read off at
+        25% egress throughput."""
+        return run_campaign(small_campaign(
             architectures=("crossbar", "fully_connected"),
             ports=(4, 8),
             loads=(0.1, 0.3, 0.5),
             params={"target_throughput": 0.25},
-        )
-        record = run_campaign(campaign)
-        legacy = port_sweep(
-            throughput=0.25,
-            ports_list=[4, 8],
-            architectures=("crossbar", "fully_connected"),
-            loads=[0.1, 0.3, 0.5],
-            arrival_slots=80, warmup_slots=10, seed=7,
-        )
-        rows = record.interpolated_power()
+        ))
+
+    @staticmethod
+    def _power_at_target(record):
+        return {
+            (row["architecture"], row["ports"]): row["power_w"]
+            for row in record.interpolated_power()
+        }
+
+    def test_interpolated_power_matches_np_interp(self, fig10_record):
+        rows = fig10_record.interpolated_power()
         assert len(rows) == 4
         for row in rows:
-            assert row["power_w"] == legacy.power_w[
-                row["architecture"]][row["ports"]]
+            series = sorted(
+                fig10_record.select(architecture=row["architecture"],
+                                    ports=row["ports"]),
+                key=lambda p: p["throughput"],
+            )
+            xs = [p["throughput"] for p in series]
+            ys = [p["total_power_w"] for p in series]
+            assert xs[0] < 0.25 < xs[-1] and not row["saturated"]
+            assert row["power_w"] == np.interp(0.25, xs, ys)
+
+    def test_larger_fabric_costs_more_at_equal_throughput(
+        self, fig10_record
+    ):
+        power = self._power_at_target(fig10_record)
+        for arch in ("crossbar", "fully_connected"):
+            assert power[(arch, 8)] > power[(arch, 4)]
+
+    def test_fully_connected_cheaper_than_crossbar_at_4x4(
+        self, fig10_record
+    ):
+        power = self._power_at_target(fig10_record)
+        assert power[("fully_connected", 4)] < power[("crossbar", 4)]
 
     def test_saturated_group_reports_saturation_power(self):
         # A 4-port banyan cannot reach 90% egress throughput.

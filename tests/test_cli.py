@@ -283,17 +283,23 @@ def test_malformed_spec_file_is_a_clean_error(tmp_path, capsys, command,
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-#: Command lines that ask for a banyan whose port count is not a power
-#: of two.
-BAD_BANYAN_COMMANDS = [
-    ["simulate", "--arch", "banyan", "--ports", "6", "--load", "0.3"],
-    ["sweep", "--arch", "banyan", "--ports", "6", "--slots", "20",
-     "--loads", "0.1"],
-]
+#: Command lines that parse but ask for what the library refuses: a
+#: banyan whose port count is not a power of two, a negative seed, more
+#: ports than a scenario takes.
+BAD_COMMAND_LINES = {
+    "simulate-banyan-6": ["simulate", "--arch", "banyan", "--ports", "6",
+                          "--load", "0.3"],
+    "sweep-banyan-6": ["sweep", "--arch", "banyan", "--ports", "6",
+                       "--slots", "20", "--loads", "0.1"],
+    "sweep-negative-seed": ["sweep", "--seed", "-1", "--slots", "100"],
+    "sweep-4097-ports": ["sweep", "--ports", "4097", "--slots", "1",
+                         "--loads", "0.1"],
+}
 
 
-@pytest.mark.parametrize("argv", BAD_BANYAN_COMMANDS, ids=lambda a: a[0])
-def test_non_power_of_two_banyan_is_a_clean_error(capsys, argv):
+@pytest.mark.parametrize("argv", BAD_COMMAND_LINES.values(),
+                         ids=BAD_COMMAND_LINES.keys())
+def test_bad_command_line_is_a_clean_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
