@@ -54,15 +54,18 @@ BACKENDS = ("estimate", "simulate")
 #: Valid values of :attr:`Scenario.queueing`.
 QUEUEING_KINDS = ("fifo", "voq")
 
-#: Traffic generator constructors by scenario ``traffic`` name.
-TRAFFIC_KINDS = (
-    "bernoulli",
-    "hotspot",
-    "bursty",
-    "trimodal",
-    "permutation",
-    "trace",
-)
+#: Traffic generator classes by scenario ``traffic`` name; ``trace``
+#: builds its generator from ``traffic_params["entries"]``.
+_GENERATORS = {
+    "bernoulli": BernoulliUniformTraffic,
+    "hotspot": HotspotTraffic,
+    "bursty": BurstyTraffic,
+    "trimodal": TrimodalPacketTraffic,
+    "permutation": PermutationTraffic,
+}
+
+#: Valid values of :attr:`Scenario.traffic`.
+TRAFFIC_KINDS = (*_GENERATORS, "trace")
 
 
 def _freeze_value(value: Any) -> Any:
@@ -222,6 +225,26 @@ class Scenario(Spec):
                 raise ConfigurationError(
                     f"{name} must be {kind}, got {value!r}"
                 )
+        # Float fields take an int or a float and keep a float, so 1 and
+        # 1.0 share one content hash; a bool or a string fails here.
+        vector = isinstance(self.load, (list, tuple))
+        for name, values in (
+            ("load", self.load if vector else (self.load,)),
+            ("flip_fraction", (self.flip_fraction,)),
+        ):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(
+                    value, (int, float)
+                ):
+                    raise ConfigurationError(
+                        f"{name} must be an int or a float, got {value!r}"
+                    )
+        object.__setattr__(
+            self,
+            "load",
+            tuple(map(float, self.load)) if vector else float(self.load),
+        )
+        object.__setattr__(self, "flip_fraction", float(self.flip_fraction))
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
@@ -251,10 +274,6 @@ class Scenario(Spec):
         if self.ports > MAX_PORTS:
             raise ConfigurationError(
                 f"a scenario has at most {MAX_PORTS} ports, got {self.ports}"
-            )
-        if isinstance(self.load, (list, tuple)):
-            object.__setattr__(
-                self, "load", tuple(float(value) for value in self.load)
             )
         # Shared scalar/vector validation (length + [0, 1] range) —
         # the same rules the traffic layer enforces at build time.
@@ -338,8 +357,12 @@ class Scenario(Spec):
         )
 
     def build_traffic(self) -> TrafficGenerator:
-        """Instantiate this scenario's traffic generator."""
-        fmt = self.cell_format
+        """Instantiate this scenario's traffic generator.
+
+        A ``traffic_params`` entry the generator's constructor rejects
+        (an unknown keyword, a value of the wrong type) raises
+        :class:`ConfigurationError` naming the traffic kind.
+        """
         params = dict(self.traffic_params)
         if self.traffic == "trace":
             entries = params.pop("entries", None)
@@ -360,48 +383,19 @@ class Scenario(Spec):
                     f"size_bits]): {exc}"
                 ) from exc
             return TraceTraffic(self.ports, parsed, bus_width=self.bus_width)
+        bits = (
+            "cell_payload_bits" if self.traffic == "trimodal" else "packet_bits"
+        )
+        params.setdefault(bits, self.cell_format.payload_bits_per_cell)
         load = list(self.load) if isinstance(self.load, tuple) else self.load
-        common = dict(
-            ports=self.ports,
-            load=load,
-            bus_width=self.bus_width,
-        )
-        if self.traffic == "bernoulli":
-            return BernoulliUniformTraffic(
-                packet_bits=params.pop("packet_bits", fmt.payload_bits_per_cell),
-                **common,
-                **params,
+        try:
+            return _GENERATORS[self.traffic](
+                ports=self.ports, load=load, bus_width=self.bus_width, **params
             )
-        if self.traffic == "hotspot":
-            return HotspotTraffic(
-                packet_bits=params.pop("packet_bits", fmt.payload_bits_per_cell),
-                **common,
-                **params,
-            )
-        if self.traffic == "bursty":
-            return BurstyTraffic(
-                packet_bits=params.pop("packet_bits", fmt.payload_bits_per_cell),
-                **common,
-                **params,
-            )
-        if self.traffic == "trimodal":
-            return TrimodalPacketTraffic(
-                cell_payload_bits=params.pop(
-                    "cell_payload_bits", fmt.payload_bits_per_cell
-                ),
-                **common,
-                **params,
-            )
-        # permutation
-        permutation = params.pop("permutation", None)
-        if permutation is not None:
-            permutation = list(permutation)
-        return PermutationTraffic(
-            permutation=permutation,
-            packet_bits=params.pop("packet_bits", fmt.payload_bits_per_cell),
-            **common,
-            **params,
-        )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"invalid {self.traffic} traffic_params: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -78,6 +78,24 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match=f"{field} must be"):
                 Scenario(**dict(base, **{field: value}))
 
+    @pytest.mark.parametrize("field, spell", [
+        ("load", lambda value: value),
+        ("load", lambda value: [0.3] * 7 + [value]),
+        ("flip_fraction", lambda value: value),
+    ], ids=["load", "load-vector", "flip_fraction"])
+    def test_float_fields_take_an_int_or_a_float(self, field, spell):
+        # A bool would run under another content hash, a string fail
+        # inside the run; 1 and 1.0 are one workload with one hash.
+        base = {"architecture": "crossbar", "ports": 8, "load": 0.3}
+        for value in (True, "0.5"):
+            with pytest.raises(ConfigurationError, match=f"{field} must be"):
+                Scenario(**dict(base, **{field: spell(value)}))
+        one, one_float = (
+            Scenario(**dict(base, **{field: spell(value)}))
+            for value in (1, 1.0)
+        )
+        assert one.content_hash() == one_float.content_hash()
+
     def test_bad_traffic_kind(self):
         with pytest.raises(ConfigurationError, match="traffic"):
             Scenario("crossbar", 8, 0.3, traffic="adversarial")

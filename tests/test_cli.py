@@ -262,6 +262,16 @@ MALFORMED_SPECS = [
               '"arrival_slots": 10.5, "warmup_slots": 2}]'),
     ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
               '"rng_stream": true, "arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": "0.5", '
+              '"arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": true, '
+              '"arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"traffic": "hotspot", "traffic_params": {"hotspot_frac": 0.5}, '
+              '"arrival_slots": 10, "warmup_slots": 2}]'),
+    ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
+              '"traffic": "bursty", "traffic_params": {"burst_len": "x"}, '
+              '"arrival_slots": 10, "warmup_slots": 2}]'),
 ]
 
 
