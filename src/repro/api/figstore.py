@@ -24,37 +24,14 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.api.jsonl import (
-    iter_verified_entries,
     locked_append,
     locked_rewrite,
     quarantine_line,
     verify_entry,
 )
-
-
-def iter_derived_entries(
-    path: str | os.PathLike,
-) -> Iterator[tuple[str, str, dict[str, Any]]]:
-    """Stream ``(kind, key, record-dict)`` triples from a derived store.
-
-    Streaming counterpart to loading a :class:`DerivedRecordStore`:
-    one verified line at a time, no eager materialization, duplicate
-    keys yielded in file order (last wins is the consumer's fold).
-    Corrupt lines are skipped without quarantine side effects.
-    """
-    for entry in iter_verified_entries(path):
-        kind = entry.get("kind")
-        key = entry.get("key")
-        record = entry.get("record")
-        if (
-            isinstance(kind, str)
-            and isinstance(key, str)
-            and isinstance(record, dict)
-        ):
-            yield kind, key, record
 
 
 class DerivedRecordStore:

@@ -332,28 +332,3 @@ class SurrogateServer:
         if self._journal_pending >= _JOURNAL_FLUSH_EVERY:
             self._journal_fh.flush()
             self._journal_pending = 0
-
-
-def run_server(
-    predictor: SurrogatePredictor,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    journal: str | None = None,
-) -> None:
-    """Blocking convenience wrapper: serve until interrupted."""
-    server = SurrogateServer(
-        predictor, host=host, port=port, journal=journal
-    )
-
-    async def _main() -> None:
-        await server.start()
-        try:
-            await server.serve_forever()
-        finally:
-            await server.stop()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
