@@ -87,14 +87,14 @@ class TestValidation:
         # A bool would run under another content hash, a string fail
         # inside the run; 1 and 1.0 are one workload with one hash.
         base = {"architecture": "crossbar", "ports": 8, "load": 0.3}
+
+        def scenario(value):
+            return Scenario(**dict(base, **{field: spell(value)}))
+
         for value in (True, "0.5"):
             with pytest.raises(ConfigurationError, match=f"{field} must be"):
-                Scenario(**dict(base, **{field: spell(value)}))
-        one, one_float = (
-            Scenario(**dict(base, **{field: spell(value)}))
-            for value in (1, 1.0)
-        )
-        assert one.content_hash() == one_float.content_hash()
+                scenario(value)
+        assert scenario(1).content_hash() == scenario(1.0).content_hash()
 
     def test_bad_traffic_kind(self):
         with pytest.raises(ConfigurationError, match="traffic"):
