@@ -1,4 +1,5 @@
-"""Analysis helpers: queueing theory and report formatting."""
+"""Analysis helpers: queueing theory, the power-at-throughput read-off
+and report formatting."""
 
 import math
 
@@ -17,6 +18,7 @@ from repro.analysis.theory import (
     hol_saturation_throughput,
     mm1_queue_delay_slots,
 )
+from repro.campaigns import Campaign, run_campaign
 from repro.errors import ConfigurationError
 
 
@@ -47,6 +49,26 @@ class TestSaturationTheory:
         assert mm1_queue_delay_slots(0.5) == pytest.approx(1.0)
         with pytest.raises(ConfigurationError):
             mm1_queue_delay_slots(1.0)
+
+
+class TestThroughputSweep:
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """A 4-port crossbar swept over three loads."""
+        return run_campaign(Campaign(
+            name="sweep",
+            architectures=("crossbar",),
+            ports=(4,),
+            loads=(0.1, 0.3, 0.5),
+            base={"arrival_slots": 300, "warmup_slots": 50, "seed": 2},
+        ))
+
+    def test_interpolation(self, sweep):
+        lo, mid, hi = (
+            sweep.interpolated_power(target)[0]["power_w"]
+            for target in (0.1, 0.2, 0.3)
+        )
+        assert lo < mid < hi
 
 
 class TestReport:
