@@ -16,6 +16,7 @@ Headline contracts under test:
 
 import asyncio
 import json
+import socket
 
 import pytest
 
@@ -463,6 +464,61 @@ class TestServer:
             return statuses
 
         assert asyncio.run(_go()) == [200, 200, 200]
+
+    def test_batch_body_over_256_kib(self, corpus, server):
+        """A body larger than one socket read arrives whole."""
+        scenarios = [
+            Scenario(
+                architecture=("crossbar", "banyan")[i % 2], ports=8,
+                load=0.2 + 0.3 * i / 999, backend="simulate", **SIM_KWARGS,
+            )
+            for i in range(1000)
+        ]
+        body = json.dumps(
+            {"scenarios": [s.to_dict() for s in scenarios]}
+        ).encode()
+        assert len(body) > 256 * 1024
+        status, _, payload = http_request(server.port, "POST", "/batch", body)
+        assert status == 200
+        local = [SurrogatePredictor(corpus["model"]).predict(s)
+                 for s in scenarios]
+        assert {p.source for p in local} == {"surrogate"}
+        assert payload == json.dumps([p.to_dict() for p in local]).encode()
+
+    def test_pipelined_requests_answered_in_order(self, corpus, server):
+        """Two requests sent in one write on one keep-alive connection
+        get two responses, in request order."""
+        scenarios = [
+            Scenario(architecture=arch, ports=8, load=load,
+                     backend="simulate", **SIM_KWARGS)
+            for arch, load in (("banyan", 0.35), ("crossbar", 0.25))
+        ]
+        requests = b""
+        for i, scenario in enumerate(scenarios):
+            body = json.dumps(scenario.to_dict()).encode()
+            close = "Connection: close\r\n" if i == len(scenarios) - 1 else ""
+            requests += (
+                f"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n"
+            ).encode() + body
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(requests)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        bodies = []
+        while raw:
+            head, _, raw = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            length = int(head.lower().split(b"content-length:")[1]
+                         .split(b"\r\n")[0])
+            bodies.append(raw[:length])
+            raw = raw[length:]
+        local = [SurrogatePredictor(corpus["model"]).predict(s)
+                 for s in scenarios]
+        assert {p.source for p in local} == {"surrogate"}
+        assert bodies == [p.to_json().encode() for p in local]
 
     def test_journal_written(self, corpus, tmp_path):
         journal = tmp_path / "requests.jsonl"
