@@ -54,96 +54,40 @@ Package map
 - :mod:`repro.analysis` — queueing theory, report formatting.
 """
 
-from repro.version import PAPER, __version__
-from repro.core.estimator import (
-    ARCHITECTURES,
-    AnalyticalPowerEstimate,
-    estimate_all_architectures,
-    estimate_power,
-)
-from repro.core.analytical import worst_case_bit_energy
-from repro.sim.runner import build_router, run_simulation
-from repro.sim.results import SimulationResult
-from repro.fabrics.factory import build_fabric, default_models
-from repro.tech import TECH_130NM, TECH_180NM, TECH_250NM, Technology
-from repro.wire_modes import WireMode
-from repro.api import (
-    PowerModel,
-    RunRecord,
-    Scenario,
-    default_session,
-    load_scenarios,
-    preset,
-    preset_scenarios,
-    run_batch,
-)
-from repro.campaigns import (
-    Campaign,
-    ComparisonRecord,
-    DerivedRecordStore,
-    get_campaign,
-    run_campaign,
-)
-from repro.network import (
-    NetworkPowerModel,
-    NetworkRecord,
-    NetworkSpec,
-    NetworkTopology,
-    TrafficMatrix,
-    get_network,
-    run_network,
-)
-from repro.control import (
-    ControlModel,
-    ControlRecord,
-    ControlSpec,
-    DemandSeries,
-    get_control,
-    run_control,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "PAPER",
-    "ARCHITECTURES",
-    "AnalyticalPowerEstimate",
-    "estimate_power",
-    "estimate_all_architectures",
-    "worst_case_bit_energy",
-    "run_simulation",
-    "build_router",
-    "build_fabric",
-    "default_models",
-    "SimulationResult",
-    "Technology",
-    "TECH_130NM",
-    "TECH_180NM",
-    "TECH_250NM",
-    "WireMode",
-    "Scenario",
-    "PowerModel",
-    "RunRecord",
-    "default_session",
-    "run_batch",
-    "load_scenarios",
-    "preset",
-    "preset_scenarios",
-    "Campaign",
-    "ComparisonRecord",
-    "DerivedRecordStore",
-    "get_campaign",
-    "run_campaign",
-    "NetworkTopology",
-    "TrafficMatrix",
-    "NetworkSpec",
-    "NetworkPowerModel",
-    "NetworkRecord",
-    "get_network",
-    "run_network",
-    "DemandSeries",
-    "ControlSpec",
-    "ControlModel",
-    "ControlRecord",
-    "get_control",
-    "run_control",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".version": ("__version__", "PAPER"),
+    ".core.estimator": (
+        "ARCHITECTURES", "AnalyticalPowerEstimate", "estimate_power",
+        "estimate_all_architectures",
+    ),
+    ".core.analytical": ("worst_case_bit_energy",),
+    ".sim.runner": ("run_simulation", "build_router"),
+    ".sim.results": ("SimulationResult",),
+    ".fabrics.factory": ("build_fabric", "default_models"),
+    ".tech.technology": ("Technology",),
+    ".tech.presets": ("TECH_130NM", "TECH_180NM", "TECH_250NM"),
+    ".wire_modes": ("WireMode",),
+    ".api.scenario": (
+        "Scenario", "load_scenarios", "preset", "preset_scenarios",
+    ),
+    ".api.model": ("PowerModel", "default_session", "run_batch"),
+    ".api.records": ("RunRecord",),
+    ".api.figstore": ("DerivedRecordStore",),
+    ".campaigns.campaign": ("Campaign",),
+    ".campaigns.comparison": ("ComparisonRecord",),
+    ".campaigns.presets": ("get_campaign",),
+    ".campaigns.runner": ("run_campaign",),
+    ".network.topology": ("NetworkTopology",),
+    ".network.traffic_matrix": ("TrafficMatrix",),
+    ".network.power": (
+        "NetworkSpec", "NetworkPowerModel", "NetworkRecord", "run_network",
+    ),
+    ".network.presets": ("get_network",),
+    ".control.demand": ("DemandSeries",),
+    ".control.spec": ("ControlSpec",),
+    ".control.model": ("ControlModel", "run_control"),
+    ".control.record": ("ControlRecord",),
+    ".control.presets": ("get_control",),
+})

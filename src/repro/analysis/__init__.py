@@ -5,17 +5,12 @@ section: the input-queueing saturation theory behind the 58.6% ceiling,
 and ASCII table/series formatting that mirrors the paper's presentation.
 """
 
-from repro.analysis.theory import (
-    hol_saturation_throughput,
-    hol_saturation_asymptote,
-    KAROL_HLUCHYJ_TABLE,
-)
-from repro.analysis.report import format_series, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "hol_saturation_throughput",
-    "hol_saturation_asymptote",
-    "KAROL_HLUCHYJ_TABLE",
-    "format_table",
-    "format_series",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".theory": (
+        "hol_saturation_throughput", "hol_saturation_asymptote",
+        "KAROL_HLUCHYJ_TABLE",
+    ),
+    ".report": ("format_table", "format_series"),
+})

@@ -45,50 +45,21 @@ The legacy entry points (``repro.estimate_power``,
 ``docs/ARCHITECTURE.md``.
 """
 
-from repro.wire_modes import WireMode
-from repro.api.scenario import (
-    BACKENDS,
-    PRESET_SCENARIOS,
-    Scenario,
-    TRAFFIC_KINDS,
-    load_scenarios,
-    preset,
-    preset_scenarios,
-)
-from repro.api.records import (
-    CSV_COLUMNS,
-    RunRecord,
-    records_to_csv,
-    records_to_json,
-    summary_rows,
-)
-from repro.api.model import (
-    PowerModel,
-    default_session,
-    reset_default_session,
-    run_batch,
-)
-from repro.api.figstore import DerivedRecordStore
-from repro.api.store import RunRecordStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WireMode",
-    "Scenario",
-    "BACKENDS",
-    "TRAFFIC_KINDS",
-    "PRESET_SCENARIOS",
-    "preset",
-    "preset_scenarios",
-    "load_scenarios",
-    "RunRecord",
-    "CSV_COLUMNS",
-    "records_to_json",
-    "records_to_csv",
-    "summary_rows",
-    "PowerModel",
-    "default_session",
-    "reset_default_session",
-    "run_batch",
-    "RunRecordStore",
-    "DerivedRecordStore",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.wire_modes": ("WireMode",),
+    ".scenario": (
+        "Scenario", "BACKENDS", "TRAFFIC_KINDS", "PRESET_SCENARIOS", "preset",
+        "preset_scenarios", "load_scenarios",
+    ),
+    ".records": (
+        "RunRecord", "CSV_COLUMNS", "records_to_json", "records_to_csv",
+        "summary_rows",
+    ),
+    ".model": (
+        "PowerModel", "default_session", "reset_default_session", "run_batch",
+    ),
+    ".store": ("RunRecordStore",),
+    ".figstore": ("DerivedRecordStore",),
+})

@@ -37,48 +37,18 @@ CLI front end: ``repro campaign run|list|report`` (see
 matrix).
 """
 
-from repro.api.figstore import DerivedRecordStore
-from repro.campaigns.campaign import CAMPAIGN_KINDS, Campaign, GRID_AXES
-from repro.campaigns.comparison import ComparisonRecord
-from repro.campaigns.presets import (
-    PRESET_CAMPAIGNS,
-    campaign_names,
-    get_campaign,
-)
-from repro.campaigns.reporting import render_report
-from repro.campaigns.runner import (
-    CONTROL_AXES,
-    CONTROL_METRICS,
-    CONTROL_TOTAL_EPOCH,
-    GRID_METRICS,
-    NETWORK_AXES,
-    NETWORK_METRICS,
-    NETWORK_TOTAL_NODE,
-    SURROGATE_AXES,
-    SURROGATE_METRICS,
-    campaign_plan,
-    run_campaign,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "CAMPAIGN_KINDS",
-    "GRID_AXES",
-    "GRID_METRICS",
-    "NETWORK_AXES",
-    "NETWORK_METRICS",
-    "NETWORK_TOTAL_NODE",
-    "CONTROL_AXES",
-    "CONTROL_METRICS",
-    "CONTROL_TOTAL_EPOCH",
-    "SURROGATE_AXES",
-    "SURROGATE_METRICS",
-    "ComparisonRecord",
-    "DerivedRecordStore",
-    "PRESET_CAMPAIGNS",
-    "campaign_names",
-    "get_campaign",
-    "campaign_plan",
-    "run_campaign",
-    "render_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".campaign": ("Campaign", "CAMPAIGN_KINDS", "GRID_AXES"),
+    ".runner": (
+        "GRID_METRICS", "NETWORK_AXES", "NETWORK_METRICS",
+        "NETWORK_TOTAL_NODE", "CONTROL_AXES", "CONTROL_METRICS",
+        "CONTROL_TOTAL_EPOCH", "SURROGATE_AXES", "SURROGATE_METRICS",
+        "campaign_plan", "run_campaign",
+    ),
+    ".comparison": ("ComparisonRecord",),
+    "repro.api.figstore": ("DerivedRecordStore",),
+    ".presets": ("PRESET_CAMPAIGNS", "campaign_names", "get_campaign"),
+    ".reporting": ("render_report",),
+})

@@ -58,7 +58,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from repro import campaigns, control, network
+import repro
 from repro.analysis.report import format_table
 from repro.core import tables
 from repro.errors import ConfigurationError, ReproError
@@ -738,7 +738,7 @@ class _Kind(NamedTuple):
 
 
 def _campaign_dry_run(campaign) -> None:
-    plan = campaigns.campaign_plan(campaign)
+    plan = repro.campaigns.campaign_plan(campaign)
     print(
         f"campaign {campaign.name} ({campaign.kind}): "
         f"{len(plan)} points"
@@ -780,7 +780,7 @@ def _network_row(name: str, spec) -> list:
 
 
 def _network_dry_run(spec) -> None:
-    model = network.NetworkPowerModel()
+    model = repro.network.NetworkPowerModel()
     routing = model.route(spec)
     pairs = model.scenarios(spec, routing)
     print(
@@ -833,7 +833,8 @@ def _control_dry_run(spec) -> None:
     )
     for i in range(spec.series.epochs):
         matrix = spec.series.matrix(i)
-        routing = network.route(topology, matrix, mode=spec.network.routing)
+        routing = repro.network.route(topology, matrix,
+                                      mode=spec.network.routing)
         max_util = max(
             (row["utilization"] for row in routing.link_rows()),
             default=0.0,
@@ -845,7 +846,9 @@ def _control_dry_run(spec) -> None:
         )
 
 
-#: ``repro <kind> run|list|report`` for each spec kind.
+#: ``repro <kind> run|list|report`` for each spec kind.  The callables
+#: reach ``repro.campaigns``, ``repro.network`` and ``repro.control``
+#: only when called, so building the parser imports none of them.
 _KINDS = {
     "campaign": _Kind(
         help="declarative paper-reproduction campaigns (figures/tables)",
@@ -855,21 +858,21 @@ _KINDS = {
         "JSON file",
         dry_run_help="validate the campaign and print its point plan "
         "without executing anything",
-        names=campaigns.campaign_names,
-        get=campaigns.get_campaign,
-        load=campaigns.Campaign.from_json,
+        names=lambda: repro.campaigns.campaign_names(),
+        get=lambda name: repro.campaigns.get_campaign(name),
+        load=lambda text: repro.campaigns.Campaign.from_json(text),
         noun="campaign",
         columns=("name", "kind", "points", "title"),
         row=lambda name, c: [name, c.kind, c.size(), c.title],
         dry_run=_campaign_dry_run,
-        run=lambda c, args, **kw: campaigns.run_campaign(c, **kw),
+        run=lambda c, args, **kw: repro.campaigns.run_campaign(c, **kw),
         exports=(
             ("--csv", "additionally export the record as CSV to this file",
              lambda r: r.to_csv(), lambda r: f"{len(r.points)} points"),
             ("--json", "additionally export the record as JSON to this file",
              lambda r: r.to_json(), lambda r: f"{len(r.points)} points"),
         ),
-        report=campaigns.render_report,
+        report=lambda record: repro.campaigns.render_report(record),
         table=_campaign_table,
         batchless=_campaign_batchless,
     ),
@@ -881,15 +884,15 @@ _KINDS = {
         "NetworkSpec JSON file",
         dry_run_help="route the matrix and print the derived per-router "
         "plan without simulating anything",
-        names=network.network_names,
-        get=network.get_network,
-        load=network.NetworkSpec.from_json,
+        names=lambda: repro.network.network_names(),
+        get=lambda name: repro.network.get_network(name),
+        load=lambda text: repro.network.NetworkSpec.from_json(text),
         noun="network spec",
         columns=("name", "nodes", "links", "routing", "epochs",
                  "switch-off", "demand"),
         row=_network_row,
         dry_run=_network_dry_run,
-        run=lambda spec, args, **kw: network.NetworkPowerModel().run(
+        run=lambda spec, args, **kw: repro.network.NetworkPowerModel().run(
             spec, shards=args.shards, detail=args.detail, **kw
         ),
         exports=(
@@ -900,8 +903,8 @@ _KINDS = {
             ("--json", "additionally export the record as JSON",
              lambda r: r.to_json(), lambda r: "network record"),
         ),
-        report=network.render_network_report,
-        table=network.render_network_report,
+        report=lambda record: repro.network.render_network_report(record),
+        table=lambda record: repro.network.render_network_report(record),
         flags=(
             ("--scale", dict(
                 type=float,
@@ -938,15 +941,17 @@ _KINDS = {
         "ControlSpec JSON file",
         dry_run_help="route every epoch and print the per-epoch demand "
         "plan without simulating anything",
-        names=control.control_names,
-        get=control.get_control,
-        load=control.ControlSpec.from_json,
+        names=lambda: repro.control.control_names(),
+        get=lambda name: repro.control.get_control(name),
+        load=lambda text: repro.control.ControlSpec.from_json(text),
         noun="control spec",
         columns=("name", "nodes", "links", "routing", "epochs",
                  "headroom", "policies"),
         row=_control_row,
         dry_run=_control_dry_run,
-        run=lambda spec, args, **kw: control.ControlModel().run(spec, **kw),
+        run=lambda spec, args, **kw: repro.control.ControlModel().run(
+            spec, **kw
+        ),
         exports=(
             ("--csv", "additionally export the per-epoch record as CSV",
              lambda r: r.to_csv(), lambda r: f"{len(r.epochs)} epochs"),
@@ -956,8 +961,8 @@ _KINDS = {
             ("--json", "additionally export the record as JSON",
              lambda r: r.to_json(), lambda r: "control record"),
         ),
-        report=control.render_control_report,
-        table=control.render_control_report,
+        report=lambda record: repro.control.render_control_report(record),
+        table=lambda record: repro.control.render_control_report(record),
     ),
 }
 

@@ -35,44 +35,13 @@ CLI front end: ``repro control run|list|report``; campaign integration:
 ``Campaign(kind="control")`` in :mod:`repro.campaigns`.
 """
 
-from repro.control.demand import DemandSeries
-from repro.control.spec import ControlSpec
-from repro.control.optimizer import (
-    GreenPlan,
-    cable_key,
-    cables_of,
-    optimize_routing,
-)
-from repro.control.record import (
-    EPOCH_COLUMNS,
-    SLA_COLUMNS,
-    ControlRecord,
-)
-from repro.control.model import (
-    ControlModel,
-    render_control_report,
-    run_control,
-)
-from repro.control.presets import (
-    CONTROL_PRESETS,
-    control_names,
-    get_control,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DemandSeries",
-    "ControlSpec",
-    "GreenPlan",
-    "cable_key",
-    "cables_of",
-    "optimize_routing",
-    "ControlRecord",
-    "EPOCH_COLUMNS",
-    "SLA_COLUMNS",
-    "ControlModel",
-    "render_control_report",
-    "run_control",
-    "CONTROL_PRESETS",
-    "control_names",
-    "get_control",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".demand": ("DemandSeries",),
+    ".spec": ("ControlSpec",),
+    ".optimizer": ("GreenPlan", "cable_key", "cables_of", "optimize_routing"),
+    ".record": ("ControlRecord", "EPOCH_COLUMNS", "SLA_COLUMNS"),
+    ".model": ("ControlModel", "render_control_report", "run_control"),
+    ".presets": ("CONTROL_PRESETS", "control_names", "get_control"),
+})

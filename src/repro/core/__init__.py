@@ -17,36 +17,19 @@ Modules
   that combines all of the above.
 """
 
-from repro.core.bit_energy import (
-    BufferEnergyModel,
-    EnergyModelSet,
-    MuxEnergyLUT,
-    SwitchEnergyLUT,
-)
-from repro.core.analytical import (
-    bit_energy_banyan,
-    bit_energy_batcher_banyan,
-    bit_energy_crossbar,
-    bit_energy_fully_connected,
-    worst_case_bit_energy,
-)
-from repro.core.contention import banyan_stage_loads, banyan_blocking_probability
-from repro.core.estimator import AnalyticalPowerEstimate, estimate_power
-from repro.core import tables
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BufferEnergyModel",
-    "EnergyModelSet",
-    "MuxEnergyLUT",
-    "SwitchEnergyLUT",
-    "bit_energy_banyan",
-    "bit_energy_batcher_banyan",
-    "bit_energy_crossbar",
-    "bit_energy_fully_connected",
-    "worst_case_bit_energy",
-    "banyan_stage_loads",
-    "banyan_blocking_probability",
-    "AnalyticalPowerEstimate",
-    "estimate_power",
-    "tables",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bit_energy": (
+        "BufferEnergyModel", "EnergyModelSet", "MuxEnergyLUT",
+        "SwitchEnergyLUT",
+    ),
+    ".analytical": (
+        "bit_energy_banyan", "bit_energy_batcher_banyan",
+        "bit_energy_crossbar", "bit_energy_fully_connected",
+        "worst_case_bit_energy",
+    ),
+    ".contention": ("banyan_stage_loads", "banyan_blocking_probability"),
+    ".estimator": ("AnalyticalPowerEstimate", "estimate_power"),
+    ".": ("tables",),
+})

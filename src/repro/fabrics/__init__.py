@@ -15,33 +15,17 @@ static topology helpers in :mod:`~repro.fabrics.topology` and
 :mod:`~repro.fabrics.batcher`.
 """
 
-from repro.fabrics.base import SwitchFabric
-from repro.fabrics.crossbar import CrossbarFabric
-from repro.fabrics.fully_connected import FullyConnectedFabric
-from repro.fabrics.banyan import BanyanFabric
-from repro.fabrics.batcher_banyan import BatcherBanyanFabric
-from repro.fabrics.factory import build_fabric, default_models
-from repro.fabrics.registry import (
-    FabricEntry,
-    canonical_architecture,
-    get_entry,
-    register_fabric,
-    registered_architectures,
-    unregister_fabric,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SwitchFabric",
-    "CrossbarFabric",
-    "FullyConnectedFabric",
-    "BanyanFabric",
-    "BatcherBanyanFabric",
-    "build_fabric",
-    "default_models",
-    "FabricEntry",
-    "register_fabric",
-    "unregister_fabric",
-    "registered_architectures",
-    "canonical_architecture",
-    "get_entry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("SwitchFabric",),
+    ".crossbar": ("CrossbarFabric",),
+    ".fully_connected": ("FullyConnectedFabric",),
+    ".banyan": ("BanyanFabric",),
+    ".batcher_banyan": ("BatcherBanyanFabric",),
+    ".factory": ("build_fabric", "default_models"),
+    ".registry": (
+        "FabricEntry", "register_fabric", "unregister_fabric",
+        "registered_architectures", "canonical_architecture", "get_entry",
+    ),
+})

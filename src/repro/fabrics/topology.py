@@ -21,9 +21,14 @@ exhaustively.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
+
+# The ``*_graph`` helpers import networkx when called: no simulation
+# path builds a graph, so no simulation loads it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def stage_count(ports: int) -> int:
@@ -118,6 +123,8 @@ def banyan_graph(ports: int) -> nx.MultiDiGraph:
     Vertices: ``("in", p)``, ``("sw", stage, k)``, ``("out", p)``.
     Edges follow the MSB-first wiring.
     """
+    import networkx as nx
+
     n = stage_count(ports)
     g = nx.MultiDiGraph()
     for p in range(ports):
@@ -135,6 +142,8 @@ def banyan_graph(ports: int) -> nx.MultiDiGraph:
 
 def crossbar_graph(ports: int) -> nx.MultiDiGraph:
     """Crossbar as a graph: input rows, crosspoints, output columns."""
+    import networkx as nx
+
     if ports < 1:
         raise TopologyError("crossbar needs >= 1 port")
     g = nx.MultiDiGraph()
@@ -147,6 +156,8 @@ def crossbar_graph(ports: int) -> nx.MultiDiGraph:
 
 def fully_connected_graph(ports: int) -> nx.MultiDiGraph:
     """Fully connected fabric as a graph: every input to every MUX."""
+    import networkx as nx
+
     if ports < 2:
         raise TopologyError("fully connected fabric needs >= 2 ports")
     g = nx.MultiDiGraph()

@@ -28,6 +28,8 @@ growing with N) is reproduced from first principles — see the Table 1
 bench.
 """
 
+# Eager, unlike the other packages: the export ``simulate`` shares its
+# name with a submodule, whose import would bind over a lazy export.
 from repro.gatesim.cells import CellLibrary, CellType
 from repro.gatesim.netlist import Gate, Net, Netlist
 from repro.gatesim.simulate import SimulationTrace, simulate

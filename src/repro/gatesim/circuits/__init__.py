@@ -5,14 +5,11 @@ documented port convention (``in0[..]``, ``valid0``, ``route0``, ...)
 that :mod:`repro.gatesim.characterize` knows how to stimulate.
 """
 
-from repro.gatesim.circuits.crosspoint import build_crosspoint
-from repro.gatesim.circuits.banyan_switch import build_banyan_switch
-from repro.gatesim.circuits.sorting_switch import build_sorting_switch
-from repro.gatesim.circuits.mux import build_mux_tree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "build_crosspoint",
-    "build_banyan_switch",
-    "build_sorting_switch",
-    "build_mux_tree",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".crosspoint": ("build_crosspoint",),
+    ".banyan_switch": ("build_banyan_switch",),
+    ".sorting_switch": ("build_sorting_switch",),
+    ".mux": ("build_mux_tree",),
+})

@@ -12,19 +12,12 @@ model whose constants are fitted to the paper's own Table 2, so that
 A DRAM variant adds the refresh term ``E_ref`` of Eq. 1.
 """
 
-from repro.memmodel.sram import SramMacro, fit_bank_model
-from repro.memmodel.dram import DramMacro
-from repro.memmodel.buffers import (
-    banyan_buffer_model,
-    buffer_model_for_memory,
-    shared_buffer_bits,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SramMacro",
-    "DramMacro",
-    "fit_bank_model",
-    "banyan_buffer_model",
-    "buffer_model_for_memory",
-    "shared_buffer_bits",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".sram": ("SramMacro", "fit_bank_model"),
+    ".dram": ("DramMacro",),
+    ".buffers": (
+        "banyan_buffer_model", "buffer_model_for_memory", "shared_buffer_bits",
+    ),
+})

@@ -35,82 +35,24 @@ CLI front end: ``repro network run|list|report``; campaign integration:
 ``Campaign(kind="network")`` in :mod:`repro.campaigns`.
 """
 
-from repro.network.topology import (
-    GENERATORS,
-    Link,
-    NetworkTopology,
-    PortMap,
-    RouterNode,
-    dumbbell,
-    edge_nodes,
-    fat_tree,
-    isp,
-    line,
-    mesh,
-    single,
-    star,
-)
-from repro.network.traffic_matrix import Demand, TrafficMatrix
-from repro.network.trace_demand import TraceDemand, TraceSample
-from repro.network.routing import (
-    ROUTING_MODES,
-    RoutingResult,
-    RoutingTables,
-    build_tables,
-    derive_port_loads,
-    route,
-)
-from repro.network.power import (
-    DETAIL_LEVELS,
-    LINK_COLUMNS,
-    NODE_COLUMNS,
-    NetworkPowerModel,
-    NetworkRecord,
-    NetworkSpec,
-    render_network_report,
-    run_network,
-    shard_bounds,
-)
-from repro.network.presets import (
-    NETWORK_PRESETS,
-    get_network,
-    network_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NetworkTopology",
-    "RouterNode",
-    "Link",
-    "PortMap",
-    "GENERATORS",
-    "single",
-    "line",
-    "star",
-    "mesh",
-    "dumbbell",
-    "fat_tree",
-    "isp",
-    "edge_nodes",
-    "Demand",
-    "TrafficMatrix",
-    "TraceDemand",
-    "TraceSample",
-    "ROUTING_MODES",
-    "RoutingResult",
-    "RoutingTables",
-    "build_tables",
-    "derive_port_loads",
-    "route",
-    "NetworkSpec",
-    "NetworkPowerModel",
-    "NetworkRecord",
-    "NODE_COLUMNS",
-    "LINK_COLUMNS",
-    "DETAIL_LEVELS",
-    "shard_bounds",
-    "render_network_report",
-    "run_network",
-    "NETWORK_PRESETS",
-    "get_network",
-    "network_names",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".topology": (
+        "NetworkTopology", "RouterNode", "Link", "PortMap", "GENERATORS",
+        "single", "line", "star", "mesh", "dumbbell", "fat_tree", "isp",
+        "edge_nodes",
+    ),
+    ".traffic_matrix": ("Demand", "TrafficMatrix"),
+    ".trace_demand": ("TraceDemand", "TraceSample"),
+    ".routing": (
+        "ROUTING_MODES", "RoutingResult", "RoutingTables", "build_tables",
+        "derive_port_loads", "route",
+    ),
+    ".power": (
+        "NetworkSpec", "NetworkPowerModel", "NetworkRecord", "NODE_COLUMNS",
+        "LINK_COLUMNS", "DETAIL_LEVELS", "shard_bounds",
+        "render_network_report", "run_network",
+    ),
+    ".presets": ("NETWORK_PRESETS", "get_network", "network_names"),
+})

@@ -34,31 +34,15 @@ exports are byte-identical to a fault-free run — the headline
 guarantee the chaos CI job gates on.
 """
 
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    Fault,
-    FaultPlan,
-    SimulatedCrash,
-    TransientFault,
-    apply_fault,
-    corrupt_line,
-)
-from repro.resilience.journal import CampaignJournal
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.records import BatchReport, FailureRecord
-from repro.resilience.supervisor import Supervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "Fault",
-    "FaultPlan",
-    "SimulatedCrash",
-    "TransientFault",
-    "apply_fault",
-    "corrupt_line",
-    "CampaignJournal",
-    "RetryPolicy",
-    "BatchReport",
-    "FailureRecord",
-    "Supervisor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".faults": (
+        "FAULT_KINDS", "Fault", "FaultPlan", "SimulatedCrash",
+        "TransientFault", "apply_fault", "corrupt_line",
+    ),
+    ".journal": ("CampaignJournal",),
+    ".policy": ("RetryPolicy",),
+    ".records": ("BatchReport", "FailureRecord"),
+    ".supervisor": ("Supervisor",),
+})

@@ -20,38 +20,18 @@ package provides everything except the fabric itself:
 * :mod:`~repro.router.router` — the assembled :class:`NetworkRouter`.
 """
 
-from repro.router.packet import Packet, make_payload_words
-from repro.router.cells import Cell, CellFormat, segment_packet
-from repro.router.traffic import (
-    BernoulliUniformTraffic,
-    BurstyTraffic,
-    HotspotTraffic,
-    PermutationTraffic,
-    TraceTraffic,
-    TrafficGenerator,
-    TrimodalPacketTraffic,
-)
-from repro.router.ingress import IngressUnit
-from repro.router.egress import EgressUnit
-from repro.router.arbiter import FcfsRoundRobinArbiter, OldestFirstArbiter
-from repro.router.router import NetworkRouter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packet",
-    "make_payload_words",
-    "Cell",
-    "CellFormat",
-    "segment_packet",
-    "TrafficGenerator",
-    "BernoulliUniformTraffic",
-    "HotspotTraffic",
-    "PermutationTraffic",
-    "BurstyTraffic",
-    "TrimodalPacketTraffic",
-    "TraceTraffic",
-    "IngressUnit",
-    "EgressUnit",
-    "FcfsRoundRobinArbiter",
-    "OldestFirstArbiter",
-    "NetworkRouter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".packet": ("Packet", "make_payload_words"),
+    ".cells": ("Cell", "CellFormat", "segment_packet"),
+    ".traffic": (
+        "TrafficGenerator", "BernoulliUniformTraffic", "HotspotTraffic",
+        "PermutationTraffic", "BurstyTraffic", "TrimodalPacketTraffic",
+        "TraceTraffic",
+    ),
+    ".ingress": ("IngressUnit",),
+    ".egress": ("EgressUnit",),
+    ".arbiter": ("FcfsRoundRobinArbiter", "OldestFirstArbiter"),
+    ".router": ("NetworkRouter",),
+})

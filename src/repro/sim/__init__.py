@@ -21,22 +21,13 @@ package provides the equivalent in Python/numpy:
 * :mod:`~repro.sim.runner` — ``run_simulation(...)``, the one-call API.
 """
 
-from repro.sim.ledger import EnergyLedger
-from repro.sim.tracer import WireTracer, count_flips
-from repro.sim.engine import ENGINES, SimulationEngine, create_engine
-from repro.sim.results import EnergyBreakdown, SimulationResult
-from repro.sim.runner import run_simulation
-from repro.sim.vector_engine import VectorizedEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyLedger",
-    "WireTracer",
-    "count_flips",
-    "ENGINES",
-    "SimulationEngine",
-    "VectorizedEngine",
-    "create_engine",
-    "EnergyBreakdown",
-    "SimulationResult",
-    "run_simulation",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ledger": ("EnergyLedger",),
+    ".tracer": ("WireTracer", "count_flips"),
+    ".engine": ("ENGINES", "SimulationEngine", "create_engine"),
+    ".vector_engine": ("VectorizedEngine",),
+    ".results": ("EnergyBreakdown", "SimulationResult"),
+    ".runner": ("run_simulation",),
+})

@@ -34,36 +34,15 @@ repo already accumulates:
   simulation fails.
 """
 
-from repro.surrogate.dataset import (
-    TARGET_FIELDS,
-    DatasetRow,
-    SurrogateDataset,
-    context_signature,
-    dataset_from_records,
-    extract_dataset,
-)
-from repro.surrogate.drift import DriftReport, check_drift
-from repro.surrogate.predict import Prediction, SurrogatePredictor
-from repro.surrogate.serve import SurrogateServer
-from repro.surrogate.train import (
-    SurrogateModel,
-    is_holdout_key,
-    train_surrogate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TARGET_FIELDS",
-    "DatasetRow",
-    "SurrogateDataset",
-    "context_signature",
-    "dataset_from_records",
-    "extract_dataset",
-    "SurrogateModel",
-    "train_surrogate",
-    "is_holdout_key",
-    "Prediction",
-    "SurrogatePredictor",
-    "DriftReport",
-    "check_drift",
-    "SurrogateServer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".dataset": (
+        "TARGET_FIELDS", "DatasetRow", "SurrogateDataset", "context_signature",
+        "dataset_from_records", "extract_dataset",
+    ),
+    ".train": ("SurrogateModel", "train_surrogate", "is_holdout_key"),
+    ".predict": ("Prediction", "SurrogatePredictor"),
+    ".drift": ("DriftReport", "check_drift"),
+    ".serve": ("SurrogateServer",),
+})

@@ -14,22 +14,12 @@ the library:
   32-bit bus, 1 um pitch -> 32 um Thompson grid, E_T = 87 fJ).
 """
 
-from repro.tech.technology import Technology
-from repro.tech.wires import WireModel
-from repro.tech.presets import (
-    TECH_130NM,
-    TECH_180NM,
-    TECH_250NM,
-    PRESETS,
-    get_technology,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Technology",
-    "WireModel",
-    "TECH_130NM",
-    "TECH_180NM",
-    "TECH_250NM",
-    "PRESETS",
-    "get_technology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".technology": ("Technology",),
+    ".wires": ("WireModel",),
+    ".presets": (
+        "TECH_130NM", "TECH_180NM", "TECH_250NM", "PRESETS", "get_technology",
+    ),
+})

@@ -13,22 +13,13 @@ the paper's 32-bit bus at 0.18 um).
   four fabrics, exposing per-link lengths in grids.
 """
 
-from repro.thompson.grid import GridRect, ThompsonGrid
-from repro.thompson.embedding import Embedding, embed_graph
-from repro.thompson.layouts import (
-    BanyanLayout,
-    BatcherBanyanLayout,
-    CrossbarLayout,
-    FullyConnectedLayout,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GridRect",
-    "ThompsonGrid",
-    "Embedding",
-    "embed_graph",
-    "BanyanLayout",
-    "BatcherBanyanLayout",
-    "CrossbarLayout",
-    "FullyConnectedLayout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".grid": ("GridRect", "ThompsonGrid"),
+    ".embedding": ("Embedding", "embed_graph"),
+    ".layouts": (
+        "BanyanLayout", "BatcherBanyanLayout", "CrossbarLayout",
+        "FullyConnectedLayout",
+    ),
+})

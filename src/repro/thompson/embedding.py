@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import EmbeddingError
 from repro.thompson.grid import GridRect, ThompsonGrid
 
@@ -71,6 +69,8 @@ class Embedding:
 
 def _bfs_layers(graph) -> dict[object, int]:
     """Map each vertex to a BFS layer index (sources first for digraphs)."""
+    import networkx as nx  # only the embedder needs it, not a simulation
+
     if graph.is_directed():
         roots = [v for v in graph if graph.in_degree(v) == 0]
         work = nx.Graph(graph.to_undirected(as_view=True))

@@ -1,4 +1,4 @@
-"""The package's public surface: exported names and what they are.
+"""The package's public surface, and what an import loads.
 
 Each package's ``__all__`` is pinned, every name a fresh ``import
 repro`` offers must resolve, and every exported name must be the very
@@ -6,6 +6,12 @@ object its defining module holds, also after every module has been
 imported (importing a submodule binds its name on the package, which
 must not shadow an export of the same name, such as the
 ``repro.gatesim.simulate`` function).
+
+Package exports are lazy, so a run loads only the modules its path
+uses: ``import repro`` loads no numpy, a ``fig9`` run loads neither
+networkx nor the network, control, serving, gate-level or analysis
+layers, and every module imports on its own, which no package import
+order can then hide a cycle from.
 """
 
 from __future__ import annotations
@@ -249,3 +255,55 @@ def test_exports_are_their_defining_modules_objects():
         "print(json.dumps(wrong))\n"
     ))
     assert wrong == []
+
+
+#: What no ``fig9`` run uses: module names, each with its submodules.
+NOT_ON_THE_FIG9_PATH = (
+    "networkx", "repro.network", "repro.control", "repro.surrogate",
+    "repro.gatesim", "repro.analysis", "repro.thompson.embedding",
+)
+
+
+def test_bare_import_loads_no_numpy():
+    assert run_python(
+        "import sys, repro\nprint('numpy' in sys.modules)"
+    ).strip() == "False"
+
+
+def test_fig9_run_loads_only_its_path():
+    """One fig9 point per fabric at 10+2 slots, exported as the
+    benchmark exports it."""
+    loaded = json.loads(run_python(
+        "import json, sys\n"
+        "from repro.campaigns.presets import get_campaign\n"
+        "from repro.campaigns.runner import run_campaign\n"
+        "fig9 = get_campaign('fig9')\n"
+        "campaign = fig9.replace(ports=(4,), loads=(0.3,), base=dict(\n"
+        "    fig9.base_dict, arrival_slots=10, warmup_slots=2))\n"
+        "record = run_campaign(campaign, workers=1)\n"
+        "assert len(record.points) == 4, record.points\n"
+        "record.to_csv(), record.to_json()\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    ))
+    assert [
+        module for module in loaded
+        if any(module == name or module.startswith(name + ".")
+               for name in NOT_ON_THE_FIG9_PATH)
+    ] == []
+
+
+def test_every_module_imports_on_its_own():
+    failed = json.loads(run_python(
+        "import importlib, json, sys\n"
+        "failed = {}\n"
+        f"for module in {MODULES!r}:\n"
+        "    for name in [m for m in sys.modules\n"
+        "                 if m == 'repro' or m.startswith('repro.')]:\n"
+        "        del sys.modules[name]\n"
+        "    try:\n"
+        "        importlib.import_module(module)\n"
+        "    except Exception as exc:\n"
+        "        failed[module] = repr(exc)\n"
+        "print(json.dumps(failed))\n"
+    ))
+    assert failed == {}
