@@ -1,11 +1,11 @@
 """Async HTTP JSON API over a :class:`SurrogatePredictor`.
 
-Stdlib only: a hand-rolled HTTP/1.1 loop on
-:func:`asyncio.start_server` (no ``http.server``, no third-party web
-framework), because the whole request cycle for an in-distribution
-query is a dict lookup plus a 6-term polynomial — a framework would
-cost more than the work.  Keep-alive is supported so a load generator
-can push thousands of queries down one connection.
+Stdlib only: a hand-rolled HTTP/1.1 loop on asyncio streams (no
+``http.server``, no third-party web framework), because the whole
+request cycle for an in-distribution query is a dict lookup plus a
+6-term polynomial — a framework would cost more than the work.
+Keep-alive is supported so a load generator can push thousands of
+queries down one connection.
 
 Endpoints
 ---------
@@ -48,6 +48,30 @@ from repro.surrogate.predict import SurrogatePredictor
 _MAX_BODY = 8 * 1024 * 1024
 _JOURNAL_FLUSH_EVERY = 64
 _PREDICT_MEMO_MAX = 4096
+_READ_SIZE = 64 * 1024
+
+
+class _BufferedStreamProtocol(
+    asyncio.StreamReaderProtocol, asyncio.BufferedProtocol
+):
+    """Feeds a connection's :class:`asyncio.StreamReader` from one
+    preallocated buffer.
+
+    A plain stream protocol makes the transport ``recv`` 256 KiB into a
+    new buffer on every read, which glibc serves by mmap/munmap unless
+    a large heap has raised its mmap threshold; ``recv_into`` one
+    buffer per connection allocates only what arrived.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._buffer = memoryview(bytearray(_READ_SIZE))
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(bytes(self._buffer[:nbytes]))
 
 
 class SurrogateServer:
@@ -101,8 +125,14 @@ class SurrogateServer:
         if self.journal_path is not None:
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._journal_fh = self.journal_path.open("a")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _BufferedStreamProtocol(
+                asyncio.StreamReader(loop=loop), self._handle_connection,
+                loop=loop,
+            ),
+            self.host,
+            self.port,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
