@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core import tables
 from repro.core.bit_energy import MuxEnergyLUT, SwitchEnergyLUT
-from repro.errors import CharacterizationError
+from repro.errors import CharacterizationError, ConfigurationError
 from repro.gatesim.cells import CellLibrary
 from repro.gatesim.circuits import (
     build_banyan_switch,
@@ -261,8 +261,13 @@ def regenerate_table1(
 
     Returns a dict with per-switch raw LUTs, the single calibration
     factor against the paper's Table 1, and calibrated entries keyed the
-    same way as :mod:`repro.core.tables`.
+    same way as :mod:`repro.core.tables`.  Raises
+    :class:`~repro.errors.ConfigurationError` for fewer than one cycle.
     """
+    if cycles < 1:
+        raise ConfigurationError(
+            f"table1 characterisation needs at least 1 cycle, got {cycles}"
+        )
     crosspoint = characterize_crosspoint(tech, bus_width, cycles, seed)
     banyan = characterize_switch("banyan", tech, bus_width, cycles, seed)
     batcher = characterize_switch("batcher", tech, bus_width, cycles, seed)

@@ -316,6 +316,8 @@ class TestTableCampaigns:
                 get_campaign("table1").replace(params={"cycles": 48,
                                                        "loops": 2})
             )
+        with pytest.raises(ConfigurationError, match="at least 1 cycle"):
+            run_campaign(get_campaign("table1").replace(params={"cycles": 0}))
         with pytest.raises(ConfigurationError, match="table2 params"):
             run_campaign(
                 get_campaign("table2").replace(params={"rows": [4]})

@@ -295,7 +295,7 @@ def test_malformed_spec_file_is_a_clean_error(tmp_path, capsys, command,
 
 #: Command lines that parse but ask for what the library refuses: a
 #: banyan whose port count is not a power of two, a negative seed, more
-#: ports than a scenario takes.
+#: ports than a scenario takes, a Table 1 characterisation of no cycles.
 BAD_COMMAND_LINES = {
     "simulate-banyan-6": ["simulate", "--arch", "banyan", "--ports", "6",
                           "--load", "0.3"],
@@ -304,6 +304,8 @@ BAD_COMMAND_LINES = {
     "sweep-negative-seed": ["sweep", "--seed", "-1", "--slots", "100"],
     "sweep-4097-ports": ["sweep", "--ports", "4097", "--slots", "1",
                          "--loads", "0.1"],
+    "table1-zero-cycles": ["table1", "--cycles", "0"],
+    "table1-negative-cycles": ["table1", "--cycles", "-3"],
 }
 
 
