@@ -218,12 +218,15 @@ def test_exports_are_pinned(package):
 
 
 def test_every_name_of_a_bare_import_resolves():
-    missing = json.loads(run_python(
+    """Each name resolves, and ``dir(repro)`` lists every export."""
+    missing, unlisted = json.loads(run_python(
         "import json, repro\n"
+        "listed = dir(repro)\n"
         f"names = {REPRO_NAMES!r}\n"
-        "print(json.dumps([n for n in names if not hasattr(repro, n)]))\n"
+        "print(json.dumps([[n for n in names if not hasattr(repro, n)],\n"
+        "                  [n for n in repro.__all__ if n not in listed]]))\n"
     ))
-    assert missing == []
+    assert missing == [] and unlisted == []
 
 
 def test_exports_are_their_defining_modules_objects():
