@@ -9,8 +9,8 @@ that defines it, and the name's module is imported on first access::
     })
 
 So ``import repro`` or ``import repro.campaigns.runner`` loads only the
-modules a run uses, and no package import order can close an import
-cycle.  A module path starting with ``.`` is relative to the package.
+modules a run uses: importing a package imports none of its modules.
+A module path starting with ``.`` is relative to the package.
 Names listed under ``"."`` are the package's own submodules (such as
 ``repro.core.tables``), and so is any other name the package has not
 bound yet, so ``repro.network`` resolves after a bare ``import repro``.
