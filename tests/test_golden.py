@@ -43,7 +43,14 @@ These tests compare against ``tests/golden/digests.json`` instead:
   rendered report of every campaign preset (the grid ones at ports 4
   and 8 only), four network presets and both control presets, all at
   the 40 + 8 slot window (network and control specs are rebased onto
-  it), plus each network's links CSV and each control's SLA CSV.
+  it), plus each network's links CSV and each control's SLA CSV;
+* ``routing`` — ``route()`` of every network preset in both modes (link
+  loads in link order, demand hops and the ingress, egress and active
+  vectors, or the error text), ``build_tables()`` of every network
+  preset in both modes, and the ``optimize_routing()`` plan (pruned
+  cables, projected link loads and the tables of the pruned topology)
+  of every epoch and headroom of both control presets.  It covers the
+  scale presets that ``preset_exports`` leaves out.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints every key's
 current digest beside ``same`` or ``CHANGED`` against the committed
@@ -81,16 +88,21 @@ from repro.control import (
     ControlModel,
     ControlSpec,
     DemandSeries,
+    optimize_routing,
     render_control_report,
 )
 from repro.control.presets import CONTROL_PRESETS, get_control
+from repro.errors import ConfigurationError
 from repro.network import (
+    ROUTING_MODES,
     Demand,
     NetworkPowerModel,
     NetworkSpec,
     TrafficMatrix,
+    build_tables,
     line,
     render_network_report,
+    route,
 )
 from repro.network.presets import NETWORK_PRESETS, get_network
 from repro.resilience import Fault, FaultPlan
@@ -532,6 +544,66 @@ def preset_exports_digest() -> str:
     return digest.hexdigest()
 
 
+def _routed(topology, result) -> list:
+    """A routing result in link and node order, floats exact."""
+    return [
+        [result.link_loads[(link.src, link.dst)] for link in topology.links],
+        [[src, dst, hops] for (src, dst), hops in result.demand_hops.items()],
+        [
+            [name, result.ingress_loads[name], result.egress_loads[name],
+             result.active_ports[name]]
+            for name in topology.node_names
+        ],
+    ]
+
+
+def _tables(tables) -> list:
+    """Routing tables in their own insertion order."""
+    return [
+        tables.mode,
+        [[node, [[dst, hops] for dst, hops in entries.items()]]
+         for node, entries in tables.tables.items()],
+    ]
+
+
+def routing_digest() -> str:
+    digest = hashlib.sha256()
+
+    def put(label: str, value) -> None:
+        data = json.dumps(value).encode()
+        digest.update(f"{label} {len(data)}\n".encode() + data)
+
+    for name in sorted(NETWORK_PRESETS):
+        spec = get_network(name)
+        for mode in ROUTING_MODES:
+            try:
+                routed = _routed(spec.topology,
+                                 route(spec.topology, spec.matrix, mode))
+            except ConfigurationError as exc:
+                routed = f"error: {exc}"
+            put(f"route {name} {mode}", routed)
+            put(f"tables {name} {mode}",
+                _tables(build_tables(spec.topology, mode)))
+    for name in sorted(CONTROL_PRESETS):
+        spec = get_control(name)
+        topology = spec.network.topology
+        for epoch, scale in enumerate(spec.series.scales):
+            for headroom in spec.headrooms():
+                plan = optimize_routing(
+                    topology,
+                    spec.series.base.scaled(scale),
+                    mode=spec.network.routing,
+                    max_utilization=headroom,
+                )
+                put(f"plan {name} {epoch} {headroom}", [
+                    plan.pruned_cables,
+                    _routed(topology, plan.routing),
+                    plan.max_link_utilization,
+                    _tables(plan.tables),
+                ])
+    return digest.hexdigest()
+
+
 def current_digests() -> dict[str, str]:
     return {
         "cli_grammar": cli_grammar_digest(),
@@ -539,6 +611,7 @@ def current_digests() -> dict[str, str]:
         "sweep_transcripts": sweep_transcripts_digest(),
         "spec_hashes": spec_hashes_digest(),
         "preset_exports": preset_exports_digest(),
+        "routing": routing_digest(),
         **{key: records_digest(key) for key in RECORD_KEYS},
         **fig9_digests(run_fig9()),
     }
@@ -607,6 +680,10 @@ def test_spec_hashes_match_golden(golden):
 
 def test_preset_exports_match_golden(golden):
     assert preset_exports_digest() == golden["preset_exports"]
+
+
+def test_routing_matches_golden(golden):
+    assert routing_digest() == golden["routing"]
 
 
 def main() -> int:

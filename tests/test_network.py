@@ -6,6 +6,10 @@ Pins the subsystem's contracts:
   stably by content;
 * routing conserves flow (sum of link loads == sum of demand x hops)
   and ECMP splits demand exactly across equal-cost paths;
+* on random small topologies, :func:`route` and :func:`build_tables`
+  equal, float for float, a reference that enumerates simple paths
+  (100 derandomized examples here, 1,000 in CI with
+  ``--hypothesis-profile engine-fuzz``);
 * a one-node network is *bit-identical* to a standalone
   :class:`~repro.api.PowerModel` run of the same scenario;
 * the switch-off policy never increases power;
@@ -16,6 +20,8 @@ Pins the subsystem's contracts:
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import PowerModel, Scenario
 from repro.api.figstore import DerivedRecordStore
@@ -32,6 +38,7 @@ from repro.network import (
     RouterNode,
     TrafficMatrix,
     build_tables,
+    derive_port_loads,
     dumbbell,
     edge_nodes,
     fat_tree,
@@ -295,6 +302,202 @@ class TestRouting:
         assert rb.totals["max_link_utilization"] == pytest.approx(
             ra.totals["max_link_utilization"]
         )
+
+
+# ----------------------------------------------------------------------
+# Routing against path enumeration
+# ----------------------------------------------------------------------
+
+#: The example count comes from the active hypothesis profile.
+PROPERTY = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Router names; each case declares a random subset in a random order,
+#: so declaration order and name order disagree.
+NAMES = ("a", "b", "c", "d", "e", "f", "g")
+
+
+def _shortest_paths(topology, src, dst):
+    """Every shortest simple ``src -> dst`` path, lexicographic by link
+    declaration order (depth-first, out-links in declaration order)."""
+    adj = topology.out_neighbors()
+    paths = []
+
+    def walk(path):
+        if path[-1] == dst:
+            paths.append(path)
+            return
+        for peer in adj[path[-1]]:
+            if peer not in path:
+                walk(path + (peer,))
+
+    walk((src,))
+    fewest = min(map(len, paths), default=0)
+    return [path for path in paths if len(path) == fewest]
+
+
+@st.composite
+def routing_cases(draw):
+    """A random directed topology of 2-7 routers and a random matrix of
+    1-4 demands: local, zero and unroutable demands included, and port
+    counts that may leave a sending router without an access port.
+
+    The routers, links and demands come from a seeded Random, because
+    hypothesis's own draws skew towards tiny, empty or complete graphs,
+    which have few equal-cost paths.  Half the cases are tiers cabled at
+    random, like a fat tree's; the rest hold a directed ring (three in
+    four) plus random cables, half of them in both directions.  In half
+    the cases every link gets its reverse.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    names = rng.sample(NAMES, rng.randint(2, 7))
+    edges = set()
+    if rng.random() < 0.5:
+        tier = {name: rng.randint(0, 2) for name in names}
+        for a in names:
+            for b in names:
+                if tier[b] == tier[a] + 1 and rng.random() < 0.7:
+                    edges.update([(a, b), (b, a)])
+    else:
+        if rng.random() < 0.75:
+            ring = rng.sample(names, len(names))
+            edges.update(zip(ring, ring[1:] + ring[:1]))
+        density = rng.uniform(0.0, 0.3)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                if rng.random() < density:
+                    way = rng.random()
+                    edges.update(
+                        [(a, b)] * (way < 0.75) + [(b, a)] * (way > 0.25)
+                    )
+    if rng.random() < 0.5:
+        edges.update([(b, a) for a, b in edges])
+    edges = rng.sample(sorted(edges), len(edges))
+    cables = {name: set() for name in names}
+    for src, dst in edges:
+        cables[src].add(dst)
+        cables[dst].add(src)
+    # One case in five may leave a router without an access port.
+    spare = (0, 1, 2) if rng.random() < 0.2 else (1, 2)
+    topology = NetworkTopology(
+        name="random",
+        nodes=[
+            RouterNode(name, max(2, len(cables[name]) + rng.choice(spare)))
+            for name in names
+        ],
+        links=[
+            Link(src, dst, rng.choice((1.0, 0.5, rng.uniform(0.05, 1.0))))
+            for src, dst in edges
+        ],
+    )
+    # Four cases in five draw only routable pairs.
+    pairs = [(src, dst) for src in names for dst in names]
+    if rng.random() < 0.8:
+        pairs = [pair for pair in pairs if _shortest_paths(topology, *pair)]
+    demand = (0.0, 0.1, 1 / 3, rng.uniform(0.0, 0.5))
+    count = rng.randint(1, min(4, len(pairs)))
+    matrix = TrafficMatrix(
+        tuple(
+            Demand(src, dst, rng.choice(demand))
+            for src, dst in rng.sample(pairs, count)
+        )
+    )
+    return topology, matrix
+
+
+def reference_route(topology, matrix, mode):
+    """``(link loads, demand hops)`` by path enumeration.  ECMP adds
+    ``demand * through / total`` per edge, in demand order; the shortest
+    mode loads the first shortest path.  Raises on an unroutable demand
+    with :func:`route`'s text, and on an overloaded link with the start
+    of it."""
+    loads = {(link.src, link.dst): 0.0 for link in topology.links}
+    hops = {}
+    for d in matrix.demands:
+        if d.src == d.dst:
+            hops[(d.src, d.dst)] = 0
+            continue
+        paths = _shortest_paths(topology, d.src, d.dst)
+        if not paths:
+            raise ConfigurationError(
+                f"demand {d.src!r} -> {d.dst!r} is unroutable: no path"
+            )
+        hops[(d.src, d.dst)] = len(paths[0]) - 1
+        if d.cells_per_slot == 0.0:
+            continue
+        if mode == "shortest":
+            paths = paths[:1]
+        through = {}
+        for path in paths:
+            for edge in zip(path, path[1:]):
+                through[edge] = through.get(edge, 0) + 1
+        for edge, count in through.items():
+            loads[edge] += d.cells_per_slot * count / len(paths)
+    if any(
+        load > topology.link(*edge).capacity + 1e-9
+        for edge, load in loads.items()
+    ):
+        raise ConfigurationError("routed load exceeds link capacity")
+    return loads, hops
+
+
+class TestRoutingProperty:
+    @PROPERTY
+    @given(case=routing_cases())
+    def test_route_matches_path_enumeration(self, case):
+        topology, matrix = case
+        for mode in ("shortest", "ecmp"):
+            try:
+                loads, hops = reference_route(topology, matrix, mode)
+                ports = derive_port_loads(topology, matrix, loads)
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError) as info:
+                    route(topology, matrix, mode)
+                assert str(info.value).startswith(str(exc))
+                continue
+            result = route(topology, matrix, mode)
+            assert list(result.link_loads.items()) == list(loads.items())
+            assert result.demand_hops == hops
+            assert all(type(h) is int for h in result.demand_hops.values())
+            assert (
+                result.ingress_loads, result.egress_loads, result.active_ports
+            ) == ports
+
+    @PROPERTY
+    @given(case=routing_cases())
+    def test_tables_match_path_enumeration(self, case):
+        topology, _ = case
+        adj = topology.out_neighbors()
+        ecmp = build_tables(topology, "ecmp")
+        shortest = build_tables(topology, "shortest")
+        routable = set()
+        for node in topology.node_names:
+            for target in topology.node_names:
+                paths = _shortest_paths(topology, node, target)
+                if node == target or not paths:
+                    continue
+                routable.add((node, target))
+                counts = {}
+                for path in paths:
+                    counts[path[1]] = counts.get(path[1], 0) + 1
+                assert ecmp.next_hops(node, target) == tuple(
+                    (peer, float(counts[peer]))
+                    for peer in adj[node]
+                    if peer in counts
+                )
+                assert shortest.next_hops(node, target) == (
+                    (paths[0][1], 1.0),
+                )
+        for tables in (ecmp, shortest):
+            assert {
+                (node, target)
+                for node, entries in tables.tables.items()
+                for target in entries
+            } == routable
 
 
 # ----------------------------------------------------------------------
