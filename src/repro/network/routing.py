@@ -7,15 +7,22 @@ into per-link loads and — via the topology's deterministic port map —
 per-router **per-port ingress load vectors**, the exact shape
 :class:`repro.api.Scenario` accepts as its ``load``.
 
-Two route-computation modes:
+Both route-computation modes read one search per destination: a
+breadth-first search from the destination over the reversed links
+records each node's hop distance to it and ``tau``, its number of
+shortest paths to it.  :func:`route` runs it once per call for each
+destination, shared by every demand to that destination, and stops
+once the layer holding the farthest of those demands' sources is
+complete.
 
-* ``"shortest"`` — one deterministic shortest path per demand
-  (breadth-first search over the directed link graph, neighbors in
-  link declaration order).
+* ``"shortest"`` — one deterministic shortest path per demand: from
+  the source, step to the first out-neighbor (in link declaration
+  order) one hop closer to the destination.
 * ``"ecmp"`` — the demand is split equally over *all* shortest paths.
-  The split is computed on the shortest-path DAG with path counting
-  (flow on edge (a, b) = demand x paths-through-edge / total-paths),
-  so no path enumeration is needed and the result is deterministic.
+  The demand walks its shortest-path DAG from the source in BFS order,
+  counting ``sigma``, the shortest paths from the source to each node,
+  and puts ``demand x sigma(a) x tau(b) / tau(source)`` on each DAG
+  edge (a, b): no path enumeration, and the result is deterministic.
 
 Both modes can also be *materialised* as explicit per-router weighted
 next-hop tables (:func:`build_tables` → :class:`RoutingTables`): each
@@ -44,7 +51,6 @@ carry no traffic (:attr:`RoutingResult.active_ports`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -205,11 +211,7 @@ def build_tables(
             f"routing mode must be one of {ROUTING_MODES}, got {mode!r}"
         )
     adj = topology.out_neighbors()
-    reverse: dict[str, list[str]] = {name: [] for name in adj}
-    for a, peers in adj.items():
-        for b in peers:
-            reverse[b].append(a)
-    radj = {name: tuple(peers) for name, peers in reverse.items()}
+    radj = _in_neighbors(topology)
     names = topology.node_names
     dests = tuple(destinations) if destinations is not None else names
     tables: dict[str, dict[str, tuple[tuple[str, float], ...]]] = {
@@ -218,36 +220,17 @@ def build_tables(
     for target in dests:
         if target not in adj:
             raise ConfigurationError(f"unknown destination {target!r}")
-        # Distance *to* the target == BFS distance from it over the
-        # reversed adjacency.
-        dist_to = _bfs_distances(radj, target)
-        if mode == "ecmp":
-            # paths[a] = number of shortest a -> target paths, filled in
-            # increasing distance so predecessors are always ready.
-            paths: dict[str, int] = {target: 1}
-            for node in sorted(
-                dist_to, key=lambda n: (dist_to[n], n)
-            ):
-                if node == target:
-                    continue
-                paths[node] = sum(
-                    paths[peer]
-                    for peer in adj[node]
-                    if dist_to.get(peer) == dist_to[node] - 1
-                )
+        dist, tau = _search_to(radj, target)
         for node in names:
-            if node == target or node not in dist_to:
+            if node == target or node not in dist:
                 continue
+            closer = dist[node] - 1
+            hops = [peer for peer in adj[node] if dist.get(peer) == closer]
             if mode == "shortest":
-                for peer in adj[node]:
-                    if dist_to.get(peer) == dist_to[node] - 1:
-                        tables[node][target] = ((peer, 1.0),)
-                        break
+                tables[node][target] = ((hops[0], 1.0),)
             else:
                 tables[node][target] = tuple(
-                    (peer, float(paths[peer]))
-                    for peer in adj[node]
-                    if dist_to.get(peer) == dist_to[node] - 1
+                    (peer, float(tau[peer])) for peer in hops
                 )
     return RoutingTables(mode=mode, tables=tables)
 
@@ -322,121 +305,102 @@ def _table_edge_flows(
     return flows, placed
 
 
-def _bfs_distances(
-    adj: dict[str, tuple[str, ...]], source: str
-) -> dict[str, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for peer in adj[node]:
-            if peer not in dist:
-                dist[peer] = dist[node] + 1
-                queue.append(peer)
-    return dist
+def _in_neighbors(topology: NetworkTopology) -> dict[str, tuple[str, ...]]:
+    """Reversed adjacency, in link declaration order."""
+    into: dict[str, list[str]] = {name: [] for name in topology.node_names}
+    for link in topology.links:
+        into[link.dst].append(link.src)
+    return {name: tuple(peers) for name, peers in into.items()}
 
 
-class _DistCache:
-    """Memoised all-pairs BFS distances over one adjacency."""
+def _search_to(
+    radj: dict[str, tuple[str, ...]],
+    target: str,
+    sources: set[str] | None = None,
+) -> tuple[dict[str, int], dict[str, int]]:
+    """``(dist, tau)``: hop distance to ``target`` and the number of
+    shortest paths to it, of each node the search reached.
 
-    def __init__(self, adj: dict[str, tuple[str, ...]]) -> None:
-        self.adj = adj
-        self._from: dict[str, dict[str, int]] = {}
+    A breadth-first search from ``target`` over the reversed links; a
+    node's ``tau`` is the sum of its one-hop-closer out-neighbors'.  It
+    stops once every node of ``sources`` is found and its layer is
+    complete, so every node at most that far away has both values (a
+    ``sources`` node missing from ``dist`` cannot reach ``target``).
+    Without ``sources`` it reaches every node that can.
+    """
+    dist = {target: 0}
+    tau = {target: 1}
+    missing = None if sources is None else set(sources) - {target}
+    layer = [target]
+    depth = 0
+    while layer and (missing is None or missing):
+        depth += 1
+        found = []
+        for b in layer:
+            paths = tau[b]
+            for a in radj[b]:
+                seen = dist.get(a)
+                if seen is None:
+                    dist[a] = depth
+                    tau[a] = paths
+                    found.append(a)
+                elif seen == depth:
+                    tau[a] += paths
+        if missing:
+            missing.difference_update(found)
+        layer = found
+    return dist, tau
 
-    def distances_from(self, source: str) -> dict[str, int]:
-        if source not in self._from:
-            self._from[source] = _bfs_distances(self.adj, source)
-        return self._from[source]
 
-    def dist(self, source: str, target: str) -> int | None:
-        return self.distances_from(source).get(target)
-
-
-def _one_shortest_path(
-    cache: _DistCache, source: str, target: str
-) -> list[str]:
-    """Deterministic single shortest path via declaration-order greed."""
-    total = cache.dist(source, target)
-    if total is None:
-        raise ConfigurationError(
-            f"demand {source!r} -> {target!r} is unroutable: no path"
-        )
-    path = [source]
+def _walk_shortest(
+    adj: dict[str, tuple[str, ...]],
+    dist: dict[str, int],
+    source: str,
+    demand: float,
+    link_loads: dict[tuple[str, str], float],
+) -> None:
+    """Load the first shortest path in link declaration order: each
+    step takes the first out-neighbor one hop closer."""
     node = source
-    while node != target:
-        steps_left = total - (len(path) - 1)
-        for peer in cache.adj[node]:
-            d = cache.dist(peer, target)
-            if d is not None and d == steps_left - 1:
-                path.append(peer)
+    for closer in range(dist[source] - 1, -1, -1):
+        for peer in adj[node]:
+            if dist.get(peer) == closer:
+                link_loads[(node, peer)] += demand
                 node = peer
                 break
-        else:  # pragma: no cover - BFS distances are always consistent
-            raise ConfigurationError(
-                f"no shortest path step from {node!r} toward {target!r}"
-            )
-    return path
 
 
-def _ecmp_edge_flows(
-    cache: _DistCache, source: str, target: str, demand: float
-) -> dict[tuple[str, str], float]:
-    """Per-edge flow of one demand split equally over all shortest paths.
+def _walk_ecmp(
+    adj: dict[str, tuple[str, ...]],
+    dist: dict[str, int],
+    tau: dict[str, int],
+    source: str,
+    demand: float,
+    link_loads: dict[tuple[str, str], float],
+) -> None:
+    """Split a demand equally over all its shortest paths.
 
-    Over the shortest-path DAG rooted at ``source``: ``sigma(a)`` counts
-    shortest source→a paths, ``tau(b)`` counts shortest b→target paths
-    within the DAG; the fraction of paths crossing edge (a, b) is
-    ``sigma(a) * tau(b) / sigma(target)``.
+    Walks the shortest-path DAG from ``source`` one layer at a time, so
+    ``sigma(a)`` (shortest source->a paths) is complete before ``a``'s
+    out-edges are read; edge (a, b) carries the share of paths through
+    it, ``demand * (sigma(a) * tau(b)) / tau(source)``.
     """
-    dist = cache.distances_from(source)
-    if target not in dist:
-        raise ConfigurationError(
-            f"demand {source!r} -> {target!r} is unroutable: no path"
-        )
-    horizon = dist[target]
-    # Nodes that can lie on a shortest source->target path.
-    relevant = {
-        node: d
-        for node, d in dist.items()
-        if d <= horizon
-    }
-    by_depth: dict[int, list[str]] = {}
-    for node, d in relevant.items():
-        by_depth.setdefault(d, []).append(node)
-    for nodes in by_depth.values():
-        nodes.sort()
-    dag_edges: list[tuple[str, str]] = []
-    for depth in range(horizon):
-        for a in by_depth.get(depth, ()):
-            for b in cache.adj[a]:
-                if relevant.get(b) == depth + 1:
-                    dag_edges.append((a, b))
-    sigma: dict[str, int] = {source: 1}
-    for depth in range(horizon):
-        for a in by_depth.get(depth, ()):
-            for b in cache.adj[a]:
-                if relevant.get(b) == depth + 1:
-                    sigma[b] = sigma.get(b, 0) + sigma.get(a, 0)
-    tau: dict[str, int] = {target: 1}
-    for depth in range(horizon - 1, -1, -1):
-        for a in by_depth.get(depth, ()):
-            count = 0
-            for b in cache.adj[a]:
-                if relevant.get(b) == depth + 1:
-                    count += tau.get(b, 0)
-            if a != target:
-                tau[a] = count
-    total_paths = sigma.get(target, 0)
-    if total_paths == 0:  # pragma: no cover - guarded by dist lookup
-        raise ConfigurationError(
-            f"demand {source!r} -> {target!r} is unroutable: no path"
-        )
-    flows: dict[tuple[str, str], float] = {}
-    for a, b in dag_edges:
-        paths_through = sigma.get(a, 0) * tau.get(b, 0)
-        if paths_through:
-            flows[(a, b)] = demand * paths_through / total_paths
-    return flows
+    total = tau[source]
+    sigma = {source: 1}
+    layer = [source]
+    for closer in range(dist[source] - 1, -1, -1):
+        found = []
+        for a in layer:
+            paths = sigma[a]
+            for b in adj[a]:
+                if dist.get(b) == closer:
+                    link_loads[(a, b)] += demand * (paths * tau[b]) / total
+                    if b in sigma:
+                        sigma[b] += paths
+                    else:
+                        sigma[b] = paths
+                        found.append(b)
+        layer = found
 
 
 def route(
@@ -468,8 +432,18 @@ def route(
         raise ConfigurationError(
             f"traffic matrix names unknown nodes: {unknown}"
         )
-    adj = topology.out_neighbors()
-    cache = _DistCache(adj)
+    searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+    if tables is None:
+        adj = topology.out_neighbors()
+        radj = _in_neighbors(topology)
+        sources: dict[str, set[str]] = {}
+        for d in matrix.demands:
+            if d.src != d.dst:
+                sources.setdefault(d.dst, set()).add(d.src)
+        searches = {
+            target: _search_to(radj, target, srcs)
+            for target, srcs in sources.items()
+        }
     link_loads = {(l.src, l.dst): 0.0 for l in topology.links}
     demand_hops: dict[tuple[str, str], float] = {}
     for d in matrix.demands:
@@ -489,31 +463,29 @@ def route(
                     )
                 link_loads[edge] += d.cells_per_slot * flow
             continue
+        dist, tau = searches[d.dst]
+        if d.src not in dist:
+            raise ConfigurationError(
+                f"demand {d.src!r} -> {d.dst!r} is unroutable: no path"
+            )
+        demand_hops[(d.src, d.dst)] = dist[d.src]
         if d.cells_per_slot == 0.0:
-            dist = cache.dist(d.src, d.dst)
-            if dist is None:
-                raise ConfigurationError(
-                    f"demand {d.src!r} -> {d.dst!r} is unroutable: no path"
-                )
-            demand_hops[(d.src, d.dst)] = dist
             continue
         if mode == "shortest":
-            path = _one_shortest_path(cache, d.src, d.dst)
-            demand_hops[(d.src, d.dst)] = len(path) - 1
-            for a, b in zip(path, path[1:]):
-                link_loads[(a, b)] += d.cells_per_slot
+            _walk_shortest(adj, dist, d.src, d.cells_per_slot, link_loads)
         else:
-            flows = _ecmp_edge_flows(cache, d.src, d.dst, d.cells_per_slot)
-            demand_hops[(d.src, d.dst)] = cache.dist(d.src, d.dst)
-            for edge, flow in flows.items():
-                link_loads[edge] += flow
+            _walk_ecmp(adj, dist, tau, d.src, d.cells_per_slot, link_loads)
     # Utilization validation: every link within capacity.
-    overloaded = [
-        f"{src}->{dst} ({load:.4f} > {topology.link(src, dst).capacity:.4f})"
-        for (src, dst), load in sorted(link_loads.items())
-        if load > topology.link(src, dst).capacity + _TOL
-    ]
-    if overloaded:
+    if any(
+        link_loads[(l.src, l.dst)] > l.capacity + _TOL
+        for l in topology.links
+    ):
+        overloaded = [
+            f"{src}->{dst} ({load:.4f} > "
+            f"{topology.link(src, dst).capacity:.4f})"
+            for (src, dst), load in sorted(link_loads.items())
+            if load > topology.link(src, dst).capacity + _TOL
+        ]
         raise ConfigurationError(
             f"routed load exceeds link capacity: {', '.join(overloaded)} "
             "(scale the matrix down or raise capacities)"

@@ -153,7 +153,12 @@ class PortMap:
 
     @property
     def peers(self) -> dict[str, int]:
-        return dict(self.peer_port)
+        """``{peer: port}`` of :attr:`peer_port`, built once (read-only)."""
+        cached = self.__dict__.get("_peers_cache")
+        if cached is None:
+            cached = dict(self.peer_port)
+            object.__setattr__(self, "_peers_cache", cached)
+        return cached
 
 
 def _coerce(value: Any, cls: type) -> Any:
