@@ -289,8 +289,7 @@ def campaign_plan(campaign: Campaign) -> list[dict[str, Any]]:
         )
         return plan
     if campaign.kind == "table2":
-        ports = campaign.params_dict.get("ports", _DEFAULT_TABLE2_PORTS)
-        return [{"ports": int(p)} for p in ports]
+        return [{"ports": ports} for ports in _table2_ports(campaign)]
     # table1: the entry list owned by the characterisation module.
     from repro.gatesim.characterize import TABLE1_ENTRIES
 
@@ -508,6 +507,40 @@ def _run_surrogate_eval(
     )
 
 
+def _int_param(kind: str, params: dict[str, Any], name: str,
+               default: int) -> int:
+    """A table campaign's integer param: an ``int``, never a ``bool``."""
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(
+            f"{kind} param {name!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def _table2_ports(campaign: Campaign) -> list[int]:
+    """A table2 campaign's ``ports`` param: a list of integers, each a
+    power of two >= 2 (a banyan's port count)."""
+    params = campaign.params_dict
+    unknown = set(params) - {"ports"}
+    if unknown:
+        raise ConfigurationError(
+            f"unknown table2 params: {sorted(unknown)}"
+        )
+    ports = params.get("ports", list(_DEFAULT_TABLE2_PORTS))
+    if not isinstance(ports, list):
+        raise ConfigurationError(
+            f"table2 param 'ports' must be a list of integers, got {ports!r}"
+        )
+    for count in ports:
+        if (isinstance(count, bool) or not isinstance(count, int)
+                or count < 2 or count & (count - 1)):
+            raise ConfigurationError(
+                f"table2 ports must be powers of two >= 2, got {count!r}"
+            )
+    return ports
+
+
 def _run_table1(campaign: Campaign) -> ComparisonRecord:
     from repro.gatesim.characterize import regenerate_table1
 
@@ -519,8 +552,8 @@ def _run_table1(campaign: Campaign) -> ComparisonRecord:
             f"unknown table1 params: {sorted(unknown)}"
         )
     result = regenerate_table1(
-        cycles=int(params.get("cycles", 192)),
-        seed=int(params.get("seed", 1)),
+        cycles=_int_param("table1", params, "cycles", 192),
+        seed=_int_param("table1", params, "seed", 1),
     )
     points = [
         {
@@ -546,16 +579,9 @@ def _run_table2(campaign: Campaign) -> ComparisonRecord:
     from repro.memmodel import SramMacro
     from repro.units import to_pJ
 
-    params = campaign.params_dict
-    unknown = set(params) - {"ports"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown table2 params: {sorted(unknown)}"
-        )
     points = []
     macros = {}
-    for ports in params.get("ports", _DEFAULT_TABLE2_PORTS):
-        ports = int(ports)
+    for ports in _table2_ports(campaign):
         macro = SramMacro.for_banyan(ports)
         macros[ports] = macro
         paper = tables.BANYAN_BUFFER_ENERGY_BY_PORTS.get(ports)

@@ -322,6 +322,19 @@ class TestTableCampaigns:
             run_campaign(
                 get_campaign("table2").replace(params={"rows": [4]})
             )
+        # Integers only: no strings, floats or bools, which int() used
+        # to turn into a traceback or a silently different run.
+        for params in ({"cycles": "abc"}, {"seed": "x"}, {"cycles": 2.7},
+                       {"cycles": True}, {"seed": 1.0}):
+            with pytest.raises(ConfigurationError, match="an integer"):
+                run_campaign(get_campaign("table1").replace(params=params))
+        with pytest.raises(ConfigurationError, match="list of integers"):
+            run_campaign(get_campaign("table2").replace(params={"ports": 4}))
+        for ports in (["x"], [3], [4.5], [True], [0], [8, 12]):
+            with pytest.raises(ConfigurationError, match="powers of two"):
+                run_campaign(
+                    get_campaign("table2").replace(params={"ports": ports})
+                )
 
 
 class TestComparisonRecord:

@@ -224,8 +224,9 @@ class TestOutputPaths:
 #: ``(command, file content)`` of malformed spec files: JSON scalars,
 #: empty objects, wrong field types, a nested ``tech`` object with an
 #: unknown field, an integer too large for a float, bytes that are not
-#: UTF-8, a banyan whose port count is not a power of two and a router
-#: one port over the cap.
+#: UTF-8, a banyan whose port count is not a power of two, a router
+#: one port over the cap, and table campaigns whose params are not
+#: integers or not banyan port counts.
 MALFORMED_SPECS = [
     ("network", "1"),
     ("network", "null"),
@@ -272,6 +273,19 @@ MALFORMED_SPECS = [
     ("batch", '[{"architecture": "crossbar", "ports": 4, "load": 0.3, '
               '"traffic": "bursty", "traffic_params": {"burst_len": "x"}, '
               '"arrival_slots": 10, "warmup_slots": 2}]'),
+    ("campaign", '{"params": {"cycles": "abc", "seed": 1}, "name": "t1", '
+                 '"kind": "table1"}'),
+    ("campaign", '{"params": {"seed": "x"}, "name": "t1", "kind": "table1"}'),
+    ("campaign", '{"params": {"cycles": 2.7}, "name": "t1", '
+                 '"kind": "table1"}'),
+    ("campaign", '{"params": {"cycles": true}, "name": "t1", '
+                 '"kind": "table1"}'),
+    ("campaign", '{"params": {"ports": 4}, "name": "t2", "kind": "table2"}'),
+    ("campaign", '{"params": {"ports": ["x"]}, "name": "t2", '
+                 '"kind": "table2"}'),
+    ("campaign", '{"params": {"ports": [3]}, "name": "t2", "kind": "table2"}'),
+    ("campaign", '{"params": {"ports": [4.5]}, "name": "t2", '
+                 '"kind": "table2"}'),
 ]
 
 
