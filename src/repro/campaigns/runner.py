@@ -293,6 +293,7 @@ def campaign_plan(campaign: Campaign) -> list[dict[str, Any]]:
     # table1: the entry list owned by the characterisation module.
     from repro.gatesim.characterize import TABLE1_ENTRIES
 
+    _table1_params(campaign)
     return [{"entry": entry} for entry in sorted(TABLE1_ENTRIES)]
 
 
@@ -507,15 +508,21 @@ def _run_surrogate_eval(
     )
 
 
-def _int_param(kind: str, params: dict[str, Any], name: str,
-               default: int) -> int:
-    """A table campaign's integer param: an ``int``, never a ``bool``."""
-    value = params.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+def _table1_params(campaign: Campaign) -> dict[str, int]:
+    """A table1 campaign's ``cycles`` and ``seed``: each an ``int``,
+    never a ``bool``."""
+    params = dict({"cycles": 192, "seed": 1}, **campaign.params_dict)
+    unknown = set(params) - {"cycles", "seed"}
+    if unknown:
         raise ConfigurationError(
-            f"{kind} param {name!r} must be an integer, got {value!r}"
+            f"unknown table1 params: {sorted(unknown)}"
         )
-    return value
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(
+                f"table1 param {name!r} must be an integer, got {value!r}"
+            )
+    return params
 
 
 def _table2_ports(campaign: Campaign) -> list[int]:
@@ -544,17 +551,7 @@ def _table2_ports(campaign: Campaign) -> list[int]:
 def _run_table1(campaign: Campaign) -> ComparisonRecord:
     from repro.gatesim.characterize import regenerate_table1
 
-    params = campaign.params_dict
-    known = {"cycles", "seed"}
-    unknown = set(params) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown table1 params: {sorted(unknown)}"
-        )
-    result = regenerate_table1(
-        cycles=_int_param("table1", params, "cycles", 192),
-        seed=_int_param("table1", params, "seed", 1),
-    )
+    result = regenerate_table1(**_table1_params(campaign))
     points = [
         {
             "entry": entry,
