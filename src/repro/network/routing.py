@@ -432,21 +432,21 @@ def route(
         raise ConfigurationError(
             f"traffic matrix names unknown nodes: {unknown}"
         )
-    searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
     if tables is None:
         adj = topology.out_neighbors()
         radj = _in_neighbors(topology)
+        # Each destination's sources, and its last demand: its search
+        # runs at its first demand and is dropped after its last.
         sources: dict[str, set[str]] = {}
-        for d in matrix.demands:
+        last: dict[str, int] = {}
+        for i, d in enumerate(matrix.demands):
             if d.src != d.dst:
                 sources.setdefault(d.dst, set()).add(d.src)
-        searches = {
-            target: _search_to(radj, target, srcs)
-            for target, srcs in sources.items()
-        }
+                last[d.dst] = i
+        searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
     link_loads = {(l.src, l.dst): 0.0 for l in topology.links}
     demand_hops: dict[tuple[str, str], float] = {}
-    for d in matrix.demands:
+    for i, d in enumerate(matrix.demands):
         if d.src == d.dst:
             demand_hops[(d.src, d.dst)] = 0
             continue
@@ -463,7 +463,11 @@ def route(
                     )
                 link_loads[edge] += d.cells_per_slot * flow
             continue
-        dist, tau = searches[d.dst]
+        if d.dst not in searches:
+            searches[d.dst] = _search_to(radj, d.dst, sources[d.dst])
+        dist, tau = (
+            searches.pop(d.dst) if last[d.dst] == i else searches[d.dst]
+        )
         if d.src not in dist:
             raise ConfigurationError(
                 f"demand {d.src!r} -> {d.dst!r} is unroutable: no path"
