@@ -337,9 +337,13 @@ class TestTableCampaigns:
                 )
         # A dry-run plan checks the same params.
         with pytest.raises(ConfigurationError, match="an integer"):
-            campaign_plan(get_campaign("table1").replace(params={"seed": "x"}))
+            campaign_plan(
+                get_campaign("table1").replace(params={"seed": "x"})
+            )
         with pytest.raises(ConfigurationError, match="powers of two"):
-            campaign_plan(get_campaign("table2").replace(params={"ports": [3]}))
+            campaign_plan(
+                get_campaign("table2").replace(params={"ports": [3]})
+            )
 
 
 class TestComparisonRecord:
