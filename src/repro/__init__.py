@@ -62,7 +62,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ARCHITECTURES", "AnalyticalPowerEstimate", "estimate_power",
         "estimate_all_architectures",
     ),
-    ".core.analytical": ("worst_case_bit_energy",),
     ".sim.runner": ("run_simulation", "build_router"),
     ".sim.results": ("SimulationResult",),
     ".fabrics.factory": ("build_fabric", "default_models"),

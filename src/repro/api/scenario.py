@@ -41,7 +41,7 @@ from repro.router.traffic import (
     TrafficGenerator,
     TrimodalPacketTraffic,
 )
-from repro.serial import Spec, build, check_fields, parse_json
+from repro.serial import Spec, build, check_fields, check_scalars, parse_json
 from repro.sim.engine import ENGINES
 from repro.tech import Technology
 from repro.tech.presets import PRESETS as TECH_PRESETS
@@ -210,41 +210,9 @@ class Scenario(Spec):
         object.__setattr__(
             self, "traffic_params", _freeze_params(self.traffic_params)
         )
-        # Integer fields take only an int: a float fails inside the run,
-        # and a bool or an equal float runs under another content hash.
-        optional = ("ingress_queue_cells", "buffer_bits_per_switch", "seed")
-        for name in (
-            "ports", "islip_iterations", "rng_stream", "bus_width",
-            "cell_words", "arrival_slots", "warmup_slots", *optional,
-        ):
-            value = getattr(self, name)
-            if type(value) is not int and (
-                value is not None or name not in optional
-            ):
-                kind = "an int or None" if name in optional else "an int"
-                raise ConfigurationError(
-                    f"{name} must be {kind}, got {value!r}"
-                )
-        # Float fields take an int or a float and keep a float, so 1 and
-        # 1.0 share one content hash; a bool or a string fails here.
-        vector = isinstance(self.load, (list, tuple))
-        for name, values in (
-            ("load", self.load if vector else (self.load,)),
-            ("flip_fraction", (self.flip_fraction,)),
-        ):
-            for value in values:
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    raise ConfigurationError(
-                        f"{name} must be an int or a float, got {value!r}"
-                    )
-        object.__setattr__(
-            self,
-            "load",
-            tuple(map(float, self.load)) if vector else float(self.load),
-        )
-        object.__setattr__(self, "flip_fraction", float(self.flip_fraction))
+        # An int field that took a float would fail inside the run, and
+        # a bool or an equal float would run under another content hash.
+        check_scalars(self)
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"

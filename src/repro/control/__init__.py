@@ -3,7 +3,7 @@
 The data-plane layer (:mod:`repro.network`) answers "what does this
 network burn under this matrix?".  This package drives that question
 through *time* and *policy*: a frozen :class:`DemandSeries` scales one
-base matrix through diurnal/step/sinusoid epochs, and per epoch a
+base matrix through diurnal or step epochs, and per epoch a
 :class:`ControlModel` evaluates three candidate configurations —
 
 * **fixed**: the plain data plane (the no-control baseline),
@@ -23,7 +23,7 @@ export:
 >>> record.totals["savings_pct"]                  # doctest: +SKIP
 
 * :class:`DemandSeries` — demand over time, with ``flat`` / ``step`` /
-  ``sinusoid`` / ``diurnal`` / ``interpolated`` presets.
+  ``diurnal`` presets.
 * :class:`ControlSpec` — data plane + series + the control knobs.
 * :func:`optimize_routing` / :class:`GreenPlan` — the greedy pruner,
   projecting pruned routings back onto the full port map.

@@ -11,11 +11,10 @@ per-epoch scale factor, each epoch lasting ``epoch_seconds``.  Epoch
 identity the control-plane acceptance tests pin).
 
 Presets generate the classic shapes: :meth:`DemandSeries.flat`,
-:meth:`~DemandSeries.step`, :meth:`~DemandSeries.sinusoid`,
-:meth:`~DemandSeries.diurnal` (a 24-hour cosine between a night trough
-and an afternoon peak) and :meth:`~DemandSeries.interpolated` (linear
-between knots).  Like every spec in this codebase the series is frozen,
-JSON round-trippable, and content-hashable.
+:meth:`~DemandSeries.step` and :meth:`~DemandSeries.diurnal` (a 24-hour
+cosine between a night trough and an afternoon peak).  Like every spec
+in this codebase the series is frozen, JSON round-trippable, and
+content-hashable.
 """
 
 from __future__ import annotations
@@ -142,26 +141,6 @@ class DemandSeries(Spec):
         return cls(name, base, scales, epoch_seconds)
 
     @classmethod
-    def sinusoid(
-        cls,
-        base: TrafficMatrix,
-        epochs: int = 8,
-        low: float = 0.25,
-        high: float = 1.0,
-        epoch_seconds: float = 3600.0,
-        name: str = "sinusoid",
-    ) -> "DemandSeries":
-        """One full cosine period from ``low`` up to ``high`` and back."""
-        if epochs < 2:
-            raise ConfigurationError("sinusoid series needs >= 2 epochs")
-        scales = tuple(
-            low
-            + (high - low) * (1.0 - math.cos(2.0 * math.pi * i / epochs)) / 2.0
-            for i in range(epochs)
-        )
-        return cls(name, base, scales, epoch_seconds)
-
-    @classmethod
     def diurnal(
         cls,
         base: TrafficMatrix,
@@ -190,32 +169,6 @@ class DemandSeries(Spec):
             for i in range(epochs)
         )
         return cls(name, base, scales, 86400.0 / epochs)
-
-    @classmethod
-    def interpolated(
-        cls,
-        base: TrafficMatrix,
-        knots: Sequence[float],
-        epochs: int,
-        epoch_seconds: float = 3600.0,
-        name: str = "interpolated",
-    ) -> "DemandSeries":
-        """Linear interpolation through ``knots`` spread evenly over the
-        series (first epoch at the first knot, last at the last)."""
-        if len(knots) < 2:
-            raise ConfigurationError("interpolated series needs >= 2 knots")
-        if epochs < 2:
-            raise ConfigurationError("interpolated series needs >= 2 epochs")
-        knots = [float(k) for k in knots]
-        scales = []
-        for i in range(epochs):
-            position = i / (epochs - 1) * (len(knots) - 1)
-            segment = min(int(position), len(knots) - 2)
-            frac = position - segment
-            scales.append(
-                knots[segment] * (1.0 - frac) + knots[segment + 1] * frac
-            )
-        return cls(name, base, tuple(scales), epoch_seconds)
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -66,8 +66,8 @@ class GreenPlan:
         port map, so the plan feeds straight into
         :meth:`~repro.network.NetworkPowerModel.run_routed`.
     tables:
-        The pruned-topology routing materialised as editable next-hop
-        tables (:func:`~repro.network.routing.build_tables`).
+        The pruned-topology routing materialised as next-hop tables
+        (:func:`~repro.network.routing.build_tables`).
     pruned_cables:
         Cables removed, as sorted ``(a, b)`` name pairs, sorted.
     max_link_utilization:

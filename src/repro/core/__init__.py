@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".analytical": (
         "bit_energy_banyan", "bit_energy_batcher_banyan",
         "bit_energy_crossbar", "bit_energy_fully_connected",
-        "worst_case_bit_energy",
     ),
     ".contention": ("banyan_stage_loads", "banyan_blocking_probability"),
     ".estimator": ("AnalyticalPowerEstimate", "estimate_power"),

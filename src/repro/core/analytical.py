@@ -15,9 +15,6 @@ All functions return joules per bit.
 
 from __future__ import annotations
 
-import math
-
-from repro.core.bit_energy import MuxEnergyLUT, SwitchEnergyLUT
 from repro.errors import ConfigurationError
 
 
@@ -136,83 +133,3 @@ def bit_energy_batcher_banyan(
     switches += n * binary_switch_energy_j
     return wires + switches
 
-
-def worst_case_bit_energy(
-    architecture: str,
-    ports: int,
-    grid_energy_j: float,
-    switch_lut: SwitchEnergyLUT | None = None,
-    sorting_lut: SwitchEnergyLUT | None = None,
-    buffer_energy_j: float = 0.0,
-) -> float:
-    """Dispatch Eq. 3-6 by architecture name.
-
-    ``architecture`` is one of ``"crossbar"``, ``"fully_connected"``,
-    ``"banyan"``, ``"batcher_banyan"``.  LUTs default to the paper's
-    Table 1 models.
-    """
-    arch = architecture.lower().replace("-", "_").replace(" ", "_")
-    if arch == "crossbar":
-        lut = switch_lut or SwitchEnergyLUT.crossbar_crosspoint()
-        return bit_energy_crossbar(ports, lut.lookup((1,)), grid_energy_j)
-    if arch in ("fully_connected", "fullyconnected", "fully_conn"):
-        lut = switch_lut or MuxEnergyLUT(ports)
-        return bit_energy_fully_connected(
-            ports, lut.energy_per_bit(1), grid_energy_j
-        )
-    if arch == "banyan":
-        lut = switch_lut or SwitchEnergyLUT.banyan_binary()
-        return bit_energy_banyan(
-            ports,
-            lut.lookup((1, 0)),
-            grid_energy_j,
-            buffer_energy_j=buffer_energy_j,
-        )
-    if arch in ("batcher_banyan", "batcherbanyan", "batcher"):
-        sort = sorting_lut or SwitchEnergyLUT.batcher_sorting()
-        binary = switch_lut or SwitchEnergyLUT.banyan_binary()
-        return bit_energy_batcher_banyan(
-            ports,
-            sort.lookup((1, 0)),
-            binary.lookup((1, 0)),
-            grid_energy_j,
-        )
-    raise ConfigurationError(f"unknown architecture {architecture!r}")
-
-
-def dominant_component(
-    architecture: str,
-    ports: int,
-    grid_energy_j: float,
-    flip_fraction: float = 0.5,
-) -> str:
-    """Which component dominates the bit energy: "wires" or "switches".
-
-    Used to check the paper's Observation 2 (switch domination at small
-    N shifting to wire domination at large N).  Wire energy is derated
-    by ``flip_fraction`` because only polarity flips dissipate; the 0.5
-    default matches random payloads, i.e. the *measured* regime the
-    observation describes.  Pass 1.0 for the worst-case view.
-    """
-    arch = architecture.lower().replace("-", "_").replace(" ", "_")
-    if not 0.0 <= flip_fraction <= 1.0:
-        raise ConfigurationError("flip_fraction must be in [0, 1]")
-    if arch == "crossbar":
-        wire = 8 * ports * grid_energy_j
-        switch = ports * SwitchEnergyLUT.crossbar_crosspoint().lookup((1,))
-    elif arch in ("fully_connected", "fullyconnected", "fully_conn"):
-        wire = 0.5 * ports * ports * grid_energy_j
-        switch = MuxEnergyLUT(ports).energy_per_bit(1)
-    elif arch == "banyan":
-        wire = banyan_wire_grids(ports) * grid_energy_j
-        n = int(math.log2(ports))
-        switch = n * SwitchEnergyLUT.banyan_binary().lookup((1, 0))
-    elif arch in ("batcher_banyan", "batcherbanyan", "batcher"):
-        n = int(math.log2(ports))
-        wire = (batcher_wire_grids(ports) + banyan_wire_grids(ports)) * grid_energy_j
-        switch = batcher_stage_count(ports) * SwitchEnergyLUT.batcher_sorting().lookup(
-            (1, 0)
-        ) + n * SwitchEnergyLUT.banyan_binary().lookup((1, 0))
-    else:
-        raise ConfigurationError(f"unknown architecture {architecture!r}")
-    return "wires" if wire * flip_fraction > switch else "switches"

@@ -67,73 +67,6 @@ def banyan_blocking_probability(ports: int, input_load: float) -> list[float]:
     return [rho / 4.0 for rho in loads[:-1]]
 
 
-def expected_bufferings_per_cell(ports: int, input_load: float) -> float:
-    """Expected number of buffering events a cell suffers end to end.
-
-    This is the analytic counterpart of the ``sum(q_i)`` term in Eq. 5,
-    averaged over cells.
-    """
-    return sum(banyan_blocking_probability(ports, input_load))
-
-
-def unbuffered_banyan_throughput(ports: int, input_load: float = 1.0) -> float:
-    """Patel throughput of an unbuffered banyan (last stage load).
-
-    For a saturated 32x32 network this is ~0.4, illustrating why node
-    buffers are needed at all.
-    """
-    return banyan_stage_loads(ports, input_load)[-1]
-
-
-def load_for_throughput(ports: int, throughput: float) -> float:
-    """Invert the Patel recurrence: input load achieving a target output.
-
-    Uses bisection on the monotone map ``input_load -> output_load``.
-    Raises if the target exceeds the unbuffered network's saturation
-    throughput (buffering changes the picture; the dynamic simulator
-    handles that regime).
-    """
-    if not 0.0 <= throughput <= 1.0:
-        raise ConfigurationError("throughput must be in [0, 1]")
-    peak = unbuffered_banyan_throughput(ports, 1.0)
-    if throughput > peak + 1e-12:
-        raise ConfigurationError(
-            f"unbuffered banyan with {ports} ports saturates at "
-            f"{peak:.3f} < requested {throughput:.3f}"
-        )
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        mid = (lo + hi) / 2.0
-        if unbuffered_banyan_throughput(ports, mid) < throughput:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def stage_switch_duty(ports: int, input_load: float) -> list[tuple[float, float]]:
-    """Per-stage probabilities of (exactly-one, both) active switch inputs.
-
-    Under the stage load ``rho_k`` and independent inputs, a 2x2 switch
-    serves one cell with probability ``2*rho_k*(1-rho_k)`` and two with
-    ``rho_k^2``.  Used by the analytical estimator to mix the Table 1
-    vectors.
-    """
-    loads = banyan_stage_loads(ports, input_load)[:-1]
-    return [(2 * rho * (1 - rho), rho * rho) for rho in loads]
-
-
-def saturation_input_load(ports: int) -> float:
-    """Input load at which the unbuffered banyan's output stops growing.
-
-    The recurrence is strictly increasing in the input load, so the
-    maximum is at load 1.0; provided for symmetry/readability.
-    """
-    if ports < 2 or ports & (ports - 1):
-        raise ConfigurationError(f"ports must be a power of two >= 2, got {ports}")
-    return 1.0
-
-
 def stages(ports: int) -> int:
     """Number of banyan stages ``n = log2(N)``."""
     if ports < 2 or ports & (ports - 1):

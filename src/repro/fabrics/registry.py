@@ -39,17 +39,6 @@ from typing import Callable
 
 from repro.errors import ConfigurationError
 
-#: Alias spellings accepted for the built-in architectures.
-_BUILTIN_ALIASES = {
-    "xbar": "crossbar",
-    "fullyconnected": "fully_connected",
-    "fully_conn": "fully_connected",
-    "fc": "fully_connected",
-    "mux": "fully_connected",
-    "batcher": "batcher_banyan",
-    "batcherbanyan": "batcher_banyan",
-}
-
 #: Names of the built-in (paper) architectures; these entries cannot be
 #: replaced or unregistered.
 BUILTIN_ARCHITECTURES = (

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 
 from repro.errors import TopologyError
 
-# The ``*_graph`` helpers import networkx when called: no simulation
-# path builds a graph, so no simulation loads it.
+# ``banyan_graph`` imports networkx when called: no simulation path
+# builds a graph, so no simulation loads it.
 if TYPE_CHECKING:
     import networkx as nx
 
@@ -137,34 +137,6 @@ def banyan_graph(ports: int) -> nx.MultiDiGraph:
             )
     for p in range(ports):
         g.add_edge(("sw", n - 1, switch_index(ports, n - 1, p)), ("out", p))
-    return g
-
-
-def crossbar_graph(ports: int) -> nx.MultiDiGraph:
-    """Crossbar as a graph: input rows, crosspoints, output columns."""
-    import networkx as nx
-
-    if ports < 1:
-        raise TopologyError("crossbar needs >= 1 port")
-    g = nx.MultiDiGraph()
-    for i in range(ports):
-        for j in range(ports):
-            g.add_edge(("in", i), ("xp", i, j))
-            g.add_edge(("xp", i, j), ("out", j))
-    return g
-
-
-def fully_connected_graph(ports: int) -> nx.MultiDiGraph:
-    """Fully connected fabric as a graph: every input to every MUX."""
-    import networkx as nx
-
-    if ports < 2:
-        raise TopologyError("fully connected fabric needs >= 2 ports")
-    g = nx.MultiDiGraph()
-    for j in range(ports):
-        for i in range(ports):
-            g.add_edge(("in", i), ("mux", j))
-        g.add_edge(("mux", j), ("out", j))
     return g
 
 

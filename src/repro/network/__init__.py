@@ -21,9 +21,7 @@ deterministic CSV/JSON/markdown export:
   ``star``, ``mesh``, ``dumbbell``, ``fat_tree`` (arbitrary even k)
   and ``isp`` (seeded Waxman/hierarchical ISP graphs).
 * :class:`TrafficMatrix` / :class:`Demand` — demand matrices with
-  ``uniform`` / ``gravity`` / ``hotspot`` presets;
-  :class:`TraceDemand` samples measured scale series from trace files
-  and resamples them into :class:`~repro.control.demand.DemandSeries`.
+  ``uniform`` / ``gravity`` / ``hotspot`` presets.
 * :func:`route` / :class:`RoutingResult` — demand → link loads →
   per-port load vectors, with utilization validation.
 * :class:`NetworkSpec` / :class:`NetworkPowerModel` /
@@ -44,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "edge_nodes",
     ),
     ".traffic_matrix": ("Demand", "TrafficMatrix"),
-    ".trace_demand": ("TraceDemand", "TraceSample"),
     ".routing": (
         "ROUTING_MODES", "RoutingResult", "RoutingTables", "build_tables",
         "derive_port_loads", "route",

@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError
 from repro.serial import (
     Spec,
     check_fields,
+    check_scalars,
     csv_table,
     markdown_table,
     parse_json,
@@ -176,6 +177,7 @@ class NetworkSpec(Spec):
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("a network spec needs a name")
+        check_scalars(self)
         object.__setattr__(
             self, "topology", NetworkTopology.coerce(self.topology, "topology")
         )

@@ -26,12 +26,9 @@ complete.
 
 Both modes can also be *materialised* as explicit per-router weighted
 next-hop tables (:func:`build_tables` → :class:`RoutingTables`): each
-router holds, per destination, a tuple of ``(next hop, weight)`` pairs,
-and :func:`route` accepts ``tables=`` to forward demands through them
-instead of recomputing paths.  Tables are plain editable state — the
-energy-aware optimizer of :mod:`repro.control` rewrites them after
-pruning links — and table forwarding detects loops and dead ends
-loudly.
+router holds, per destination, a tuple of ``(next hop, weight)`` pairs.
+The energy-aware optimizer of :mod:`repro.control` reports the tables
+of the topology it pruned.
 
 Semantics of the produced loads (all in cells/slot):
 
@@ -80,8 +77,7 @@ class RoutingResult:
     demand_hops:
         ``{(src, dst): hop count}`` of each routed demand (0 for local
         ``src == dst`` demands); under ECMP every shortest path has the
-        same hop count.  Table-forwarded results carry the
-        flow-weighted mean path length, which may be fractional.
+        same hop count.
     ingress_loads / egress_loads:
         ``{node: (load, ...)}`` — one entry per physical port, in the
         topology's deterministic port order.  Ingress loads are what
@@ -96,7 +92,7 @@ class RoutingResult:
     matrix: TrafficMatrix
     mode: str
     link_loads: dict[tuple[str, str], float] = field(default_factory=dict)
-    demand_hops: dict[tuple[str, str], float] = field(default_factory=dict)
+    demand_hops: dict[tuple[str, str], int] = field(default_factory=dict)
     ingress_loads: dict[str, tuple[float, ...]] = field(default_factory=dict)
     egress_loads: dict[str, tuple[float, ...]] = field(default_factory=dict)
     active_ports: dict[str, tuple[bool, ...]] = field(default_factory=dict)
@@ -145,9 +141,7 @@ class RoutingTables:
     ``destination`` is split over the next hops proportionally to the
     weights.  :func:`build_tables` materialises the ``"shortest"`` /
     ``"ecmp"`` modes into this form (ECMP weights are shortest-path
-    counts, so table forwarding reproduces the DAG split); the tables
-    are mutable on purpose — optimizers edit entries via
-    :meth:`set_next_hops` and re-route with ``route(..., tables=...)``.
+    counts, the DAG split of :func:`route`).
     """
 
     mode: str
@@ -160,37 +154,6 @@ class RoutingTables:
         ``dst`` (empty if the table has none)."""
         return self.tables.get(node, {}).get(dst, ())
 
-    def set_next_hops(
-        self, node: str, dst: str, hops: Any
-    ) -> None:
-        """Replace one table entry (validated: non-empty, weights > 0)."""
-        entries = []
-        for peer, weight in hops:
-            weight = float(weight)
-            if weight <= 0.0:
-                raise ConfigurationError(
-                    f"next-hop weight of {node!r} -> {dst!r} via {peer!r} "
-                    f"must be > 0, got {weight!r}"
-                )
-            if peer == node:
-                raise ConfigurationError(
-                    f"{node!r} cannot be its own next hop toward {dst!r}"
-                )
-            entries.append((str(peer), weight))
-        if not entries:
-            raise ConfigurationError(
-                f"a table entry of {node!r} -> {dst!r} needs at least one "
-                "next hop (drop the entry to make the pair unroutable)"
-            )
-        self.tables.setdefault(node, {})[dst] = tuple(entries)
-
-    def destinations(self) -> tuple[str, ...]:
-        """Every destination any router has an entry for, sorted."""
-        out: set[str] = set()
-        for entries in self.tables.values():
-            out.update(entries)
-        return tuple(sorted(out))
-
 
 def build_tables(
     topology: NetworkTopology,
@@ -202,9 +165,9 @@ def build_tables(
     ``"shortest"`` emits the single next hop :func:`route`'s greedy
     walk would take (first declaration-order neighbor that reduces the
     BFS distance); ``"ecmp"`` emits every distance-reducing neighbor
-    weighted by its shortest-path count toward the destination, which
-    makes table forwarding split flows exactly like the shortest-path
-    DAG computation.  ``destinations`` defaults to every node.
+    weighted by its shortest-path count toward the destination, the
+    split of :func:`route`'s shortest-path DAG.  ``destinations``
+    defaults to every node.
     """
     if mode not in ROUTING_MODES:
         raise ConfigurationError(
@@ -233,76 +196,6 @@ def build_tables(
                     (peer, float(tau[peer])) for peer in hops
                 )
     return RoutingTables(mode=mode, tables=tables)
-
-
-def _table_edge_flows(
-    tables: RoutingTables, source: str, target: str
-) -> tuple[dict[tuple[str, str], float], float]:
-    """Per-edge flow of one *unit* demand forwarded through tables.
-
-    Returns ``(flows, hops)`` where ``hops`` is the flow-weighted mean
-    path length (total flow placed on edges).  Raises on dead ends
-    (a reachable router with no entry toward ``target``) and on table
-    loops — both are configuration errors of edited tables, not things
-    to saturate silently.
-    """
-    if source == target:
-        return {}, 0.0
-    # Iterative DFS over the table graph: cycle detection plus a
-    # reverse-postorder (topological) node order for the propagation.
-    state: dict[str, int] = {}
-    postorder: list[str] = []
-    stack: list[tuple[str, list[str], int]] = []
-
-    def push(node: str) -> None:
-        if node == target:
-            kids: list[str] = []
-        else:
-            hops = tables.next_hops(node, target)
-            if not hops:
-                raise ConfigurationError(
-                    f"routing tables have no next hop at {node!r} toward "
-                    f"{target!r} (demand {source!r} -> {target!r} is "
-                    "unroutable)"
-                )
-            kids = [peer for peer, _ in hops]
-        state[node] = 1
-        stack.append((node, kids, 0))
-
-    push(source)
-    while stack:
-        node, kids, i = stack.pop()
-        if i < len(kids):
-            stack.append((node, kids, i + 1))
-            child = kids[i]
-            seen = state.get(child)
-            if seen == 1:
-                raise ConfigurationError(
-                    f"routing tables loop through {child!r} toward "
-                    f"{target!r}"
-                )
-            if seen is None:
-                push(child)
-        else:
-            state[node] = 2
-            postorder.append(node)
-    amounts: dict[str, float] = {source: 1.0}
-    flows: dict[tuple[str, str], float] = {}
-    placed = 0.0
-    for node in reversed(postorder):
-        amount = amounts.get(node, 0.0)
-        if node == target or amount == 0.0:
-            continue
-        hops = tables.next_hops(node, target)
-        total_weight = sum(weight for _, weight in hops)
-        for peer, weight in hops:
-            flow = amount * (weight / total_weight)
-            if flow == 0.0:
-                continue
-            flows[(node, peer)] = flows.get((node, peer), 0.0) + flow
-            amounts[peer] = amounts.get(peer, 0.0) + flow
-            placed += flow
-    return flows, placed
 
 
 def _in_neighbors(topology: NetworkTopology) -> dict[str, tuple[str, ...]]:
@@ -407,22 +300,15 @@ def route(
     topology: NetworkTopology,
     matrix: TrafficMatrix,
     mode: str = "shortest",
-    tables: RoutingTables | None = None,
 ) -> RoutingResult:
     """Route every demand; derive link loads and per-port load vectors.
-
-    With ``tables=`` the demands are forwarded through the given
-    per-router next-hop tables instead of the mode machinery (the
-    result's ``mode`` is then ``"tables"`` and ``demand_hops`` carries
-    flow-weighted mean path lengths, which may be fractional when table
-    edits mix path lengths).
 
     Raises :class:`~repro.errors.ConfigurationError` on unroutable
     demands, on any link whose routed load exceeds its capacity, and on
     any access port whose injected load exceeds line rate — an
     infeasible operating point must fail loudly, not silently saturate.
     """
-    if tables is None and mode not in ROUTING_MODES:
+    if mode not in ROUTING_MODES:
         raise ConfigurationError(
             f"routing mode must be one of {ROUTING_MODES}, got {mode!r}"
         )
@@ -432,36 +318,22 @@ def route(
         raise ConfigurationError(
             f"traffic matrix names unknown nodes: {unknown}"
         )
-    if tables is None:
-        adj = topology.out_neighbors()
-        radj = _in_neighbors(topology)
-        # Each destination's sources, and its last demand: its search
-        # runs at its first demand and is dropped after its last.
-        sources: dict[str, set[str]] = {}
-        last: dict[str, int] = {}
-        for i, d in enumerate(matrix.demands):
-            if d.src != d.dst:
-                sources.setdefault(d.dst, set()).add(d.src)
-                last[d.dst] = i
-        searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+    adj = topology.out_neighbors()
+    radj = _in_neighbors(topology)
+    # Each destination's sources, and its last demand: its search runs
+    # at its first demand and is dropped after its last.
+    sources: dict[str, set[str]] = {}
+    last: dict[str, int] = {}
+    for i, d in enumerate(matrix.demands):
+        if d.src != d.dst:
+            sources.setdefault(d.dst, set()).add(d.src)
+            last[d.dst] = i
+    searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
     link_loads = {(l.src, l.dst): 0.0 for l in topology.links}
-    demand_hops: dict[tuple[str, str], float] = {}
+    demand_hops: dict[tuple[str, str], int] = {}
     for i, d in enumerate(matrix.demands):
         if d.src == d.dst:
             demand_hops[(d.src, d.dst)] = 0
-            continue
-        if tables is not None:
-            unit_flows, hops = _table_edge_flows(tables, d.src, d.dst)
-            demand_hops[(d.src, d.dst)] = hops
-            if d.cells_per_slot == 0.0:
-                continue
-            for edge, flow in unit_flows.items():
-                if edge not in link_loads:
-                    raise ConfigurationError(
-                        f"routing tables forward over nonexistent link "
-                        f"{edge[0]!r} -> {edge[1]!r}"
-                    )
-                link_loads[edge] += d.cells_per_slot * flow
             continue
         if d.dst not in searches:
             searches[d.dst] = _search_to(radj, d.dst, sources[d.dst])
@@ -498,7 +370,7 @@ def route(
     return RoutingResult(
         topology=topology,
         matrix=matrix,
-        mode="tables" if tables is not None else mode,
+        mode=mode,
         link_loads=link_loads,
         demand_hops=demand_hops,
         ingress_loads=ingress,

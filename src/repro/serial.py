@@ -11,10 +11,10 @@ module owns that contract once:
   ``from_dict`` / ``from_json`` / ``to_json`` / ``content_hash`` /
   ``replace`` around each class's own canonical ``to_dict``, and
   ``coerce`` for a spec nested in another;
-* :func:`build`, :func:`check_fields` and :func:`parse_json` — the
-  checks a hand-written file goes through, shared with the nested
-  coercers and the record classes, so malformed input always ends in
-  :class:`~repro.errors.ConfigurationError`;
+* :func:`build`, :func:`check_fields`, :func:`check_scalars` and
+  :func:`parse_json` — the checks a hand-written file goes through,
+  shared with the nested coercers and the record classes, so malformed
+  input always ends in :class:`~repro.errors.ConfigurationError`;
 * :func:`csv_table` and :func:`markdown_table` — the deterministic table
   exports of the record classes.
 """
@@ -108,6 +108,64 @@ def build(cls: type[_T], data: Any, noun: str) -> _T:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid {noun}: {exc}") from exc
+
+
+#: Annotation, as written (spec modules postpone their annotations) ->
+#: (kind, takes None) of the fields :func:`check_scalars` checks.
+_SCALAR_KINDS = {
+    "int": ("int", False),
+    "int | None": ("int", True),
+    "float": ("float", False),
+    "float | tuple[float, ...]": ("vector", False),
+    "bool": ("bool", False),
+}
+
+
+@functools.cache
+def _scalar_fields(cls: type) -> tuple[tuple[str, str, bool], ...]:
+    """``(name, kind, takes None)`` of each field of dataclass ``cls``
+    whose annotation :data:`_SCALAR_KINDS` names."""
+    return tuple(
+        (f.name, *_SCALAR_KINDS[f.type])
+        for f in dataclasses.fields(cls)
+        if f.type in _SCALAR_KINDS
+    )
+
+
+def check_scalars(spec: Any) -> None:
+    """Check the number and bool fields of frozen dataclass ``spec`` by
+    their annotations, storing each float field as a float.
+
+    An ``int`` field takes an ``int`` (``int | None`` also ``None``).  A
+    ``float`` field takes an ``int`` or a ``float`` and keeps a
+    ``float``, so ``1`` and ``1.0`` share one content hash; a
+    ``float | tuple[float, ...]`` field also takes a list or tuple of
+    them and keeps a tuple.  A ``bool`` field takes only a ``bool``, and
+    no number field takes one.  Anything else raises
+    :class:`ConfigurationError`.
+    """
+    for name, kind, optional in _scalar_fields(type(spec)):
+        value = getattr(spec, name)
+        if kind == "bool":
+            if type(value) is not bool:
+                raise ConfigurationError(
+                    f"{name} must be true or false, got {value!r}"
+                )
+        elif kind == "int":
+            if type(value) is not int and (value is not None or not optional):
+                expected = "an int or None" if optional else "an int"
+                raise ConfigurationError(
+                    f"{name} must be {expected}, got {value!r}"
+                )
+        else:
+            vector = kind == "vector" and isinstance(value, (list, tuple))
+            for item in value if vector else (value,):
+                if type(item) is bool or not isinstance(item, (int, float)):
+                    raise ConfigurationError(
+                        f"{name} must be an int or a float, got {item!r}"
+                    )
+            value = tuple(map(float, value)) if vector else float(value)
+            object.__setattr__(spec, name, value)
 
 
 class Spec:

@@ -307,7 +307,7 @@ class SurrogateServer:
                         self._predict_memo[bytes(body)] = payload
             elif method == "POST" and path == "/batch":
                 data = json.loads(body)
-                items = data.get("scenarios")
+                items = isinstance(data, dict) and data.get("scenarios")
                 if not isinstance(items, list):
                     raise ConfigurationError(
                         'batch body must be {"scenarios": [...]}'
@@ -323,7 +323,7 @@ class SurrogateServer:
                 status, payload = 404, {
                     "error": f"unknown endpoint {method} {path}"
                 }
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
             self.errors += 1
             status, payload = 400, {"error": f"bad request body: {exc}"}
         except ConfigurationError as exc:

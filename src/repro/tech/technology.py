@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigurationError
+from repro.serial import check_scalars
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,7 @@ class Technology:
             raise ConfigurationError(
                 f"technology name must be a string, got {self.name!r}"
             )
+        check_scalars(self)
         if self.feature_size_m <= 0:
             raise ConfigurationError("feature_size_m must be positive")
         if self.voltage_v <= 0:

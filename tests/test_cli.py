@@ -1,11 +1,14 @@
 """Command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import Scenario
 from repro.cli import build_parser, main
+from repro.network import get_network
+from repro.tech import TECH_180NM
 
 
 class TestParser:
@@ -225,8 +228,9 @@ class TestOutputPaths:
 #: empty objects, wrong field types, a nested ``tech`` object with an
 #: unknown field, an integer too large for a float, bytes that are not
 #: UTF-8, a banyan whose port count is not a power of two, a router
-#: one port over the cap, and table campaigns whose params are not
-#: integers or not banyan port counts.
+#: one port over the cap, table campaigns whose params are not
+#: integers or not banyan port counts, a nested ``tech`` object and a
+#: network spec with a wrongly typed number or flag.
 MALFORMED_SPECS = [
     ("network", "1"),
     ("network", "null"),
@@ -286,6 +290,21 @@ MALFORMED_SPECS = [
     ("campaign", '{"params": {"ports": [3]}, "name": "t2", "kind": "table2"}'),
     ("campaign", '{"params": {"ports": [4.5]}, "name": "t2", '
                  '"kind": "table2"}'),
+    *[
+        ("batch", json.dumps([{
+            "architecture": "crossbar", "ports": 4, "load": 0.3,
+            "arrival_slots": 5, "warmup_slots": 1,
+            "tech": {**dataclasses.asdict(TECH_180NM), **field},
+        }]))
+        for field in ({"gate_cap_f": []}, {"bus_width_bits": True},
+                      {"bus_width_bits": 32.5})
+    ],
+    *[
+        ("network", json.dumps(
+            {**get_network("single_crossbar8").to_dict(), "switch_off": flag}
+        ))
+        for flag in ("x", 2.5, None, [])
+    ],
 ]
 
 

@@ -114,13 +114,6 @@ class TestDemandSeries:
         assert series.scales == (1.0, 1.0, 0.25, 0.25)
         assert series.matrix(2).total() == pytest.approx(0.25 * base.total())
 
-    def test_sinusoid_spans_low_to_high(self):
-        base = TrafficMatrix.uniform(("a", "b"), 0.1)
-        series = DemandSeries.sinusoid(base, epochs=8, low=0.2, high=0.9)
-        assert min(series.scales) == pytest.approx(0.2)
-        assert max(series.scales) == pytest.approx(0.9)
-        assert series.scale(0) == pytest.approx(0.2)  # starts at the low
-
     def test_diurnal_trough_and_peak_hours(self):
         base = TrafficMatrix.uniform(("a", "b"), 0.1)
         series = DemandSeries.diurnal(
@@ -129,11 +122,6 @@ class TestDemandSeries:
         assert series.epoch_seconds == pytest.approx(86400.0 / 24)
         assert series.scale(4) == pytest.approx(0.25)   # 4 am trough
         assert series.scale(16) == pytest.approx(1.0)   # 4 pm peak
-
-    def test_interpolated_hits_knots_and_midpoints(self):
-        base = TrafficMatrix.uniform(("a", "b"), 0.1)
-        series = DemandSeries.interpolated(base, (0.2, 1.0), epochs=5)
-        assert series.scales == pytest.approx((0.2, 0.4, 0.6, 0.8, 1.0))
 
     def test_validation(self):
         base = TrafficMatrix.uniform(("a", "b"), 0.1)

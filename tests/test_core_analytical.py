@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import analytical
-from repro.core.bit_energy import MuxEnergyLUT, SwitchEnergyLUT
 from repro.errors import ConfigurationError
 from repro.tech import TECH_180NM
 from repro.units import fJ
@@ -96,43 +95,3 @@ class TestBatcherBanyanEq6:
         """
         e = analytical.bit_energy_batcher_banyan(16, fJ(1253), fJ(1080), E_T)
         assert e > 0
-
-
-class TestDispatch:
-    @pytest.mark.parametrize(
-        "name",
-        ["crossbar", "fully_connected", "banyan", "batcher_banyan"],
-    )
-    def test_dispatch_positive(self, name):
-        assert analytical.worst_case_bit_energy(name, 8, E_T) > 0
-
-    def test_dispatch_aliases(self):
-        a = analytical.worst_case_bit_energy("batcher-banyan", 8, E_T)
-        b = analytical.worst_case_bit_energy("batcher_banyan", 8, E_T)
-        assert a == b
-
-    def test_unknown_architecture(self):
-        with pytest.raises(ConfigurationError):
-            analytical.worst_case_bit_energy("clos", 8, E_T)
-
-    def test_custom_luts_respected(self):
-        lut = SwitchEnergyLUT(1, {(0,): 0.0, (1,): fJ(440)}, name="2x-crosspoint")
-        doubled = analytical.worst_case_bit_energy("crossbar", 8, E_T, switch_lut=lut)
-        default = analytical.worst_case_bit_energy("crossbar", 8, E_T)
-        assert doubled - default == pytest.approx(8 * fJ(220))
-
-
-class TestDominantComponent:
-    """Paper Observation 2: switches dominate small fabrics, wires big ones."""
-
-    def test_fully_connected_shift(self):
-        assert analytical.dominant_component("fully_connected", 4, E_T) == "switches"
-        assert analytical.dominant_component("fully_connected", 32, E_T) == "wires"
-
-    def test_crossbar_wire_heavy(self):
-        # 8N*E_T vs N*220fJ: wires dominate at every N (ratio fixed).
-        assert analytical.dominant_component("crossbar", 4, E_T) == "wires"
-        assert analytical.dominant_component("crossbar", 32, E_T) == "wires"
-
-    def test_banyan_switch_heavy_small(self):
-        assert analytical.dominant_component("banyan", 4, E_T) == "switches"

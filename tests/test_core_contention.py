@@ -42,45 +42,29 @@ class TestBlocking:
         assert blocks == pytest.approx([rho / 4 for rho in loads[:-1]])
 
     def test_expected_bufferings_increase_with_load(self):
-        low = contention.expected_bufferings_per_cell(32, 0.1)
-        high = contention.expected_bufferings_per_cell(32, 0.5)
+        # A cell's expected bufferings are the Eq. 5 sum of q_i.
+        low = sum(contention.banyan_blocking_probability(32, 0.1))
+        high = sum(contention.banyan_blocking_probability(32, 0.5))
         assert 0 < low < high
 
     def test_expected_bufferings_increase_with_ports(self):
-        small = contention.expected_bufferings_per_cell(4, 0.4)
-        large = contention.expected_bufferings_per_cell(64, 0.4)
+        small = sum(contention.banyan_blocking_probability(4, 0.4))
+        large = sum(contention.banyan_blocking_probability(64, 0.4))
         assert large > small
 
 
 class TestThroughput:
     def test_saturated_32_port_around_0_4(self):
         """Classic Patel result: unbuffered 32x32 banyan ~40% capacity."""
-        peak = contention.unbuffered_banyan_throughput(32, 1.0)
+        peak = contention.banyan_stage_loads(32, 1.0)[-1]
         assert 0.35 < peak < 0.50
 
     def test_light_load_passes_through(self):
-        out = contention.unbuffered_banyan_throughput(16, 0.05)
+        out = contention.banyan_stage_loads(16, 0.05)[-1]
         assert out == pytest.approx(0.05, rel=0.1)
-
-    def test_load_for_throughput_inverts(self):
-        target = 0.3
-        load = contention.load_for_throughput(16, target)
-        assert contention.unbuffered_banyan_throughput(16, load) == pytest.approx(
-            target, abs=1e-6
-        )
-
-    def test_load_for_unreachable_throughput_raises(self):
-        with pytest.raises(ConfigurationError):
-            contention.load_for_throughput(32, 0.9)
 
 
 class TestDuty:
-    def test_duty_probabilities_sane(self):
-        for single, dual in contention.stage_switch_duty(16, 0.5):
-            assert 0 <= single <= 1
-            assert 0 <= dual <= 1
-            assert single + dual <= 1
-
     def test_stages_helper(self):
         assert contention.stages(32) == 5
         with pytest.raises(ConfigurationError):

@@ -115,15 +115,3 @@ class TestGraphs:
         g = topology.banyan_graph(8)
         switches = [v for v in g if v[0] == "sw"]
         assert len(switches) == 12  # 3 stages x 4 switches
-
-    def test_crossbar_graph_shape(self):
-        g = topology.crossbar_graph(4)
-        crosspoints = [v for v in g if v[0] == "xp"]
-        assert len(crosspoints) == 16
-
-    def test_fully_connected_graph_shape(self):
-        g = topology.fully_connected_graph(4)
-        muxes = [v for v in g if v[0] == "mux"]
-        assert len(muxes) == 4
-        # Every input reaches every mux.
-        assert g.number_of_edges() == 4 * 4 + 4

@@ -52,7 +52,7 @@ EXPORTS = {
         "estimate_all_architectures", "estimate_power", "get_campaign",
         "get_control", "get_network", "load_scenarios", "preset",
         "preset_scenarios", "run_batch", "run_campaign", "run_control",
-        "run_network", "run_simulation", "worst_case_bit_energy",
+        "run_network", "run_simulation",
     ],
     "repro.analysis": [
         "KAROL_HLUCHYJ_TABLE", "format_series", "format_table",
@@ -85,7 +85,6 @@ EXPORTS = {
         "banyan_stage_loads", "bit_energy_banyan",
         "bit_energy_batcher_banyan", "bit_energy_crossbar",
         "bit_energy_fully_connected", "estimate_power", "tables",
-        "worst_case_bit_energy",
     ],
     "repro.fabrics": [
         "BanyanFabric", "BatcherBanyanFabric", "CrossbarFabric",
@@ -112,7 +111,7 @@ EXPORTS = {
         "NETWORK_PRESETS", "NODE_COLUMNS", "NetworkPowerModel",
         "NetworkRecord", "NetworkSpec", "NetworkTopology", "PortMap",
         "ROUTING_MODES", "RouterNode", "RoutingResult", "RoutingTables",
-        "TraceDemand", "TraceSample", "TrafficMatrix", "build_tables",
+        "TrafficMatrix", "build_tables",
         "derive_port_loads", "dumbbell", "edge_nodes", "fat_tree",
         "get_network", "isp", "line", "mesh", "network_names",
         "render_network_report", "route", "run_network", "shard_bounds",
@@ -169,7 +168,6 @@ REPRO_NAMES = [
     "preset", "preset_scenarios", "resilience", "router", "run_batch",
     "run_campaign", "run_control", "run_network", "run_simulation",
     "serial", "sim", "tech", "thompson", "units", "version", "wire_modes",
-    "worst_case_bit_energy",
 ]
 
 

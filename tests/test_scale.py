@@ -1,9 +1,9 @@
 """Scale-equivalence suite: sharded == monolithic, at any size.
 
 The scale layer (sharded execution + streaming aggregation + the new
-``fat_tree(k)``/``isp`` generators and ``TraceDemand``) is only safe to
-build on if execution strategy can never change a result.  This suite
-locks that down:
+``fat_tree(k)``/``isp`` generators) is only safe to build on if
+execution strategy can never change a result.  This suite locks that
+down:
 
 * **Bit-identity** — for every network preset (the original four and
   the new k=8/k=16/ISP scale presets), the sharded/streamed
@@ -33,7 +33,6 @@ import pytest
 
 from repro.api.model import PowerModel
 from repro.api.store import RunRecordStore
-from repro.control.demand import DemandSeries
 from repro.errors import ConfigurationError
 from repro.network import (
     DETAIL_LEVELS,
@@ -41,9 +40,7 @@ from repro.network import (
     GENERATORS,
     NetworkPowerModel,
     NetworkSpec,
-    TraceDemand,
     TrafficMatrix,
-    build_tables,
     edge_nodes,
     fat_tree,
     get_network,
@@ -308,24 +305,6 @@ class TestRoutingConservation:
         matrix = random_feasible_matrix(rng, topology)
         for mode in ("shortest", "ecmp"):
             result = route(topology, matrix, mode=mode)
-            expected = sum(
-                d.cells_per_slot * result.demand_hops[(d.src, d.dst)]
-                for d in matrix.demands
-            )
-            assert math.isclose(
-                result.total_link_load, expected,
-                rel_tol=1e-9, abs_tol=1e-9,
-            ), f"mode={mode}"
-
-    @pytest.mark.parametrize("seed", CONSERVATION_SEEDS[::5])
-    def test_table_forwarding_conserves_flow(self, seed):
-        rng = random.Random(seed + 7000)
-        topology = random_topology(rng)
-        matrix = random_feasible_matrix(rng, topology)
-        for mode in ("shortest", "ecmp"):
-            tables = build_tables(topology, mode=mode)
-            result = route(topology, matrix, tables=tables)
-            assert result.mode == "tables"
             expected = sum(
                 d.cells_per_slot * result.demand_hops[(d.src, d.dst)]
                 for d in matrix.demands
@@ -680,129 +659,6 @@ class TestScalePresets:
         assert record.totals["nodes"] == 320
         assert not record.failures
         assert record.totals["power_w"] > 0.0
-
-
-# ----------------------------------------------------------------------
-# TraceDemand
-# ----------------------------------------------------------------------
-
-
-def trace_base():
-    return TrafficMatrix.uniform(("a", "b"), 0.4)
-
-
-class TestTraceDemand:
-    def test_samples_sorted_and_deduplicated(self):
-        trace = TraceDemand(
-            "t", trace_base(), ((3600.0, 1.0), (0.0, 0.5))
-        )
-        assert [s.t_seconds for s in trace.samples] == [0.0, 3600.0]
-        with pytest.raises(ConfigurationError, match="duplicate"):
-            TraceDemand("t", trace_base(), ((0.0, 0.5), (0.0, 0.7)))
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="name"):
-            TraceDemand("", trace_base(), ((0.0, 1.0),))
-        with pytest.raises(ConfigurationError, match="sample"):
-            TraceDemand("t", trace_base(), ())
-        with pytest.raises(ConfigurationError, match="scale"):
-            TraceDemand("t", trace_base(), ((0.0, -1.0),))
-        with pytest.raises(ConfigurationError, match="time"):
-            TraceDemand("t", trace_base(), ((-5.0, 1.0),))
-
-    def test_step_semantics(self):
-        trace = TraceDemand(
-            "t", trace_base(), ((0.0, 0.5), (100.0, 0.8), (200.0, 0.2))
-        )
-        assert trace.scale_at(0.0) == 0.5
-        assert trace.scale_at(99.0) == 0.5
-        assert trace.scale_at(100.0) == 0.8
-        assert trace.scale_at(1e9) == 0.2
-        assert trace.matrix_at(150.0).total() == pytest.approx(
-            0.8 * trace_base().total()
-        )
-
-    def test_series_resamples_means_and_carries_forward(self):
-        trace = TraceDemand(
-            "t",
-            trace_base(),
-            ((0.0, 0.4), (1800.0, 0.8), (3700.0, 1.0), (14500.0, 0.2)),
-        )
-        series = trace.series(epoch_seconds=3600.0)
-        assert isinstance(series, DemandSeries)
-        # epoch 0 averages its two samples; epochs 2-3 are gaps that
-        # hold the last level; epoch 4 picks up the late sample.
-        assert series.scales == pytest.approx((0.6, 1.0, 1.0, 1.0, 0.2))
-        assert series.epoch_seconds == 3600.0
-        assert series.matrix(1).to_json() == (
-            trace_base().scaled(1.0).to_json()
-        )
-
-    def test_series_identity_anchor(self):
-        """A single scale-1.0 sample resamples to the flat identity
-        series — the same matrix, bit for bit."""
-        trace = TraceDemand("t", trace_base(), ((0.0, 1.0),))
-        series = trace.series(epochs=1)
-        assert series.matrix(0).to_json() == trace_base().to_json()
-
-    def test_json_round_trip_and_hash(self):
-        trace = TraceDemand(
-            "t", trace_base(), ((0.0, 0.5), (60.0, 0.75))
-        )
-        again = TraceDemand.from_json(trace.to_json())
-        assert again == trace
-        assert again.content_hash() == trace.content_hash()
-        with pytest.raises(ConfigurationError, match="unknown"):
-            TraceDemand.from_dict(
-                {"name": "t", "base": trace_base().to_dict(),
-                 "samples": [], "surprise": 1}
-            )
-
-    def test_from_json_file(self, tmp_path):
-        path = tmp_path / "day.json"
-        path.write_text(json.dumps(
-            {"name": "weekday", "samples": [[0, 0.5], [3600, 1.0]]}
-        ))
-        trace = TraceDemand.from_file(path, trace_base())
-        assert trace.name == "weekday"
-        assert trace.samples[1].scale == 1.0
-
-    def test_from_csv_file(self, tmp_path):
-        path = tmp_path / "day.csv"
-        path.write_text(
-            "t_seconds,scale\n"
-            "# measured by SNMP export\n"
-            "0,0.5\n"
-            "\n"
-            "3600,1.0  # evening peak\n"
-        )
-        trace = TraceDemand.from_file(path, trace_base())
-        assert trace.name == "day"
-        assert [s.scale for s in trace.samples] == [0.5, 1.0]
-
-    def test_bad_files_raise(self, tmp_path):
-        missing = tmp_path / "nope.csv"
-        with pytest.raises(ConfigurationError, match="cannot read"):
-            TraceDemand.from_file(missing, trace_base())
-        bad = tmp_path / "bad.csv"
-        bad.write_text("0,0.5\nnot,numbers\n")
-        with pytest.raises(ConfigurationError, match="non-numeric"):
-            TraceDemand.from_file(bad, trace_base())
-        badjson = tmp_path / "bad.json"
-        badjson.write_text("{}")
-        with pytest.raises(ConfigurationError, match="samples"):
-            TraceDemand.from_file(badjson, trace_base())
-
-    def test_trace_feeds_control_series(self):
-        """The resampled series drives DemandSeries consumers exactly
-        like a synthetic preset (same epochs, same scaled matrices)."""
-        trace = TraceDemand(
-            "t", trace_base(), ((0.0, 0.5), (3600.0, 1.0))
-        )
-        series = trace.series(epoch_seconds=3600.0)
-        assert series.epochs == 2
-        assert series.duration_s == 7200.0
-        assert series.matrix(0).total() == pytest.approx(0.4)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,6 @@ result.  The parser must either raise a :class:`~repro.errors.ReproError`
 or return a spec whose ``to_json()`` survives another round trip
 unchanged; a ``TypeError`` or ``ValueError`` escaping the parser would
 reach the CLI as a traceback instead of an exit-2 ``error:`` line.
-``TraceDemand.from_file`` gets arbitrary ``.json`` and ``.csv`` files,
-bytes that are not UTF-8 included.
 
 Runs are derandomized, so the suite sees the same examples every time.
 Integers are unbounded: a scenario or router node allocates one array
@@ -17,11 +15,10 @@ huge port count is an error, not gigabytes of allocation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Scenario
@@ -33,7 +30,6 @@ from repro.control.presets import get_control
 from repro.errors import ReproError
 from repro.network import NetworkSpec, NetworkTopology, TrafficMatrix
 from repro.network.presets import get_network
-from repro.network.trace_demand import TraceDemand
 from repro.resilience import Fault, FaultPlan
 from repro.resilience.records import FailureRecord
 from repro.tech.presets import get_technology
@@ -74,9 +70,6 @@ BASES = {
     DemandSeries: [_CONTROL.series],
     NetworkTopology: [_MESH.topology],
     TrafficMatrix: [_MESH.matrix],
-    TraceDemand: [
-        TraceDemand("trace", _MESH.matrix, ((0.0, 0.5), (60.0, 1.0)))
-    ],
     Fault: [_FAULT],
     FaultPlan: [FaultPlan((_FAULT, Fault("crash", 5)), seed=7)],
     FailureRecord: [
@@ -135,26 +128,3 @@ def test_unmutated_presets_round_trip():
     for specs in BASES.values():
         for spec in specs:
             assert type(spec).from_json(spec.to_json()) == spec
-
-
-TRACE_FILES = st.one_of(
-    st.text(max_size=40).map(str.encode),
-    JSON_VALUES.map(lambda value: json.dumps(value).encode()),
-    JSON_VALUES.map(
-        lambda samples: json.dumps({"samples": samples}).encode()
-    ),
-    st.lists(
-        st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
-        max_size=4,
-    ).map(lambda rows: "\n".join(f"{t},{s}" for t, s in rows).encode()),
-    st.binary(max_size=40),
-)
-
-
-@pytest.mark.parametrize("suffix", [".json", ".csv"])
-@settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(content=TRACE_FILES)
-def test_trace_file_parses_or_raises_repro_error(tmp_path, suffix, content):
-    path = tmp_path / f"trace{suffix}"
-    path.write_bytes(content)
-    _round_trips(lambda: TraceDemand.from_file(path, _MESH.matrix))

@@ -439,6 +439,23 @@ class TestServer:
         status, _, _ = http_request(server.port, "GET", "/health")
         assert status == 200
 
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/batch", b'[{"architecture": "crossbar"}]'),
+            ("/batch", b'"x"'),
+            ("/batch", b"7"),
+            ("/predict", b"\xff"),
+            ("/batch", b"\xff"),
+        ],
+        ids=["batch-array", "batch-string", "batch-number",
+             "predict-not-utf8", "batch-not-utf8"],
+    )
+    def test_malformed_body_is_a_400(self, server, path, body):
+        status, _, payload = http_request(server.port, "POST", path, body)
+        assert status == 400, payload
+        assert "error" in json.loads(payload)
+
     def test_keep_alive_connection(self, server):
         async def _go():
             reader, writer = await asyncio.open_connection(
