@@ -27,8 +27,11 @@ from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.network import (
     Demand,
+    Link,
     NetworkPowerModel,
     NetworkSpec,
+    NetworkTopology,
+    RouterNode,
     TrafficMatrix,
     get_network,
     line,
@@ -235,6 +238,37 @@ class TestOptimizer:
         # The pruned topology itself really lost the cables.
         pruned_edges = {(l.src, l.dst) for l in plan.topology.links}
         assert pruned_edges < original_edges
+
+    def test_zero_demand_keeps_its_only_path_up(self):
+        # The idle r1-r2 cable is tried first, but the 0.0-cell demand
+        # r0 -> r2 has no other path: a demand that carries no load must
+        # stay routable all the same.
+        matrix = TrafficMatrix(
+            (Demand("r0", "r1", 0.3), Demand("r0", "r2", 0.0))
+        )
+        plan = optimize_routing(line(3), matrix)
+        assert plan.pruned_cables == ()
+        assert plan.routing.demand_hops == {("r0", "r1"): 1, ("r0", "r2"): 2}
+
+    def test_zero_demand_takes_the_longer_way_round(self):
+        # A four-router ring: pruning the idle r0-r1 cable sends the
+        # 0.0-cell demand r0 -> r1 the other way round, three hops.
+        names = ("r0", "r1", "r2", "r3")
+        topology = NetworkTopology(
+            name="ring4",
+            nodes=[RouterNode(name, 3) for name in names],
+            links=[
+                Link(a, b)
+                for i, name in enumerate(names)
+                for a, b in ((name, names[i - 1]), (names[i - 1], name))
+            ],
+        )
+        matrix = TrafficMatrix(
+            (Demand("r0", "r1", 0.0), Demand("r2", "r3", 0.2))
+        )
+        plan = optimize_routing(topology, matrix)
+        assert plan.pruned_cables == (("r0", "r1"),)
+        assert plan.routing.demand_hops == {("r0", "r1"): 3, ("r2", "r3"): 1}
 
     def test_tight_headroom_prunes_nothing(self):
         # Base max utilization already exceeds the bound -> no pruning.

@@ -7,9 +7,10 @@ Pins the subsystem's contracts:
 * routing conserves flow (sum of link loads == sum of demand x hops)
   and ECMP splits demand exactly across equal-cost paths;
 * on random small topologies, :func:`route` and :func:`build_tables`
-  equal, float for float, a reference that enumerates simple paths
-  (100 derandomized examples here, 1,000 in CI with
-  ``--hypothesis-profile engine-fuzz``);
+  equal, float for float, a reference that enumerates simple paths,
+  and the green-routing plan equals a greedy that re-routes the whole
+  matrix for every trial cable (100 derandomized examples here, 1,000
+  in CI with ``--hypothesis-profile engine-fuzz``);
 * a one-node network is *bit-identical* to a standalone
   :class:`~repro.api.PowerModel` run of the same scenario;
 * the switch-off policy never increases power;
@@ -27,6 +28,7 @@ from repro.api import PowerModel, Scenario
 from repro.api.figstore import DerivedRecordStore
 from repro.api.store import RunRecordStore
 from repro.cli import main
+from repro.control import cable_key, optimize_routing
 from repro.errors import ConfigurationError
 from repro.network import (
     Demand,
@@ -445,6 +447,51 @@ def reference_route(topology, matrix, mode):
     return loads, hops
 
 
+def _max_utilization(topology, loads):
+    utils = [load / topology.link(*edge).capacity
+             for edge, load in loads.items()]
+    return max(utils) if utils else 0.0
+
+
+def reference_plan(topology, matrix, mode, max_utilization):
+    """The green-routing greedy that re-routes the whole matrix for every
+    trial cable: one :func:`route` on a new pruned topology per trial.
+    Returns ``(pruned cables, pruned topology, projected link loads,
+    demand hops, (ingress, egress, active), tables, max utilization)``
+    in the fields of :class:`~repro.control.GreenPlan`."""
+    base = route(topology, matrix, mode)
+    current, routing, pruned = topology, base, []
+    if _max_utilization(topology, base.link_loads) <= max_utilization + 1e-9:
+        loads = {}
+        for (src, dst), load in base.link_loads.items():
+            key = cable_key(src, dst)
+            loads[key] = loads.get(key, 0.0) + load
+        for cable in sorted(loads, key=lambda cable: (loads[cable], cable)):
+            trial = current.replace(links=tuple(
+                link for link in current.links
+                if {link.src, link.dst} != set(cable)
+            ))
+            if not trial.links:
+                continue
+            try:
+                trial_routing = route(trial, matrix, mode)
+            except ConfigurationError:
+                continue
+            if (_max_utilization(trial, trial_routing.link_loads)
+                    <= max_utilization + 1e-9):
+                current, routing = trial, trial_routing
+                pruned.append(cable)
+    full = {
+        (link.src, link.dst): routing.link_loads.get((link.src, link.dst), 0.0)
+        for link in topology.links
+    }
+    return (
+        tuple(sorted(pruned)), current, full, routing.demand_hops,
+        derive_port_loads(topology, matrix, full),
+        build_tables(current, mode), _max_utilization(topology, full),
+    )
+
+
 class TestRoutingProperty:
     @PROPERTY
     @given(case=routing_cases())
@@ -498,6 +545,40 @@ class TestRoutingProperty:
                 for node, entries in tables.tables.items()
                 for target in entries
             } == routable
+
+    @PROPERTY
+    @given(
+        case=routing_cases(),
+        headroom=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_green_plan_matches_full_rerouting(self, case, headroom):
+        topology, matrix = case
+        for mode in ("shortest", "ecmp"):
+            for bound in (0.3, 0.5, 0.75, 0.9, 1.0, headroom):
+                try:
+                    expected = reference_plan(topology, matrix, mode, bound)
+                except ConfigurationError as exc:
+                    with pytest.raises(ConfigurationError) as info:
+                        optimize_routing(topology, matrix, mode, bound)
+                    assert str(info.value) == str(exc)
+                    continue
+                pruned, pruned_topology, loads, hops, ports, tables, most = (
+                    expected
+                )
+                plan = optimize_routing(topology, matrix, mode, bound)
+                assert plan.pruned_cables == pruned
+                assert plan.topology == pruned_topology
+                routing = plan.routing
+                assert routing.topology == topology and routing.mode == mode
+                assert list(routing.link_loads.items()) == list(loads.items())
+                assert list(routing.demand_hops.items()) == list(hops.items())
+                assert (
+                    routing.ingress_loads, routing.egress_loads,
+                    routing.active_ports,
+                ) == ports
+                assert plan.tables.mode == mode
+                assert plan.tables.tables == tables.tables
+                assert plan.max_link_utilization == most
 
 
 # ----------------------------------------------------------------------
