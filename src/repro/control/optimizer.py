@@ -9,10 +9,14 @@ surviving link exceeds an SLA utilization bound.
 
 1. route the matrix over the full topology to get per-cable loads;
 2. visit cables in ascending load order (least useful first);
-3. tentatively remove each cable (both directed links) and re-route on
-   the pruned topology with the *existing* shortest/ECMP machinery —
-   the removal sticks only if every demand stays routable and the
-   maximum link utilization stays within the headroom;
+3. tentatively remove each cable (both directed links) — the removal
+   sticks only if every demand stays routable and the maximum link
+   utilization stays within the headroom.  A trial re-routes only the
+   demands whose path (ECMP: shortest-path DAG) crossed the cable, with
+   :func:`~repro.network.routing.route`'s own search and walks
+   (:meth:`~repro.network.routing.DemandRoutes.prune`): removing links
+   only lengthens distances, so every other demand keeps its shortest
+   paths and puts the same floats on the same links;
 4. project the final pruned-topology link loads back onto the **full**
    port map (:func:`~repro.network.routing.derive_port_loads`), so
    freed cable ports stay cable ports (idle, sleepable) instead of
@@ -30,11 +34,11 @@ from repro.errors import ConfigurationError
 
 from repro.network.routing import (
     _TOL,
+    DemandRoutes,
     RoutingResult,
     RoutingTables,
     build_tables,
     derive_port_loads,
-    route,
 )
 from repro.network.topology import NetworkTopology
 from repro.network.traffic_matrix import TrafficMatrix
@@ -84,24 +88,8 @@ class GreenPlan:
 def _max_utilization(
     topology: NetworkTopology, link_loads: dict[tuple[str, str], float]
 ) -> float:
-    utils = [
-        load / topology.link(src, dst).capacity
-        for (src, dst), load in link_loads.items()
-    ]
-    return max(utils) if utils else 0.0
-
-
-def _without_cable(
-    topology: NetworkTopology, cable: tuple[str, str]
-) -> NetworkTopology:
-    ends = set(cable)
-    return topology.replace(
-        links=tuple(
-            link
-            for link in topology.links
-            if {link.src, link.dst} != ends
-        )
-    )
+    return max((load / topology.link(*link).capacity
+                for link, load in link_loads.items()), default=0.0)
 
 
 def optimize_routing(
@@ -122,57 +110,27 @@ def optimize_routing(
         raise ConfigurationError(
             f"max_utilization must be in (0, 1], got {max_utilization!r}"
         )
-    base = route(topology, matrix, mode=mode)
+    routes = DemandRoutes(topology, matrix, mode)
     pruned: list[tuple[str, str]] = []
-    current = topology
-    current_routing = base
-    if _max_utilization(topology, base.link_loads) <= max_utilization + _TOL:
+    if _max_utilization(topology, routes.link_loads) <= max_utilization + _TOL:
         # Ascending total cable load (both directions), ties on the
         # sorted name pair: least-loaded cables go first.
         loads: dict[tuple[str, str], float] = {}
-        for (src, dst), load in base.link_loads.items():
+        for (src, dst), load in routes.link_loads.items():
             key = cable_key(src, dst)
             loads[key] = loads.get(key, 0.0) + load
-        order = sorted(loads, key=lambda cable: (loads[cable], cable))
-        for cable in order:
-            trial_topology = _without_cable(current, cable)
-            if not trial_topology.links:
-                continue
-            try:
-                trial_routing = route(trial_topology, matrix, mode=mode)
-            except ConfigurationError:
-                continue
-            trial_max = _max_utilization(
-                trial_topology, trial_routing.link_loads
-            )
-            if trial_max <= max_utilization + _TOL:
-                current = trial_topology
-                current_routing = trial_routing
+        for cable in sorted(loads, key=lambda cable: (loads[cable], cable)):
+            if routes.prune(*cable, max_utilization):
                 pruned.append(cable)
-    # Project the pruned-topology loads back onto the full port map:
-    # pruned links exist with load 0.0, and freed cable ports must stay
-    # cable ports (idle), not become access ports.
-    full_loads = {
-        (link.src, link.dst): current_routing.link_loads.get(
-            (link.src, link.dst), 0.0
-        )
-        for link in topology.links
-    }
-    ingress, egress, active = derive_port_loads(topology, matrix, full_loads)
-    projected = RoutingResult(
-        topology=topology,
-        matrix=matrix,
-        mode=current_routing.mode,
-        link_loads=full_loads,
-        demand_hops=dict(current_routing.demand_hops),
-        ingress_loads=ingress,
-        egress_loads=egress,
-        active_ports=active,
-    )
-    return GreenPlan(
-        topology=current,
-        routing=projected,
-        tables=build_tables(current, mode),
-        pruned_cables=tuple(sorted(pruned)),
-        max_link_utilization=_max_utilization(topology, full_loads),
-    )
+    # The loads cover every link, pruned ones at 0.0: the full port map
+    # keeps freed cable ports cable ports (idle), not access ports.
+    full_loads = routes.link_loads
+    projected = RoutingResult(topology, matrix, mode, full_loads, routes.hops,
+                              *derive_port_loads(topology, matrix, full_loads))
+    current = topology.replace(links=tuple(
+        link for link in topology.links
+        if cable_key(link.src, link.dst) not in pruned
+    ))
+    return GreenPlan(current, projected, build_tables(current, mode),
+                     tuple(sorted(pruned)),
+                     _max_utilization(topology, full_loads))

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ConfigurationError
 from repro.serial import check_fields, csv_table, markdown_table, parse_json
 
 from repro.control.spec import ControlSpec
@@ -87,16 +86,6 @@ class ControlRecord:
     sla: list[dict[str, Any]] = field(default_factory=list)
     totals: dict[str, Any] = field(default_factory=dict)
     detail: Any = None
-
-    # ------------------------------------------------------------------
-    # Lookup
-    # ------------------------------------------------------------------
-
-    def epoch(self, index: int) -> dict[str, Any]:
-        for row in self.epochs:
-            if row["epoch"] == index:
-                return row
-        raise ConfigurationError(f"no epoch {index!r} in the record")
 
     @property
     def savings_j(self) -> float:

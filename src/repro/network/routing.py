@@ -13,7 +13,8 @@ records each node's hop distance to it and ``tau``, its number of
 shortest paths to it.  :func:`route` runs it once per call for each
 destination, shared by every demand to that destination, and stops
 once the layer holding the farthest of those demands' sources is
-complete.
+complete.  :class:`DemandRoutes` keeps each demand's walk, so a cable
+can be taken out by re-routing only the demands that crossed it.
 
 * ``"shortest"`` — one deterministic shortest path per demand: from
   the source, step to the first out-neighbor (in link declaration
@@ -103,11 +104,6 @@ class RoutingResult:
         conservation (the invariant ``tests/test_network.py`` pins)."""
         return sum(self.link_loads.values())
 
-    def utilization(self, src: str, dst: str) -> float:
-        return self.link_loads[(src, dst)] / self.topology.link(
-            src, dst
-        ).capacity
-
     def link_rows(self) -> list[dict[str, Any]]:
         """One dict per directed link, in declaration order."""
         rows = []
@@ -156,9 +152,7 @@ class RoutingTables:
 
 
 def build_tables(
-    topology: NetworkTopology,
-    mode: str = "shortest",
-    destinations: Any = None,
+    topology: NetworkTopology, mode: str = "shortest"
 ) -> RoutingTables:
     """Materialise a routing mode as per-router next-hop tables.
 
@@ -166,8 +160,7 @@ def build_tables(
     walk would take (first declaration-order neighbor that reduces the
     BFS distance); ``"ecmp"`` emits every distance-reducing neighbor
     weighted by its shortest-path count toward the destination, the
-    split of :func:`route`'s shortest-path DAG.  ``destinations``
-    defaults to every node.
+    split of :func:`route`'s shortest-path DAG.
     """
     if mode not in ROUTING_MODES:
         raise ConfigurationError(
@@ -176,13 +169,10 @@ def build_tables(
     adj = topology.out_neighbors()
     radj = _in_neighbors(topology)
     names = topology.node_names
-    dests = tuple(destinations) if destinations is not None else names
     tables: dict[str, dict[str, tuple[tuple[str, float], ...]]] = {
         name: {} for name in names
     }
-    for target in dests:
-        if target not in adj:
-            raise ConfigurationError(f"unknown destination {target!r}")
+    for target in names:
         dist, tau = _search_to(radj, target)
         for node in names:
             if node == target or node not in dist:
@@ -250,15 +240,15 @@ def _walk_shortest(
     dist: dict[str, int],
     source: str,
     demand: float,
-    link_loads: dict[tuple[str, str], float],
+    flow: dict[tuple[str, str], float],
 ) -> None:
-    """Load the first shortest path in link declaration order: each
-    step takes the first out-neighbor one hop closer."""
+    """Put the demand on the first shortest path in link declaration
+    order: each step takes the first out-neighbor one hop closer."""
     node = source
     for closer in range(dist[source] - 1, -1, -1):
         for peer in adj[node]:
             if dist.get(peer) == closer:
-                link_loads[(node, peer)] += demand
+                flow[(node, peer)] = demand
                 node = peer
                 break
 
@@ -269,14 +259,14 @@ def _walk_ecmp(
     tau: dict[str, int],
     source: str,
     demand: float,
-    link_loads: dict[tuple[str, str], float],
+    flow: dict[tuple[str, str], float],
 ) -> None:
     """Split a demand equally over all its shortest paths.
 
     Walks the shortest-path DAG from ``source`` one layer at a time, so
     ``sigma(a)`` (shortest source->a paths) is complete before ``a``'s
     out-edges are read; edge (a, b) carries the share of paths through
-    it, ``demand * (sigma(a) * tau(b)) / tau(source)``.
+    it, ``demand * (sigma(a) * tau(b)) / tau(source)``, put in ``flow``.
     """
     total = tau[source]
     sigma = {source: 1}
@@ -287,7 +277,7 @@ def _walk_ecmp(
             paths = sigma[a]
             for b in adj[a]:
                 if dist.get(b) == closer:
-                    link_loads[(a, b)] += demand * (paths * tau[b]) / total
+                    flow[(a, b)] = demand * (paths * tau[b]) / total
                     if b in sigma:
                         sigma[b] += paths
                     else:
@@ -308,75 +298,135 @@ def route(
     any access port whose injected load exceeds line rate — an
     infeasible operating point must fail loudly, not silently saturate.
     """
-    if mode not in ROUTING_MODES:
-        raise ConfigurationError(
-            f"routing mode must be one of {ROUTING_MODES}, got {mode!r}"
-        )
-    known = set(topology.node_names)
-    unknown = [n for n in matrix.nodes() if n not in known]
-    if unknown:
-        raise ConfigurationError(
-            f"traffic matrix names unknown nodes: {unknown}"
-        )
-    adj = topology.out_neighbors()
-    radj = _in_neighbors(topology)
-    # Each destination's sources, and its last demand: its search runs
-    # at its first demand and is dropped after its last.
-    sources: dict[str, set[str]] = {}
-    last: dict[str, int] = {}
-    for i, d in enumerate(matrix.demands):
-        if d.src != d.dst:
-            sources.setdefault(d.dst, set()).add(d.src)
-            last[d.dst] = i
-    searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
-    link_loads = {(l.src, l.dst): 0.0 for l in topology.links}
-    demand_hops: dict[tuple[str, str], int] = {}
-    for i, d in enumerate(matrix.demands):
-        if d.src == d.dst:
-            demand_hops[(d.src, d.dst)] = 0
-            continue
-        if d.dst not in searches:
-            searches[d.dst] = _search_to(radj, d.dst, sources[d.dst])
-        dist, tau = (
-            searches.pop(d.dst) if last[d.dst] == i else searches[d.dst]
-        )
-        if d.src not in dist:
+    routes = DemandRoutes(topology, matrix, mode)
+    loads = routes.link_loads
+    return RoutingResult(topology, matrix, mode, loads, routes.hops,
+                         *derive_port_loads(topology, matrix, loads))
+
+
+def _add_flows(flows: Any, loads: dict[tuple[str, str], float]) -> None:
+    """Add each flow, in demand order, to the links of ``loads``."""
+    get = loads.get
+    for flow in flows:
+        for link, load in flow.items():
+            total = get(link)
+            if total is not None:
+                loads[link] = total + load
+
+
+class DemandRoutes:
+    """Every demand's route, kept so that cables can be taken out one
+    at a time (:meth:`prune`).
+
+    ``hops`` maps each demand to its hop count; ``flows[i]`` maps each
+    link of demand ``i``'s walk to its load there (0.0-cell demands are
+    walked too, so their paths are known).  ``link_loads`` sums each
+    link's flows in demand order from 0.0, the floats :func:`route`
+    reports.  Raises as :func:`route` does, bar the access-port checks.
+    """
+
+    def __init__(
+        self, topology: NetworkTopology, matrix: TrafficMatrix, mode: str
+    ) -> None:
+        if mode not in ROUTING_MODES:
             raise ConfigurationError(
-                f"demand {d.src!r} -> {d.dst!r} is unroutable: no path"
+                f"routing mode must be one of {ROUTING_MODES}, got {mode!r}"
             )
-        demand_hops[(d.src, d.dst)] = dist[d.src]
-        if d.cells_per_slot == 0.0:
-            continue
-        if mode == "shortest":
-            _walk_shortest(adj, dist, d.src, d.cells_per_slot, link_loads)
-        else:
-            _walk_ecmp(adj, dist, tau, d.src, d.cells_per_slot, link_loads)
-    # Utilization validation: every link within capacity.
-    if any(
-        link_loads[(l.src, l.dst)] > l.capacity + _TOL
-        for l in topology.links
-    ):
-        overloaded = [
-            f"{src}->{dst} ({load:.4f} > "
-            f"{topology.link(src, dst).capacity:.4f})"
-            for (src, dst), load in sorted(link_loads.items())
-            if load > topology.link(src, dst).capacity + _TOL
-        ]
-        raise ConfigurationError(
-            f"routed load exceeds link capacity: {', '.join(overloaded)} "
-            "(scale the matrix down or raise capacities)"
-        )
-    ingress, egress, active = derive_port_loads(topology, matrix, link_loads)
-    return RoutingResult(
-        topology=topology,
-        matrix=matrix,
-        mode=mode,
-        link_loads=link_loads,
-        demand_hops=demand_hops,
-        ingress_loads=ingress,
-        egress_loads=egress,
-        active_ports=active,
-    )
+        known = set(topology.node_names)
+        unknown = [n for n in matrix.nodes() if n not in known]
+        if unknown:
+            raise ConfigurationError(
+                f"traffic matrix names unknown nodes: {unknown}"
+            )
+        self.topology, self.mode, self.demands = topology, mode, matrix.demands
+        self.adj, self.radj = topology.out_neighbors(), _in_neighbors(topology)
+        self.hops: dict[tuple[str, str], int] = {}
+        self.flows: dict[int, dict[tuple[str, str], float]] = {}
+        self._route(self.adj, self.radj, range(len(self.demands)),
+                    self.hops, self.flows)
+        self.link_loads = loads = {(l.src, l.dst): 0.0 for l in topology.links}
+        _add_flows(self.flows.values(), loads)
+        over = sorted((l.src, l.dst, l.capacity) for l in topology.links
+                      if loads[(l.src, l.dst)] > l.capacity + _TOL)
+        if over:
+            raise ConfigurationError(
+                "routed load exceeds link capacity: " + ", ".join(
+                    f"{src}->{dst} ({loads[(src, dst)]:.4f} > {cap:.4f})"
+                    for src, dst, cap in over
+                ) + " (scale the matrix down or raise capacities)"
+            )
+
+    def _route(self, adj, radj, indices: Any, hops: dict, flows: dict) -> None:
+        """Route the demands at ``indices`` (ascending) over ``adj`` into
+        ``hops`` and fresh ``flows``.  Each destination's search runs at
+        its first demand and is dropped after its last."""
+        sources: dict[str, set[str]] = {}
+        last: dict[str, int] = {}
+        for i in indices:
+            d = self.demands[i]
+            if d.src != d.dst:
+                sources.setdefault(d.dst, set()).add(d.src)
+                last[d.dst] = i
+        searches: dict[str, tuple[dict[str, int], dict[str, int]]] = {}
+        for i in indices:
+            d = self.demands[i]
+            flows[i] = flow = {}
+            if d.src == d.dst:
+                hops[(d.src, d.dst)] = 0
+                continue
+            if d.dst not in searches:
+                searches[d.dst] = _search_to(radj, d.dst, sources[d.dst])
+            dist, tau = (searches.pop(d.dst) if last[d.dst] == i
+                         else searches[d.dst])
+            if d.src not in dist:
+                raise ConfigurationError(
+                    f"demand {d.src!r} -> {d.dst!r} is unroutable: no path"
+                )
+            hops[(d.src, d.dst)] = dist[d.src]
+            if self.mode == "shortest":
+                _walk_shortest(adj, dist, d.src, d.cells_per_slot, flow)
+            else:
+                _walk_ecmp(adj, dist, tau, d.src, d.cells_per_slot, flow)
+
+    def prune(self, a: str, b: str, max_utilization: float) -> bool:
+        """Take out cable ``a``-``b`` (both links) if the routing stays
+        feasible; return whether it did.
+
+        Only the demands whose walk crossed the cable move: removing
+        links only lengthens distances, so every other demand keeps all
+        its shortest paths, and its ``dist``, ``tau``, walk and floats.
+        The trial re-searches the moved demands' destinations, re-walks
+        them and re-sums the links they touch, before or after, over all
+        demands.  It fails where :func:`route` on the pruned topology
+        would raise (no path, a link over capacity), where a touched
+        link would exceed ``max_utilization`` (no other load changes)
+        and where no link would be left.
+        """
+
+        def cut(table: dict[str, tuple[str, ...]]):
+            return {**table, a: tuple(p for p in table[a] if p != b),
+                    b: tuple(p for p in table[b] if p != a)}
+
+        adj, radj = cut(self.adj), cut(self.radj)
+        if not any(adj.values()):
+            return False
+        moved = [i for i, flow in self.flows.items()
+                 if (a, b) in flow or (b, a) in flow]
+        hops, flows = dict(self.hops), dict(self.flows)
+        try:
+            self._route(adj, radj, moved, hops, flows)
+        except ConfigurationError:
+            return False
+        touched = dict.fromkeys(set().union(
+            *(self.flows[i].keys() | flows[i].keys() for i in moved)), 0.0)
+        _add_flows(flows.values(), touched)
+        for link, load in touched.items():
+            cap = self.topology.link(*link).capacity
+            if load > cap + _TOL or load / cap > max_utilization + _TOL:
+                return False
+        self.adj, self.radj, self.hops, self.flows = adj, radj, hops, flows
+        self.link_loads.update(touched)
+        return True
 
 
 def derive_port_loads(
