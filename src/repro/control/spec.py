@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.serial import Spec
+from repro.serial import Spec, check_scalars
 
 from repro.network.power import NetworkSpec
 
@@ -100,21 +100,18 @@ class ControlSpec(Spec):
         object.__setattr__(
             self, "series", DemandSeries.coerce(self.series, "series")
         )
-        object.__setattr__(self, "optimize", bool(self.optimize))
-        object.__setattr__(self, "sleep", bool(self.sleep))
+        check_scalars(self)
         if not 0.0 < self.max_utilization <= 1.0:
             raise ConfigurationError(
                 f"max_utilization must be in (0, 1], got "
                 f"{self.max_utilization!r}"
             )
-        sweep = tuple(float(h) for h in self.sla_sweep)
-        object.__setattr__(self, "sla_sweep", sweep)
-        for headroom in sweep:
+        for headroom in self.sla_sweep:
             if not 0.0 < headroom <= 1.0:
                 raise ConfigurationError(
                     f"sla_sweep entries must be in (0, 1], got {headroom!r}"
                 )
-        rates = tuple(sorted({float(r) for r in self.link_rates}))
+        rates = tuple(sorted(set(self.link_rates)))
         object.__setattr__(self, "link_rates", rates)
         if not rates:
             raise ConfigurationError("link_rates needs at least one rate")

@@ -117,6 +117,7 @@ _SCALAR_KINDS = {
     "int | None": ("int", True),
     "float": ("float", False),
     "float | tuple[float, ...]": ("vector", False),
+    "tuple[float, ...]": ("floats", False),
     "bool": ("bool", False),
 }
 
@@ -140,7 +141,8 @@ def check_scalars(spec: Any) -> None:
     ``float`` field takes an ``int`` or a ``float`` and keeps a
     ``float``, so ``1`` and ``1.0`` share one content hash; a
     ``float | tuple[float, ...]`` field also takes a list or tuple of
-    them and keeps a tuple.  A ``bool`` field takes only a ``bool``, and
+    them and keeps a tuple, a ``tuple[float, ...]`` field only such a
+    list or tuple.  A ``bool`` field takes only a ``bool``, and
     no number field takes one.  Anything else raises
     :class:`ConfigurationError`.
     """
@@ -158,7 +160,11 @@ def check_scalars(spec: Any) -> None:
                     f"{name} must be {expected}, got {value!r}"
                 )
         else:
-            vector = kind == "vector" and isinstance(value, (list, tuple))
+            vector = kind != "float" and isinstance(value, (list, tuple))
+            if kind == "floats" and not vector:
+                raise ConfigurationError(
+                    f"{name} must be a list of numbers, got {value!r}"
+                )
             for item in value if vector else (value,):
                 if type(item) is bool or not isinstance(item, (int, float)):
                     raise ConfigurationError(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Scenario
 from repro.cli import build_parser, main
+from repro.control import get_control
 from repro.network import get_network
 from repro.tech import TECH_180NM
 
@@ -229,8 +230,9 @@ class TestOutputPaths:
 #: unknown field, an integer too large for a float, bytes that are not
 #: UTF-8, a banyan whose port count is not a power of two, a router
 #: one port over the cap, table campaigns whose params are not
-#: integers or not banyan port counts, a nested ``tech`` object and a
-#: network spec with a wrongly typed number or flag.
+#: integers or not banyan port counts, a nested ``tech`` object, a
+#: network spec with a wrongly typed number or flag, and a control spec
+#: with a wrongly typed headroom, flag, sweep entry or link rate.
 MALFORMED_SPECS = [
     ("network", "1"),
     ("network", "null"),
@@ -304,6 +306,14 @@ MALFORMED_SPECS = [
             {**get_network("single_crossbar8").to_dict(), "switch_off": flag}
         ))
         for flag in ("x", 2.5, None, [])
+    ],
+    *[
+        ("control", json.dumps(
+            {**get_control("dumbbell_sleep_sweep").to_dict(), **field}
+        ))
+        for field in ({"max_utilization": True}, {"sleep": "x"},
+                      {"sleep": []}, {"sla_sweep": ["0.5"]},
+                      {"link_rates": [True, 1.0]})
     ],
 ]
 
