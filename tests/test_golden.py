@@ -60,8 +60,10 @@ is then copied into the file by hand, as an explicit, reviewed diff.
 ``traffic_kinds`` or ``long_window``), one line per scenario: its label
 and the sha256 of its canonical record; for ``fig9_csv``, one line per
 row of the CSV export: its architecture, ports and load and the sha256
-of the row.  A ``diff`` of that output from two checkouts names the
-scenarios or rows that moved.
+of the row; for ``routing``, one line per ``route``, ``tables`` and
+``plan`` entry: its label and the sha256 of its data.  A ``diff`` of
+that output from two checkouts names the scenarios, rows or entries
+that moved.
 """
 
 from __future__ import annotations
@@ -566,12 +568,13 @@ def _tables(tables) -> list:
     ]
 
 
-def routing_digest() -> str:
-    digest = hashlib.sha256()
+def routing_entries() -> list[tuple[str, bytes]]:
+    """``(label, JSON data)`` of every ``route``, ``tables`` and ``plan``
+    entry the ``routing`` key pins, in digest order."""
+    entries = []
 
     def put(label: str, value) -> None:
-        data = json.dumps(value).encode()
-        digest.update(f"{label} {len(data)}\n".encode() + data)
+        entries.append((label, json.dumps(value).encode()))
 
     for name in sorted(NETWORK_PRESETS):
         spec = get_network(name)
@@ -601,7 +604,23 @@ def routing_digest() -> str:
                     plan.max_link_utilization,
                     _tables(plan.tables),
                 ])
+    return entries
+
+
+def routing_digest(entries: list[tuple[str, bytes]]) -> str:
+    digest = hashlib.sha256()
+    for label, data in entries:
+        digest.update(f"{label} {len(data)}\n".encode() + data)
     return digest.hexdigest()
+
+
+def routing_items(entries: list[tuple[str, bytes]]) -> list[str]:
+    """One line per ``routing`` entry: its label, then the sha256 of its
+    data."""
+    return [
+        f"{label}  {hashlib.sha256(data).hexdigest()}"
+        for label, data in entries
+    ]
 
 
 def current_digests() -> dict[str, str]:
@@ -611,7 +630,7 @@ def current_digests() -> dict[str, str]:
         "sweep_transcripts": sweep_transcripts_digest(),
         "spec_hashes": spec_hashes_digest(),
         "preset_exports": preset_exports_digest(),
-        "routing": routing_digest(),
+        "routing": routing_digest(routing_entries()),
         **{key: records_digest(key) for key in RECORD_KEYS},
         **fig9_digests(run_fig9()),
     }
@@ -682,20 +701,49 @@ def test_preset_exports_match_golden(golden):
     assert preset_exports_digest() == golden["preset_exports"]
 
 
-def test_routing_matches_golden(golden):
-    assert routing_digest() == golden["routing"]
+@pytest.fixture(scope="module")
+def routing_entry_list():
+    return routing_entries()
+
+
+def test_routing_items_name_every_entry(routing_entry_list):
+    items = routing_items(routing_entry_list)
+    labels = [
+        f"{kind} {name} {mode}"
+        for name in sorted(NETWORK_PRESETS)
+        for mode in ROUTING_MODES
+        for kind in ("route", "tables")
+    ]
+    for name in sorted(CONTROL_PRESETS):
+        spec = get_control(name)
+        labels += [
+            f"plan {name} {epoch} {headroom}"
+            for epoch in range(spec.series.epochs)
+            for headroom in spec.headrooms()
+        ]
+    assert [line.rsplit(maxsplit=1)[0] for line in items] == labels
+    assert all(len(line.split()[-1]) == 64 for line in items)
+
+
+def test_routing_matches_golden(golden, routing_entry_list):
+    assert routing_digest(routing_entry_list) == golden["routing"]
 
 
 def main() -> int:
     """Print every key's digest against the committed file; 1 if any
     key changed (or is missing from the file).  With ``--items KEY``,
     print the record key's per-scenario lines (or the fig9 CSV's
-    per-row lines) instead."""
+    per-row lines, or the routing key's per-entry lines) instead."""
     parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--items", choices=sorted([*RECORD_KEYS, "fig9_csv"]))
+    parser.add_argument(
+        "--items", choices=sorted([*RECORD_KEYS, "fig9_csv", "routing"])
+    )
     args = parser.parse_args()
     if args.items == "fig9_csv":
         print("\n".join(fig9_csv_items(run_fig9())))
+        return 0
+    if args.items == "routing":
+        print("\n".join(routing_items(routing_entries())))
         return 0
     if args.items:
         print("\n".join(record_items(args.items)))
