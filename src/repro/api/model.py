@@ -19,6 +19,7 @@ scheduling; the shared caches hold only immutable lookup objects.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
@@ -441,6 +442,10 @@ class PowerModel:
     ) -> list[RunRecord]:
         """Run many scenarios; results keep the input order.
 
+        The parameters after ``scenarios`` are the batch options
+        (:data:`BATCH_OPTIONS`); every layer above this method takes
+        them as ``**batch`` and passes them here unchanged.
+
         Parameters
         ----------
         workers:
@@ -582,24 +587,34 @@ def reset_default_session() -> None:
         _DEFAULT_SESSION = None
 
 
-def run_batch(
-    scenarios: Iterable[Scenario],
-    workers: int | None = None,
-    executor: str = "thread",
-    store: "RunRecordStore | None" = None,
-    retry: RetryPolicy | None = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
-) -> list[RunRecord]:
-    """Module-level convenience over the shared default session."""
-    return default_session().run_batch(
-        scenarios,
-        workers=workers,
-        executor=executor,
-        store=store,
-        retry=retry,
-        journal=journal,
-        faults=faults,
-        report=report,
-    )
+def run_batch(scenarios: Iterable[Scenario], **batch: Any) -> list[RunRecord]:
+    """Module-level convenience over the shared default session;
+    ``**batch`` goes unchanged to :meth:`PowerModel.run_batch`."""
+    check_batch_options("run_batch", batch)
+    return default_session().run_batch(scenarios, **batch)
+
+
+#: The batch options: the keywords of :meth:`PowerModel.run_batch`, which
+#: every layer above it takes as ``**batch`` and passes on unchanged.
+#: ``strategy``, an inert shim that perfbench passes to the method
+#: directly, is not one.
+BATCH_OPTIONS = frozenset(
+    inspect.signature(PowerModel.run_batch).parameters
+) - {"self", "scenarios", "strategy"}
+
+
+def check_batch_options(caller: str, batch: dict[str, Any]) -> None:
+    """Raise the ``TypeError`` a call of ``caller`` with a misspelt
+    keyword raises, for a key of ``batch`` outside
+    :data:`BATCH_OPTIONS`.
+
+    An entry point that can return without running a batch (a table
+    campaign, a figure-store hit) calls it first, so a misspelt option
+    fails on every path; :func:`run_batch` calls it so that it takes no
+    ``strategy``.
+    """
+    for name in batch:
+        if name not in BATCH_OPTIONS:
+            raise TypeError(
+                f"{caller}() got an unexpected keyword argument {name!r}"
+            )

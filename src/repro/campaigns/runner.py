@@ -48,20 +48,12 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 from repro.api.figstore import DerivedRecordStore
-from repro.api.model import PowerModel, default_session
+from repro.api.model import PowerModel, check_batch_options, default_session
 from repro.api.records import RunRecord
-from repro.api.store import RunRecordStore
-from repro.resilience.faults import FaultPlan
-from repro.resilience.policy import RetryPolicy
 from repro.resilience.records import BatchReport
 
 from repro.campaigns.campaign import Campaign, GRID_AXES
 from repro.campaigns.comparison import ComparisonRecord
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.journal import CampaignJournal
 
 #: Metric columns of a grid campaign's points (RunRecord headline
 #: numbers, in CSV column order).
@@ -300,14 +292,8 @@ def campaign_plan(campaign: Campaign) -> list[dict[str, Any]]:
 def _run_network(
     campaign: Campaign,
     session: PowerModel | None,
-    workers: int | None,
-    executor: str,
-    store: RunRecordStore | None,
     figures: DerivedRecordStore | None,
-    retry: "RetryPolicy | None" = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
+    batch: dict[str, Any],
 ) -> ComparisonRecord:
     from repro.network.power import NetworkPowerModel
 
@@ -321,16 +307,10 @@ def _run_network(
         scaled = spec if scale == 1.0 else spec.scaled(scale)
         record = model.run(
             scaled,
-            workers=workers,
-            executor=executor,
-            store=store,
             figures=figures,
-            retry=retry,
-            journal=journal,
-            faults=faults,
-            report=report,
             shards=params.get("shards"),
             detail=params.get("detail", "full"),
+            **batch,
         )
         records.append(record)
         failures.extend(record.failures)
@@ -350,28 +330,13 @@ def _run_network(
 def _run_control(
     campaign: Campaign,
     session: PowerModel | None,
-    workers: int | None,
-    executor: str,
-    store: RunRecordStore | None,
     figures: DerivedRecordStore | None,
-    retry: "RetryPolicy | None" = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
+    batch: dict[str, Any],
 ) -> ComparisonRecord:
     from repro.control.model import ControlModel
 
-    spec = campaign.control_spec()
     record = ControlModel(session).run(
-        spec,
-        workers=workers,
-        executor=executor,
-        store=store,
-        figures=figures,
-        retry=retry,
-        journal=journal,
-        faults=faults,
-        report=report,
+        campaign.control_spec(), figures=figures, **batch
     )
     points = [_control_epoch_point(row) for row in record.epochs]
     points.append(_control_total_point(record))
@@ -386,27 +351,19 @@ def _run_control(
 
 def _run_grid(
     campaign: Campaign,
-    session: PowerModel,
-    workers: int | None,
-    executor: str,
-    store: RunRecordStore | None,
-    retry: "RetryPolicy | None" = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
+    session: PowerModel | None,
+    batch: dict[str, Any],
 ) -> ComparisonRecord:
-    batch_report = report if report is not None else BatchReport()
-    before = len(batch_report.failures)
-    records = session.run_batch(
-        campaign.scenarios(),
-        workers=workers,
-        executor=executor,
-        store=store,
-        retry=retry,
-        journal=journal,
-        faults=faults,
-        report=batch_report,
-    )
+    """Run the campaign's scenario grid as one batch; ``batch`` goes
+    unchanged to :meth:`~repro.api.PowerModel.run_batch`, with a fresh
+    ``report`` when none is given, from which the failures are read."""
+    if batch.get("report") is None:
+        batch = {**batch, "report": BatchReport()}
+    report = batch["report"]
+    before = len(report.failures)
+    if session is None:
+        session = default_session()
+    records = session.run_batch(campaign.scenarios(), **batch)
     # Failed points (on_failure="record") leave None slots: the record
     # keeps only completed points and carries the failures as explicit
     # holes, so a partial campaign still exports everything it measured.
@@ -416,26 +373,21 @@ def _run_grid(
         metrics=GRID_METRICS,
         points=[_grid_point(r) for r in records if r is not None],
         detail=records,
-        failures=list(batch_report.failures[before:]),
+        failures=list(report.failures[before:]),
     )
 
 
 def _run_surrogate_eval(
     campaign: Campaign,
-    session: PowerModel,
-    workers: int | None,
-    executor: str,
-    store: RunRecordStore | None,
-    retry: "RetryPolicy | None" = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
+    session: PowerModel | None,
+    batch: dict[str, Any],
 ) -> ComparisonRecord:
     """Execute the grid, train a surrogate on it, score every point.
 
-    The grid runs exactly like a ``"grid"`` campaign (cache, retry,
-    journal and fault semantics included).  The completed records then
-    train a :class:`~repro.surrogate.train.SurrogateModel` with a
+    The grid runs through :func:`_run_grid`, exactly like a ``"grid"``
+    campaign (cache, retry, journal and fault semantics included).  The
+    completed records then train a
+    :class:`~repro.surrogate.train.SurrogateModel` with a
     1-in-``holdout_modulus`` held-out slice, and each point reports the
     surrogate's total-power prediction next to the simulated truth —
     ``split="holdout"`` rows are the honest generalisation measure
@@ -445,18 +397,8 @@ def _run_surrogate_eval(
     from repro.surrogate.dataset import context_signature, dataset_from_records
     from repro.surrogate.train import is_holdout_key, train_surrogate
 
-    batch_report = report if report is not None else BatchReport()
-    before = len(batch_report.failures)
-    records = session.run_batch(
-        campaign.scenarios(),
-        workers=workers,
-        executor=executor,
-        store=store,
-        retry=retry,
-        journal=journal,
-        faults=faults,
-        report=batch_report,
-    )
+    grid = _run_grid(campaign, session, batch)
+    records = grid.detail
     completed = [r for r in records if r is not None]
     params = campaign.params_dict
     modulus = int(params.get("holdout_modulus", 4))
@@ -504,7 +446,7 @@ def _run_surrogate_eval(
         metrics=SURROGATE_METRICS,
         points=points,
         detail={"records": records, "model": model},
-        failures=list(batch_report.failures[before:]),
+        failures=grid.failures,
     )
 
 
@@ -603,14 +545,9 @@ def _run_table2(campaign: Campaign) -> ComparisonRecord:
 def run_campaign(
     campaign: Campaign | str,
     session: PowerModel | None = None,
-    workers: int | None = None,
-    executor: str = "thread",
-    store: RunRecordStore | None = None,
+    *,
     figures: DerivedRecordStore | None = None,
-    retry: "RetryPolicy | None" = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
+    **batch: Any,
 ) -> ComparisonRecord:
     """Execute a campaign (or preset name) into a comparison record.
 
@@ -624,15 +561,6 @@ def run_campaign(
         The :class:`~repro.api.PowerModel` to run grid points through
         (default: the shared session — its cached energy models are
         reused across campaign runs).
-    workers / executor:
-        Forwarded to :meth:`~repro.api.PowerModel.run_batch` for grid
-        and network campaigns (thread or process fan-out); ignored by
-        table kinds.
-    store:
-        Optional JSONL :class:`~repro.api.store.RunRecordStore`:
-        already-measured grid points are served from disk, fresh ones
-        appended — a warm cache re-runs a campaign with zero new
-        simulations.
     figures:
         Optional :class:`~repro.api.figstore.DerivedRecordStore` of
         whole aggregated records keyed by ``Campaign.content_hash()``.
@@ -640,18 +568,16 @@ def run_campaign(
         scenario execution); on a miss the fresh record is persisted.
         Network campaigns additionally cache every per-scale
         :class:`~repro.network.power.NetworkRecord` keyed by its spec's
-        topology+matrix content hash.
-    retry / journal / faults / report:
-        The supervised-execution surface of
-        :meth:`~repro.api.PowerModel.run_batch`: retry policy with
-        timeouts and degradation, per-unit JSONL checkpoint journal
-        (open it with ``replay=True`` to resume a killed campaign),
-        deterministic fault plan (tests/chaos CI), and the resilience
-        tally.  Table kinds ignore all four (they run no scenarios);
-        control campaigns tighten ``on_failure`` to ``"raise"``.  A
-        record carrying failures is never figure-cached — a later
-        clean run must not be served the holes.
+        topology+matrix content hash.  A record carrying failures is
+        never figure-cached — a later clean run must not be served the
+        holes.
+    **batch:
+        Goes unchanged to :meth:`~repro.api.PowerModel.run_batch` for
+        grid, surrogate_eval, network and control campaigns; table
+        kinds run no batch and ignore it.  Control campaigns tighten
+        ``retry.on_failure`` to ``"raise"``.
     """
+    check_batch_options("run_campaign", batch)
     if isinstance(campaign, str):
         from repro.campaigns.presets import get_campaign
 
@@ -666,29 +592,13 @@ def run_campaign(
     elif campaign.kind == "table2":
         record = _run_table2(campaign)
     elif campaign.kind == "network":
-        record = _run_network(
-            campaign, session, workers, executor, store, figures,
-            retry=retry, journal=journal, faults=faults, report=report,
-        )
+        record = _run_network(campaign, session, figures, batch)
     elif campaign.kind == "control":
-        record = _run_control(
-            campaign, session, workers, executor, store, figures,
-            retry=retry, journal=journal, faults=faults, report=report,
-        )
+        record = _run_control(campaign, session, figures, batch)
     elif campaign.kind == "surrogate_eval":
-        if session is None:
-            session = default_session()
-        record = _run_surrogate_eval(
-            campaign, session, workers, executor, store,
-            retry=retry, journal=journal, faults=faults, report=report,
-        )
+        record = _run_surrogate_eval(campaign, session, batch)
     else:
-        if session is None:
-            session = default_session()
-        record = _run_grid(
-            campaign, session, workers, executor, store,
-            retry=retry, journal=journal, faults=faults, report=report,
-        )
+        record = _run_grid(campaign, session, batch)
     if figures is not None and not record.failures:
         figures.put(figure_key, "comparison", record.to_dict())
     return record

@@ -35,10 +35,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
 
-from repro.api.model import PowerModel
-from repro.resilience.faults import FaultPlan
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.records import BatchReport
+from repro.api.model import PowerModel, check_batch_options
 
 from repro.network.power import NetworkPowerModel, NetworkRecord
 from repro.network.routing import _TOL
@@ -49,8 +46,6 @@ from repro.control.spec import ControlSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.figstore import DerivedRecordStore
-    from repro.api.store import RunRecordStore
-    from repro.resilience.journal import CampaignJournal
 
 
 class ControlModel:
@@ -190,17 +185,12 @@ class ControlModel:
         epoch_specs: dict[float, Any],
         plan_cache: dict[tuple, Any],
         routed_cache: dict[tuple, NetworkRecord],
-        workers: int | None,
-        executor: str,
-        store: "RunRecordStore | None",
-        retry: RetryPolicy | None = None,
-        journal: "CampaignJournal | None" = None,
-        faults: FaultPlan | None = None,
-        report: BatchReport | None = None,
+        batch: dict[str, Any],
     ) -> tuple[list[dict[str, Any]], list[NetworkRecord]]:
         """One pass over the series at one SLA headroom: per epoch,
         evaluate the candidates and keep the strictly cheapest (ties
-        prefer the simpler configuration, ``fixed`` first)."""
+        prefer the simpler configuration, ``fixed`` first).  ``batch``
+        goes unchanged to :meth:`NetworkPowerModel.run_routed`."""
         rows: list[dict[str, Any]] = []
         records: list[NetworkRecord] = []
         prev_asleep: frozenset = frozenset()
@@ -231,15 +221,7 @@ class ControlModel:
                     routed_key = (scale, plan.pruned_cables)
                     if routed_key not in routed_cache:
                         routed_cache[routed_key] = self.network.run_routed(
-                            epoch_specs[scale],
-                            plan.routing,
-                            workers=workers,
-                            executor=executor,
-                            store=store,
-                            retry=retry,
-                            journal=journal,
-                            faults=faults,
-                            report=report,
+                            epoch_specs[scale], plan.routing, **batch
                         )
                     candidates.append(
                         self._candidate(
@@ -317,31 +299,28 @@ class ControlModel:
     def run(
         self,
         spec: ControlSpec,
-        workers: int | None = None,
-        executor: str = "thread",
-        store: "RunRecordStore | None" = None,
+        *,
         figures: "DerivedRecordStore | None" = None,
-        retry: RetryPolicy | None = None,
-        journal: "CampaignJournal | None" = None,
-        faults: FaultPlan | None = None,
-        report: BatchReport | None = None,
+        **batch: Any,
     ) -> ControlRecord:
         """Execute the spec into a :class:`ControlRecord`.
 
-        Parameters mirror :meth:`NetworkPowerModel.run`; ``figures``
-        short-circuits the whole series when the control spec's content
-        hash is already in the derived-figure store, and also caches
-        each epoch's fixed-routing baseline under kind ``"network"``.
-
-        A ``retry`` policy with ``on_failure="record"`` is tightened to
-        ``"raise"`` here: the savings arithmetic compares complete
+        ``**batch`` goes unchanged to
+        :meth:`repro.api.PowerModel.run_batch`, but for one thing: a
+        ``retry`` policy with ``on_failure="record"`` is tightened to
+        ``"raise"`` here.  The savings arithmetic compares complete
         epochs against complete baselines, so a partial epoch would
         poison every derived number — retries, timeouts, and the
         journal still apply, but a permanently failed unit fails the
-        run instead of leaving a hole.
+        run instead of leaving a hole.  ``figures`` short-circuits the
+        whole series when the control spec's content hash is already in
+        the derived-figure store, and also caches each epoch's
+        fixed-routing baseline under kind ``"network"``.
         """
+        check_batch_options("ControlModel.run", batch)
+        retry = batch.get("retry")
         if retry is not None and retry.on_failure != "raise":
-            retry = retry.replace(on_failure="raise")
+            batch["retry"] = retry.replace(on_failure="raise")
         if figures is not None:
             cached = figures.get(spec.content_hash(), "control")
             if cached is not None:
@@ -355,15 +334,7 @@ class ControlModel:
             epoch_spec = spec.epoch_network(epoch)
             epoch_specs[scale] = epoch_spec
             baselines[scale] = self.network.run(
-                epoch_spec,
-                workers=workers,
-                executor=executor,
-                store=store,
-                figures=figures,
-                retry=retry,
-                journal=journal,
-                faults=faults,
-                report=report,
+                epoch_spec, figures=figures, **batch
             )
         plan_cache: dict[tuple, Any] = {}
         routed_cache: dict[tuple, NetworkRecord] = {}
@@ -377,13 +348,7 @@ class ControlModel:
                 epoch_specs,
                 plan_cache,
                 routed_cache,
-                workers,
-                executor,
-                store,
-                retry=retry,
-                journal=journal,
-                faults=faults,
-                report=report,
+                batch,
             )
             sla_rows.append(self._sla_row(spec, headroom, rows))
             if headroom == spec.max_utilization:
@@ -440,16 +405,12 @@ class ControlModel:
 def run_control(
     spec: "ControlSpec | str",
     session: PowerModel | None = None,
-    workers: int | None = None,
-    executor: str = "thread",
-    store: "RunRecordStore | None" = None,
+    *,
     figures: "DerivedRecordStore | None" = None,
-    retry: RetryPolicy | None = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
+    **batch: Any,
 ) -> ControlRecord:
-    """Execute a control spec (or preset name) into a record."""
+    """Execute a control spec (or preset name) into a record;
+    ``figures`` and ``**batch`` go to :meth:`ControlModel.run`."""
     if isinstance(spec, str):
         from repro.control.presets import get_control
 
@@ -458,17 +419,7 @@ def run_control(
         raise ConfigurationError(
             f"spec must be a ControlSpec or preset name, got {spec!r}"
         )
-    return ControlModel(session).run(
-        spec,
-        workers=workers,
-        executor=executor,
-        store=store,
-        figures=figures,
-        retry=retry,
-        journal=journal,
-        faults=faults,
-        report=report,
-    )
+    return ControlModel(session).run(spec, figures=figures, **batch)
 
 
 def render_control_report(record: ControlRecord) -> str:

@@ -40,11 +40,9 @@ from repro.serial import (
 )
 from repro.tech.presets import get_technology
 
-from repro.api.model import PowerModel, default_session
+from repro.api.model import PowerModel, check_batch_options, default_session
 from repro.api.records import RunRecord
 from repro.api.scenario import Scenario, _freeze_params, _thaw_value
-from repro.resilience.faults import FaultPlan
-from repro.resilience.policy import RetryPolicy
 from repro.resilience.records import BatchReport, FailureRecord
 
 from repro.network.routing import ROUTING_MODES, RoutingResult, route
@@ -53,8 +51,6 @@ from repro.network.traffic_matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.figstore import DerivedRecordStore
-    from repro.api.store import RunRecordStore
-    from repro.resilience.journal import CampaignJournal
 
 #: Scenario fields a network spec derives itself and therefore rejects
 #: in :attr:`NetworkSpec.base`.
@@ -456,46 +452,31 @@ class NetworkPowerModel:
     def run(
         self,
         spec: NetworkSpec,
-        workers: int | None = None,
-        executor: str = "thread",
-        store: "RunRecordStore | None" = None,
+        *,
         figures: "DerivedRecordStore | None" = None,
-        retry: RetryPolicy | None = None,
-        journal: "CampaignJournal | None" = None,
-        faults: FaultPlan | None = None,
-        report: BatchReport | None = None,
         shards: int | None = None,
         detail: str = "full",
+        **batch: Any,
     ) -> NetworkRecord:
         """Execute the spec into a :class:`NetworkRecord`.
 
-        Parameters mirror :meth:`repro.api.PowerModel.run_batch`
-        (``retry``/``journal``/``faults``/``report`` included);
-        ``figures`` short-circuits the whole run when the spec's
-        content hash is already in the derived-figure store.  A record
-        with failures (explicit holes) is never figure-cached — a later
-        clean run must not be served the holes.  ``shards`` / ``detail``
-        stream the aggregation (see :meth:`run_routed`); neither affects
-        the exported record, so every setting of them shares one
+        ``**batch`` goes unchanged to
+        :meth:`repro.api.PowerModel.run_batch`.  ``figures``
+        short-circuits the whole run when the spec's content hash is
+        already in the derived-figure store.  A record with failures
+        (explicit holes) is never figure-cached — a later clean run must
+        not be served the holes.  ``shards`` / ``detail`` stream the
+        aggregation (see :meth:`run_routed`); neither affects the
+        exported record, so every setting of them shares one
         figure-store entry.
         """
+        check_batch_options("NetworkPowerModel.run", batch)
         if figures is not None:
             cached = figures.get(spec.content_hash(), "network")
             if cached is not None:
                 return NetworkRecord.from_dict(cached)
-        routing = self.route(spec)
         record = self.run_routed(
-            spec,
-            routing,
-            workers=workers,
-            executor=executor,
-            store=store,
-            retry=retry,
-            journal=journal,
-            faults=faults,
-            report=report,
-            shards=shards,
-            detail=detail,
+            spec, self.route(spec), shards=shards, detail=detail, **batch
         )
         if figures is not None and not record.failures:
             figures.put(spec.content_hash(), "network", record.to_dict())
@@ -505,15 +486,10 @@ class NetworkPowerModel:
         self,
         spec: NetworkSpec,
         routing: RoutingResult,
-        workers: int | None = None,
-        executor: str = "thread",
-        store: "RunRecordStore | None" = None,
-        retry: RetryPolicy | None = None,
-        journal: "CampaignJournal | None" = None,
-        faults: FaultPlan | None = None,
-        report: BatchReport | None = None,
+        *,
         shards: int | None = None,
         detail: str = "full",
+        **batch: Any,
     ) -> NetworkRecord:
         """Execute the spec under an externally supplied routing.
 
@@ -521,7 +497,10 @@ class NetworkPowerModel:
         a pruned topology, projects the link loads back onto the full
         port map, and evaluates the result here — same per-router
         scenarios, same ``run_batch`` caches, no figure-store entry
-        (the routing is not derivable from the spec alone).
+        (the routing is not derivable from the spec alone).  ``**batch``
+        goes unchanged to :meth:`repro.api.PowerModel.run_batch`, with a
+        fresh ``report`` when none is given, from which each shard's
+        failures are read.
 
         ``shards`` partitions the per-router scenario grid into that
         many contiguous node-order chunks, each executed as its own
@@ -543,23 +522,18 @@ class NetworkPowerModel:
         """
         pairs = self.scenarios(spec, routing)
         fold = _NetworkFold(spec, routing, detail=detail)
-        batch_report = report if report is not None else BatchReport()
+        if batch.get("report") is None:
+            batch["report"] = BatchReport()
+        report = batch["report"]
         nodes = spec.topology.nodes
         for start, stop in shard_bounds(len(pairs), shards):
-            before = len(batch_report.failures)
+            before = len(report.failures)
             records = self.session.run_batch(
-                [scenario for _, scenario in pairs[start:stop]],
-                workers=workers,
-                executor=executor,
-                store=store,
-                retry=retry,
-                journal=journal,
-                faults=faults,
-                report=batch_report,
+                [scenario for _, scenario in pairs[start:stop]], **batch
             )
             for node, rec in zip(nodes[start:stop], records):
                 fold.add(node, rec)
-            fold.add_failures(batch_report.failures[before:])
+            fold.add_failures(report.failures[before:])
         return fold.finish()
 
 
@@ -751,26 +725,19 @@ class _NetworkFold:
 def run_network(
     spec: "NetworkSpec | str",
     session: PowerModel | None = None,
-    workers: int | None = None,
-    executor: str = "thread",
-    store: "RunRecordStore | None" = None,
+    *,
     figures: "DerivedRecordStore | None" = None,
     scale: float = 1.0,
-    retry: RetryPolicy | None = None,
-    journal: "CampaignJournal | None" = None,
-    faults: FaultPlan | None = None,
-    report: BatchReport | None = None,
     shards: int | None = None,
     detail: str = "full",
+    **batch: Any,
 ) -> NetworkRecord:
     """Execute a network spec (or preset name) into a record.
 
     ``scale`` multiplies every demand before running (the load-sweep
     knob network campaigns use); the scaled spec hashes differently, so
-    cached figures per scale never collide.
-    ``retry``/``journal``/``faults``/``report`` supervise the
-    underlying batch exactly as in
-    :meth:`repro.api.PowerModel.run_batch`.  ``shards``/``detail``
+    cached figures per scale never collide.  ``**batch`` goes unchanged
+    to :meth:`repro.api.PowerModel.run_batch`.  ``shards``/``detail``
     stream the aggregation without changing any exported byte (see
     :meth:`NetworkPowerModel.run_routed`).
     """
@@ -781,17 +748,7 @@ def run_network(
     if scale != 1.0:
         spec = spec.scaled(scale)
     return NetworkPowerModel(session).run(
-        spec,
-        workers=workers,
-        executor=executor,
-        store=store,
-        figures=figures,
-        retry=retry,
-        journal=journal,
-        faults=faults,
-        report=report,
-        shards=shards,
-        detail=detail,
+        spec, figures=figures, shards=shards, detail=detail, **batch
     )
 
 
