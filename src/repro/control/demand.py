@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
-from repro.serial import Spec
+from repro.serial import Spec, check_scalars
 
 from repro.network.traffic_matrix import TrafficMatrix
 
@@ -64,11 +64,10 @@ class DemandSeries(Spec):
         object.__setattr__(
             self, "base", TrafficMatrix.coerce(self.base, "base")
         )
-        scales = tuple(float(s) for s in self.scales)
-        object.__setattr__(self, "scales", scales)
-        if not scales:
+        check_scalars(self)
+        if not self.scales:
             raise ConfigurationError("a demand series needs >= 1 epoch")
-        for i, scale in enumerate(scales):
+        for i, scale in enumerate(self.scales):
             if scale < 0.0:
                 raise ConfigurationError(
                     f"epoch {i}: scale must be >= 0, got {scale!r}"

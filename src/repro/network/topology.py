@@ -40,7 +40,7 @@ from typing import Any, Mapping
 from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture
 from repro.router.traffic import MAX_PORTS
-from repro.serial import Spec, build
+from repro.serial import Spec, build, check_scalars
 from repro.tech.presets import get_technology
 
 
@@ -68,6 +68,7 @@ class RouterNode:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ConfigurationError("a router node needs a non-empty name")
+        check_scalars(self)
         if self.ports < 2:
             raise ConfigurationError(
                 f"node {self.name!r}: a router needs at least 2 ports"
@@ -114,6 +115,7 @@ class Link:
                 f"link {self.src!r} -> {self.dst!r}: self-links are not "
                 "allowed (local traffic uses access ports)"
             )
+        check_scalars(self)
         if not 0.0 < self.capacity <= 1.0:
             raise ConfigurationError(
                 f"link {self.src!r} -> {self.dst!r}: capacity must be in "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.serial import Spec, build
+from repro.serial import Spec, build, check_scalars
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class Demand:
     def __post_init__(self) -> None:
         if not self.src or not self.dst:
             raise ConfigurationError("a demand needs src and dst node names")
+        check_scalars(self)
         if self.cells_per_slot < 0.0:
             raise ConfigurationError(
                 f"demand {self.src!r} -> {self.dst!r} must be >= 0, got "
@@ -64,7 +65,7 @@ def _coerce_demand(value: Any) -> Demand:
     if isinstance(value, Mapping):
         return build(Demand, value, "demand")
     if isinstance(value, Sequence) and len(value) == 3:
-        return Demand(str(value[0]), str(value[1]), float(value[2]))
+        return Demand(str(value[0]), str(value[1]), value[2])
     raise ConfigurationError(
         f"expected a Demand, mapping, or [src, dst, cells] row, got "
         f"{value!r}"

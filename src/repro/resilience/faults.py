@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.serial import Spec
+from repro.serial import Spec, check_scalars
 
 FAULT_KINDS = ("crash", "hang", "transient")
 
@@ -86,13 +86,15 @@ class Fault(Spec):
             raise ConfigurationError(
                 f"fault kind must be one of {FAULT_KINDS}, got {self.kind!r}"
             )
+        check_scalars(self)
         if self.unit < 0:
             raise ConfigurationError("fault unit index must be >= 0")
-        attempts = tuple(int(a) for a in self.attempts)
-        if not attempts or any(a < 1 for a in attempts):
+        # check_scalars does not read a tuple[int, ...] field.
+        attempts = tuple(self.attempts)
+        if not attempts or any(type(a) is not int or a < 1 for a in attempts):
             raise ConfigurationError(
                 "fault attempts must be a non-empty tuple of 1-based "
-                "attempt numbers"
+                f"attempt numbers, got {self.attempts!r}"
             )
         object.__setattr__(self, "attempts", attempts)
         if self.hang_s <= 0.0:

@@ -225,14 +225,28 @@ class TestOutputPaths:
         assert out_path.read_bytes() == printed.encode()
 
 
+def _nested(spec, field: dict, *path) -> str:
+    """``spec.to_dict()`` as JSON, ``field`` merged into the object at
+    ``path``."""
+    data = spec.to_dict()
+    target = data
+    for key in path:
+        target = target[key]
+    target.update(field)
+    return json.dumps(data)
+
+
 #: ``(command, file content)`` of malformed spec files: JSON scalars,
 #: empty objects, wrong field types, a nested ``tech`` object with an
 #: unknown field, an integer too large for a float, bytes that are not
 #: UTF-8, a banyan whose port count is not a power of two, a router
 #: one port over the cap, table campaigns whose params are not
 #: integers or not banyan port counts, a nested ``tech`` object, a
-#: network spec with a wrongly typed number or flag, and a control spec
-#: with a wrongly typed headroom, flag, sweep entry or link rate.
+#: network spec with a wrongly typed number or flag, a control spec
+#: with a wrongly typed headroom, flag, sweep entry or link rate, a
+#: control spec whose demand series has a wrongly typed scale or epoch
+#: length, and a network spec with a wrongly typed demand, link or
+#: router number.
 MALFORMED_SPECS = [
     ("network", "1"),
     ("network", "null"),
@@ -314,6 +328,21 @@ MALFORMED_SPECS = [
         for field in ({"max_utilization": True}, {"sleep": "x"},
                       {"sleep": []}, {"sla_sweep": ["0.5"]},
                       {"link_rates": [True, 1.0]})
+    ],
+    *[
+        ("control", _nested(get_control("dumbbell_sleep_sweep"), field,
+                            "series"))
+        for field in ({"scales": ["0.5"]}, {"scales": [True, 1.0]},
+                      {"scales": "12"}, {"epoch_seconds": True})
+    ],
+    *[
+        ("network", _nested(get_network("dumbbell_switchoff"), field, *path))
+        for path, field in (
+            (("matrix", "demands", 0), {"cells_per_slot": True}),
+            (("topology", "links", 0), {"capacity": True}),
+            (("topology", "links", 0), {"length_m": True}),
+            (("topology", "nodes", 0), {"ports": 4.0}),
+        )
     ],
 ]
 

@@ -141,6 +141,26 @@ class TestDemandSeries:
             DemandSeries.from_dict({"name": "x", "base": base.to_dict(),
                                     "scales": [1.0], "bogus": 1})
 
+    @pytest.mark.parametrize("field", [
+        {"scales": ["0.5"]}, {"scales": [True, 1.0]}, {"scales": "12"},
+        {"epoch_seconds": True},
+    ], ids=["scale-str", "scale-bool", "scales-str", "epoch_seconds-bool"])
+    def test_rejects_wrongly_typed_numbers(self, field):
+        # Each would run under a new content hash: "12" as the scales
+        # (1.0, 2.0), one character at a time.
+        series = get_control("dumbbell_sleep_sweep").series
+        (name,) = field
+        with pytest.raises(ConfigurationError, match=f"{name} must be"):
+            DemandSeries.from_dict({**series.to_dict(), **field})
+
+    def test_int_scales_are_the_float_scales(self):
+        series = get_control("dumbbell_sleep_sweep").series
+        data = {**series.to_dict(), "scales": [1, 0], "epoch_seconds": 60}
+        assert DemandSeries.from_dict(data).content_hash() == (
+            series.replace(scales=(1.0, 0.0), epoch_seconds=60.0)
+            .content_hash()
+        )
+
 
 # ----------------------------------------------------------------------
 # Control spec

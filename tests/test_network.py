@@ -196,6 +196,23 @@ class TestTrafficMatrix:
         with pytest.raises(ConfigurationError, match=">= 0"):
             Demand("a", "b", -0.1)
 
+    def test_cells_take_an_int_or_a_float(self):
+        # 1 and 1.0 are one demand with one hash, in the mapping and the
+        # [src, dst, cells] row form; a bool or a string is refused.
+        def matrix(cells):
+            return TrafficMatrix.from_dict({"demands": [
+                {"src": "a", "dst": "b", "cells_per_slot": cells}
+            ]})
+
+        expected = matrix(1.0).content_hash()
+        assert matrix(1).content_hash() == expected
+        assert TrafficMatrix((("a", "b", 1),)).content_hash() == expected
+        for cells in (True, "0.5"):
+            with pytest.raises(ConfigurationError, match="cells_per_slot"):
+                matrix(cells)
+            with pytest.raises(ConfigurationError, match="cells_per_slot"):
+                TrafficMatrix((("a", "b", cells),))
+
 
 # ----------------------------------------------------------------------
 # Routing

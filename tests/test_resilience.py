@@ -103,6 +103,28 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError, match="kind"):
             Fault("meteor", 0)
 
+    @pytest.mark.parametrize("field", [
+        {"unit": 1.5}, {"unit": True}, {"hang_s": True},
+        {"attempts": ["1"]}, {"attempts": [1.7]}, {"attempts": [True]},
+    ], ids=["unit-float", "unit-bool", "hang_s-bool", "attempts-str",
+            "attempts-float", "attempts-bool"])
+    def test_rejects_wrongly_typed_numbers(self, field):
+        # A float unit would never fire, and "1" or 1.7 would fire on
+        # attempt 1.
+        with pytest.raises(ConfigurationError, match="must be"):
+            FaultPlan.from_dict(
+                {"faults": [{"kind": "hang", "unit": 1, **field}]}
+            )
+
+    def test_int_hang_is_the_float_hang(self):
+        plan = FaultPlan.from_dict(
+            {"faults": [{"kind": "hang", "unit": 1, "hang_s": 5}]}
+        )
+        assert plan == FaultPlan(faults=(Fault("hang", 1, hang_s=5.0),))
+        assert plan.to_json() == FaultPlan(
+            faults=(Fault("hang", 1, hang_s=5.0),)
+        ).to_json()
+
 
 class TestTransientRetry:
     def test_recovered_batch_is_bit_identical(self):
