@@ -12,6 +12,8 @@ like the benches' regenerated tables.
 
 from __future__ import annotations
 
+import statistics
+
 from repro.analysis.report import format_comparison, format_table
 from repro.units import to_fJ, to_mW
 
@@ -261,15 +263,6 @@ def _control_sections(record: ComparisonRecord) -> list[str]:
     return sections
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _surrogate_sections(record: ComparisonRecord) -> list[str]:
     sections = []
     rows = []
@@ -312,7 +305,8 @@ def _surrogate_sections(record: ComparisonRecord) -> list[str]:
     if holdout_errors:
         summary += (
             f"; in-distribution holdout rel error: median "
-            f"{_median(holdout_errors):.2%}, max {max(holdout_errors):.2%}"
+            f"{statistics.median(holdout_errors):.2%}, "
+            f"max {max(holdout_errors):.2%}"
         )
     sections.append(summary)
     return sections

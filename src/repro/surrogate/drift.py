@@ -15,6 +15,7 @@ flags a retrain.
 from __future__ import annotations
 
 import os
+import statistics
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -65,15 +66,6 @@ class DriftReport:
         )
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _row_errors(
     model: SurrogateModel, rows: Iterable[DatasetRow]
 ) -> tuple[list[float], int]:
@@ -121,7 +113,7 @@ def check_drift(
         if is_holdout_key(row.key, model.holdout_modulus)
     ]
     errors, skipped = _row_errors(model, holdout)
-    median = _median(errors) if errors else 0.0
+    median = statistics.median(errors) if errors else 0.0
     worst = max(errors) if errors else 0.0
     return DriftReport(
         checked=len(errors),
