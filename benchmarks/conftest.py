@@ -2,9 +2,12 @@
 
 Every bench regenerates one table/figure/observation of the paper,
 prints a paper-vs-measured report, and asserts the qualitative shape.
-Run them with::
+The files are named ``bench_*.py``, which pytest does not collect from
+a directory, so name each one::
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest --benchmark-only -s \
+        benchmarks/bench_fig9_throughput_sweep.py \
+        benchmarks/bench_table2_buffer_energy.py
 
 (`-s` shows the regenerated tables; without it they are still checked
 by assertions.)  Benches use ``benchmark.pedantic(..., rounds=1)``
