@@ -604,15 +604,12 @@ BATCH_OPTIONS = frozenset(
 
 
 def check_batch_options(caller: str, batch: dict[str, Any]) -> None:
-    """Raise the ``TypeError`` a call of ``caller`` with a misspelt
-    keyword raises, for a key of ``batch`` outside
-    :data:`BATCH_OPTIONS`.
+    """Raise the ``TypeError`` of a call to ``caller`` with a misspelt
+    keyword, for a key of ``batch`` outside :data:`BATCH_OPTIONS`.
 
-    An entry point that can return without running a batch (a table
-    campaign, a figure-store hit) calls it first, so a misspelt option
-    fails on every path; :func:`run_batch` calls it so that it takes no
-    ``strategy``.
-    """
+    The entry points that can return without running a batch (a table
+    campaign, a figure-store hit) call it first, and so does
+    :func:`run_batch`, which takes no ``strategy``."""
     for name in batch:
         if name not in BATCH_OPTIONS:
             raise TypeError(

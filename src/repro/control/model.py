@@ -410,7 +410,9 @@ def run_control(
     **batch: Any,
 ) -> ControlRecord:
     """Execute a control spec (or preset name) into a record;
-    ``figures`` and ``**batch`` go to :meth:`ControlModel.run`."""
+    ``figures`` and ``**batch`` are those of :meth:`ControlModel.run`,
+    which passes ``**batch`` on to :meth:`repro.api.PowerModel.run_batch`.
+    """
     if isinstance(spec, str):
         from repro.control.presets import get_control
 

@@ -133,7 +133,8 @@ ENTRY_POINTS = {
         lambda s, **o: NetworkPowerModel(s).run(network_spec(), **o),
     "NetworkPowerModel.run_routed": _run_routed,
     "run_control": lambda s, **o: run_control(control_spec(), s, **o),
-    "ControlModel.run": lambda s, **o: ControlModel(s).run(control_spec(), **o),
+    "ControlModel.run":
+        lambda s, **o: ControlModel(s).run(control_spec(), **o),
 }
 
 #: The entry points that tighten ``retry.on_failure`` to ``"raise"``.
