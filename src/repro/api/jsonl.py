@@ -6,6 +6,8 @@ each, written by possibly-concurrent processes on a filesystem that
 may lose power mid-append.  This module is the single implementation
 of the durability mechanics they share:
 
+* :func:`read_lines` — the one line reader, and :class:`JsonlStore`,
+  the store mechanics built on it.
 * :func:`line_checksum` / :func:`verify_entry` — a per-line SHA-256
   digest over the canonical payload, so silent bit rot is detected on
   load instead of being served as a cached result.  Lines without a
@@ -32,7 +34,9 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator
+
+from repro.errors import ConfigurationError
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -108,6 +112,38 @@ def locked_rewrite(path: Path, payloads: Iterable[dict[str, Any]]) -> None:
         os.replace(tmp, path)
 
 
+def read_lines(
+    path: Path,
+    decode: Callable[[dict[str, Any]], Any],
+    reject: Callable[[str, str], None],
+) -> Iterator[Any]:
+    """Yield ``decode(entry)`` for each verified line of ``path``.
+
+    A line that does not parse (bytes that are not UTF-8 included), is
+    not a JSON object, fails its checksum, or that ``decode`` refuses
+    with ``KeyError``, ``TypeError``, ``ValueError`` or
+    ``ConfigurationError`` goes to ``reject(line, reason)`` instead.
+    """
+    with path.open(errors="surrogateescape") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                entry = json.loads(line)
+                if not isinstance(entry, dict):
+                    raise TypeError("line is not a JSON object")
+                if not verify_entry(entry):
+                    raise ValueError("checksum mismatch")
+                value = decode(entry)
+            except (
+                KeyError, TypeError, ValueError, ConfigurationError
+            ) as exc:
+                reject(line, str(exc))
+                continue
+            yield value
+
+
 def iter_verified_entries(path: Path | str | os.PathLike) -> Iterator[dict]:
     """Stream the verified entries of a JSONL store, one at a time.
 
@@ -120,20 +156,8 @@ def iter_verified_entries(path: Path | str | os.PathLike) -> Iterator[dict]:
     yields nothing.
     """
     path = Path(path)
-    if not path.exists():
-        return
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                if not isinstance(entry, dict) or not verify_entry(entry):
-                    continue
-            except ValueError:
-                continue
-            yield entry
+    if path.exists():
+        yield from read_lines(path, lambda entry: entry, lambda *bad: None)
 
 
 def quarantine_path(path: Path) -> Path:
@@ -151,3 +175,78 @@ def quarantine_line(path: Path, raw_line: str, reason: str) -> None:
             fh.write(entry + "\n")
     except OSError:  # pragma: no cover - quarantine must not crash loads
         pass
+
+
+class JsonlStore:
+    """A ``key -> value`` cache held in one hardened JSONL file.
+
+    The file is read eagerly (the last line of a key wins); a refused
+    line is quarantined and counted, degrading to a miss.  A subclass's
+    ``_decode(entry)`` returns ``(key, value, payload)`` and its
+    ``_line(key, payload)`` builds the line that stores ``payload``
+    (the JSON on disk) under ``key``; ``value`` is what is served.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        self.path = Path(path)
+        self._values: dict[Hashable, Any] = {}
+        self._payloads: dict[Hashable, Any] = {}
+        self.hits = 0
+        self.misses = 0
+        self.skipped_lines = 0
+        self.quarantined = 0
+        if self.path.exists():
+            self._load()
+
+    def _load(self) -> None:
+        for key, value, payload in read_lines(
+            self.path, self._decode, self._quarantine
+        ):
+            self._values[key] = value
+            self._payloads[key] = payload
+
+    def _quarantine(self, line: str, reason: str) -> None:
+        self.skipped_lines += 1
+        self.quarantined += 1
+        quarantine_line(self.path, line, reason)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def _get(self, key: Hashable) -> Any:
+        """The value held under ``key``, or None (counted as a miss)."""
+        value = self._values.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def _put(self, key: Hashable, value: Any, payload: Any) -> None:
+        """Hold ``value`` under ``key``; append ``payload``'s line unless
+        it is the key's latest line already (a changed payload
+        supersedes, it is never kept in memory only)."""
+        self._values[key] = value
+        if self._payloads.get(key) != payload:
+            self._payloads[key] = payload
+            locked_append(self.path, self._line(key, payload))
+
+    def compact(self) -> int:
+        """Atomically rewrite the store to one line per key (latest
+        wins), dropping superseded and corrupt lines.  Returns the
+        number of lines written."""
+        lines = [
+            self._line(key, payload)
+            for key, payload in self._payloads.items()
+        ]
+        locked_rewrite(self.path, lines)
+        return len(lines)
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "entries": len(self._values),
+            "hits": self.hits,
+            "misses": self.misses,
+            "skipped_lines": self.skipped_lines,
+            "quarantined": self.quarantined,
+        }

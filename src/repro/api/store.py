@@ -10,42 +10,20 @@ is served from disk instead of re-simulated.  Because both engines are
 bit-identical and every scenario carries its seed, a cached record *is*
 the record the run would produce.
 
-Durability contract (shared with :mod:`repro.api.figstore` and the
-campaign journal via :mod:`repro.api.jsonl`):
-
-* append-only JSONL, whole lines, written under an advisory file lock
-  and fsynced — concurrent ``repro batch --cache`` invocations
-  interleave cleanly, and a kill mid-append tears at most the final
-  line;
-* every line carries a SHA-256 checksum over its payload; a line that
-  fails to parse *or* to verify is moved into the ``<store>.quarantine``
-  sidecar (with a reason) and counted, degrading to a cache miss
-  instead of being served as a result;
-* re-``put`` of a changed record for an existing key appends a new line
-  (the loader is last-wins), so an updated record is never silently
-  dropped on disk; :meth:`compact` rewrites the file atomically to one
-  line per key.
-
-Lines written before hardening (no ``"sha"`` field) still load, so old
-caches stay valid.
+Lines are checksummed, appended under a lock and fsynced; a line that
+does not parse, is not an object or fails its checksum is quarantined
+and counted (a miss), and a changed record supersedes its key's line.
+The mechanics are :class:`repro.api.jsonl.JsonlStore`'s, shared with
+the figure store and the campaign journal.  Lines written before
+hardening (no ``"sha"`` field) still load, so old caches stay valid.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.errors import ConfigurationError
-
-from repro.api.jsonl import (
-    iter_verified_entries,
-    locked_append,
-    locked_rewrite,
-    quarantine_line,
-    verify_entry,
-)
+from repro.api.jsonl import JsonlStore, iter_verified_entries
 from repro.api.records import RunRecord
 from repro.api.scenario import Scenario
 
@@ -70,113 +48,39 @@ def iter_run_entries(
             yield key, record
 
 
-class RunRecordStore:
+class RunRecordStore(JsonlStore):
     """JSONL-backed scenario-hash -> :class:`RunRecord` cache.
 
     Parameters
     ----------
     path:
         The JSONL file.  Created (with parents) on first :meth:`put`;
-        an existing file is loaded eagerly.
+        an existing file is loaded eagerly.  Lines are
+        ``{"key": ..., "record": {...}, "sha": ...}``.
     """
 
+    # __init__, get and put stay in this class body: perfbench times
+    # store opens, lookups and writes by wrapping them here.
     def __init__(self, path: str | os.PathLike) -> None:
-        self.path = Path(path)
-        self._records: dict[str, RunRecord] = {}
-        self._disk: dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        self.skipped_lines = 0
-        self.quarantined = 0
-        if self.path.exists():
-            self._load()
+        super().__init__(path)
 
-    # ------------------------------------------------------------------
+    def _decode(self, entry: dict[str, Any]) -> tuple[str, RunRecord, dict]:
+        key = entry["key"]
+        if not isinstance(key, str):
+            raise TypeError("key is not a string")
+        payload = entry["record"]
+        return key, RunRecord.from_cache_dict(payload), payload
 
-    def _load(self) -> None:
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    if not verify_entry(entry):
-                        raise ValueError("checksum mismatch")
-                    key = entry["key"]
-                    record = RunRecord.from_cache_dict(entry["record"])
-                except (
-                    KeyError,
-                    TypeError,
-                    ValueError,
-                    ConfigurationError,
-                ) as exc:
-                    # Partial/corrupt/foreign line (a writer died
-                    # mid-append, or the line rotted on disk): a cache
-                    # must degrade to a miss, not an error — but the
-                    # damage is moved aside and counted, not silently
-                    # swallowed.
-                    self.skipped_lines += 1
-                    self.quarantined += 1
-                    quarantine_line(self.path, line, str(exc))
-                    continue
-                self._records[key] = record
-                self._disk[key] = entry["record"]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, scenario: Scenario) -> bool:
-        return scenario.content_hash() in self._records
-
-    def records(self) -> Iterator[RunRecord]:
-        return iter(self._records.values())
-
-    # ------------------------------------------------------------------
+    def _line(self, key: str, payload: dict) -> dict[str, Any]:
+        return {"key": key, "record": payload}
 
     def get(self, scenario: Scenario) -> RunRecord | None:
         """The cached record for a scenario, or None (counted as miss)."""
-        record = self._records.get(scenario.content_hash())
-        if record is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return record
+        return self._get(scenario.content_hash())
 
     def put(self, record: RunRecord) -> None:
-        """Persist a record (one appended, checksummed JSONL line).
-
-        A record byte-identical to what is already on disk for its key
-        is a no-op; a *changed* record for an existing key appends a
-        superseding line (the loader is last-wins) — it is never
-        dropped from disk while only the in-memory copy updates.
-        """
-        key = record.scenario.content_hash()
-        payload = record.to_cache_dict()
-        if self._disk.get(key) == payload:
-            self._records[key] = record
-            return
-        self._records[key] = record
-        self._disk[key] = payload
-        locked_append(self.path, {"key": key, "record": payload})
-
-    def compact(self) -> int:
-        """Atomically rewrite the store to one line per key (latest
-        wins), dropping superseded and corrupt lines.  Returns the
-        number of lines written."""
-        payloads = [
-            {"key": key, "record": self._disk[key]}
-            for key in self._records
-            if key in self._disk
-        ]
-        locked_rewrite(self.path, payloads)
-        return len(payloads)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "entries": len(self._records),
-            "hits": self.hits,
-            "misses": self.misses,
-            "skipped_lines": self.skipped_lines,
-            "quarantined": self.quarantined,
-        }
+        """Persist a record (one appended, checksummed JSONL line); an
+        unchanged record is a no-op, a changed one supersedes."""
+        self._put(
+            record.scenario.content_hash(), record, record.to_cache_dict()
+        )

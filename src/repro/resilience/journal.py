@@ -19,14 +19,13 @@ the units that had not finished — exactly the units a resume re-runs.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError
 
-from repro.api.jsonl import locked_append, verify_entry
+from repro.api.jsonl import locked_append, read_lines
 
 from repro.resilience.records import FailureRecord
 
@@ -72,43 +71,43 @@ class CampaignJournal:
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    if not verify_entry(entry):
-                        raise ValueError("checksum mismatch")
-                    campaign = entry["campaign"]
-                    key = entry["key"]
-                    status = entry["status"]
-                except (KeyError, TypeError, ValueError):
-                    # A torn/foreign line (e.g. the campaign was killed
-                    # mid-append): resume must re-run that unit, not
-                    # trust half a record.
-                    self.skipped_lines += 1
-                    continue
-                if campaign != self.campaign_key:
-                    continue
-                if status == "done" and isinstance(
-                    entry.get("record"), dict
-                ):
-                    self._done[key] = entry["record"]
-                    self._failed.pop(key, None)
-                elif status == "failed":
-                    try:
-                        failure = FailureRecord.from_dict(
-                            entry.get("failure", {})
-                        )
-                    except ConfigurationError:
-                        self.skipped_lines += 1
-                        continue
-                    self._failed[key] = failure
-                    self._done.pop(key, None)
-                else:
-                    self.skipped_lines += 1
+        for outcome in read_lines(self.path, self._decode, self._skip):
+            if outcome is not None:
+                self._settle(*outcome)
+
+    def _decode(
+        self, entry: dict[str, Any]
+    ) -> tuple[str, dict[str, Any] | FailureRecord] | None:
+        """``(key, record payload or failure)`` of one of this
+        campaign's lines; None for another campaign's line."""
+        campaign, key, status = (
+            entry["campaign"], entry["key"], entry["status"]
+        )
+        if campaign != self.campaign_key:
+            return None
+        if not isinstance(key, str):
+            raise TypeError("key is not a string")
+        if status == "failed":
+            return key, FailureRecord.from_dict(entry.get("failure", {}))
+        if status != "done" or not isinstance(entry.get("record"), dict):
+            raise ValueError("neither a done record nor a failure")
+        return key, entry["record"]
+
+    def _skip(self, line: str, reason: str) -> None:
+        # A torn/foreign line (e.g. the campaign was killed mid-append):
+        # resume must re-run that unit, not trust half a record.
+        self.skipped_lines += 1
+
+    def _settle(
+        self, key: str, outcome: dict[str, Any] | FailureRecord
+    ) -> None:
+        """The key's latest outcome: a done record payload or a failure."""
+        if isinstance(outcome, FailureRecord):
+            self._failed[key] = outcome
+            self._done.pop(key, None)
+        else:
+            self._done[key] = outcome
+            self._failed.pop(key, None)
 
     # ------------------------------------------------------------------
 
@@ -154,8 +153,7 @@ class CampaignJournal:
             "record": record.to_cache_dict(),
         }
         locked_append(self.path, payload)
-        self._done[key] = payload["record"]
-        self._failed.pop(key, None)
+        self._settle(key, payload["record"])
 
     def record_failure(self, failure: FailureRecord) -> None:
         """Checkpoint one permanently failed scenario."""
@@ -167,8 +165,7 @@ class CampaignJournal:
             "failure": failure.to_dict(),
         }
         locked_append(self.path, payload)
-        self._failed[failure.key] = failure
-        self._done.pop(failure.key, None)
+        self._settle(failure.key, failure)
 
     def stats(self) -> dict[str, int]:
         return {

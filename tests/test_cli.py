@@ -144,6 +144,13 @@ class TestBatchCommand:
         assert main(["batch", "no-such-file.json"]) == 2
         assert "cannot read scenario file" in capsys.readouterr().err
 
+    def test_non_object_cache_line_is_quarantined(self, estimate_file,
+                                                  tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("[1, 2]\n")
+        assert main(["batch", str(estimate_file), "--cache", str(cache)]) == 0
+        assert "1 skipped, 1 quarantined" in capsys.readouterr().err
+
     def test_unknown_architecture_is_a_clean_error(self, capsys):
         assert main(["estimate", "--arch", "clos"]) == 2
         assert "unknown architecture" in capsys.readouterr().err

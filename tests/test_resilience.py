@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import PowerModel, RunRecordStore, Scenario, run_batch
 from repro.api.figstore import DerivedRecordStore
+from repro.api.jsonl import quarantine_path, stamp_entry
 from repro.campaigns import Campaign, run_campaign
 from repro.errors import ConfigurationError
 from repro.resilience import (
@@ -390,6 +391,62 @@ class TestStoreHardening:
         assert reloaded.get("k2", "comparison") is None
         assert reloaded.stats()["quarantined"] == 1
         assert reloaded.compact() == 1
+
+
+#: ``(loader, line)``: JSON that is not an object and a byte that is not
+#: UTF-8, which every loader refuses, and a checksummed line keyed by a
+#: list, which the run store and the journal refuse (the figure store
+#: keys by ``str()``).
+MALFORMED_LINES = [
+    (loader, text)
+    for loader in ("run", "figure", "journal")
+    for text in ("[1, 2]", "3", "null", '"x"', "not utf-8")
+] + [("run", "list key"), ("journal", "list key")]
+
+
+@pytest.mark.parametrize(
+    "loader, text", MALFORMED_LINES,
+    ids=[f"{loader}:{text}" for loader, text in MALFORMED_LINES],
+)
+def test_malformed_line_is_refused_not_a_crash(tmp_path, loader, text):
+    """The stores quarantine and count the line under a reason that
+    names the problem; the journal skips and counts it."""
+    path = tmp_path / "lines.jsonl"
+    record = PowerModel().run(
+        Scenario("crossbar", 4, 0.3, backend="estimate")
+    )
+    if loader == "run":
+        RunRecordStore(path).put(record)
+    elif loader == "figure":
+        DerivedRecordStore(path).put("k", "comparison", {"a": 1})
+    else:
+        CampaignJournal(path, "camp-1").record_done(record)
+    reason = "line is not a JSON object"
+    if text == "list key":
+        entry = json.loads(path.read_text())
+        entry["key"] = [1]
+        text = json.dumps(stamp_entry(entry))
+        reason = "key is not a string"
+    elif text == "not utf-8":
+        text = "\udcff"  # the byte 0xff, written through surrogateescape
+        reason = "Expecting value: line 1 column 1 (char 0)"
+    with path.open("a", errors="surrogateescape") as fh:
+        fh.write(text + "\n")
+    if loader == "journal":
+        assert CampaignJournal(path, "camp-1").stats() == {
+            "done": 1, "failed": 0, "skipped_lines": 1,
+        }
+    else:
+        store = (RunRecordStore if loader == "run" else DerivedRecordStore)(
+            path
+        )
+        assert store.stats() == {
+            "entries": 1, "hits": 0, "misses": 0, "skipped_lines": 1,
+            "quarantined": 1,
+        }
+        assert json.loads(quarantine_path(path).read_text()) == {
+            "reason": reason, "line": text,
+        }
 
 
 class TestJournal:

@@ -628,7 +628,7 @@ class TestStreamingReaders:
         store = RunRecordStore(corpus["path"])
         store._load()
         for key, record in entries:
-            assert store._disk[key] == record  # same payloads
+            assert store._payloads[key] == record  # same payloads
 
     def test_iter_verified_entries_skips_corruption_quietly(
         self, tmp_path
