@@ -26,7 +26,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.estimator import ARCHITECTURES
 from repro.errors import ConfigurationError
-from repro.fabrics.registry import canonical_architecture, get_entry
+from repro.fabrics.registry import canonical_architecture
 from repro.router.cells import CellFormat
 from repro.router.traffic import (
     MAX_PORTS,
@@ -270,7 +270,7 @@ class Scenario(Spec):
                     "queueing='voq' is simulate-only: the analytical "
                     "backend models the paper's FIFO input queues"
                 )
-            if not get_entry(self.architecture).analytical:
+            if self.architecture not in ARCHITECTURES:
                 raise ConfigurationError(
                     f"architecture {self.architecture!r} has no closed "
                     "forms; use backend='simulate'"

@@ -37,30 +37,22 @@ from repro.core.bit_energy import (
     SwitchEnergyLUT,
 )
 from repro.errors import ConfigurationError
+from repro.fabrics import registry
 from repro.tech import TECH_180NM, Technology
 from repro.tech.wires import WireModel
 from repro.wire_modes import ANALYTICAL_MODES, WireMode
 
-#: Canonical architecture names accepted throughout the library.
-ARCHITECTURES = ("crossbar", "fully_connected", "banyan", "batcher_banyan")
+#: The paper's four architectures, the ones the closed forms model.
+ARCHITECTURES = registry.BUILTIN_ARCHITECTURES
 
 
 def canonical_architecture(name: str) -> str:
     """Normalise an architecture name to one of :data:`ARCHITECTURES`."""
-    arch = name.lower().replace("-", "_").replace(" ", "_")
-    aliases = {
-        "xbar": "crossbar",
-        "fullyconnected": "fully_connected",
-        "fully_conn": "fully_connected",
-        "fc": "fully_connected",
-        "mux": "fully_connected",
-        "batcher": "batcher_banyan",
-        "batcherbanyan": "batcher_banyan",
-    }
-    arch = aliases.get(arch, arch)
+    arch = registry.canonical_architecture(name)
     if arch not in ARCHITECTURES:
         raise ConfigurationError(
-            f"unknown architecture {name!r}; expected one of {ARCHITECTURES}"
+            f"architecture {arch!r} has no closed forms; expected one of "
+            f"{ARCHITECTURES}"
         )
     return arch
 

@@ -2,10 +2,9 @@
 
 One table maps every architecture name to everything the stack needs to
 run it: the reference fabric class, the vectorized engine core (if one
-exists), how default energy models are built, and its capabilities
-(analytical closed forms, aliases).  The factory
-(:func:`repro.fabrics.factory.build_fabric`), the engine selector
-(:func:`repro.sim.engine.create_engine`), scenario validation
+exists), how default energy models are built, and its aliases.  The
+factory (:func:`repro.fabrics.factory.build_fabric`), the engine
+selector (:func:`repro.sim.engine.create_engine`), scenario validation
 (:class:`repro.api.Scenario`) and the CLI all resolve architectures
 through this module, so registering a custom fabric makes it a
 first-class citizen everywhere at once:
@@ -66,8 +65,6 @@ class FabricEntry:
         ``models`` is passed; ``None`` for the built-ins (they use the
         session-cached :func:`~repro.fabrics.factory.default_models`).
     aliases: extra accepted spellings of the name.
-    analytical: whether the closed-form estimator backend models this
-        architecture (true only for the paper's four fabrics).
     description: one-line human description (CLI/docs).
     """
 
@@ -76,7 +73,6 @@ class FabricEntry:
     vector_core: type | None = None
     models_factory: Callable | None = None
     aliases: tuple[str, ...] = ()
-    analytical: bool = False
     description: str = ""
 
     @property
@@ -123,7 +119,6 @@ def _ensure_builtins() -> None:
                 CrossbarFabric,
                 vector_core=CrossbarCore,
                 aliases=("xbar",),
-                analytical=True,
                 description="N x N crosspoint matrix",
             ),
             FabricEntry(
@@ -131,14 +126,12 @@ def _ensure_builtins() -> None:
                 FullyConnectedFabric,
                 vector_core=FullyConnectedCore,
                 aliases=("fullyconnected", "fully_conn", "fc", "mux"),
-                analytical=True,
                 description="one N-input MUX per egress port",
             ),
             FabricEntry(
                 "banyan",
                 BanyanFabric,
                 vector_core=BanyanCore,
-                analytical=True,
                 description="self-routing 2x2 switches with node buffers",
             ),
             FabricEntry(
@@ -146,7 +139,6 @@ def _ensure_builtins() -> None:
                 BatcherBanyanFabric,
                 vector_core=BatcherBanyanCore,
                 aliases=("batcher", "batcherbanyan"),
-                analytical=True,
                 description="bitonic sorter in front of a banyan",
             ),
         )
@@ -164,7 +156,6 @@ def register_fabric(
     vector_core: type | None = None,
     models_factory: Callable | None = None,
     aliases: tuple[str, ...] = (),
-    analytical: bool = False,
     description: str = "",
     replace: bool = False,
 ) -> FabricEntry:
@@ -213,7 +204,6 @@ def register_fabric(
             vector_core=vector_core,
             models_factory=models_factory,
             aliases=alias_names,
-            analytical=analytical,
             description=description,
         )
         _REGISTRY[canonical] = entry

@@ -32,6 +32,22 @@ class TestCanonicalNames:
         with pytest.raises(ConfigurationError):
             canonical_architecture("clos")
 
+    def test_custom_fabric_has_no_closed_forms(self):
+        """A registered fabric resolves in the registry, but the
+        estimator refuses it instead of pricing it as a Batcher-Banyan."""
+        from repro.fabrics.crossbar import CrossbarFabric
+        from repro.fabrics.registry import register_fabric, unregister_fabric
+
+        class EstimatorFabric(CrossbarFabric):
+            architecture = "est_custom"
+
+        register_fabric("est_custom", EstimatorFabric)
+        try:
+            with pytest.raises(ConfigurationError, match="closed forms"):
+                estimate_power("est_custom", 4, 0.3)
+        finally:
+            unregister_fabric("est_custom")
+
 
 class TestEstimates:
     def test_breakdown_sums_to_total(self):
