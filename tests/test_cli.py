@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -354,9 +355,22 @@ MALFORMED_SPECS = [
 ]
 
 
+def _spec_id(command: str, text: str | bytes) -> str:
+    """A case's test id from its own bytes: inserting a case renames no
+    other case."""
+    data = text if isinstance(text, bytes) else text.encode()
+    return f"{command}:{hashlib.sha256(data).hexdigest()[:12]}"
+
+
+MALFORMED_SPEC_IDS = [_spec_id(c, t) for c, t in MALFORMED_SPECS]
+
+
+def test_malformed_spec_ids_are_unique():
+    assert len(set(MALFORMED_SPEC_IDS)) == len(MALFORMED_SPECS)
+
+
 @pytest.mark.parametrize(
-    "command, text", MALFORMED_SPECS,
-    ids=[f"{c}:{t[:40]}" for c, t in MALFORMED_SPECS],
+    "command, text", MALFORMED_SPECS, ids=MALFORMED_SPEC_IDS,
 )
 def test_malformed_spec_file_is_a_clean_error(tmp_path, capsys, command,
                                               text):
