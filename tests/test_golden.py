@@ -44,6 +44,11 @@ These tests compare against ``tests/golden/digests.json`` instead:
   and 8 only), four network presets and both control presets, all at
   the 40 + 8 slot window (network and control specs are rebased onto
   it), plus each network's links CSV and each control's SLA CSV;
+* ``full_presets`` — the same exports of every campaign preset at its
+  own ports and window, all the network presets and both control
+  presets, none rebased, so it pins the JSON bytes of the scale
+  presets too.  No tier-1 test computes it (about 30 s); the CI golden
+  step runs this script, which does;
 * ``routing`` — ``route()`` of every network preset in both modes (link
   loads in link order, demand hops and the ingress, egress and active
   vectors, or the error text), ``build_tables()`` of every network
@@ -61,9 +66,10 @@ is then copied into the file by hand, as an explicit, reviewed diff.
 and the sha256 of its canonical record; for ``fig9_csv``, one line per
 row of the CSV export: its architecture, ports and load and the sha256
 of the row; for ``routing``, one line per ``route``, ``tables`` and
-``plan`` entry: its label and the sha256 of its data.  A ``diff`` of
-that output from two checkouts names the scenarios, rows or entries
-that moved.
+``plan`` entry, and for ``preset_exports`` and ``full_presets`` one
+line per export: its label and the sha256 of its data.  A ``diff`` of
+that output from two checkouts names the scenarios, rows, entries or
+exports that moved.
 """
 
 from __future__ import annotations
@@ -505,12 +511,16 @@ def _windowed_campaign(name: str) -> Campaign:
     return campaign
 
 
-def preset_exports_digest() -> str:
+def preset_exports(full: bool = False) -> list[tuple[str, bytes]]:
+    """``(label, export bytes)`` of every export the ``preset_exports``
+    key pins, in digest order; with ``full``, those the ``full_presets``
+    key pins: every campaign preset at its own ports and window, every
+    network preset and both control presets, none rebased."""
     session = PowerModel()
     exports: list[tuple[str, str]] = []
     for name in sorted(PRESET_CAMPAIGNS):
-        record = run_campaign(_windowed_campaign(name), session=session,
-                              workers=1)
+        campaign = get_campaign(name) if full else _windowed_campaign(name)
+        record = run_campaign(campaign, session=session, workers=1)
         exports += [
             (f"campaign {name} csv", record.to_csv()),
             (f"campaign {name} json", record.to_json()),
@@ -518,8 +528,9 @@ def preset_exports_digest() -> str:
             (f"campaign {name} report", render_report(record)),
         ]
     networks = NetworkPowerModel(session)
-    for name in EXPORT_NETWORKS:
-        record = networks.run(_rebase(get_network(name)), workers=1)
+    for name in sorted(NETWORK_PRESETS) if full else EXPORT_NETWORKS:
+        spec = get_network(name)
+        record = networks.run(spec if full else _rebase(spec), workers=1)
         exports += [
             (f"network {name} csv", record.to_csv()),
             (f"network {name} links", record.links_to_csv()),
@@ -530,8 +541,9 @@ def preset_exports_digest() -> str:
     controls = ControlModel(session)
     for name in sorted(CONTROL_PRESETS):
         spec = get_control(name)
-        record = controls.run(spec.replace(network=_rebase(spec.network)),
-                              workers=1)
+        if not full:
+            spec = spec.replace(network=_rebase(spec.network))
+        record = controls.run(spec, workers=1)
         exports += [
             (f"control {name} csv", record.to_csv()),
             (f"control {name} sla", record.sla_to_csv()),
@@ -539,11 +551,7 @@ def preset_exports_digest() -> str:
             (f"control {name} markdown", record.to_markdown()),
             (f"control {name} report", render_control_report(record)),
         ]
-    digest = hashlib.sha256()
-    for label, text in exports:
-        data = text.encode()
-        digest.update(f"{label} {len(data)}\n".encode() + data)
-    return digest.hexdigest()
+    return [(label, text.encode()) for label, text in exports]
 
 
 def _routed(topology, result) -> list:
@@ -607,15 +615,17 @@ def routing_entries() -> list[tuple[str, bytes]]:
     return entries
 
 
-def routing_digest(entries: list[tuple[str, bytes]]) -> str:
+def entries_digest(entries: list[tuple[str, bytes]]) -> str:
+    """sha256 over labelled entries, each framed by its label and
+    length."""
     digest = hashlib.sha256()
     for label, data in entries:
         digest.update(f"{label} {len(data)}\n".encode() + data)
     return digest.hexdigest()
 
 
-def routing_items(entries: list[tuple[str, bytes]]) -> list[str]:
-    """One line per ``routing`` entry: its label, then the sha256 of its
+def entry_items(entries: list[tuple[str, bytes]]) -> list[str]:
+    """One line per labelled entry: its label, then the sha256 of its
     data."""
     return [
         f"{label}  {hashlib.sha256(data).hexdigest()}"
@@ -629,8 +639,9 @@ def current_digests() -> dict[str, str]:
         "cli_transcripts": cli_transcripts_digest(),
         "sweep_transcripts": sweep_transcripts_digest(),
         "spec_hashes": spec_hashes_digest(),
-        "preset_exports": preset_exports_digest(),
-        "routing": routing_digest(routing_entries()),
+        "preset_exports": entries_digest(preset_exports()),
+        "full_presets": entries_digest(preset_exports(full=True)),
+        "routing": entries_digest(routing_entries()),
         **{key: records_digest(key) for key in RECORD_KEYS},
         **fig9_digests(run_fig9()),
     }
@@ -697,8 +708,25 @@ def test_spec_hashes_match_golden(golden):
     assert spec_hashes_digest() == golden["spec_hashes"]
 
 
-def test_preset_exports_match_golden(golden):
-    assert preset_exports_digest() == golden["preset_exports"]
+@pytest.fixture(scope="module")
+def preset_export_list():
+    return preset_exports()
+
+
+def test_preset_export_items_name_every_export(preset_export_list):
+    items = entry_items(preset_export_list)
+    labels = [f"campaign {name} {kind}" for name in sorted(PRESET_CAMPAIGNS)
+              for kind in ("csv", "json", "markdown", "report")]
+    labels += [f"network {name} {kind}" for name in EXPORT_NETWORKS
+               for kind in ("csv", "links", "json", "markdown", "report")]
+    labels += [f"control {name} {kind}" for name in sorted(CONTROL_PRESETS)
+               for kind in ("csv", "sla", "json", "markdown", "report")]
+    assert [line.rsplit(maxsplit=1)[0] for line in items] == labels
+    assert all(len(line.split()[-1]) == 64 for line in items)
+
+
+def test_preset_exports_match_golden(golden, preset_export_list):
+    assert entries_digest(preset_export_list) == golden["preset_exports"]
 
 
 @pytest.fixture(scope="module")
@@ -707,7 +735,7 @@ def routing_entry_list():
 
 
 def test_routing_items_name_every_entry(routing_entry_list):
-    items = routing_items(routing_entry_list)
+    items = entry_items(routing_entry_list)
     labels = [
         f"{kind} {name} {mode}"
         for name in sorted(NETWORK_PRESETS)
@@ -726,24 +754,30 @@ def test_routing_items_name_every_entry(routing_entry_list):
 
 
 def test_routing_matches_golden(golden, routing_entry_list):
-    assert routing_digest(routing_entry_list) == golden["routing"]
+    assert entries_digest(routing_entry_list) == golden["routing"]
 
 
 def main() -> int:
     """Print every key's digest against the committed file; 1 if any
     key changed (or is missing from the file).  With ``--items KEY``,
     print the record key's per-scenario lines (or the fig9 CSV's
-    per-row lines, or the routing key's per-entry lines) instead."""
+    per-row lines, or the per-entry lines of ``routing``,
+    ``preset_exports`` or ``full_presets``) instead."""
+    entry_keys = {
+        "routing": routing_entries,
+        "preset_exports": preset_exports,
+        "full_presets": lambda: preset_exports(full=True),
+    }
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument(
-        "--items", choices=sorted([*RECORD_KEYS, "fig9_csv", "routing"])
+        "--items", choices=sorted([*RECORD_KEYS, "fig9_csv", *entry_keys])
     )
     args = parser.parse_args()
     if args.items == "fig9_csv":
         print("\n".join(fig9_csv_items(run_fig9())))
         return 0
-    if args.items == "routing":
-        print("\n".join(routing_items(routing_entries())))
+    if args.items in entry_keys:
+        print("\n".join(entry_items(entry_keys[args.items]())))
         return 0
     if args.items:
         print("\n".join(record_items(args.items)))
