@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.estimator import AnalyticalPowerEstimate
 from repro.errors import ConfigurationError
+from repro.serial import dumps_indented
 from repro.sim.results import EnergyBreakdown, SimulationResult
 
 from repro.api.scenario import Scenario
@@ -184,9 +184,6 @@ class RunRecord:
             "scenario": self.scenario.to_dict(),
         }
 
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
     def csv_row(self) -> list[Any]:
         flat = self.to_dict()
         return [flat[col] for col in CSV_COLUMNS]
@@ -240,9 +237,9 @@ class RunRecord:
         )
 
 
-def records_to_json(records: Iterable[RunRecord], indent: int = 2) -> str:
+def records_to_json(records: Iterable[RunRecord]) -> str:
     """A JSON report: array of :meth:`RunRecord.to_dict` objects."""
-    return json.dumps([r.to_dict() for r in records], indent=indent)
+    return dumps_indented([r.to_dict() for r in records])
 
 
 def records_to_csv(records: Iterable[RunRecord]) -> str:

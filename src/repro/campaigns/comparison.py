@@ -23,7 +23,6 @@ characterisation dict for Table 1) — is dropped on serialisation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -31,7 +30,9 @@ import numpy as np
 
 from repro.api.scenario import _thaw_value
 from repro.errors import ConfigurationError
-from repro.serial import check_fields, csv_table, markdown_table, parse_json
+from repro.serial import (
+    check_fields, csv_table, dumps_indented, markdown_table, parse_json,
+)
 
 from repro.campaigns.campaign import Campaign
 from repro.resilience.records import FailureRecord
@@ -261,8 +262,8 @@ class ComparisonRecord:
             out["failures"] = [f.to_dict() for f in self.failures]
         return out
 
-    def to_json(self, indent: int = 2, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), indent=indent, **dumps_kwargs)
+    def to_json(self) -> str:
+        return dumps_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Any) -> "ComparisonRecord":

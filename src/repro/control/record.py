@@ -12,11 +12,12 @@ markdown, and a JSON round trip that drops only the runtime ``detail``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.serial import check_fields, csv_table, markdown_table, parse_json
+from repro.serial import (
+    check_fields, csv_table, dumps_indented, markdown_table, parse_json,
+)
 
 from repro.control.spec import ControlSpec
 
@@ -125,8 +126,8 @@ class ControlRecord:
             "totals": dict(self.totals),
         }
 
-    def to_json(self, indent: int = 2, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), indent=indent, **dumps_kwargs)
+    def to_json(self) -> str:
+        return dumps_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Any) -> "ControlRecord":

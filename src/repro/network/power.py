@@ -25,7 +25,6 @@ same scenario a standalone session run would use, so the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any
 
@@ -35,6 +34,7 @@ from repro.serial import (
     check_fields,
     check_scalars,
     csv_table,
+    dumps_indented,
     markdown_table,
     parse_json,
 )
@@ -341,8 +341,8 @@ class NetworkRecord:
             out["failures"] = [f.to_dict() for f in self.failures]
         return out
 
-    def to_json(self, indent: int = 2, **dumps_kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), indent=indent, **dumps_kwargs)
+    def to_json(self) -> str:
+        return dumps_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Any) -> "NetworkRecord":
@@ -400,9 +400,10 @@ class NetworkPowerModel:
         to the standalone scenario a session user would write —
         network runs share :class:`~repro.api.store.RunRecordStore`
         entries with standalone runs, and identically configured
-        routers within one network share one cache entry.  The
-        analytical backend gets the scalar mean (it models one uniform
-        load by construction).
+        routers within one network share one cache entry and one run
+        (a batch runs each distinct scenario once).  The analytical
+        backend gets the scalar mean (it models one uniform load by
+        construction).
 
         One exception to the scalar collapse: a fully idle router under
         ``bursty`` traffic keeps the vector spelling, because the

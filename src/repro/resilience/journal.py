@@ -132,9 +132,6 @@ class CampaignJournal:
             self.skipped_lines += 1
             return None
 
-    def failed_keys(self) -> list[str]:
-        return list(self._failed)
-
     def failures(self) -> list[FailureRecord]:
         return list(self._failed.values())
 

@@ -1,8 +1,9 @@
 """The supervised execution loop behind ``run_batch``.
 
 Every batch — serial, thread pool, or process pool — runs its
-execution units (one per scenario) under a :class:`Supervisor` instead
-of a bare ``future.result()``:
+execution units (one per listed scenario) under a :class:`Supervisor`
+instead of a bare ``future.result()``:
+
 
 * **Retries with degradation.**  A failed attempt walks a two-rung
   ladder that can only get more conservative: the planned engine
@@ -27,7 +28,9 @@ of a bare ``future.result()``:
 * **Checkpointing.**  Completed records land in the
   :class:`~repro.api.store.RunRecordStore` and
   :class:`~repro.resilience.journal.CampaignJournal` *as each unit
-  finishes*, so a kill at any instant loses only in-flight units.
+  finishes*, so a kill at any instant loses only in-flight units.  A
+  scenario listed n times is n units, but its first record serves them
+  all and alone is stored and journaled.
 * **Ctrl-C.**  ``KeyboardInterrupt`` cancels queued futures and shuts
   every pool down instead of hanging in ``f.result()``.
 
@@ -88,16 +91,13 @@ def _worker_run_unit(
 
 @dataclass
 class _UnitTask:
-    """One scenario's execution unit moving through the retry ladder."""
+    """One listing's execution unit moving through the retry ladder."""
 
     unit_id: int
     index: int
     scenario: "Scenario"
+    key: str  # the scenario's content hash
     attempt: int = 1
-
-    def key(self) -> str:
-        """Deterministic jitter/backoff key (the scenario's hash)."""
-        return self.scenario.content_hash()
 
     def stage(self) -> tuple[str | None, str]:
         """``(engine_override, stage_name)`` for the current attempt.
@@ -143,6 +143,7 @@ class Supervisor:
         self.executor = executor
         self.faults = faults
         self.report = report if report is not None else BatchReport()
+        self._done: dict[str, "RunRecord"] = {}  # each hash's first record
 
     # ------------------------------------------------------------------
     # Entry point
@@ -164,7 +165,7 @@ class Supervisor:
         otherwise the final error propagates after pool cleanup.
         """
         tasks = [
-            _UnitTask(i, index, scenario)
+            _UnitTask(i, index, scenario, scenario.content_hash())
             for i, (index, scenario) in enumerate(units)
         ]
         if not tasks:
@@ -188,12 +189,15 @@ class Supervisor:
         store: "RunRecordStore | None",
         journal: "CampaignJournal | None",
     ) -> None:
+        """Fill the slot; store and journal a scenario's first record."""
         (record,) = records
-        results[task.index] = record
-        if store is not None:
-            store.put(record)
-        if journal is not None:
-            journal.record_done(record, attempts=task.attempt)
+        if task.key not in self._done:
+            self._done[task.key] = record
+            if store is not None:
+                store.put(record)
+            if journal is not None:
+                journal.record_done(record, attempts=task.attempt)
+        results[task.index] = self._done[task.key]
 
     def _fail(
         self,
@@ -216,7 +220,7 @@ class Supervisor:
         """Move a retryable task to its next attempt; returns the
         deterministic backoff delay, and tallies retry/degradation."""
         before = task.stage()
-        delay = self.policy.delay_s(task.attempt, task.key())
+        delay = self.policy.delay_s(task.attempt, task.key)
         task.attempt += 1
         self.report.retries += 1
         if task.stage() != before:
@@ -232,6 +236,8 @@ class Supervisor:
     def _run_attempt_inline(self, task: _UnitTask) -> list["RunRecord"]:
         engine, _ = task.stage()
         apply_fault(self.faults, task.unit_id, task.attempt, in_worker=False)
+        if task.key in self._done:
+            return [self._done[task.key]]
         return self.session._run_unit([task.scenario], engine=engine)
 
     # ------------------------------------------------------------------

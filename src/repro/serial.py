@@ -15,8 +15,8 @@ module owns that contract once:
   :func:`parse_json` — the checks a hand-written file goes through,
   shared with the nested coercers and the record classes, so malformed
   input always ends in :class:`~repro.errors.ConfigurationError`;
-* :func:`csv_table` and :func:`markdown_table` — the deterministic table
-  exports of the record classes.
+* :func:`csv_table`, :func:`markdown_table` and :func:`dumps_indented`
+  — the deterministic table and JSON exports of the record classes.
 """
 
 from __future__ import annotations
@@ -227,6 +227,43 @@ class Spec:
     def replace(self: _S, **overrides: Any) -> _S:
         """A copy with some fields swapped (re-validated)."""
         return dataclasses.replace(self, **overrides)
+
+
+def dumps_indented(value: Any) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, but each container
+    of scalars is one call of CPython's C encoder (``indent`` turns it
+    off), whose item separator carries the line break and the indent."""
+    if json.encoder.c_make_encoder is None:
+        return json.dumps(value, indent=2)
+    return _indented(value, "\n")
+
+
+@functools.cache
+def _c_encoder(separator: str) -> Any:
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", separator, False, False, True)
+
+
+def _indented(value: Any, newline: str) -> str:
+    """``value`` as :func:`dumps_indented` writes it after ``newline``."""
+    inner = newline + "  "
+    separator = "," + inner
+    encode = _c_encoder(separator)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return "".join(encode(value, 0))
+    is_dict = isinstance(value, dict)
+    if not any(isinstance(child, (dict, list, tuple))
+               for child in (value.values() if is_dict else value)):
+        body = "".join(encode(value, 0))[1:-1]
+    elif is_dict:  # the C encoder writes each key: '{"key": 0}'
+        body = separator.join(
+            ["".join(encode({k: 0}, 0))[1:-2] + _indented(v, inner)
+             for k, v in value.items()])
+    else:
+        body = separator.join([_indented(v, inner) for v in value])
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + inner + body + newline + closing
 
 
 def _csv_cell(value: Any) -> Any:

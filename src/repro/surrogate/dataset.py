@@ -85,13 +85,6 @@ class SurrogateDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def by_context(self) -> dict[str, list[DatasetRow]]:
-        """Rows grouped by operating context, in key order."""
-        groups: dict[str, list[DatasetRow]] = {}
-        for row in self.rows:
-            groups.setdefault(row.context, []).append(row)
-        return groups
-
 
 def _row_from_cache_dict(key: str, record: Mapping[str, Any]) -> DatasetRow:
     """One streamed cache line -> a training row.

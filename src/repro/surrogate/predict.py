@@ -144,9 +144,6 @@ class SurrogatePredictor:
             )
         return self._fallback(scenario, values, reason or "out of scope")
 
-    def predict_batch(self, scenarios: list[Scenario]) -> list[Prediction]:
-        return [self.predict(s) for s in scenarios]
-
     # ------------------------------------------------------------------
 
     def _fallback(

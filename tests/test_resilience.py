@@ -535,6 +535,86 @@ CAMPAIGN = Campaign(
 )
 
 
+def repeated():
+    """Scenario A listed three times (units 0, 1 and 3) and B once."""
+    a = Scenario("crossbar", 4, 0.3, **SIM_KWARGS)
+    b = Scenario("banyan", 4, 0.3, **SIM_KWARGS)
+    return [a, a, b, a]
+
+
+def jsonl_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestRepeatedScenarios:
+    """A batch runs, stores and journals each distinct scenario once,
+    and every listing of it gets that one record."""
+
+    @pytest.mark.parametrize(
+        "batch",
+        [{}, {"workers": 2, "executor": "thread"},
+         {"workers": 2, "executor": "process"}],
+        ids=["serial", "thread", "process"],
+    )
+    def test_one_line_per_distinct_scenario(self, tmp_path, batch):
+        scenarios = repeated()
+        store = RunRecordStore(tmp_path / "cache.jsonl")
+        journal = CampaignJournal(tmp_path / "journal.jsonl", "camp-1")
+        records = run_batch(scenarios, store=store, journal=journal, **batch)
+        keys = [scenarios[0].content_hash(), scenarios[2].content_hash()]
+        stored = jsonl_lines(tmp_path / "cache.jsonl")
+        assert sorted(line["key"] for line in stored) == sorted(keys)
+        journaled = jsonl_lines(tmp_path / "journal.jsonl")
+        assert sorted((line["key"], line["status"]) for line in journaled) \
+            == sorted((key, "done") for key in keys)
+        assert records[0] == records[1] == records[3]
+        assert records[2].scenario == scenarios[2]
+        assert details(records) == details(run_batch(scenarios))
+
+    def test_serial_batch_runs_each_distinct_scenario_once(self):
+        session = PowerModel()
+        run_unit, ran = session._run_unit, []
+
+        def counted(scenarios, engine=None):
+            ran.extend(scenarios)
+            return run_unit(scenarios, engine=engine)
+
+        session._run_unit = counted
+        scenarios = repeated()
+        session.run_batch(scenarios, workers=1)
+        assert ran == [scenarios[0], scenarios[2]]
+
+    def test_fault_at_a_repeated_listing_still_fires(self):
+        scenarios = repeated()
+        clean = run_batch(scenarios)
+        report = BatchReport()
+        faulty = run_batch(
+            scenarios,
+            retry=FAST,
+            faults=FaultPlan(faults=(Fault("transient", 1),)),
+            report=report,
+        )
+        assert report.retries == 1
+        assert details(faulty) == details(clean)
+
+    def test_failed_first_listing_leaves_one_hole(self):
+        scenarios = repeated()
+        report = BatchReport()
+        records = run_batch(
+            scenarios,
+            retry=FAST.replace(on_failure="record"),
+            faults=FaultPlan(
+                faults=(Fault("transient", 0, attempts=(1, 2, 3)),)
+            ),
+            report=report,
+        )
+        assert records[0] is None
+        assert records[1] is not None and records[1] == records[3]
+        assert records[2] is not None
+        (failure,) = report.failures
+        assert failure.key == scenarios[0].content_hash()
+
+
 class TestCampaignExports:
     def test_recovered_campaign_exports_byte_identical(self):
         clean = run_campaign(CAMPAIGN)

@@ -1,0 +1,86 @@
+"""``repro.serial.dumps_indented`` writes ``json.dumps(value, indent=2)``.
+
+The JSON exports (``records_to_json`` and the ``to_json`` of the
+network, comparison and control records) go through it, and the golden
+keys pin their bytes, so the writer must match ``json.dumps`` on every
+JSON value, not only on the shapes the records have today.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.serial import dumps_indented
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                       1e300, 5e-324])
+    | st.text()
+    | st.sampled_from(["é ü 漢 \U0001f600", '"quoted"', "back\\slash",
+                       "\x00\x07\x1f\n\t\r"])
+)
+
+#: Every key type ``json.dumps`` takes.
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=5),
+    max_leaves=25,
+)
+
+EDGE_CASES = [
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[]]],
+    {"nan": float("nan"), "inf": [float("inf"), float("-inf")]},
+    {1: "int", 2.5: "float", True: "bool", None: "null"},
+    {"rows": [{"x": 1.0, "y": None}, {"x": -0.0, "y": "é"}]},
+    (1, (2, (3,))), 2**70, "plain", None,
+]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+def test_matches_json_dumps(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+def test_edge_cases_match_json_dumps():
+    for value in EDGE_CASES:
+        assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+def test_falls_back_to_json_dumps_without_the_c_encoder(monkeypatch):
+    calls, real_dumps = [], json.dumps
+
+    def dumps(value, **kwargs):
+        calls.append(kwargs)
+        return real_dumps(value, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    monkeypatch.setattr(json, "dumps", dumps)
+    for value in EDGE_CASES:
+        assert dumps_indented(value) == real_dumps(value, indent=2)
+    assert calls == [{"indent": 2}] * len(EDGE_CASES)
+
+
+@pytest.mark.parametrize(
+    "value", [{"a": {1, 2}}, [[object()]], {(1, 2): [1]}],
+    ids=["set", "object", "tuple-key"],
+)
+def test_unserializable_value_raises_like_json_dumps(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as raised:
+        dumps_indented(value)
+    assert str(raised.value) == str(expected.value)
