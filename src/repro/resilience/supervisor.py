@@ -4,7 +4,6 @@ Every batch — serial, thread pool, or process pool — runs its
 execution units (one per listed scenario) under a :class:`Supervisor`
 instead of a bare ``future.result()``:
 
-
 * **Retries with degradation.**  A failed attempt walks a two-rung
   ladder that can only get more conservative: the planned engine
   first (normally the vectorized one), then the object-based reference

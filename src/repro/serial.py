@@ -240,6 +240,8 @@ def dumps_indented(value: Any) -> str:
 
 @functools.cache
 def _c_encoder(separator: str) -> Any:
+    """``json.dumps``' C encoder with ``separator`` between items; it keeps
+    no cycle markers, as no container it writes holds another."""
     return json.encoder.c_make_encoder(
         None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
         None, ": ", separator, False, False, True)
@@ -253,17 +255,20 @@ def _indented(value: Any, newline: str) -> str:
     if not isinstance(value, (dict, list, tuple)) or not value:
         return "".join(encode(value, 0))
     is_dict = isinstance(value, dict)
-    if not any(isinstance(child, (dict, list, tuple))
-               for child in (value.values() if is_dict else value)):
-        body = "".join(encode(value, 0))[1:-1]
-    elif is_dict:  # the C encoder writes each key: '{"key": 0}'
+    for child in value.values() if is_dict else value:
+        if isinstance(child, (dict, list, tuple)):
+            break
+    else:  # a container of scalars: one encoder call
+        text = "".join(encode(value, 0))
+        return f"{text[0]}{inner}{text[1:-1]}{newline}{text[-1]}"
+    if is_dict:  # the C encoder writes each key: '{"key": 0}'
         body = separator.join(
             ["".join(encode({k: 0}, 0))[1:-2] + _indented(v, inner)
              for k, v in value.items()])
     else:
         body = separator.join([_indented(v, inner) for v in value])
     opening, closing = "{}" if is_dict else "[]"
-    return opening + inner + body + newline + closing
+    return f"{opening}{inner}{body}{newline}{closing}"
 
 
 def _csv_cell(value: Any) -> Any:
