@@ -47,8 +47,8 @@ These tests compare against ``tests/golden/digests.json`` instead:
 * ``full_presets`` — the same exports of every campaign preset at its
   own ports and window, all the network presets and both control
   presets, none rebased, so it pins the JSON bytes of the scale
-  presets too.  No tier-1 test computes it (about 30 s); the CI golden
-  step runs this script, which does;
+  presets too.  It runs every preset at full size, so no tier-1 test
+  computes it; the CI golden step runs this script, which does;
 * ``routing`` — ``route()`` of every network preset in both modes (link
   loads in link order, demand hops and the ingress, egress and active
   vectors, or the error text), ``build_tables()`` of every network
