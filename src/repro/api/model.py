@@ -10,8 +10,8 @@ default session, which means old call sites inherit the caching win
 without changes.
 
 Batch execution (:meth:`PowerModel.run_batch`) runs every scenario as
-its own execution unit on the vectorized or reference engine and fans
-the units out over a :mod:`concurrent.futures` pool.  Every scenario
+its own execution unit on the vectorized or reference engine, inline
+or on a process pool.  Every scenario
 carries its own seed and every run owns its fabric/ledger state, so
 results are deterministic and ordering-stable regardless of
 scheduling; the shared caches hold only immutable lookup objects.
@@ -431,7 +431,6 @@ class PowerModel:
         self,
         scenarios: Iterable[Scenario] | Sequence[Scenario],
         workers: int | None = None,
-        executor: str = "thread",
         store: "RunRecordStore | None" = None,
         retry: RetryPolicy | None = None,
         journal: "CampaignJournal | None" = None,
@@ -449,15 +448,11 @@ class PowerModel:
         Parameters
         ----------
         workers:
-            ``None``/1 runs serially; > 1 fans out on a pool.
-        executor:
-            ``"thread"`` (default) shares this session's caches across
-            a thread pool — fine-grained and zero startup cost, but the
-            slot loops contend for the GIL.  ``"process"`` ships each
-            scenario to a :class:`~concurrent.futures.
-            ProcessPoolExecutor` worker (scenarios and records pickle
-            cleanly), which scales CPU-bound simulation fan-out across
-            cores at the price of per-process model caches.
+            ``None``/1 runs inline on this session; > 1 runs a
+            :class:`~concurrent.futures.ProcessPoolExecutor` of that
+            many workers, each with its own model caches (scenarios and
+            records pickle cleanly).  Either way each distinct scenario
+            runs once.
         store:
             Optional :class:`~repro.api.store.RunRecordStore`; scenarios
             whose content hash is already on disk are served from the
@@ -466,9 +461,11 @@ class PowerModel:
         retry:
             Optional :class:`~repro.resilience.RetryPolicy` supervising
             every execution unit: retries with deterministic backoff,
-            per-unit wall-clock timeouts, graceful degradation
-            (vectorized → reference engine; process pool → in-process
-            after repeated pool breaks), and ``on_failure="record"``
+            per-unit wall-clock timeouts (a ``timeout_s`` runs even
+            ``workers=1`` on a one-worker pool), graceful degradation
+            (vectorized → reference engine; process pool → inline,
+            without timeouts, after repeated pool breaks), and
+            ``on_failure="record"``
             (``None`` result slots plus
             :class:`~repro.resilience.FailureRecord` entries in the
             report) instead of raising.  ``None`` keeps the historic
@@ -490,16 +487,14 @@ class PowerModel:
 
         Every scenario carries its own seed and every run owns its
         router/engine state, so results are identical (bit-for-bit)
-        across serial, thread and process execution — and, by the
+        inline and on a pool of any width — and, by the
         degradation ladder's construction, across any sequence of
         recovered faults.
         """
         scenario_list = list(scenarios)
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if executor not in ("thread", "process"):
+        if workers is not None and (type(workers) is not int or workers < 1):
             raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
+                f"workers must be an int >= 1, got {workers!r}"
             )
         if strategy != "vectorized":
             raise ConfigurationError(
@@ -553,7 +548,6 @@ class PowerModel:
                 self,
                 policy,
                 workers=eff_workers,
-                executor=executor,
                 faults=faults,
                 report=report,
             )

@@ -15,8 +15,8 @@ analytical-vs-simulated deltas and CSV/JSON/markdown export:
   :meth:`~Campaign.scenarios` grid.
 * :class:`ComparisonRecord` — the aggregated, exportable result.
 * :func:`run_campaign` — execution through
-  :meth:`~repro.api.PowerModel.run_batch` (parallel executors, JSONL
-  result cache) or the table models.
+  :meth:`~repro.api.PowerModel.run_batch` (inline or a process pool,
+  JSONL result cache) or the table models.
 * :func:`get_campaign` / :data:`PRESET_CAMPAIGNS` — the built-in
   presets (``fig9``, ``fig10``, ``table1``, ``table2``,
   ``fig9_vs_analytical``, the network kinds ``fat_tree_k4_sweep`` and

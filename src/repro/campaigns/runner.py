@@ -6,7 +6,7 @@ through their dedicated models.
 :class:`~repro.campaigns.comparison.ComparisonRecord`.
 
 * Grid campaigns fan their derived scenario grid out over
-  :meth:`repro.api.PowerModel.run_batch` — thread or process executor,
+  :meth:`repro.api.PowerModel.run_batch` — inline or a process pool,
   optional :class:`~repro.api.store.RunRecordStore` JSONL cache — so a
   re-run of an already-measured campaign is served entirely from disk
   (``repro campaign run fig9 --cache records.jsonl`` twice simulates

@@ -40,9 +40,9 @@ Examples
     python -m repro campaign run fig9 --retries 2 --timeout 120 \\
         --journal fig9_journal.jsonl --resume
     python -m repro campaign report table2
-    python -m repro network run fat_tree_k4 --workers 4
+    python -m repro network run fat_tree_k4
     python -m repro network report dumbbell_switchoff
-    python -m repro control run fat_tree_diurnal --workers 4
+    python -m repro control run fat_tree_diurnal
     python -m repro control report dumbbell_sleep_sweep
     python -m repro surrogate train records.jsonl --output model.json
     python -m repro surrogate eval model.json records.jsonl
@@ -101,9 +101,10 @@ def _add_resilience(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-unit wall-clock budget; a unit past its deadline is "
-        "abandoned (thread pool) or its pool killed and respawned "
-        "(process pool) and the attempt counts as a failure",
+        help="per-unit wall-clock budget; the units then run on a "
+        "process pool (one worker at --workers 1), which is killed and "
+        "respawned when a unit passes its deadline, and that attempt "
+        "counts as a failure",
     )
     group.add_argument(
         "--journal",
@@ -136,14 +137,11 @@ def _add_execution(
     """Pool, cache and resilience flags shared by
     batch|campaign|network|control."""
     parser.add_argument(
-        "--workers", type=int, default=1, help="worker-pool width"
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="worker pool kind: threads (shared caches) or processes "
-        "(CPU-bound fan-out across cores)",
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes of the batch's pool (default 1: no "
+        "pool, the units run inline)",
     )
     parser.add_argument(
         "--cache",
@@ -516,7 +514,6 @@ def cmd_batch(args) -> int:
     records = default_session().run_batch(
         scenarios,
         workers=args.workers,
-        executor=args.executor,
         store=store,
         **resilience,
     )
@@ -992,7 +989,6 @@ def _note_ignored(args, subject: str) -> None:
         for flag, given in (
             ("--cache", args.cache),
             ("--workers", args.workers > 1),
-            ("--executor", args.executor != "thread"),
             ("--retries", args.retries is not None),
             ("--timeout", args.timeout is not None),
             ("--journal", args.journal),
@@ -1040,7 +1036,6 @@ def cmd_kind(args) -> int:
         spec,
         args,
         workers=args.workers,
-        executor=args.executor,
         store=store,
         figures=figures,
         **resilience,

@@ -7,7 +7,7 @@ frozen :class:`TrafficMatrix` (per src→dst demand in cells/slot) is
 routed (:func:`route` — deterministic shortest path or ECMP) into
 per-router **per-port load vectors**, each router becomes one
 :class:`~repro.api.Scenario`, the scenarios execute through a shared
-:meth:`repro.api.PowerModel.run_batch` (parallel executors, JSONL
+:meth:`repro.api.PowerModel.run_batch` (inline or a process pool, JSONL
 scenario cache), and the results aggregate into one
 :class:`NetworkRecord` — per-node, per-link, and total power with
 deterministic CSV/JSON/markdown export:

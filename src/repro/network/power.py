@@ -4,7 +4,7 @@
 already provides: routing derives one per-port ingress load vector per
 router, each router becomes one :class:`~repro.api.Scenario`, the
 scenarios execute through a shared :meth:`repro.api.PowerModel.
-run_batch` (thread/process executors, :class:`~repro.api.store.
+run_batch` (inline or a process pool, :class:`~repro.api.store.
 RunRecordStore` JSONL cache), and the :class:`RunRecord` results
 aggregate into one :class:`NetworkRecord` — per-node, per-link, and
 total power, with deterministic CSV/JSON/markdown export mirroring

@@ -11,10 +11,10 @@ alive and its results bit-identical:
   holes).
 * :class:`~repro.resilience.supervisor.Supervisor` — wraps every
   execution unit of :meth:`repro.api.PowerModel.run_batch`: retries
-  transient errors, degrades vectorized → reference engine and
-  process → thread executor on repeated failure, respawns a broken
-  process pool and re-submits only unfinished units, and cancels
-  cleanly on Ctrl-C.
+  transient errors, degrades vectorized → reference engine on
+  repeated failure, respawns a broken process pool and re-submits only
+  unfinished units, runs the rest inline after repeated pool breaks,
+  and cancels cleanly on Ctrl-C.
 * :class:`~repro.resilience.journal.CampaignJournal` — a JSONL
   checkpoint of per-unit outcomes keyed by campaign content hash;
   ``repro campaign run --resume`` replays completed units and re-runs

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a frozen, JSON round-trippable script of
 failures: *which unit*, *which attempt*, *what kind*.  The supervisor
 consults it at the start of every unit attempt (in the parent for
-inline/thread execution, inside the worker process for pool execution),
+inline execution, inside the worker process for pool execution),
 so a test or the chaos CI job can stage a worker crash at unit 3, a
 hang at unit 5, and a transient exception at unit 7 and assert the
 recovered campaign's exports byte-identical to a fault-free run.
@@ -13,13 +13,13 @@ Fault kinds
 ``crash``
     In a process-pool worker: ``os._exit`` — the hard kill an OOM
     killer delivers, surfacing as ``BrokenProcessPool`` in the parent.
-    Inline or on a thread pool (where a real kill would take the whole
-    process down): raises :class:`SimulatedCrash`, which the supervisor
-    treats as retryable.
+    Inline (where a real kill would take the whole process down):
+    raises :class:`SimulatedCrash`, which the supervisor treats as
+    retryable.
 ``hang``
     Sleeps ``hang_s`` before running the unit normally — long enough to
-    trip the policy's per-unit timeout, after which the attempt is
-    abandoned/killed and retried.
+    trip the policy's per-unit timeout, after which the worker is
+    killed and the attempt retried.
 ``transient``
     Raises :class:`TransientFault` — the garden-variety flaky error
     (dropped connection, spurious OS error) retries are for.

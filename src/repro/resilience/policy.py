@@ -10,8 +10,8 @@ byte-identical-exports guarantee leans on.
 
 Retries never change results: a retried unit re-runs the same seeded
 scenario, and every degradation rung the supervisor may pick
-(vectorized, reference engine, thread executor) is bit-identical to the
-planned path by the engine-equivalence contract.
+(vectorized or reference engine, process pool or inline) is
+bit-identical to the planned path by the engine-equivalence contract.
 """
 
 from __future__ import annotations
@@ -47,18 +47,19 @@ class RetryPolicy:
         hash of (unit key, attempt) — deterministic, but decorrelated
         across units so a failed fan-out does not retry in lockstep.
     timeout_s:
-        Per-unit wall-clock budget (``None`` = unbounded).  A unit past
-        its deadline counts as a failed attempt: thread-pool units are
-        abandoned (the result, if it ever lands, is discarded),
-        process-pool units get their pool killed and respawned.
+        Per-unit wall-clock budget (``None`` = unbounded).  Set, it
+        runs even a one-worker batch on a process pool; a unit past its
+        deadline counts as a failed attempt, and its pool is killed and
+        respawned.  Units sent inline after repeated pool breaks (see
+        ``max_pool_respawns``) run without a deadline.
     on_failure:
         ``"raise"`` (default) propagates the final error; ``"record"``
         keeps the batch alive and surfaces the unit as a
         :class:`~repro.resilience.records.FailureRecord` hole.
     max_pool_respawns:
         How many times a broken process pool is respawned (unfinished
-        units re-submitted) before the supervisor degrades the
-        remaining units to in-process execution.
+        units re-submitted) before the supervisor runs the remaining
+        units inline, where timeouts are not enforced.
     """
 
     max_attempts: int = 3

@@ -1,8 +1,10 @@
 """The supervised execution loop behind ``run_batch``.
 
-Every batch — serial, thread pool, or process pool — runs its
-execution units (one per listed scenario) under a :class:`Supervisor`
-instead of a bare ``future.result()``:
+Every batch runs its execution units (one per listed scenario) under a
+:class:`Supervisor`: inline with ``workers=1``, on a
+:class:`~concurrent.futures.ProcessPoolExecutor` with ``workers > 1``
+or a ``timeout_s`` (then even one worker is a pool, so that a hung unit
+can be killed).
 
 * **Retries with degradation.**  A failed attempt walks a two-rung
   ladder that can only get more conservative: the planned engine
@@ -12,47 +14,49 @@ instead of a bare ``future.result()``:
   (:class:`~repro.errors.ReproError`) skip the ladder entirely: bad
   configuration is not a flaky worker.
 * **Pool recovery.**  A worker killed mid-unit (OOM, segfault, the
-  fault plan's ``crash``) breaks the whole
-  :class:`~concurrent.futures.ProcessPoolExecutor`; the supervisor
-  respawns the pool and re-submits only unfinished units.  A unit that
-  *reproducibly* kills its worker cannot burn the batch: after
-  ``max_pool_respawns`` breaks the remaining units degrade to
-  in-process execution, where the same kill surfaces as a retryable
-  exception.
+  fault plan's ``crash``) breaks the whole pool; the supervisor
+  respawns it and re-submits the unfinished units.  A unit that was
+  alone in flight is the one that killed its worker, so it is charged
+  a failed attempt.  A unit that *reproducibly* kills its worker
+  cannot burn the batch: after ``max_pool_respawns`` breaks the
+  remaining units run inline, where the same kill surfaces as a
+  retryable exception and timeouts are no longer enforced.
 * **Timeouts.**  With ``timeout_s`` set, a unit past its deadline is a
-  failed attempt: process pools are killed and respawned (a hung
-  worker holds its slot forever otherwise), thread pools retire the
-  current pool for new submissions and abandon the hung future (its
-  eventual result is discarded).
+  failed attempt: the pool is killed and respawned (a hung worker
+  holds its slot forever otherwise) and the other in-flight units are
+  re-submitted unchanged.
+* **Each distinct scenario once.**  A scenario listed n times is n
+  units, but its first record serves them all and alone is stored and
+  journaled.  On a pool a listing whose scenario is in flight waits
+  for it; once the record exists, the listing is filled in the parent,
+  or sent to a worker as a fault-only attempt when the fault plan
+  scripts a fault for it.
 * **Checkpointing.**  Completed records land in the
   :class:`~repro.api.store.RunRecordStore` and
   :class:`~repro.resilience.journal.CampaignJournal` *as each unit
-  finishes*, so a kill at any instant loses only in-flight units.  A
-  scenario listed n times is n units, but its first record serves them
-  all and alone is stored and journaled.
+  finishes*, so a kill at any instant loses only in-flight units.
 * **Ctrl-C.**  ``KeyboardInterrupt`` cancels queued futures and shuts
-  every pool down instead of hanging in ``f.result()``.
+  the pool down instead of hanging in ``f.result()``.
 
 The supervisor consults the batch's :class:`~repro.resilience.faults.
 FaultPlan` (if any) at the top of every attempt — in the parent for
-inline/thread units, inside the worker for process units — which is
-how the resilience tests and the chaos CI job stage deterministic
-disasters.
+inline units, inside the worker for pooled ones — which is how the
+resilience tests and the chaos CI job stage deterministic disasters.
 """
 
 from __future__ import annotations
 
+import signal
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.resilience.faults import FaultPlan, apply_fault
 from repro.resilience.policy import RetryPolicy
@@ -70,21 +74,39 @@ class UnitTimeout(RuntimeError):
     """A unit exceeded the policy's per-unit wall-clock budget."""
 
 
+def _init_worker() -> None:
+    """Give a pool worker the default signal state.
+
+    A forked worker inherits its parent's signal handlers and wakeup
+    fd: under ``repro serve``, the asyncio loop's.  The SIGTERM that
+    kills a hung worker would then be written to the parent loop's
+    wakeup socket, which reads it as its own shutdown signal, while
+    the worker's inherited handler would keep it alive.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 def _worker_run_unit(
     faults: FaultPlan | None,
     unit_id: int,
     attempt: int,
-    scenario: "Scenario",
+    scenario: "Scenario | None",
     engine: str | None,
 ) -> list["RunRecord"]:
     """Top-level process-pool unit runner (pickles cleanly).
 
     Installs nothing globally: the fault plan rides along as an
-    argument and fires (or not) for exactly this (unit, attempt).
+    argument and fires (or not) for exactly this (unit, attempt).  A
+    ``None`` scenario is a fault-only attempt: the parent already holds
+    the record, so none is returned.
     """
     from repro.api.model import default_session
 
     apply_fault(faults, unit_id, attempt, in_worker=True)
+    if scenario is None:
+        return []
     return default_session()._run_unit([scenario], engine=engine)
 
 
@@ -117,9 +139,9 @@ class Supervisor:
     ----------
     session:
         The :class:`~repro.api.PowerModel` whose units are being run
-        (in-process attempts execute against it directly; process-pool
-        attempts run in each worker's default session).
-    policy / workers / executor / faults:
+        (inline attempts execute against it directly; pooled attempts
+        run in each worker's default session).
+    policy / workers / faults:
         See :meth:`repro.api.PowerModel.run_batch`.
     report:
         The :class:`BatchReport` tally to accumulate into (a fresh one
@@ -132,14 +154,12 @@ class Supervisor:
         session: "PowerModel",
         policy: RetryPolicy,
         workers: int | None = None,
-        executor: str = "thread",
         faults: FaultPlan | None = None,
         report: BatchReport | None = None,
     ) -> None:
         self.session = session
         self.policy = policy
-        self.workers = workers
-        self.executor = executor
+        self.workers = workers or 1
         self.faults = faults
         self.report = report if report is not None else BatchReport()
         self._done: dict[str, "RunRecord"] = {}  # each hash's first record
@@ -167,11 +187,7 @@ class Supervisor:
             _UnitTask(i, index, scenario, scenario.content_hash())
             for i, (index, scenario) in enumerate(units)
         ]
-        if not tasks:
-            return
-        workers = self.workers or 1
-        pooled = workers > 1 or self.policy.timeout_s is not None
-        if pooled:
+        if self.workers > 1 or self.policy.timeout_s is not None:
             self._run_pooled(tasks, results, store, journal)
         else:
             self._run_serial(tasks, results, store, journal)
@@ -188,9 +204,11 @@ class Supervisor:
         store: "RunRecordStore | None",
         journal: "CampaignJournal | None",
     ) -> None:
-        """Fill the slot; store and journal a scenario's first record."""
-        (record,) = records
+        """Fill the slot; store and journal a scenario's first record.
+
+        ``records`` is empty when the scenario already has one."""
         if task.key not in self._done:
+            (record,) = records
             self._done[task.key] = record
             if store is not None:
                 store.put(record)
@@ -232,15 +250,22 @@ class Supervisor:
             and task.attempt < self.policy.max_attempts
         )
 
+    def _faulted(self, task: _UnitTask) -> bool:
+        """Whether the fault plan scripts a fault for this attempt."""
+        return (
+            self.faults is not None
+            and self.faults.fault_for(task.unit_id, task.attempt) is not None
+        )
+
     def _run_attempt_inline(self, task: _UnitTask) -> list["RunRecord"]:
         engine, _ = task.stage()
         apply_fault(self.faults, task.unit_id, task.attempt, in_worker=False)
         if task.key in self._done:
-            return [self._done[task.key]]
+            return []
         return self.session._run_unit([task.scenario], engine=engine)
 
     # ------------------------------------------------------------------
-    # Serial path (no pool, no timeout enforcement needed)
+    # Serial path (no pool, no timeout enforcement)
     # ------------------------------------------------------------------
 
     def _run_serial(
@@ -267,17 +292,16 @@ class Supervisor:
                     break
 
     # ------------------------------------------------------------------
-    # Pooled path (thread/process executors, timeouts, pool recovery)
+    # Pooled path (process pool, timeouts, pool recovery)
     # ------------------------------------------------------------------
 
-    def _new_pool(self, kind: str):
-        workers = self.workers or 1
-        if kind == "process":
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers)
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_init_worker
+        )
 
     @staticmethod
-    def _kill_pool(pool) -> None:
+    def _kill_pool(pool: ProcessPoolExecutor) -> None:
         """Hard-stop a process pool whose workers may be hung.
 
         ``shutdown`` alone would wait forever on a hung worker, so the
@@ -298,24 +322,22 @@ class Supervisor:
 
     def _submit(
         self,
-        pool,
-        kind: str,
+        pool: ProcessPoolExecutor,
         task: _UnitTask,
         futures: dict[Future, _UnitTask],
         deadlines: dict[Future, float],
     ) -> None:
+        """Send one attempt to the pool: a fault-only one when the
+        scenario already has its record."""
         engine, _ = task.stage()
-        if kind == "process":
-            future = pool.submit(
-                _worker_run_unit,
-                self.faults,
-                task.unit_id,
-                task.attempt,
-                task.scenario,
-                engine,
-            )
-        else:
-            future = pool.submit(self._run_attempt_inline, task)
+        future = pool.submit(
+            _worker_run_unit,
+            self.faults,
+            task.unit_id,
+            task.attempt,
+            None if task.key in self._done else task.scenario,
+            engine,
+        )
         futures[future] = task
         if self.policy.timeout_s is not None:
             deadlines[future] = time.monotonic() + self.policy.timeout_s
@@ -327,10 +349,7 @@ class Supervisor:
         store: "RunRecordStore | None",
         journal: "CampaignJournal | None",
     ) -> None:
-        kind = self.executor
-        workers = self.workers or 1
-        pool = self._new_pool(kind)
-        retired: list[Any] = []
+        pool = self._new_pool()
         futures: dict[Future, _UnitTask] = {}
         deadlines: dict[Future, float] = {}
         #: Tasks awaiting a pool slot.  In-flight submissions are
@@ -339,158 +358,113 @@ class Supervisor:
         pending: list[_UnitTask] = list(tasks)
         #: (not-before monotonic time, task) backoff queue.
         retry_queue: list[tuple[float, _UnitTask]] = []
-        crash_breaks = 0
+        #: What is left for the inline path once the pool has broken
+        #: more than ``max_pool_respawns`` times.
+        leftover: list[_UnitTask] = []
+        breaks = 0
 
-        def handle_break() -> None:
-            """A worker died (OOM-style): every outstanding future on
-            this pool is doomed.  Move unfinished units back to pending
-            and respawn; after ``max_pool_respawns`` crash-breaks the
-            batch degrades to in-process execution, where a
-            reproducible killer surfaces as a retryable exception
-            instead of a dead pool."""
-            nonlocal pool, kind, crash_breaks
-            pending.extend(
-                t for t in futures.values() if t is not None
-            )
-            futures.clear()
-            deadlines.clear()
-            crash_breaks += 1
-            self.report.pool_respawns += 1
-            self._kill_pool(pool)
-            if (
-                kind == "process"
-                and crash_breaks > self.policy.max_pool_respawns
-            ):
-                kind = "thread"
-                self.report.degradations += 1
-            pool = self._new_pool(kind)
-
-        def charge_timeout(task: _UnitTask) -> None:
-            timeout_exc = UnitTimeout(
-                f"unit {task.unit_id} exceeded "
-                f"{self.policy.timeout_s}s (attempt {task.attempt})"
-            )
-            if self._retryable(task, timeout_exc):
+        def retry_or_fail(task: _UnitTask, exc: BaseException) -> None:
+            if self._retryable(task, exc):
                 delay = self._advance(task)
                 retry_queue.append((time.monotonic() + delay, task))
             else:
-                self._fail(task, timeout_exc, journal)
+                self._fail(task, exc, journal)
+
+        def respawn(charged: list[tuple[_UnitTask, BaseException]]) -> None:
+            """Kill the pool and start a new one: the ``charged`` tasks
+            count a failed attempt, every other in-flight task goes back
+            to pending unchanged."""
+            nonlocal pool
+            culprits = [task for task, _ in charged]
+            pending[:0] = [t for t in futures.values() if t not in culprits]
+            futures.clear()
+            deadlines.clear()
+            self.report.pool_respawns += 1
+            self._kill_pool(pool)
+            pool = self._new_pool()
+            for task, exc in charged:
+                retry_or_fail(task, exc)
 
         try:
             while futures or retry_queue or pending:
+                if breaks > self.policy.max_pool_respawns:
+                    self.report.degradations += 1
+                    leftover = pending + [t for _, t in retry_queue]
+                    break
                 now = time.monotonic()
-                due = [t for nb, t in retry_queue if nb <= now]
-                retry_queue = [
-                    (nb, t) for nb, t in retry_queue if nb > now
-                ]
-                pending = due + pending
-                while pending and len(futures) < workers:
+                pending[:0] = [t for nb, t in retry_queue if nb <= now]
+                retry_queue = [(nb, t) for nb, t in retry_queue if nb > now]
+                running = {t.key for t in futures.values()}
+                waiting: list[_UnitTask] = []
+                while pending and len(futures) < self.workers:
                     task = pending.pop(0)
+                    if task.key in self._done and not self._faulted(task):
+                        self._complete(task, [], results, store, journal)
+                        continue
+                    if task.key not in self._done:
+                        if task.key in running:
+                            waiting.append(task)  # its scenario is in flight
+                            continue
+                        running.add(task.key)
                     try:
-                        self._submit(pool, kind, task, futures, deadlines)
+                        self._submit(pool, task, futures, deadlines)
                     except BrokenProcessPool:
-                        # Broke between completions; recover and retry
+                        # Broke between completions: recover and retry
                         # the submission on the fresh pool.
                         pending.insert(0, task)
-                        handle_break()
+                        respawn([])
+                        breaks += 1
+                        break
+                pending[:0] = waiting
                 if not futures:
                     if retry_queue and not pending:
                         next_release = min(nb for nb, _ in retry_queue)
                         time.sleep(max(0.0, next_release - now))
                     continue
-                wait_timeout = None
-                events = list(deadlines.values()) + [
-                    nb for nb, _ in retry_queue
-                ]
-                if events:
-                    wait_timeout = max(0.0, min(events) - now)
+                events = [*deadlines.values(), *(nb for nb, _ in retry_queue)]
                 done, _ = wait(
-                    set(futures),
-                    timeout=wait_timeout,
+                    futures,
+                    timeout=max(0.0, min(events) - now) if events else None,
                     return_when=FIRST_COMPLETED,
                 )
-                pool_broke = False
                 for future in done:
-                    task = futures.pop(future, None)
+                    task = futures.pop(future)
                     deadlines.pop(future, None)
-                    if task is None:  # abandoned (timed out earlier)
-                        continue
                     try:
                         records = future.result()
-                    except BrokenProcessPool:
-                        pending.insert(0, task)
-                        handle_break()
-                        pool_broke = True
+                    except BrokenProcessPool as exc:
+                        if futures:  # any in-flight unit may be the killer
+                            pending.insert(0, task)
+                            respawn([])
+                        else:  # alone in flight, the task killed its worker
+                            respawn([(task, exc)])
+                        breaks += 1
                         break
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BaseException as exc:
-                        if self._retryable(task, exc):
-                            delay = self._advance(task)
-                            retry_queue.append(
-                                (time.monotonic() + delay, task)
-                            )
-                        else:
-                            self._fail(task, exc, journal)
+                        retry_or_fail(task, exc)
                     else:
-                        self._complete(
-                            task, records, results, store, journal
-                        )
-                if pool_broke or done:
+                        self._complete(task, records, results, store, journal)
+                if done:
                     continue
-                # wait() timed out: handle units past their deadline.
+                # wait() timed out: charge the units past their deadline.
                 now = time.monotonic()
                 overdue = [
-                    (f, t)
+                    t
                     for f, t in futures.items()
                     if deadlines.get(f, float("inf")) <= now
                 ]
-                if not overdue:
-                    continue
-                self.report.timeouts += len(overdue)
-                if kind == "process":
-                    # Hung workers hold their slots until killed: take
-                    # the pool down, charge the overdue units a failed
-                    # attempt, re-queue the innocent in-flight ones
-                    # unchanged.
-                    innocent = [
-                        t
-                        for f, t in futures.items()
-                        if (f, t) not in overdue
-                    ]
-                    futures.clear()
-                    deadlines.clear()
-                    self.report.pool_respawns += 1
-                    self._kill_pool(pool)
-                    pool = self._new_pool(kind)
-                    pending[:0] = innocent
-                    for _, task in overdue:
-                        charge_timeout(task)
-                else:
-                    # Thread workers cannot be killed: abandon the hung
-                    # futures entirely (their eventual results are
-                    # discarded; the retired pool keeps the thread
-                    # alive) and retire the pool for new submissions so
-                    # the stuck threads cannot starve retries.
-                    for future, task in overdue:
-                        futures.pop(future, None)
-                        deadlines.pop(future, None)
-                        charge_timeout(task)
-                    retired.append(pool)
-                    pool = self._new_pool(kind)
-        except BaseException:
-            # Ctrl-C (or a policy-raised failure): cancel everything
-            # still queued and shut the pools down instead of hanging.
-            for future in list(futures):
-                future.cancel()
-            raise
+                if overdue:
+                    self.report.timeouts += len(overdue)
+                    respawn([
+                        (task, UnitTimeout(
+                            f"unit {task.unit_id} exceeded "
+                            f"{self.policy.timeout_s}s "
+                            f"(attempt {task.attempt})"
+                        ))
+                        for task in overdue
+                    ])
         finally:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-            for old in retired:
-                try:
-                    old.shutdown(wait=False, cancel_futures=True)
-                except Exception:  # pragma: no cover
-                    pass
+            pool.shutdown(wait=False, cancel_futures=True)
+        self._run_serial(leftover, results, store, journal)

@@ -4,7 +4,7 @@ Runs each user path below in a fresh Python process under
 ``sys.setprofile`` and ``threading.setprofile``, keeps the code objects
 it calls, and matches them to the function definitions ``ast`` finds
 under ``src/repro`` (a code object's first line is its first
-decorator's).  Pool workers forked by ``--executor process`` are traced
+decorator's).  Pool workers forked by ``--workers N`` are traced
 too.  It prints every function no path called as
 ``file:line name lines``, sorted, with each file's total after its
 functions and the overall total last.  A function nested in an
@@ -121,8 +121,8 @@ def chains(tmp: Path) -> list[list[tuple[str, list[str]]]]:
             ("campaign-list", repro("campaign", "list")),
             ("fig9-cold", repro(
                 "campaign", "run", "fig9", "--workers", "2",
-                "--executor", "process", *fig9_cache, "--csv",
-                t("fig9.csv"), "--json", t("fig9.json"))),
+                *fig9_cache, "--csv", t("fig9.csv"), "--json",
+                t("fig9.json"))),
             ("fig9-warm", repro("campaign", "run", "fig9", *fig9_cache)),
             ("surrogate-train", repro(
                 "surrogate", "train", t("campaign.jsonl"),
@@ -157,9 +157,8 @@ def chains(tmp: Path) -> list[list[tuple[str, list[str]]]]:
         ],
         [
             ("batch-cache-cold", repro(
-                "batch", scenarios, "--workers", "2", "--executor",
-                "process", "--cache", t("records.jsonl"), "--format",
-                "table")),
+                "batch", scenarios, "--workers", "2", "--cache",
+                t("records.jsonl"), "--format", "table")),
             ("batch-cache-warm", repro(
                 "batch", scenarios, "--cache", t("records.jsonl"))),
         ],

@@ -25,9 +25,7 @@ class TestProcessExecutor:
     def test_process_pool_equals_serial(self):
         scenarios = small_grid()
         serial = PowerModel().run_batch(scenarios, workers=1)
-        procs = PowerModel().run_batch(
-            scenarios, workers=2, executor="process"
-        )
+        procs = PowerModel().run_batch(scenarios, workers=2)
         assert [r.detail for r in serial] == [r.detail for r in procs]
         assert [r.name for r in serial] == [r.name for r in procs]
 
@@ -37,20 +35,8 @@ class TestProcessExecutor:
             Scenario("banyan", 4, 0.3, backend="simulate", name="sim",
                      **SIM_KWARGS),
         ]
-        records = run_batch(scenarios, workers=2, executor="process")
+        records = run_batch(scenarios, workers=2)
         assert [r.backend for r in records] == ["estimate", "simulate"]
-
-    def test_bad_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            PowerModel().run_batch(
-                [Scenario("crossbar", 4, 0.2)], workers=2, executor="fiber"
-            )
-
-    def test_thread_default_still_works(self):
-        scenarios = small_grid()
-        a = PowerModel().run_batch(scenarios, workers=2, executor="thread")
-        b = PowerModel().run_batch(scenarios, workers=1)
-        assert [r.detail for r in a] == [r.detail for r in b]
 
 
 class TestContentHash:
@@ -153,8 +139,7 @@ class TestRunRecordStore:
         path = tmp_path / "cache.jsonl"
         scenarios = small_grid()
         records = PowerModel().run_batch(
-            scenarios, workers=2, executor="process",
-            store=RunRecordStore(path),
+            scenarios, workers=2, store=RunRecordStore(path),
         )
         assert len(RunRecordStore(path)) == len(scenarios)
         cached = PowerModel().run_batch(scenarios, store=RunRecordStore(path))

@@ -131,8 +131,11 @@ class TestBatch:
         assert session.run_batch([]) == []
 
     def test_bad_workers(self, session):
-        with pytest.raises(ConfigurationError):
-            session.run_batch([Scenario("crossbar", 4, 0.2)], workers=0)
+        # An int >= 1 only: a bool, a float or a string is no width.
+        for workers in (0, True, 2.0, 2.5, "2"):
+            with pytest.raises(ConfigurationError, match="workers"):
+                session.run_batch([Scenario("crossbar", 4, 0.2)],
+                                  workers=workers)
 
     def test_reports(self, session):
         records = session.run_batch(

@@ -1,8 +1,8 @@
 """The batch options reach ``PowerModel.run_batch`` unchanged.
 
 ``PowerModel.run_batch`` is the one signature that names the batch
-options (``workers``, ``executor``, ``store``, ``retry``, ``journal``,
-``faults`` and ``report``); the campaign, network and control layers
+options (``workers``, ``store``, ``retry``, ``journal``, ``faults`` and
+``report``); the campaign, network and control layers
 above it pass them on.  Every entry point is driven here on a session
 that records the keywords of each ``run_batch`` call:
 
@@ -40,8 +40,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 
-OPTIONS = ("workers", "executor", "store", "retry", "journal", "faults",
-           "report")
+OPTIONS = ("workers", "store", "retry", "journal", "faults", "report")
 
 #: Real retries, negligible backoff, failures recorded as holes.
 RECORD = RetryPolicy(max_attempts=2, backoff_s=0.001, on_failure="record")
@@ -150,10 +149,9 @@ def session(monkeypatch):
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_every_call_receives_the_callers_options(entry, session, tmp_path):
-    # workers=1 runs inline, so the process executor starts no pool.
+    # workers=1 runs inline, so no pool starts.
     options = dict(
         workers=1,
-        executor="process",
         store=RunRecordStore(tmp_path / "records.jsonl"),
         retry=RECORD,
         journal=CampaignJournal(tmp_path / "journal.jsonl", "opts"),
@@ -165,7 +163,6 @@ def test_every_call_receives_the_callers_options(entry, session, tmp_path):
     for call in session.calls:
         assert sorted(call) == sorted(OPTIONS)
         assert call["workers"] == 1
-        assert call["executor"] == "process"
         for name in ("store", "journal", "faults", "report"):
             assert call[name] is options[name], name
         if entry in CONTROL_PATHS:
@@ -197,6 +194,15 @@ def test_surrogate_eval_carries_a_recorded_failure(session, pass_report):
 def test_misspelt_option_raises_type_error(entry, session):
     with pytest.raises(TypeError, match="'worker'"):
         ENTRY_POINTS[entry](session, worker=2)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_executor_is_not_an_option(entry, session):
+    # Above one worker every batch runs on a process pool.
+    with pytest.raises(TypeError, match="'executor'"):
+        ENTRY_POINTS[entry](session, executor="process")
+    with pytest.raises(TypeError, match="'executor'"):
+        session.run_batch(GRID.scenarios(), executor="process")
 
 
 def test_misspelt_option_raises_on_a_table_campaign():

@@ -6,8 +6,13 @@ store lines produces results (and exports) byte-identical to a
 fault-free run.
 """
 
+import asyncio
 import dataclasses
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -16,6 +21,7 @@ from repro.api.figstore import DerivedRecordStore
 from repro.api.jsonl import quarantine_path, stamp_entry
 from repro.campaigns import Campaign, run_campaign
 from repro.errors import ConfigurationError
+from repro.network import get_network, run_network
 from repro.resilience import (
     BatchReport,
     CampaignJournal,
@@ -260,7 +266,6 @@ class TestProcessCrash:
         faulty = run_batch(
             scenarios,
             workers=2,
-            executor="process",
             retry=FAST,
             faults=faults,
             report=report,
@@ -269,21 +274,22 @@ class TestProcessCrash:
         assert report.pool_respawns >= 1
         assert not report.failures
 
-    def test_crash_on_thread_pool_is_retryable(self):
+    def test_degrades_inline_after_max_pool_respawns(self):
+        # With no respawn allowed, the first break sends the rest of the
+        # batch inline, where the crash raises a retryable exception.
         scenarios = grid()
         clean = run_batch(scenarios)
-        faults = FaultPlan(faults=(Fault("crash", 0),))
         report = BatchReport()
         faulty = run_batch(
             scenarios,
             workers=2,
-            executor="thread",
-            retry=FAST,
-            faults=faults,
+            retry=FAST.replace(max_pool_respawns=0),
+            faults=FaultPlan(faults=(Fault("crash", 1),)),
             report=report,
         )
         assert details(faulty) == details(clean)
-        assert report.retries >= 1
+        assert report.pool_respawns == 1
+        assert not report.failures
 
 
 class TestKeyboardInterrupt:
@@ -297,15 +303,57 @@ class TestKeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             session.run_batch(grid(), retry=FAST)
 
-    def test_pooled_interrupt_propagates(self):
-        session = PowerModel()
-
-        def interrupted(scenarios, engine=None):
+    def test_pooled_interrupt_propagates(self, monkeypatch):
+        # Ctrl-C reaches the parent while it waits on its workers.
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        session._run_unit = interrupted
+        monkeypatch.setattr("repro.resilience.supervisor.wait", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            session.run_batch(grid(), workers=2, retry=FAST)
+            PowerModel().run_batch(grid(), workers=2, retry=FAST)
+        assert not joined_children()
+
+
+def joined_children(timeout=10.0):
+    """The child processes still running after up to ``timeout`` s.
+
+    ``active_children()`` joins each finished child; it is polled rather
+    than each child joined, because a pool's own thread may reap one
+    between the join's wait and its status check."""
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return multiprocessing.active_children()
+
+
+class TestWorkerSignals:
+    def test_killed_worker_stays_inside_the_pool(self):
+        """``repro serve`` runs its fallback batches under an asyncio
+        loop that handles SIGINT and SIGTERM.  Killing a hung worker
+        must neither reach that loop nor leave the worker alive."""
+        scenario = Scenario("crossbar", 4, 0.3, **SIM_KWARGS)
+        faults = FaultPlan(faults=(Fault("hang", 0, hang_s=30.0),))
+
+        async def serve_shaped():
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                loop.add_signal_handler(sig, stop.set)
+            try:
+                records = PowerModel().run_batch(
+                    [scenario], retry=FAST.replace(timeout_s=0.5),
+                    faults=faults,
+                )
+                await asyncio.sleep(0.2)  # a stray signal lands here
+                return records, stop.is_set()
+            finally:
+                for sig in (signal.SIGINT, signal.SIGTERM):
+                    loop.remove_signal_handler(sig)
+
+        records, stopped = asyncio.run(serve_shaped())
+        assert details(records) == details(run_batch([scenario]))
+        assert not stopped
+        assert not joined_children()
 
 
 class TestStoreHardening:
@@ -551,10 +599,7 @@ class TestRepeatedScenarios:
     and every listing of it gets that one record."""
 
     @pytest.mark.parametrize(
-        "batch",
-        [{}, {"workers": 2, "executor": "thread"},
-         {"workers": 2, "executor": "process"}],
-        ids=["serial", "thread", "process"],
+        "batch", [{}, {"workers": 2}], ids=["serial", "process"],
     )
     def test_one_line_per_distinct_scenario(self, tmp_path, batch):
         scenarios = repeated()
@@ -583,6 +628,47 @@ class TestRepeatedScenarios:
         scenarios = repeated()
         session.run_batch(scenarios, workers=1)
         assert ran == [scenarios[0], scenarios[2]]
+
+    @pytest.mark.parametrize("run, calls", [
+        (lambda store: run_batch(repeated(), workers=2, store=store), 2),
+        (lambda store: run_network(get_network("fat_tree_k4"), workers=2,
+                                   store=store), 3),
+    ], ids=["repeated", "fat_tree_k4"])
+    def test_pool_simulates_each_distinct_scenario_once(
+        self, tmp_path, monkeypatch, run, calls
+    ):
+        # The forked workers inherit the wrapper, which logs each call's
+        # process id and scenario.
+        log = tmp_path / "simulate.log"
+        simulate = PowerModel.simulate
+
+        def logged(self, scenario, engine=None):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {scenario.content_hash()}\n")
+            return simulate(self, scenario, engine=engine)
+
+        monkeypatch.setattr(PowerModel, "simulate", logged)
+        run(RunRecordStore(tmp_path / "cache.jsonl"))
+        lines = [line.split() for line in log.read_text().splitlines()]
+        assert len(lines) == calls
+        assert len({key for _, key in lines}) == calls
+        assert str(os.getpid()) not in {pid for pid, _ in lines}
+        assert len(jsonl_lines(tmp_path / "cache.jsonl")) == calls
+
+    def test_crash_at_a_repeated_listing_breaks_the_pool(self):
+        # Unit 1 repeats unit 0's scenario: its attempt goes to a worker
+        # with the fault alone, and the crash kills that worker.
+        scenarios = repeated()
+        report = BatchReport()
+        faulty = run_batch(
+            scenarios,
+            workers=2,
+            retry=FAST,
+            faults=FaultPlan(faults=(Fault("crash", 1),)),
+            report=report,
+        )
+        assert report.pool_respawns >= 1
+        assert details(faulty) == details(run_batch(scenarios))
 
     def test_fault_at_a_repeated_listing_still_fires(self):
         scenarios = repeated()
