@@ -392,8 +392,11 @@ class Supervisor:
                     leftover = pending + [t for _, t in retry_queue]
                     break
                 now = time.monotonic()
-                pending[:0] = [t for nb, t in retry_queue if nb <= now]
-                retry_queue = [(nb, t) for nb, t in retry_queue if nb > now]
+                due = [t for nb, t in retry_queue if nb <= now]
+                retry_queue = [
+                    (nb, t) for nb, t in retry_queue if nb > now
+                ]
+                pending[:0] = due
                 running = {t.key for t in futures.values()}
                 waiting: list[_UnitTask] = []
                 while pending and len(futures) < self.workers:
@@ -421,10 +424,15 @@ class Supervisor:
                         next_release = min(nb for nb, _ in retry_queue)
                         time.sleep(max(0.0, next_release - now))
                     continue
-                events = [*deadlines.values(), *(nb for nb, _ in retry_queue)]
+                wait_timeout = None
+                events = list(deadlines.values()) + [
+                    nb for nb, _ in retry_queue
+                ]
+                if events:
+                    wait_timeout = max(0.0, min(events) - now)
                 done, _ = wait(
-                    futures,
-                    timeout=max(0.0, min(events) - now) if events else None,
+                    set(futures),
+                    timeout=wait_timeout,
                     return_when=FIRST_COMPLETED,
                 )
                 for future in done:
@@ -466,5 +474,8 @@ class Supervisor:
                         for task in overdue
                     ])
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+            try:
+                pool.shutdown(wait=False, cancel_futures=True)
+            except Exception:  # pragma: no cover - best-effort cleanup
+                pass
         self._run_serial(leftover, results, store, journal)
