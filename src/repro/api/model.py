@@ -11,10 +11,10 @@ without changes.
 
 Batch execution (:meth:`PowerModel.run_batch`) runs every scenario as
 its own execution unit on the vectorized or reference engine, inline
-or on a process pool.  Every scenario
-carries its own seed and every run owns its fabric/ledger state, so
-results are deterministic and ordering-stable regardless of
-scheduling; the shared caches hold only immutable lookup objects.
+or on a process pool.  Every scenario carries its own seed and every
+run owns its fabric/ledger state, so results are deterministic and
+ordering-stable regardless of scheduling; the shared caches hold only
+immutable lookup objects.
 """
 
 from __future__ import annotations
@@ -465,8 +465,7 @@ class PowerModel:
             ``workers=1`` on a one-worker pool), graceful degradation
             (vectorized → reference engine; process pool → inline,
             without timeouts, after repeated pool breaks), and
-            ``on_failure="record"``
-            (``None`` result slots plus
+            ``on_failure="record"`` (``None`` result slots plus
             :class:`~repro.resilience.FailureRecord` entries in the
             report) instead of raising.  ``None`` keeps the historic
             fail-fast behaviour (single attempt, first error raises).

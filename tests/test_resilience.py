@@ -684,21 +684,25 @@ class TestRepeatedScenarios:
         assert details(faulty) == details(clean)
 
     def test_failed_first_listing_leaves_one_hole(self):
+        # On the pool, units 1 and 3 wait for unit 0, and unit 1 runs
+        # the scenario once unit 0 has failed for good.
         scenarios = repeated()
-        report = BatchReport()
-        records = run_batch(
-            scenarios,
-            retry=FAST.replace(on_failure="record"),
-            faults=FaultPlan(
-                faults=(Fault("transient", 0, attempts=(1, 2, 3)),)
-            ),
-            report=report,
-        )
-        assert records[0] is None
-        assert records[1] is not None and records[1] == records[3]
-        assert records[2] is not None
-        (failure,) = report.failures
-        assert failure.key == scenarios[0].content_hash()
+        for batch in ({}, {"workers": 2}):
+            report = BatchReport()
+            records = run_batch(
+                scenarios,
+                retry=FAST.replace(on_failure="record"),
+                faults=FaultPlan(
+                    faults=(Fault("transient", 0, attempts=(1, 2, 3)),)
+                ),
+                report=report,
+                **batch,
+            )
+            assert records[0] is None
+            assert records[1] is not None and records[1] == records[3]
+            assert records[2] is not None
+            (failure,) = report.failures
+            assert failure.key == scenarios[0].content_hash()
 
 
 class TestCampaignExports:
