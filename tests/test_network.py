@@ -31,6 +31,7 @@ from repro.cli import main
 from repro.control import cable_key, optimize_routing
 from repro.errors import ConfigurationError
 from repro.network import (
+    LINK_COLUMNS,
     Demand,
     Link,
     NetworkPowerModel,
@@ -767,6 +768,54 @@ class TestNetworkPower:
             + record.totals["port_power_w"]
             + 0.04
         )
+
+    def test_link_rows_exact_with_one_way_cable_and_switch_off(self):
+        # a <-> b is a two-way cable whose reverse link b -> a is idle;
+        # b -> c is a one-way cable (one direction carries its ports'
+        # power alone); c <-> d is an idle cable whose ports switch off.
+        topo = NetworkTopology(
+            name="exact",
+            nodes=[RouterNode("a", 3), RouterNode("b", 3),
+                   RouterNode("c", 3), RouterNode("d", 2)],
+            links=[Link("a", "b", length_m=1000.0),
+                   Link("b", "a", length_m=1000.0),
+                   Link("b", "c", length_m=500.0),
+                   Link("c", "d"), Link("d", "c")],
+        )
+        spec = NetworkSpec(
+            name="exact",
+            topology=topo,
+            matrix=TrafficMatrix((Demand("a", "c", 0.4),)),
+            base=dict(backend="estimate"),
+            switch_off=True,
+            port_power_w=0.01,
+            propagation_j_per_bit_m=1e-12,
+        )
+        record = run_network(spec)
+        # load x line rate (0.18um: 100e6 bit/s) x J/bit/m x length
+        p_ab = 0.4 * 100e6 * 1e-12 * 1000.0
+        p_bc = 0.4 * 100e6 * 1e-12 * 500.0
+        # (src, dst, powered endpoints, directions of the cable, propagation)
+        expected = [
+            ("a", "b", 2, 2, p_ab),
+            ("b", "a", 2, 2, 0.0),
+            ("b", "c", 2, 1, p_bc),
+            ("c", "d", 0, 2, 0.0),
+            ("d", "c", 0, 2, 0.0),
+        ]
+        assert len(record.links) == len(expected)
+        for row, (src, dst, endpoints, share, propagation) in zip(
+            record.links, expected
+        ):
+            assert list(row) == list(LINK_COLUMNS)
+            assert (row["src"], row["dst"]) == (src, dst)
+            assert row["propagation_power_w"] == propagation
+            assert row["power_w"] == endpoints * 0.01 / share + propagation
+        assert record.totals["propagation_power_w"] == (
+            0.0 + p_ab + 0.0 + p_bc + 0.0 + 0.0
+        )
+        # c's and d's ends of the idle cable, d's and b's access ports
+        assert record.totals["idle_ports"] == 4
 
     def test_propagation_default_keeps_hashes_and_totals(self):
         # The 0.0 default is omitted from dicts, so pre-existing spec
