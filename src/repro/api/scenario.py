@@ -388,6 +388,15 @@ class Scenario(Spec):
             out[f.name] = value
         return out
 
+    def content_hash(self) -> str:
+        """:meth:`Spec.content_hash`, computed once per instance: every
+        field is frozen, and :meth:`replace` builds a new instance."""
+        cached = self.__dict__.get("_content_hash_cache")
+        if cached is None:
+            cached = super().content_hash()
+            object.__setattr__(self, "_content_hash_cache", cached)
+        return cached
+
     @classmethod
     def from_dict(cls, data: Any) -> "Scenario":
         """Rebuild a scenario from :meth:`to_dict` output (or hand-written

@@ -399,9 +399,9 @@ class NetworkPowerModel:
         uniformly loaded router is *identical* (content hash included)
         to the standalone scenario a session user would write —
         network runs share :class:`~repro.api.store.RunRecordStore`
-        entries with standalone runs, and identically configured
-        routers within one network share one cache entry and one run
-        (a batch runs each distinct scenario once).  The analytical
+        entries with standalone runs.  :meth:`scenarios` calls it once
+        per distinct router; identically configured routers share that
+        instance, one cache entry and one run.  The analytical
         backend gets the scalar mean (it models one uniform load by
         construction).
 
@@ -433,18 +433,20 @@ class NetworkPowerModel:
     def scenarios(
         self, spec: NetworkSpec, routing: RoutingResult | None = None
     ) -> list[tuple[str, Scenario]]:
-        """One (node name, scenario) pair per router, in node order."""
+        """One (node name, scenario) pair per router, in node order;
+        routers with equal (architecture, ports, tech, ingress loads)
+        share one :class:`Scenario`, so it is built and hashed once."""
         if routing is None:
             routing = self.route(spec)
-        return [
-            (
-                node.name,
-                self.node_scenario(
-                    spec, node, routing.ingress_loads[node.name]
-                ),
-            )
-            for node in spec.topology.nodes
-        ]
+        built: dict[tuple, Scenario] = {}
+        pairs = []
+        for node in spec.topology.nodes:
+            loads = routing.ingress_loads[node.name]
+            key = (node.architecture, node.ports, node.tech, loads)
+            if key not in built:
+                built[key] = self.node_scenario(spec, node, loads)
+            pairs.append((node.name, built[key]))
+        return pairs
 
     # ------------------------------------------------------------------
     # Execution
@@ -632,43 +634,29 @@ class _NetworkFold:
         # split across the directed links sharing the cable so link
         # powers sum without double counting, plus the directed link's
         # own propagation power (load x line rate x J/bit/m x length).
-        directions: dict[frozenset, int] = {}
-        for link in spec.topology.links:
-            cable = frozenset((link.src, link.dst))
-            directions[cable] = directions.get(cable, 0) + 1
-        port_map = spec.topology.port_map()
-        link_rows = []
+        # A cable has two directions if its reverse link exists.
+        loads, active = routing.link_loads, routing.active_ports
+        peers = {n: pm.peers for n, pm in spec.topology.port_map().items()}
+        link_rows = routing.link_rows()
         propagation_total = 0.0
-        for row in routing.link_rows():
+        for row in link_rows:
             src, dst = row["src"], row["dst"]
-            endpoints = 0
-            for a, b in ((src, dst), (dst, src)):
-                port = port_map[a].peers[b]
-                if not spec.switch_off or routing.active_ports[a][port]:
-                    endpoints += 1
-            share = directions[frozenset((src, dst))]
+            endpoints = 2
+            if spec.switch_off:
+                endpoints = (active[src][peers[src][dst]]
+                             + active[dst][peers[dst][src]])
+            share = 2 if (dst, src) in loads else 1
             propagation = 0.0
             if spec.propagation_j_per_bit_m:
                 length = spec.topology.link(src, dst).length_m
                 if length:
-                    line_rate = get_technology(
-                        spec.topology.node(src).tech
-                    ).line_rate_bps
-                    propagation = (
-                        row["load"]
-                        * line_rate
-                        * spec.propagation_j_per_bit_m
-                        * length
-                    )
+                    tech = get_technology(spec.topology.node(src).tech)
+                    propagation = (row["load"] * tech.line_rate_bps
+                                   * spec.propagation_j_per_bit_m * length)
             propagation_total += propagation
-            link_rows.append(
-                {
-                    **row,
-                    "propagation_power_w": propagation,
-                    "power_w": (
-                        endpoints * spec.port_power_w / share + propagation
-                    ),
-                }
+            row["propagation_power_w"] = propagation
+            row["power_w"] = (
+                endpoints * spec.port_power_w / share + propagation
             )
         total_ports = sum(n.ports for n in spec.topology.nodes)
         idle_ports = routing.idle_port_count()

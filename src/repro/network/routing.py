@@ -447,6 +447,7 @@ def derive_port_loads(
     feasibility exactly like :func:`route`.
     """
     port_map = topology.port_map()
+    peers = {name: pm.peers for name, pm in port_map.items()}
     ingress: dict[str, list[float]] = {}
     egress: dict[str, list[float]] = {}
     for node in topology.nodes:
@@ -454,8 +455,8 @@ def derive_port_loads(
         egress[node.name] = [0.0] * node.ports
     for link in topology.links:
         load = link_loads[(link.src, link.dst)]
-        ingress[link.dst][port_map[link.dst].peers[link.src]] += load
-        egress[link.src][port_map[link.src].peers[link.dst]] += load
+        ingress[link.dst][peers[link.dst][link.src]] += load
+        egress[link.src][peers[link.src][link.dst]] += load
     for node in topology.nodes:
         originated = matrix.originated(node.name)
         terminated = matrix.terminated(node.name)

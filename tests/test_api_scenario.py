@@ -1,6 +1,10 @@
 """Scenario validation, serialisation, presets and grid expansion."""
 
+import copy
+import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -155,6 +159,40 @@ class TestSerialisation:
         data = json.loads(s.to_json())
         assert data["tech"]["voltage_v"] == 1.8
         assert Scenario.from_json(s.to_json()).technology == custom
+
+    def test_content_hash_is_memoised_out_of_sight(self):
+        def sha256(scenario):
+            text = json.dumps(scenario.to_dict(), sort_keys=True)
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        s = Scenario(
+            "crossbar", 4, (0.1, 0.2, 0.3, 0.4),
+            tech=TECH_180NM.scaled(voltage_v=1.8),
+            traffic="hotspot",
+            traffic_params={"hotspot_fraction": 0.7, "hotspot_port": 2},
+        )
+        fresh = Scenario.from_dict(s.to_dict())
+        expected = sha256(s)
+        assert s.content_hash() == expected
+        assert "_content_hash_cache" in vars(s)
+        assert s.content_hash() == expected == sha256(s)
+        # The memo is no field: not exported, compared, hashed or listed.
+        assert s.to_dict() == fresh.to_dict()
+        assert "_content_hash_cache" not in vars(fresh)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert [f.name for f in dataclasses.fields(s)] == [
+            f.name for f in dataclasses.fields(Scenario)
+        ]
+        assert "_content_hash_cache" not in [
+            f.name for f in dataclasses.fields(s)
+        ]
+        moved = s.replace(load=0.3)
+        assert moved.content_hash() == sha256(moved) != expected
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s),
+                     pickle.loads(pickle.dumps(fresh)),
+                     copy.deepcopy(fresh)):
+            assert twin == s
+            assert twin.content_hash() == expected
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="throughputt"):

@@ -689,6 +689,38 @@ class TestNetworkPower:
         assert len(record.nodes) == 8
         assert store.stats()["entries"] < 8
 
+    def test_identical_routers_share_one_scenario_instance(self):
+        # fat_tree_k16: 320 routers, 3 distinct scenarios, one instance
+        # each; every router still has its own (node, scenario) pair.
+        spec = get_network("fat_tree_k16")
+        model = NetworkPowerModel()
+        routing = model.route(spec)
+        pairs = model.scenarios(spec, routing)
+        scenarios = [scenario for _, scenario in pairs]
+        assert [name for name, _ in pairs] == list(spec.topology.node_names)
+        assert len({id(s) for s in scenarios}) == len(
+            {s.content_hash() for s in scenarios}
+        )
+        shared = {}
+        for node, scenario in zip(spec.topology.nodes, scenarios):
+            key = (node.architecture, node.ports, node.tech,
+                   routing.ingress_loads[node.name])
+            assert shared.setdefault(key, scenario) is scenario
+
+    def test_run_batch_gets_one_listing_per_router(self):
+        listed = []
+
+        class Listing(PowerModel):
+            def run_batch(self, scenarios, **batch):
+                listed.append(list(scenarios))
+                return super().run_batch(scenarios, **batch)
+
+        spec = get_network("dumbbell_switchoff").replace(
+            base=dict(backend="estimate"))
+        NetworkPowerModel(Listing()).run(spec)
+        assert [len(batch) for batch in listed] == [8]
+        assert len({id(s) for s in listed[0]}) < 8
+
     def test_idle_router_with_bursty_traffic_runs(self):
         # An all-idle router keeps the vector load spelling under
         # bursty traffic (the scalar bursty contract rejects load 0).
