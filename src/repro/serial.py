@@ -271,26 +271,21 @@ def _indented(value: Any, newline: str) -> str:
     return f"{opening}{inner}{body}{newline}{closing}"
 
 
-def _csv_cell(value: Any) -> Any:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return json.dumps(list(value))
-    return value
-
-
 def csv_table(
     columns: Sequence[str], rows: Iterable[Mapping[str, Any]]
 ) -> str:
-    """Deterministic CSV of ``rows`` under a ``columns`` header: floats
-    at full ``repr`` precision, ``None`` as an empty cell, a tuple (a
-    per-port load vector) as a JSON list, ``\\n`` line ends."""
+    """Deterministic CSV of ``rows`` under a ``columns`` header, ``\\n``
+    line ends.  ``csv`` itself writes ``None`` as an empty cell and a
+    float (a numpy float too) through ``float.__repr__``; only a tuple
+    (a per-port load vector) needs converting, to a JSON list."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_csv_cell(row.get(c)) for c in columns] for row in rows)
+    writer.writerows(
+        [json.dumps(list(v)) if isinstance(v, tuple) else v
+         for v in map(row.get, columns)]
+        for row in rows
+    )
     return buffer.getvalue()
 
 

@@ -3,18 +3,21 @@
 The JSON exports (``records_to_json`` and the ``to_json`` of the
 network, comparison and control records) go through it, and the golden
 keys pin their bytes, so the writer must match ``json.dumps`` on every
-JSON value, not only on the shapes the records have today.
+JSON value, not only on the shapes the records have today.  The CSV
+exports go through ``csv_table``, whose cells are pinned here against
+hand-written text.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serial import dumps_indented
+from repro.serial import csv_table, dumps_indented
 
 SCALARS = (
     st.none()
@@ -84,3 +87,31 @@ def test_unserializable_value_raises_like_json_dumps(value):
     with pytest.raises(TypeError) as raised:
         dumps_indented(value)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("value, cell", [
+    (None, ""),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (-0.0, "-0.0"),
+    (5e-324, "5e-324"),
+    (1e300, "1e+300"),
+    (1 / 3, "0.3333333333333333"),
+    (np.float64(0.1), "0.1"),
+    (True, "True"),
+    (False, "False"),
+    (7, "7"),
+    (2**70, "1180591620717411303424"),
+    ("plain", "plain"),
+    ("a,b", '"a,b"'),
+    ("two\nlines", '"two\nlines"'),
+    ('say "hi"', '"say ""hi"""'),
+    ((0.5,), "[0.5]"),
+    ((0.1, 0.25), '"[0.1, 0.25]"'),
+], ids=repr)
+def test_csv_table_cells(value, cell):
+    # A float at full repr precision (a numpy float like a float), None
+    # as an empty cell, a tuple as a JSON list, quoted where csv must.
+    text = csv_table(["k", "v"], [{"k": "x", "v": value}, {"k": "y"}])
+    assert text == f"k,v\nx,{cell}\ny,\n"
