@@ -634,7 +634,6 @@ class _NetworkFold:
         # split across the directed links sharing the cable so link
         # powers sum without double counting, plus the directed link's
         # own propagation power (load x line rate x J/bit/m x length).
-        # A cable has two directions if its reverse link exists.
         loads, active = routing.link_loads, routing.active_ports
         peers = {n: pm.peers for n, pm in spec.topology.port_map().items()}
         link_rows = routing.link_rows()
@@ -645,6 +644,7 @@ class _NetworkFold:
             if spec.switch_off:
                 endpoints = (active[src][peers[src][dst]]
                              + active[dst][peers[dst][src]])
+            # A cable has two directions if its reverse link exists.
             share = 2 if (dst, src) in loads else 1
             propagation = 0.0
             if spec.propagation_j_per_bit_m:
