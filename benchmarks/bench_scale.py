@@ -1,12 +1,11 @@
-"""Scale benchmark: k=16 fat-tree sharded wall-clock, memory, identity.
+"""Scale benchmark: k=16 fat-tree wall-clock, memory, warm identity.
 
-The acceptance benchmark of the scale layer: run the 320-switch
-``fat_tree_k16`` preset monolithically and sharded/streamed, verify the
-two paths export byte-identically, that a warm shared cache serves the
-sharded path with zero misses, and that the streamed run's tracemalloc
-peak stays bounded.  A regression here means sharded campaigns either
-diverge from the monolithic truth or stop scaling in memory — the two
-properties the whole scale tier exists to guarantee.
+The acceptance benchmark of the scale tier: run the 320-switch
+``fat_tree_k16`` preset, check that its tracemalloc peak stays bounded,
+that a warm re-run from a shared store simulates nothing, and that the
+cold and warm runs export byte-identically.  A regression here means a
+large network stops scaling in memory or a store round trip changes a
+record.
 
 Run as a script (what CI does) to write the machine-readable artifact::
 
@@ -32,22 +31,27 @@ from repro.api.store import RunRecordStore
 from repro.network import NetworkPowerModel, get_network
 
 PRESET = "fat_tree_k16"
-SHARDS = 16
 
-#: tracemalloc peak bound for the streamed run (bytes).  Measured a few
-#: MB on the estimate backend; the bound leaves an order of magnitude of
-#: headroom while still catching detail-retention leaks and O(n^2)
-#: aggregation regressions.
+#: tracemalloc peak bound for one run (bytes).  Measured a few MB on
+#: the estimate backend; the bound leaves an order of magnitude of
+#: headroom while still catching record leaks and O(n^2) aggregation
+#: regressions.
 PEAK_BOUND_BYTES = 64 * 1024 * 1024
 
 
-def run_benchmark(repeats: int = 3) -> dict:
-    """Monolithic vs sharded/streamed k=16 runs; returns the report.
+def exports(record) -> tuple[str, str, str]:
+    """The record's three exports: JSON, node CSV and link CSV."""
+    return record.to_json(), record.to_csv(), record.links_to_csv()
 
-    Each path reports its best (minimum wall-clock) repetition with a
-    fresh model each time; the warm pass re-reads a store populated by
-    the monolithic path, so any extra miss means the sharded path
-    diverged from the cached scenario grid.
+
+def run_benchmark(repeats: int = 3) -> dict:
+    """Timed, traced, cold and warm k=16 runs; returns the report.
+
+    The timed runs report their best (minimum wall-clock) repetition
+    with a fresh model each time; one more run, after them, is traced
+    for its memory peak.  The warm pass re-reads a store filled by the
+    cold pass, so any extra miss means the warm run re-simulated part
+    of the scenario grid.
     """
     spec = get_network(PRESET)
     report = {
@@ -56,62 +60,40 @@ def run_benchmark(repeats: int = 3) -> dict:
         "nodes": len(spec.topology.nodes),
         "links": len(spec.topology.links),
         "routing": spec.routing,
-        "shards": SHARDS,
         "repeats": repeats,
         "python": platform.python_version(),
     }
-    best_mono = None
-    mono_record = None
+    best = None
     for _ in range(repeats):
         model = NetworkPowerModel(PowerModel())
         start = time.perf_counter()
-        record = model.run(spec)
+        model.run(spec)
         seconds = time.perf_counter() - start
-        if best_mono is None or seconds < best_mono:
-            best_mono = seconds
-            mono_record = record
-    best_sharded = None
-    sharded_record = None
-    peak_bytes = None
-    for _ in range(repeats):
-        model = NetworkPowerModel(PowerModel())
-        tracemalloc.start()
-        try:
-            start = time.perf_counter()
-            record = model.run(spec, shards=SHARDS, detail="none")
-            seconds = time.perf_counter() - start
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        if best_sharded is None or seconds < best_sharded:
-            best_sharded = seconds
-            sharded_record = record
-            peak_bytes = peak
+        if best is None or seconds < best:
+            best = seconds
+    model = NetworkPowerModel(PowerModel())
+    tracemalloc.start()
+    try:
+        model.run(spec)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     with tempfile.TemporaryDirectory() as tmp:
         store = RunRecordStore(Path(tmp) / "records.jsonl")
-        NetworkPowerModel(PowerModel()).run(spec, store=store)
+        cold = NetworkPowerModel(PowerModel()).run(spec, store=store)
         cold_misses = store.misses
         start = time.perf_counter()
-        NetworkPowerModel(PowerModel()).run(
-            spec, store=store, shards=SHARDS, detail="none"
-        )
+        warm = NetworkPowerModel(PowerModel()).run(spec, store=store)
         warm_seconds = time.perf_counter() - start
         warm_misses = store.misses - cold_misses
-    report["monolithic_seconds"] = round(best_mono, 4)
-    report["sharded_seconds"] = round(best_sharded, 4)
-    report["warm_sharded_seconds"] = round(warm_seconds, 4)
+    report["seconds"] = round(best, 4)
+    report["warm_seconds"] = round(warm_seconds, 4)
     report["warm_extra_misses"] = warm_misses
-    report["streamed_peak_bytes"] = peak_bytes
+    report["peak_bytes"] = peak_bytes
     report["peak_bound_bytes"] = PEAK_BOUND_BYTES
-    report["identical_exports"] = (
-        mono_record.to_json() == sharded_record.to_json()
-        and mono_record.to_csv() == sharded_record.to_csv()
-        and mono_record.links_to_csv() == sharded_record.links_to_csv()
-    )
-    report["total_power_w"] = sharded_record.totals["power_w"]
-    report["max_link_utilization"] = sharded_record.totals[
-        "max_link_utilization"
-    ]
+    report["identical_exports"] = exports(cold) == exports(warm)
+    report["total_power_w"] = warm.totals["power_w"]
+    report["max_link_utilization"] = warm.totals["max_link_utilization"]
     return report
 
 
@@ -120,19 +102,19 @@ def gates(report: dict) -> bool:
     return (
         report["identical_exports"]
         and report["warm_extra_misses"] == 0
-        and report["streamed_peak_bytes"] < report["peak_bound_bytes"]
+        and report["peak_bytes"] < report["peak_bound_bytes"]
     )
 
 
 def test_scale_identity_misses_and_memory():
-    """Pytest entry: sharded == monolithic, warm, bounded."""
+    """Pytest entry: cold == warm, warm simulates nothing, bounded."""
     report = run_benchmark(repeats=2)
     print()
     print(json.dumps(report, indent=2))
-    assert report["identical_exports"], "sharded and monolithic diverged"
-    assert report["warm_extra_misses"] == 0, "sharded path missed the cache"
-    assert report["streamed_peak_bytes"] < report["peak_bound_bytes"], (
-        "streamed run exceeded the memory bound"
+    assert report["identical_exports"], "cold and warm exports diverged"
+    assert report["warm_extra_misses"] == 0, "warm run missed the cache"
+    assert report["peak_bytes"] < report["peak_bound_bytes"], (
+        "run exceeded the memory bound"
     )
 
 
@@ -148,11 +130,9 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(
-        f"{PRESET} ({report['nodes']} routers, {SHARDS} shards): "
-        f"monolithic {report['monolithic_seconds']}s, sharded "
-        f"{report['sharded_seconds']}s, warm "
-        f"{report['warm_sharded_seconds']}s, peak "
-        f"{report['streamed_peak_bytes']} B, identical="
+        f"{PRESET} ({report['nodes']} routers): "
+        f"{report['seconds']}s, warm {report['warm_seconds']}s, peak "
+        f"{report['peak_bytes']} B, identical="
         f"{report['identical_exports']}, warm_extra_misses="
         f"{report['warm_extra_misses']} -> {args.output}"
     )

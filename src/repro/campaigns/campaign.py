@@ -249,23 +249,7 @@ class Campaign(Spec):
                             f"network scales must be positive numbers, "
                             f"got {scale!r}"
                         )
-                shards = params.get("shards")
-                if shards is not None and (
-                    not isinstance(shards, int) or shards < 1
-                ):
-                    raise ConfigurationError(
-                        f"network shards must be a positive integer, "
-                        f"got {shards!r}"
-                    )
-                detail = params.get("detail", "full")
-                if detail not in ("none", "summary", "full"):
-                    raise ConfigurationError(
-                        f"network detail must be 'none', 'summary' or "
-                        f"'full', got {detail!r}"
-                    )
-                unknown = set(params) - {
-                    "network", "spec", "scales", "shards", "detail"
-                }
+                unknown = set(params) - {"network", "spec", "scales"}
                 if unknown:
                     raise ConfigurationError(
                         f"unknown network params: {sorted(unknown)}"

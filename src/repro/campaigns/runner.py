@@ -298,20 +298,13 @@ def _run_network(
     from repro.network.power import NetworkPowerModel
 
     spec = campaign.network_spec()
-    params = campaign.params_dict
     model = NetworkPowerModel(session)
     points = []
     records = []
     failures = []
     for scale in campaign.network_scales():
         scaled = spec if scale == 1.0 else spec.scaled(scale)
-        record = model.run(
-            scaled,
-            figures=figures,
-            shards=params.get("shards"),
-            detail=params.get("detail", "full"),
-            **batch,
-        )
+        record = model.run(scaled, figures=figures, **batch)
         records.append(record)
         failures.extend(record.failures)
         for row in record.nodes:

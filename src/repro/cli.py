@@ -890,7 +890,7 @@ _KINDS = {
         row=_network_row,
         dry_run=_network_dry_run,
         run=lambda spec, args, **kw: repro.network.NetworkPowerModel().run(
-            spec, shards=args.shards, detail=args.detail, **kw
+            spec, **kw
         ),
         exports=(
             ("--csv", "additionally export the per-node record as CSV",
@@ -907,22 +907,6 @@ _KINDS = {
                 type=float,
                 default=1.0,
                 help="multiply every demand of the traffic matrix",
-            )),
-            ("--shards", dict(
-                type=int,
-                default=None,
-                metavar="N",
-                help="partition the per-router scenario grid into N "
-                "contiguous node-order shards, each run as its own batch "
-                "and folded into the record incrementally — bounded peak "
-                "memory, byte-identical exports",
-            )),
-            ("--detail", dict(
-                choices=("none", "summary", "full"),
-                default="full",
-                help="what the in-memory record retains after aggregation: "
-                "per-router RunRecords + routing (full, default), routing "
-                "only (summary), or nothing (none); exports are unaffected",
             )),
         ),
         prepare=lambda spec, args: (

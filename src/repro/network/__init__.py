@@ -48,8 +48,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".power": (
         "NetworkSpec", "NetworkPowerModel", "NetworkRecord", "NODE_COLUMNS",
-        "LINK_COLUMNS", "DETAIL_LEVELS", "shard_bounds",
-        "render_network_report", "run_network",
+        "LINK_COLUMNS", "render_network_report", "run_network",
     ),
     ".presets": ("NETWORK_PRESETS", "get_network", "network_names"),
 })

@@ -56,38 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: in :attr:`NetworkSpec.base`.
 _DERIVED_FIELDS = ("architecture", "ports", "load", "tech", "name")
 
-#: Valid values of the ``detail`` retention knob (what the runtime-only
-#: :attr:`NetworkRecord.detail` payload keeps after aggregation).
-DETAIL_LEVELS = ("none", "summary", "full")
-
-
-def shard_bounds(count: int, shards: int | None) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` shard boundaries over ``count`` items.
-
-    Shards partition the per-router scenario list *in node order* into
-    near-equal contiguous chunks (sizes differ by at most one, larger
-    chunks first).  Contiguity is what makes sharded execution
-    bit-identical to the monolithic path: the streaming fold consumes
-    results in exactly the same node order either way, so every float
-    accumulation happens in the same order.  ``shards=None`` means one
-    shard (the monolithic path); empty shards are dropped.
-    """
-    if count < 0:
-        raise ConfigurationError("shard_bounds needs a count >= 0")
-    n = 1 if shards is None else shards
-    if n < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards!r}")
-    n = min(n, count) if count else 1
-    base, rem = divmod(count, n)
-    bounds = []
-    start = 0
-    for i in range(n):
-        size = base + (1 if i < rem else 0)
-        if size:
-            bounds.append((start, start + size))
-        start += size
-    return bounds
-
 #: Per-node CSV columns of :meth:`NetworkRecord.to_csv` (axis columns
 #: first, then metrics — the ComparisonRecord convention).
 NODE_COLUMNS = (
@@ -457,8 +425,6 @@ class NetworkPowerModel:
         spec: NetworkSpec,
         *,
         figures: "DerivedRecordStore | None" = None,
-        shards: int | None = None,
-        detail: str = "full",
         **batch: Any,
     ) -> NetworkRecord:
         """Execute the spec into a :class:`NetworkRecord`.
@@ -468,31 +434,20 @@ class NetworkPowerModel:
         short-circuits the whole run when the spec's content hash is
         already in the derived-figure store.  A record with failures
         (explicit holes) is never figure-cached — a later clean run must
-        not be served the holes.  ``shards`` / ``detail`` stream the
-        aggregation (see :meth:`run_routed`); neither affects the
-        exported record, so every setting of them shares one
-        figure-store entry.
+        not be served the holes.
         """
         check_batch_options("NetworkPowerModel.run", batch)
         if figures is not None:
             cached = figures.get(spec.content_hash(), "network")
             if cached is not None:
                 return NetworkRecord.from_dict(cached)
-        record = self.run_routed(
-            spec, self.route(spec), shards=shards, detail=detail, **batch
-        )
+        record = self.run_routed(spec, self.route(spec), **batch)
         if figures is not None and not record.failures:
             figures.put(spec.content_hash(), "network", record.to_dict())
         return record
 
     def run_routed(
-        self,
-        spec: NetworkSpec,
-        routing: RoutingResult,
-        *,
-        shards: int | None = None,
-        detail: str = "full",
-        **batch: Any,
+        self, spec: NetworkSpec, routing: RoutingResult, **batch: Any
     ) -> NetworkRecord:
         """Execute the spec under an externally supplied routing.
 
@@ -500,215 +455,141 @@ class NetworkPowerModel:
         a pruned topology, projects the link loads back onto the full
         port map, and evaluates the result here — same per-router
         scenarios, same ``run_batch`` caches, no figure-store entry
-        (the routing is not derivable from the spec alone).  ``**batch``
-        goes unchanged to :meth:`repro.api.PowerModel.run_batch`, with a
-        fresh ``report`` when none is given, from which each shard's
-        failures are read.
-
-        ``shards`` partitions the per-router scenario grid into that
-        many contiguous node-order chunks, each executed as its own
-        :meth:`~repro.api.PowerModel.run_batch` call and folded into
-        the record incrementally (:class:`_NetworkFold`), so peak
-        memory stays bounded by the largest shard rather than the
-        topology size.  Exports are bit-identical to the monolithic
-        path by construction.  Note that :class:`FaultPlan` unit
-        indices are per ``run_batch`` call, so under sharding a fault
-        at unit 0 targets the first execution unit of *every* shard.
-
-        ``detail`` controls what the runtime-only
-        :attr:`NetworkRecord.detail` payload retains: ``"full"`` (the
-        default, today's behavior) keeps every per-router
-        :class:`RunRecord` plus the routing; ``"summary"`` keeps only
-        the routing; ``"none"`` keeps nothing — the knob that lets a
-        1000-router streamed run drop each shard's records as soon as
-        they are folded.
+        (the routing is not derivable from the spec alone).  All the
+        routers run as one :meth:`~repro.api.PowerModel.run_batch` call,
+        one listing per router in node order, so :class:`FaultPlan` unit
+        ``i`` is the ``i``-th router.  ``**batch`` goes unchanged to
+        ``run_batch``, with a fresh ``report`` when none is given, from
+        which the batch's failures are read.
         """
-        pairs = self.scenarios(spec, routing)
-        fold = _NetworkFold(spec, routing, detail=detail)
         if batch.get("report") is None:
             batch["report"] = BatchReport()
-        report = batch["report"]
-        nodes = spec.topology.nodes
-        for start, stop in shard_bounds(len(pairs), shards):
-            before = len(report.failures)
-            records = self.session.run_batch(
-                [scenario for _, scenario in pairs[start:stop]], **batch
-            )
-            for node, rec in zip(nodes[start:stop], records):
-                fold.add(node, rec)
-            fold.add_failures(report.failures[before:])
-        return fold.finish()
-
-
-class _NetworkFold:
-    """Streaming aggregation of per-router results into one record.
-
-    Both the monolithic and the sharded execution paths push their
-    :class:`RunRecord` results through this fold in topology node
-    order, so every float accumulation (fabric/port totals, node rows)
-    happens in exactly the same order — byte-identical exports are a
-    property of the fold, not of the sharding.  Per-router
-    records are retained only under ``detail="full"``; otherwise each
-    record is dropped as soon as its row is folded, which is what keeps
-    a streamed 1000-router run's peak memory bounded.
-    """
-
-    def __init__(
-        self,
-        spec: NetworkSpec,
-        routing: RoutingResult,
-        detail: str = "full",
-    ) -> None:
-        if detail not in DETAIL_LEVELS:
-            raise ConfigurationError(
-                f"detail must be one of {DETAIL_LEVELS}, got {detail!r}"
-            )
-        self.spec = spec
-        self.routing = routing
-        self.detail = detail
-        self.node_rows: list[dict[str, Any]] = []
-        self.fabric_total = 0.0
-        self.port_total = 0.0
-        self.powered_total = 0
-        self.by_node: dict[str, "RunRecord | None"] | None = (
-            {} if detail == "full" else None
+        failures = batch["report"].failures
+        before = len(failures)
+        records = self.session.run_batch(
+            [scenario for _, scenario in self.scenarios(spec, routing)],
+            **batch,
         )
-        self.failures: list[FailureRecord] = []
+        return _network_record(spec, routing, records, failures[before:])
 
-    def add(self, node: RouterNode, rec: "RunRecord | None") -> None:
-        """Fold one router's result (``None`` = supervisor-recorded
-        failure: an explicit hole — the row keeps its topology-derived
-        columns, fabric metrics stay None, and the totals cover only
-        completed routers; the failures list says which)."""
-        spec, routing = self.spec, self.routing
+
+def _network_record(
+    spec: NetworkSpec,
+    routing: RoutingResult,
+    records: list["RunRecord | None"],
+    failures: list[FailureRecord],
+) -> NetworkRecord:
+    """Aggregate one result per router, in node order, into a record.
+
+    A ``None`` result is a supervisor-recorded failure: an explicit
+    hole — the row keeps its topology-derived columns, fabric metrics
+    stay None, and the totals cover only completed routers; the
+    failures list says which.
+    """
+    node_rows = []
+    by_node = {}
+    fabric_total = 0.0
+    port_total = 0.0
+    powered_total = 0
+    for node, rec in zip(spec.topology.nodes, records):
         active = routing.active_ports[node.name]
         powered = sum(active) if spec.switch_off else node.ports
         port_power = powered * spec.port_power_w
         loads = routing.ingress_loads[node.name]
-        if rec is None:
-            self.node_rows.append(
-                {
-                    "node": node.name,
-                    "architecture": node.architecture,
-                    "ports": node.ports,
-                    "powered_ports": powered,
-                    "mean_load": sum(loads) / len(loads),
-                    "throughput": None,
-                    "fabric_power_w": None,
-                    "switch_power_w": None,
-                    "wire_power_w": None,
-                    "buffer_power_w": None,
-                    "port_power_w": port_power,
-                    "power_w": None,
-                }
-            )
-        else:
-            self.node_rows.append(
-                {
-                    "node": node.name,
-                    "architecture": node.architecture,
-                    "ports": node.ports,
-                    "powered_ports": powered,
-                    "mean_load": sum(loads) / len(loads),
-                    "throughput": rec.throughput,
-                    "fabric_power_w": rec.total_power_w,
-                    "switch_power_w": rec.switch_power_w,
-                    "wire_power_w": rec.wire_power_w,
-                    "buffer_power_w": rec.buffer_power_w,
-                    "port_power_w": port_power,
-                    "power_w": rec.total_power_w + port_power,
-                }
-            )
-            self.fabric_total += rec.total_power_w
-        self.port_total += port_power
-        self.powered_total += powered
-        if self.by_node is not None:
-            self.by_node[node.name] = rec
-
-    def add_failures(self, failures: list[FailureRecord]) -> None:
-        self.failures.extend(failures)
-
-    def finish(self) -> NetworkRecord:
-        spec, routing = self.spec, self.routing
-        # Per-link rows: interface power of the cable's endpoint ports,
-        # split across the directed links sharing the cable so link
-        # powers sum without double counting, plus the directed link's
-        # own propagation power (load x line rate x J/bit/m x length).
-        loads, active = routing.link_loads, routing.active_ports
-        peers = {n: pm.peers for n, pm in spec.topology.port_map().items()}
-        link_rows = routing.link_rows()
-        propagation_total = 0.0
-        for row in link_rows:
-            src, dst = row["src"], row["dst"]
-            endpoints = 2
-            if spec.switch_off:
-                endpoints = (active[src][peers[src][dst]]
-                             + active[dst][peers[dst][src]])
-            # A cable has two directions if its reverse link exists.
-            share = 2 if (dst, src) in loads else 1
-            propagation = 0.0
-            if spec.propagation_j_per_bit_m:
-                length = spec.topology.link(src, dst).length_m
-                if length:
-                    tech = get_technology(spec.topology.node(src).tech)
-                    propagation = (row["load"] * tech.line_rate_bps
-                                   * spec.propagation_j_per_bit_m * length)
-            propagation_total += propagation
-            row["propagation_power_w"] = propagation
-            row["power_w"] = (
-                endpoints * spec.port_power_w / share + propagation
-            )
-        total_ports = sum(n.ports for n in spec.topology.nodes)
-        idle_ports = routing.idle_port_count()
-        delta = (
-            idle_ports * spec.port_power_w if spec.switch_off else 0.0
-        )
-        utils = [row["utilization"] for row in link_rows]
-        totals = {
-            "power_w": (
-                self.fabric_total + self.port_total + propagation_total
-            ),
-            "fabric_power_w": self.fabric_total,
-            "port_power_w": self.port_total,
-            "propagation_power_w": propagation_total,
-            "switch_off_delta_w": delta,
-            "nodes": len(self.node_rows),
-            "links": len(link_rows),
-            "total_ports": total_ports,
-            "powered_ports": self.powered_total,
-            "idle_ports": idle_ports,
-            "total_demand": spec.matrix.total(),
-            "total_link_load": routing.total_link_load,
-            "mean_link_utilization": (
-                sum(utils) / len(utils) if utils else 0.0
-            ),
-            "max_link_utilization": max(utils) if utils else 0.0,
+        row = {
+            "node": node.name,
+            "architecture": node.architecture,
+            "ports": node.ports,
+            "powered_ports": powered,
+            "mean_load": sum(loads) / len(loads),
+            "throughput": None,
+            "fabric_power_w": None,
+            "switch_power_w": None,
+            "wire_power_w": None,
+            "buffer_power_w": None,
+            "port_power_w": port_power,
+            "power_w": None,
         }
-        if spec.grid_intensity_gco2_per_kwh:
-            # W -> kW x gCO2/kWh = gCO2/h; only emitted when an
-            # intensity is configured, so existing exports are
-            # unchanged byte for byte.
-            totals["carbon_gco2_per_h"] = (
-                totals["power_w"] / 1000.0
-                * spec.grid_intensity_gco2_per_kwh
-            )
-        if self.detail == "full":
-            detail_payload: Any = {
-                "records": self.by_node,
-                "routing": routing,
-            }
-        elif self.detail == "summary":
-            detail_payload = {"routing": routing}
-        else:
-            detail_payload = None
-        return NetworkRecord(
-            spec=spec,
-            nodes=self.node_rows,
-            links=link_rows,
-            totals=totals,
-            detail=detail_payload,
-            failures=self.failures,
+        if rec is not None:
+            row["throughput"] = rec.throughput
+            row["fabric_power_w"] = rec.total_power_w
+            row["switch_power_w"] = rec.switch_power_w
+            row["wire_power_w"] = rec.wire_power_w
+            row["buffer_power_w"] = rec.buffer_power_w
+            row["power_w"] = rec.total_power_w + port_power
+            fabric_total += rec.total_power_w
+        node_rows.append(row)
+        port_total += port_power
+        powered_total += powered
+        by_node[node.name] = rec
+    # Per-link rows: interface power of the cable's endpoint ports,
+    # split across the directed links sharing the cable so link
+    # powers sum without double counting, plus the directed link's
+    # own propagation power (load x line rate x J/bit/m x length).
+    loads, active = routing.link_loads, routing.active_ports
+    peers = {n: pm.peers for n, pm in spec.topology.port_map().items()}
+    link_rows = routing.link_rows()
+    propagation_total = 0.0
+    for row in link_rows:
+        src, dst = row["src"], row["dst"]
+        endpoints = 2
+        if spec.switch_off:
+            endpoints = (active[src][peers[src][dst]]
+                         + active[dst][peers[dst][src]])
+        # A cable has two directions if its reverse link exists.
+        share = 2 if (dst, src) in loads else 1
+        propagation = 0.0
+        if spec.propagation_j_per_bit_m:
+            length = spec.topology.link(src, dst).length_m
+            if length:
+                tech = get_technology(spec.topology.node(src).tech)
+                propagation = (row["load"] * tech.line_rate_bps
+                               * spec.propagation_j_per_bit_m * length)
+        propagation_total += propagation
+        row["propagation_power_w"] = propagation
+        row["power_w"] = (
+            endpoints * spec.port_power_w / share + propagation
         )
+    total_ports = sum(n.ports for n in spec.topology.nodes)
+    idle_ports = routing.idle_port_count()
+    delta = (
+        idle_ports * spec.port_power_w if spec.switch_off else 0.0
+    )
+    utils = [row["utilization"] for row in link_rows]
+    totals = {
+        "power_w": fabric_total + port_total + propagation_total,
+        "fabric_power_w": fabric_total,
+        "port_power_w": port_total,
+        "propagation_power_w": propagation_total,
+        "switch_off_delta_w": delta,
+        "nodes": len(node_rows),
+        "links": len(link_rows),
+        "total_ports": total_ports,
+        "powered_ports": powered_total,
+        "idle_ports": idle_ports,
+        "total_demand": spec.matrix.total(),
+        "total_link_load": routing.total_link_load,
+        "mean_link_utilization": (
+            sum(utils) / len(utils) if utils else 0.0
+        ),
+        "max_link_utilization": max(utils) if utils else 0.0,
+    }
+    if spec.grid_intensity_gco2_per_kwh:
+        # W -> kW x gCO2/kWh = gCO2/h; only emitted when an
+        # intensity is configured, so existing exports are
+        # unchanged byte for byte.
+        totals["carbon_gco2_per_h"] = (
+            totals["power_w"] / 1000.0
+            * spec.grid_intensity_gco2_per_kwh
+        )
+    return NetworkRecord(
+        spec=spec,
+        nodes=node_rows,
+        links=link_rows,
+        totals=totals,
+        detail={"records": by_node, "routing": routing},
+        failures=failures,
+    )
 
 
 def run_network(
@@ -717,8 +598,6 @@ def run_network(
     *,
     figures: "DerivedRecordStore | None" = None,
     scale: float = 1.0,
-    shards: int | None = None,
-    detail: str = "full",
     **batch: Any,
 ) -> NetworkRecord:
     """Execute a network spec (or preset name) into a record.
@@ -726,9 +605,7 @@ def run_network(
     ``scale`` multiplies every demand before running (the load-sweep
     knob network campaigns use); the scaled spec hashes differently, so
     cached figures per scale never collide.  ``**batch`` goes unchanged
-    to :meth:`repro.api.PowerModel.run_batch`.  ``shards``/``detail``
-    stream the aggregation without changing any exported byte (see
-    :meth:`NetworkPowerModel.run_routed`).
+    to :meth:`repro.api.PowerModel.run_batch`.
     """
     if isinstance(spec, str):
         from repro.network.presets import get_network
@@ -736,9 +613,7 @@ def run_network(
         spec = get_network(spec)
     if scale != 1.0:
         spec = spec.scaled(scale)
-    return NetworkPowerModel(session).run(
-        spec, figures=figures, shards=shards, detail=detail, **batch
-    )
+    return NetworkPowerModel(session).run(spec, figures=figures, **batch)
 
 
 def render_network_report(record: NetworkRecord) -> str:

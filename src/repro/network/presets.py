@@ -17,7 +17,7 @@ fat_tree_k8        the 80-switch k=8 fat-tree under a sparse edge-ring
                    matrix, ECMP-routed on the analytical backend — the
                    first rung of the scale ladder.
 fat_tree_k16       the 320-switch k=16 fat-tree, same shape one rung up —
-                   the sharded-execution / streaming-aggregation reference.
+                   the reference of the scale benchmark's memory bound.
 isp200_ring        a 200-router seeded Waxman/hierarchical ISP graph under
                    a sparse edge-ring matrix — the ISP-scale reference.
 =================  ==========================================================

@@ -107,15 +107,14 @@ EXPORTS = {
         "buffer_model_for_memory", "fit_bank_model", "shared_buffer_bits",
     ],
     "repro.network": [
-        "DETAIL_LEVELS", "Demand", "GENERATORS", "LINK_COLUMNS", "Link",
+        "Demand", "GENERATORS", "LINK_COLUMNS", "Link",
         "NETWORK_PRESETS", "NODE_COLUMNS", "NetworkPowerModel",
         "NetworkRecord", "NetworkSpec", "NetworkTopology", "PortMap",
         "ROUTING_MODES", "RouterNode", "RoutingResult", "RoutingTables",
         "TrafficMatrix", "build_tables",
         "derive_port_loads", "dumbbell", "edge_nodes", "fat_tree",
         "get_network", "isp", "line", "mesh", "network_names",
-        "render_network_report", "route", "run_network", "shard_bounds",
-        "single", "star",
+        "render_network_report", "route", "run_network", "single", "star",
     ],
     "repro.resilience": [
         "BatchReport", "CampaignJournal", "FAULT_KINDS", "FailureRecord",

@@ -1,27 +1,23 @@
-"""Scale-equivalence suite: sharded == monolithic, at any size.
+"""Scale suite: network runs at 80 to 1000 routers.
 
-The scale layer (sharded execution + streaming aggregation + the new
-``fat_tree(k)``/``isp`` generators) is only safe to build on if
-execution strategy can never change a result.  This suite locks that
-down:
+The scale tier (the ``fat_tree(k)``/``isp`` generators and the k=8,
+k=16 and ISP presets) runs every router of a network as one batch and
+aggregates the records in node order.  This suite locks it down:
 
-* **Bit-identity** — for every network preset (the original four and
-  the new k=8/k=16/ISP scale presets), the sharded/streamed
-  :class:`NetworkRecord` exports are byte-identical to the monolithic
-  path, and a shared :class:`RunRecordStore` warmed by one path serves
-  the other with zero extra misses.
 * **Conservation properties** — over ~50 seeded random topologies and
   random feasible matrices, ``sum(link loads) == sum(demand x hops)``
   for shortest-path, ECMP, and table forwarding, and infeasible
-  matrices always raise — the invariant a buggy shard partitioner
-  would break first.
-* **Resilience x streaming** — injected faults surface as explicit
-  holes on the streamed record, fault unit indices restart per shard
-  batch (documented semantics), and a journal resume converges to
-  byte-identical fault-free exports.
-* **Bounded memory** — a 1000-router streamed run with
-  ``detail="none"`` stays under a fixed tracemalloc peak (tracemalloc
-  rather than RSS: deterministic, allocator- and platform-independent).
+  matrices always raise.
+* **Resilience at scale** — injected faults surface as explicit holes
+  on the record (``FaultPlan`` unit ``i`` is the ``i``-th router), and
+  retries and a journal resume converge to byte-identical fault-free
+  exports.
+* **Bounded memory** — a 1000-router run stays under a fixed
+  tracemalloc peak (tracemalloc rather than RSS: deterministic,
+  allocator- and platform-independent).
+
+The ``full_presets`` and ``preset_exports`` golden keys pin every
+preset's exports.
 """
 
 import json
@@ -35,7 +31,6 @@ from repro.api.model import PowerModel
 from repro.api.store import RunRecordStore
 from repro.errors import ConfigurationError
 from repro.network import (
-    DETAIL_LEVELS,
     Demand,
     GENERATORS,
     NetworkPowerModel,
@@ -49,7 +44,6 @@ from repro.network import (
     mesh,
     network_names,
     route,
-    shard_bounds,
     single,
     star,
 )
@@ -125,121 +119,6 @@ def distinct_line_spec(n: int = 12) -> NetworkSpec:
         matrix=TrafficMatrix(demands, name="distinct"),
         base=SCALE_BASE,
     )
-
-
-# ----------------------------------------------------------------------
-# Shard planning
-# ----------------------------------------------------------------------
-
-
-class TestShardBounds:
-    @pytest.mark.parametrize(
-        "count,shards",
-        [(10, 3), (1, 1), (7, 7), (320, 16), (5, 2), (100, 9)],
-    )
-    def test_contiguous_and_covering(self, count, shards):
-        bounds = shard_bounds(count, shards)
-        flat = [i for start, stop in bounds for i in range(start, stop)]
-        assert flat == list(range(count))
-
-    def test_sizes_differ_by_at_most_one(self):
-        sizes = [stop - start for start, stop in shard_bounds(23, 5)]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 23
-
-    def test_none_means_monolithic(self):
-        assert shard_bounds(17, None) == [(0, 17)]
-        assert shard_bounds(17, 1) == [(0, 17)]
-
-    def test_more_shards_than_items_drops_empties(self):
-        bounds = shard_bounds(3, 8)
-        assert bounds == [(0, 1), (1, 2), (2, 3)]
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigurationError, match="shards"):
-            shard_bounds(10, 0)
-        with pytest.raises(ConfigurationError, match="shards"):
-            shard_bounds(10, -2)
-        with pytest.raises(ConfigurationError, match="count"):
-            shard_bounds(-1, 2)
-
-
-# ----------------------------------------------------------------------
-# Sharded vs monolithic bit-identity
-# ----------------------------------------------------------------------
-
-
-class TestShardedBitIdentity:
-    @pytest.mark.parametrize("name", ALL_PRESETS)
-    def test_exports_byte_identical(self, name):
-        spec = get_network(name)
-        mono = NetworkPowerModel(PowerModel()).run(spec)
-        sharded = NetworkPowerModel(PowerModel()).run(
-            spec, shards=3, detail="none"
-        )
-        assert exports(sharded) == exports(mono)
-
-    def test_many_shard_counts_converge(self):
-        spec = get_network("fat_tree_k8")
-        reference = exports(NetworkPowerModel(PowerModel()).run(spec))
-        for shards in (2, 7, 16, 80, 200):
-            record = NetworkPowerModel(PowerModel()).run(
-                spec, shards=shards, detail="none"
-            )
-            assert exports(record) == reference, f"shards={shards}"
-
-    def test_zero_extra_misses_monolithic_then_sharded(self, tmp_path):
-        spec = get_network("fat_tree_k8")
-        store = RunRecordStore(tmp_path / "cache.jsonl")
-        NetworkPowerModel(PowerModel()).run(spec, store=store)
-        cold_misses = store.misses
-        assert cold_misses > 0
-        NetworkPowerModel(PowerModel()).run(
-            spec, store=store, shards=5, detail="none"
-        )
-        assert store.misses == cold_misses
-
-    def test_zero_extra_misses_sharded_then_monolithic(self, tmp_path):
-        spec = get_network("fat_tree_k8")
-        store = RunRecordStore(tmp_path / "cache.jsonl")
-        NetworkPowerModel(PowerModel()).run(
-            spec, store=store, shards=5, detail="none"
-        )
-        cold_misses = store.misses
-        NetworkPowerModel(PowerModel()).run(spec, store=store)
-        assert store.misses == cold_misses
-
-    def test_store_exports_byte_identical_across_paths(self, tmp_path):
-        spec = get_network("isp200_ring")
-        store = RunRecordStore(tmp_path / "cache.jsonl")
-        mono = NetworkPowerModel(PowerModel()).run(spec, store=store)
-        sharded = NetworkPowerModel(PowerModel()).run(
-            spec, store=store, shards=9, detail="summary"
-        )
-        assert exports(sharded) == exports(mono)
-
-    def test_detail_levels(self):
-        spec = get_network("dumbbell_switchoff")
-        model = NetworkPowerModel(PowerModel())
-        full = model.run(spec)
-        assert set(full.detail) == {"records", "routing"}
-        assert len(full.detail["records"]) == len(spec.topology.nodes)
-        summary = model.run(spec, detail="summary")
-        assert set(summary.detail) == {"routing"}
-        none = model.run(spec, detail="none")
-        assert none.detail is None
-        assert exports(none) == exports(summary) == exports(full)
-
-    def test_detail_validation(self):
-        spec = get_network("single_crossbar8")
-        assert "full" in DETAIL_LEVELS
-        with pytest.raises(ConfigurationError, match="detail"):
-            NetworkPowerModel(PowerModel()).run(spec, detail="everything")
-
-    def test_shards_validation(self):
-        spec = get_network("single_crossbar8")
-        with pytest.raises(ConfigurationError, match="shards"):
-            NetworkPowerModel(PowerModel()).run(spec, shards=0)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +205,8 @@ class TestRoutingConservation:
 
     @pytest.mark.parametrize("seed", CONSERVATION_SEEDS[::10])
     def test_sharded_run_preserves_conservation(self, seed):
-        """The end-to-end invariant: a sharded record's totals carry
-        the same conserved link load the router would compute."""
+        """The end-to-end invariant: a run's record totals carry the
+        same conserved link load the router would compute."""
         rng = random.Random(seed + 4000)
         topology = random_topology(rng)
         matrix = random_feasible_matrix(rng, topology)
@@ -337,15 +216,13 @@ class TestRoutingConservation:
             matrix=matrix,
             base=SCALE_BASE,
         )
-        record = NetworkPowerModel(PowerModel()).run(
-            spec, shards=3, detail="none"
-        )
+        record = NetworkPowerModel(PowerModel()).run(spec)
         routing = route(topology, matrix)
         assert record.totals["total_link_load"] == routing.total_link_load
 
 
 # ----------------------------------------------------------------------
-# Resilience x streaming aggregation
+# Resilience at scale
 # ----------------------------------------------------------------------
 
 #: One-shot supervision: no retries, failures become explicit holes.
@@ -365,10 +242,8 @@ class TestResilienceStreaming:
         )
 
     def test_fault_holes_surface_on_sharded_record(self):
-        clean = self.run_k8(shards=4, detail="none")
+        clean = self.run_k8()
         faulty = self.run_k8(
-            shards=4,
-            detail="none",
             retry=RECORD_HOLES,
             faults=FaultPlan(faults=(Fault("transient", 0),)),
         )
@@ -379,23 +254,20 @@ class TestResilienceStreaming:
         payload = json.loads(faulty.to_json())
         assert payload["failures"]  # holes are exported, never hidden
 
-    def test_fault_units_restart_per_shard_batch(self):
-        """FaultPlan unit indices address execution units *within one
-        run_batch call*; under sharding every shard re-plans from unit
-        0, so a unit-0 fault fires once per shard."""
+    def test_unit_0_fault_leaves_one_hole(self):
+        """All the routers run as one batch, so FaultPlan unit 0 is the
+        first router and fires once."""
         record = self.run_k8(
-            shards=4,
-            detail="none",
             retry=RECORD_HOLES,
             faults=FaultPlan(faults=(Fault("transient", 0),)),
         )
-        assert len(record.failures) == 4
+        assert len(record.failures) == 1
+        holes = [r["node"] for r in record.nodes if r["power_w"] is None]
+        assert holes == [get_network("fat_tree_k8").topology.nodes[0].name]
 
     def test_transient_fault_retries_to_byte_identical(self):
-        clean = self.run_k8(shards=4, detail="none")
+        clean = self.run_k8()
         recovered = self.run_k8(
-            shards=4,
-            detail="none",
             retry=RETRY_FAST,
             faults=FaultPlan(faults=(Fault("transient", 2),)),
         )
@@ -403,10 +275,8 @@ class TestResilienceStreaming:
         assert exports(recovered) == exports(clean)
 
     def test_crash_fault_retries_to_byte_identical(self):
-        clean = self.run_k8(shards=2, detail="none")
+        clean = self.run_k8()
         recovered = self.run_k8(
-            shards=2,
-            detail="none",
             retry=RETRY_FAST,
             faults=FaultPlan(faults=(Fault("crash", 1),)),
         )
@@ -421,10 +291,8 @@ class TestResilienceStreaming:
                 spec, **kwargs
             )
 
-        clean = run(shards=2, detail="none")
+        clean = run()
         recovered = run(
-            shards=2,
-            detail="none",
             retry=RETRY_FAST.replace(timeout_s=0.25),
             faults=FaultPlan(
                 faults=(Fault("hang", 0, attempts=(1,), hang_s=1.5),)
@@ -440,16 +308,10 @@ class TestResilienceStreaming:
 
         def run(journal, **kwargs):
             return NetworkPowerModel(PowerModel()).run(
-                spec,
-                shards=4,
-                detail="none",
-                journal=journal,
-                **kwargs,
+                spec, journal=journal, **kwargs
             )
 
-        clean = NetworkPowerModel(PowerModel()).run(
-            spec, shards=4, detail="none"
-        )
+        clean = NetworkPowerModel(PowerModel()).run(spec)
         faulty = run(
             CampaignJournal(path, key),
             retry=RECORD_HOLES,
@@ -474,16 +336,11 @@ class TestResilienceStreaming:
         key = spec.content_hash()
         path = tmp_path / "journal.jsonl"
         NetworkPowerModel(PowerModel()).run(
-            spec,
-            shards=3,
-            detail="none",
-            journal=CampaignJournal(path, key),
+            spec, journal=CampaignJournal(path, key)
         )
         report = BatchReport()
         NetworkPowerModel(PowerModel()).run(
             spec,
-            shards=3,
-            detail="none",
             journal=CampaignJournal(path, key, replay=True),
             report=report,
         )
@@ -491,15 +348,15 @@ class TestResilienceStreaming:
 
 
 # ----------------------------------------------------------------------
-# Bounded memory (the NetworkRecord detail-retention blind spot)
+# Bounded memory
 # ----------------------------------------------------------------------
 
 
 class TestBoundedMemory:
-    #: tracemalloc peak bound for a 1000-router streamed run.  Measured
-    #: ~3.5 MB; the bound leaves ~10x headroom while still catching any
-    #: O(n^2) aggregation regression or detail-retention leak (keeping
-    #: every RunRecord of a simulate-backend fabric would blow past it).
+    #: tracemalloc peak bound for a 1000-router run.  Measured ~3.5 MB;
+    #: the bound leaves ~10x headroom while still catching any O(n^2)
+    #: aggregation regression or a record leak (a distinct RunRecord
+    #: per router of a simulate-backend fabric would blow past it).
     PEAK_BOUND_BYTES = 48 * 1024 * 1024
 
     def isp1000(self):
@@ -512,23 +369,12 @@ class TestBoundedMemory:
         model = NetworkPowerModel(PowerModel())
         tracemalloc.start()
         try:
-            record = model.run(spec, shards=32, detail="none")
+            record = model.run(spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert record.totals["nodes"] == 1000
-        assert record.detail is None
         assert peak < self.PEAK_BOUND_BYTES, f"peak {peak} bytes"
-
-    def test_detail_none_retains_no_run_records(self):
-        spec = self.isp1000()
-        model = NetworkPowerModel(PowerModel())
-        streamed = model.run(spec, shards=32, detail="none")
-        retained = model.run(spec, shards=32)  # default detail="full"
-        assert streamed.detail is None
-        assert len(retained.detail["records"]) == 1000
-        assert exports(streamed) == exports(retained)
-
 
 # ----------------------------------------------------------------------
 # The isp generator
@@ -653,9 +499,7 @@ class TestScalePresets:
 
     def test_k16_completes_sharded(self):
         spec = get_network("fat_tree_k16")
-        record = NetworkPowerModel(PowerModel()).run(
-            spec, shards=16, detail="none"
-        )
+        record = NetworkPowerModel(PowerModel()).run(spec)
         assert record.totals["nodes"] == 320
         assert not record.failures
         assert record.totals["power_w"] > 0.0
@@ -667,19 +511,13 @@ class TestScalePresets:
 
 
 class TestScaleCli:
-    def test_network_run_accepts_shards_and_detail(self, capsys):
+    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--detail", "none"]])
+    def test_network_run_refuses_shards_and_detail(self, flag):
         from repro.cli import main
 
-        assert main([
-            "network", "run", "dumbbell_switchoff",
-            "--shards", "3", "--detail", "none", "--format", "json",
-        ]) == 0
-        sharded = capsys.readouterr().out
-        assert main([
-            "network", "run", "dumbbell_switchoff", "--format", "json",
-        ]) == 0
-        mono = capsys.readouterr().out
-        assert sharded == mono
+        with pytest.raises(SystemExit) as exc:
+            main(["network", "run", "dumbbell_switchoff", *flag])
+        assert exc.value.code == 2
 
     def test_dry_run_reports_router_count(self, capsys):
         from repro.cli import main
@@ -688,31 +526,13 @@ class TestScaleCli:
         out = capsys.readouterr().out
         assert "80 routers" in out
 
-    def test_campaign_params_accept_shards_and_detail(self):
+    @pytest.mark.parametrize("param", [("shards", 2), ("detail", "none")])
+    def test_campaign_params_refuse_shards_and_detail(self, param):
         from repro.campaigns import Campaign
 
-        campaign = Campaign(
-            name="scaled",
-            kind="network",
-            params=(
-                ("network", "dumbbell_switchoff"),
-                ("shards", 2),
-                ("detail", "none"),
-            ),
-        )
-        assert campaign.params_dict["shards"] == 2
-        with pytest.raises(ConfigurationError, match="shards"):
+        with pytest.raises(ConfigurationError, match="unknown network"):
             Campaign(
-                name="bad",
+                name="scaled",
                 kind="network",
-                params=(("network", "dumbbell_switchoff"), ("shards", 0)),
-            )
-        with pytest.raises(ConfigurationError, match="detail"):
-            Campaign(
-                name="bad",
-                kind="network",
-                params=(
-                    ("network", "dumbbell_switchoff"),
-                    ("detail", "partial"),
-                ),
+                params=(("network", "dumbbell_switchoff"), param),
             )
