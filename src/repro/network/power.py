@@ -627,16 +627,21 @@ def render_network_report(record: NetworkRecord) -> str:
         f"{len(record.links)} links, routing={spec.routing}, "
         f"switch_off={'on' if spec.switch_off else 'off'}"
     )
+
+    def mw(watts: float | None) -> str:
+        # A failed router's row holds None in its fabric columns.
+        return "-" if watts is None else f"{to_mW(watts):.4f}"
+
     node_rows = [
         [
             row["node"],
             row["architecture"],
             f"{row['powered_ports']}/{row['ports']}",
             f"{row['mean_load']:.3f}",
-            f"{row['throughput']:.3f}",
-            f"{to_mW(row['fabric_power_w']):.4f}",
-            f"{to_mW(row['port_power_w']):.4f}",
-            f"{to_mW(row['power_w']):.4f}",
+            "-" if row["throughput"] is None else f"{row['throughput']:.3f}",
+            mw(row["fabric_power_w"]),
+            mw(row["port_power_w"]),
+            mw(row["power_w"]),
         ]
         for row in record.nodes
     ]

@@ -1122,3 +1122,23 @@ class TestNetworkCli:
     def test_unknown_network_errors_cleanly(self, capsys):
         assert main(["network", "run", "nope"]) == 2
         assert "known networks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_table_prints_a_hole_as_dashes(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"faults": [
+            {"kind": "transient", "unit": 0, "attempts": [1, 2, 3]}
+        ]}))
+        assert main(["network", command, "fat_tree_k4", "--retries", "0",
+                     "--fault-plan", str(plan)]) == 0
+        captured = capsys.readouterr()
+        assert "1 failures" in captured.err
+        rows = {
+            cells[0]: cells
+            for line in captured.out.splitlines()
+            if (cells := [c.strip() for c in line.split("|")[1:-1]])
+        }
+        assert rows["core0"] == [
+            "core0", "crossbar", "4/4", "0.420", "-", "-", "0.0000", "-",
+        ]
+        assert "-" not in rows["core1"]
