@@ -142,9 +142,9 @@ def check_scalars(spec: Any) -> None:
     ``float``, so ``1`` and ``1.0`` share one content hash; a
     ``float | tuple[float, ...]`` field also takes a list or tuple of
     them and keeps a tuple, a ``tuple[float, ...]`` field only such a
-    list or tuple.  A ``bool`` field takes only a ``bool``, and
-    no number field takes one.  Anything else raises
-    :class:`ConfigurationError`.
+    list or tuple, and no float field takes a NaN.  A ``bool`` field
+    takes only a ``bool``, and no number field takes one.  Anything else
+    raises :class:`ConfigurationError`.
     """
     for name, kind, optional in _scalar_fields(type(spec)):
         value = getattr(spec, name)
@@ -170,6 +170,8 @@ def check_scalars(spec: Any) -> None:
                     raise ConfigurationError(
                         f"{name} must be an int or a float, got {item!r}"
                     )
+                if item != item:  # only NaN differs from itself
+                    raise ConfigurationError(f"{name} must not be NaN")
             value = tuple(map(float, value)) if vector else float(value)
             object.__setattr__(spec, name, value)
 

@@ -399,6 +399,8 @@ BAD_COMMAND_LINES = {
                          "--loads", "0.1"],
     "table1-zero-cycles": ["table1", "--cycles", "0"],
     "table1-negative-cycles": ["table1", "--cycles", "-3"],
+    "network-nan-scale": ["network", "run", "dumbbell_switchoff",
+                          "--scale", "nan", "--format", "json"],
 }
 
 

@@ -5,11 +5,13 @@ network, comparison and control records) go through it, and the golden
 keys pin their bytes, so the writer must match ``json.dumps`` on every
 JSON value, not only on the shapes the records have today.  The CSV
 exports go through ``csv_table``, whose cells are pinned here against
-hand-written text.
+hand-written text.  Every spec's number fields go through
+``check_scalars``, which refuses a NaN in a float field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Scenario
+from repro.control import DemandSeries, get_control
+from repro.errors import ConfigurationError
+from repro.network import Demand, Link, get_network
+from repro.resilience import Fault
 from repro.serial import csv_table, dumps_indented
+from repro.tech import TECH_180NM
 
 SCALARS = (
     st.none()
@@ -115,3 +123,28 @@ def test_csv_table_cells(value, cell):
     # as an empty cell, a tuple as a JSON list, quoted where csv must.
     text = csv_table(["k", "v"], [{"k": "x", "v": value}, {"k": "y"}])
     assert text == f"k,v\nx,{cell}\ny,\n"
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scenario("crossbar", 8, NAN),
+    lambda: Scenario("crossbar", 8, [0.3] * 7 + [NAN]),
+    lambda: dataclasses.replace(TECH_180NM, voltage_v=NAN),
+    lambda: get_network("dumbbell_switchoff").replace(port_power_w=NAN),
+    lambda: Demand("a", "b", NAN),
+    lambda: Link("a", "b", length_m=NAN),
+    lambda: get_control("dumbbell_sleep_sweep").replace(wake_energy_j=NAN),
+    lambda: DemandSeries(
+        "x", get_network("dumbbell_switchoff").matrix, (1.0, NAN)
+    ),
+    lambda: Fault("hang", 0, hang_s=NAN),
+], ids=["scenario-load", "scenario-load-vector", "technology",
+        "network-spec", "demand", "link", "control-spec",
+        "demand-series", "fault"])
+def test_float_fields_refuse_nan(build):
+    # NaN passes every `< 0.0` range check after the type check, and a
+    # record holding it exports JSON that no strict parser reads.
+    with pytest.raises(ConfigurationError, match="must not be NaN"):
+        build()
