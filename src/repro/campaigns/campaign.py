@@ -40,6 +40,7 @@ surrogate-vs-simulation error.  All kinds produce the same
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -244,7 +245,11 @@ class Campaign(Spec):
                         "(inline NetworkSpec dict)"
                     )
                 for scale in params.get("scales", (1.0,)):
-                    if not isinstance(scale, (int, float)) or scale <= 0:
+                    if (
+                        isinstance(scale, bool)
+                        or not isinstance(scale, (int, float))
+                        or not 0 < scale < math.inf
+                    ):
                         raise ConfigurationError(
                             f"network scales must be positive numbers, "
                             f"got {scale!r}"

@@ -1050,6 +1050,18 @@ class TestNetworkCampaigns:
                 name="x", kind="network", params={"network": "nope"},
             )
 
+    @pytest.mark.parametrize("scale", [True, float("nan"), float("inf")])
+    def test_network_scales_refuse_bools_and_non_finite(self, scale):
+        # [true] would run as scale 1.0 under another content hash, and
+        # [NaN] would pass construction and print a --dry-run plan.
+        from repro.campaigns import Campaign
+
+        with pytest.raises(ConfigurationError, match="positive numbers"):
+            Campaign(
+                name="x", kind="network",
+                params={"network": "fat_tree_k4", "scales": [scale]},
+            )
+
 
 # ----------------------------------------------------------------------
 # CLI
