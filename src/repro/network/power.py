@@ -464,13 +464,15 @@ class NetworkPowerModel:
         """
         if batch.get("report") is None:
             batch["report"] = BatchReport()
-        failures = batch["report"].failures
-        before = len(failures)
+        report = batch["report"]
+        before = len(report.failures)
         records = self.session.run_batch(
             [scenario for _, scenario in self.scenarios(spec, routing)],
             **batch,
         )
-        return _network_record(spec, routing, records, failures[before:])
+        return _network_record(
+            spec, routing, records, report.failures[before:]
+        )
 
 
 def _network_record(

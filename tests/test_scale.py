@@ -242,28 +242,19 @@ class TestResilienceStreaming:
         )
 
     def test_fault_holes_surface_on_sharded_record(self):
+        """All the routers run as one batch, so FaultPlan unit 0 is the
+        first router and leaves exactly one hole."""
         clean = self.run_k8()
         faulty = self.run_k8(
             retry=RECORD_HOLES,
             faults=FaultPlan(faults=(Fault("transient", 0),)),
         )
-        assert faulty.failures
-        holes = [r for r in faulty.nodes if r["power_w"] is None]
-        assert len(holes) == len(faulty.failures)
+        assert len(faulty.failures) == 1
+        holes = [r["node"] for r in faulty.nodes if r["power_w"] is None]
+        assert holes == [faulty.spec.topology.nodes[0].name]
         assert faulty.totals["power_w"] < clean.totals["power_w"]
         payload = json.loads(faulty.to_json())
         assert payload["failures"]  # holes are exported, never hidden
-
-    def test_unit_0_fault_leaves_one_hole(self):
-        """All the routers run as one batch, so FaultPlan unit 0 is the
-        first router and fires once."""
-        record = self.run_k8(
-            retry=RECORD_HOLES,
-            faults=FaultPlan(faults=(Fault("transient", 0),)),
-        )
-        assert len(record.failures) == 1
-        holes = [r["node"] for r in record.nodes if r["power_w"] is None]
-        assert holes == [get_network("fat_tree_k8").topology.nodes[0].name]
 
     def test_transient_fault_retries_to_byte_identical(self):
         clean = self.run_k8()
@@ -374,6 +365,9 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert record.totals["nodes"] == 1000
+        # The bound holds with every router's record kept in detail.
+        assert set(record.detail) == {"records", "routing"}
+        assert len(record.detail["records"]) == 1000
         assert peak < self.PEAK_BOUND_BYTES, f"peak {peak} bytes"
 
 # ----------------------------------------------------------------------
@@ -511,7 +505,10 @@ class TestScalePresets:
 
 
 class TestScaleCli:
-    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--detail", "none"]])
+    @pytest.mark.parametrize(
+        "flag", [["--shards", "2"], ["--detail", "none"]],
+        ids=["shards", "detail"],
+    )
     def test_network_run_refuses_shards_and_detail(self, flag):
         from repro.cli import main
 
@@ -526,7 +523,9 @@ class TestScaleCli:
         out = capsys.readouterr().out
         assert "80 routers" in out
 
-    @pytest.mark.parametrize("param", [("shards", 2), ("detail", "none")])
+    @pytest.mark.parametrize(
+        "param", [("shards", 2), ("detail", "none")], ids=["shards", "detail"]
+    )
     def test_campaign_params_refuse_shards_and_detail(self, param):
         from repro.campaigns import Campaign
 
