@@ -6,8 +6,8 @@ aggregates the records in node order.  This suite locks it down:
 
 * **Conservation properties** — over ~50 seeded random topologies and
   random feasible matrices, ``sum(link loads) == sum(demand x hops)``
-  for shortest-path, ECMP, and table forwarding, and infeasible
-  matrices always raise.
+  for shortest-path and ECMP routing, and infeasible matrices always
+  raise.
 * **Resilience at scale** — injected faults surface as explicit holes
   on the record (``FaultPlan`` unit ``i`` is the ``i``-th router), and
   retries and a journal resume converge to byte-identical fault-free
@@ -28,7 +28,6 @@ import tracemalloc
 import pytest
 
 from repro.api.model import PowerModel
-from repro.api.store import RunRecordStore
 from repro.errors import ConfigurationError
 from repro.network import (
     Demand,
@@ -53,17 +52,6 @@ from repro.resilience import (
     Fault,
     FaultPlan,
     RetryPolicy,
-)
-
-#: Every built-in preset: the original four plus the scale tier.
-ALL_PRESETS = (
-    "single_crossbar8",
-    "fat_tree_k4",
-    "dumbbell_switchoff",
-    "mesh4_ecmp",
-    "fat_tree_k8",
-    "fat_tree_k16",
-    "isp200_ring",
 )
 
 #: Fast measurement window for specs built inside tests.
