@@ -244,7 +244,13 @@ class Campaign(Spec):
                         '["network"] (preset name) or params["spec"] '
                         "(inline NetworkSpec dict)"
                     )
-                for scale in params.get("scales", (1.0,)):
+                scales = params.get("scales", (1.0,))
+                if not isinstance(scales, (list, tuple)):
+                    raise ConfigurationError(
+                        "network scales must be a list of positive "
+                        f"numbers, got {scales!r}"
+                    )
+                for scale in scales:
                     if (
                         isinstance(scale, bool)
                         or not isinstance(scale, (int, float))

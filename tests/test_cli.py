@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -352,6 +353,16 @@ MALFORMED_SPECS = [
             (("topology", "nodes", 0), {"ports": 4.0}),
         )
     ],
+    # A float field at infinity: Python's json reads and writes it as
+    # `Infinity`, which strict JSON parsers refuse.
+    ("network", json.dumps(
+        {**get_network("dumbbell_switchoff").to_dict(),
+         "port_power_w": math.inf}
+    )),
+    ("control", json.dumps(
+        {**get_control("dumbbell_sleep_sweep").to_dict(),
+         "wake_energy_j": math.inf}
+    )),
 ]
 
 

@@ -1048,6 +1048,15 @@ class TestNetworkCampaigns:
                     name="x", kind="network",
                     params={"network": "fat_tree_k4", "scales": [scale]},
                 )
+        # A bare number is not iterable, and a string would be refused
+        # one character at a time.
+        for scales in (2, "12"):
+            with pytest.raises(ConfigurationError,
+                               match=f"must be a list .*got {scales!r}"):
+                Campaign(
+                    name="x", kind="network",
+                    params={"network": "fat_tree_k4", "scales": scales},
+                )
         with pytest.raises(ConfigurationError, match="unknown network"):
             Campaign(
                 name="x", kind="network", params={"network": "nope"},

@@ -6,7 +6,7 @@ keys pin their bytes, so the writer must match ``json.dumps`` on every
 JSON value, not only on the shapes the records have today.  The CSV
 exports go through ``csv_table``, whose cells are pinned here against
 hand-written text.  Every spec's number fields go through
-``check_scalars``, which refuses a NaN in a float field.
+``check_scalars``, which refuses a NaN or an infinity in a float field.
 """
 
 from __future__ import annotations
@@ -126,25 +126,42 @@ def test_csv_table_cells(value, cell):
 
 
 NAN = float("nan")
+INF = float("inf")
 
-
-@pytest.mark.parametrize("build", [
-    lambda: Scenario("crossbar", 8, NAN),
-    lambda: Scenario("crossbar", 8, [0.3] * 7 + [NAN]),
-    lambda: dataclasses.replace(TECH_180NM, voltage_v=NAN),
-    lambda: get_network("dumbbell_switchoff").replace(port_power_w=NAN),
-    lambda: Demand("a", "b", NAN),
-    lambda: Link("a", "b", length_m=NAN),
-    lambda: get_control("dumbbell_sleep_sweep").replace(wake_energy_j=NAN),
-    lambda: DemandSeries(
-        "x", get_network("dumbbell_switchoff").matrix, (1.0, NAN)
+#: A float field of each spec kind, built with the given value.
+FLOAT_FIELDS = {
+    "scenario-load": lambda x: Scenario("crossbar", 8, x),
+    "scenario-load-vector": lambda x: Scenario("crossbar", 8, [0.3] * 7 + [x]),
+    "technology": lambda x: dataclasses.replace(TECH_180NM, voltage_v=x),
+    "network-spec": lambda x: get_network("dumbbell_switchoff").replace(
+        port_power_w=x
     ),
-    lambda: Fault("hang", 0, hang_s=NAN),
-], ids=["scenario-load", "scenario-load-vector", "technology",
-        "network-spec", "demand", "link", "control-spec",
-        "demand-series", "fault"])
+    "demand": lambda x: Demand("a", "b", x),
+    "link": lambda x: Link("a", "b", length_m=x),
+    "control-spec": lambda x: get_control("dumbbell_sleep_sweep").replace(
+        wake_energy_j=x
+    ),
+    "demand-series": lambda x: DemandSeries(
+        "x", get_network("dumbbell_switchoff").matrix, (1.0, x)
+    ),
+    "fault": lambda x: Fault("hang", 0, hang_s=x),
+}
+
+
+@pytest.mark.parametrize("build", FLOAT_FIELDS.values(),
+                         ids=FLOAT_FIELDS.keys())
 def test_float_fields_refuse_nan(build):
     # NaN passes every `< 0.0` range check after the type check, and a
     # record holding it exports JSON that no strict parser reads.
-    with pytest.raises(ConfigurationError, match="must not be NaN"):
-        build()
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        build(NAN)
+
+
+@pytest.mark.parametrize("value", [INF, -INF], ids=["inf", "-inf"])
+@pytest.mark.parametrize("build", FLOAT_FIELDS.values(),
+                         ids=FLOAT_FIELDS.keys())
+def test_float_fields_refuse_infinity(build, value):
+    # +inf passes every `< 0.0` range check too, and Python's json
+    # writes it as `Infinity`, which strict parsers refuse as well.
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        build(value)
