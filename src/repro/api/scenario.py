@@ -32,6 +32,7 @@ from repro.router.traffic import (
     MAX_PORTS,
     RNG_STREAM_V1,
     per_port_loads,
+    scalar_load,
     BernoulliUniformTraffic,
     BurstyTraffic,
     HotspotTraffic,
@@ -245,7 +246,10 @@ class Scenario(Spec):
             )
         # Shared scalar/vector validation (length + [0, 1] range) —
         # the same rules the traffic layer enforces at build time.
-        per_port_loads(self.load, self.ports)
+        if isinstance(self.load, tuple):
+            per_port_loads(self.load, self.ports)
+        else:
+            scalar_load(self.load)
         if not 0.0 <= self.flip_fraction <= 1.0:
             raise ConfigurationError("flip_fraction must be in [0, 1]")
         if self.traffic not in TRAFFIC_KINDS:
@@ -371,21 +375,19 @@ class Scenario(Spec):
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dict; ``from_dict`` round-trips it exactly."""
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "wire_mode":
-                value = value.value
-            elif f.name == "tech" and isinstance(value, Technology):
-                if value.name in TECH_PRESETS and TECH_PRESETS[value.name] == value:
-                    value = value.name
-                else:
-                    value = dataclasses.asdict(value)
-            elif f.name == "traffic_params":
-                value = {k: _thaw_value(v) for k, v in value}
-            elif f.name == "load" and isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        out: dict[str, Any] = {name: getattr(self, name) for name in _FIELDS}
+        if isinstance(self.load, tuple):
+            out["load"] = list(self.load)
+        tech = self.tech
+        if isinstance(tech, Technology):
+            if tech.name in TECH_PRESETS and TECH_PRESETS[tech.name] == tech:
+                out["tech"] = tech.name
+            else:
+                out["tech"] = dataclasses.asdict(tech)
+        out["wire_mode"] = self.wire_mode.value
+        out["traffic_params"] = {
+            k: _thaw_value(v) for k, v in self.traffic_params
+        }
         return out
 
     def content_hash(self) -> str:
@@ -443,6 +445,10 @@ class Scenario(Spec):
                             )
                         )
         return scenarios
+
+
+#: :class:`Scenario`'s field names, in :meth:`Scenario.to_dict` order.
+_FIELDS = tuple(f.name for f in fields(Scenario))
 
 
 def load_scenarios(source: str | Iterable[Mapping[str, Any]]) -> list[Scenario]:

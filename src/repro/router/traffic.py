@@ -75,6 +75,14 @@ MAX_PORTS = 4096
 REPLAY_WORDS = 1 << 16
 
 
+def scalar_load(load) -> float:
+    """A scalar load as a float, once it is in [0, 1]."""
+    value = float(load)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"load must be in [0, 1], got {load}")
+    return value
+
+
 def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:
     """Normalise a scalar or per-port load to ``(mean, vector)``.
 
@@ -84,9 +92,7 @@ def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:
     """
     array = np.asarray(load, dtype=float)
     if array.ndim == 0:
-        value = float(array)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigurationError(f"load must be in [0, 1], got {load}")
+        value = scalar_load(load)
         return value, np.full(ports, value)
     if array.ndim != 1 or array.size != ports:
         raise ConfigurationError(

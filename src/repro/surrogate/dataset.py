@@ -40,6 +40,10 @@ TARGET_FIELDS = (
 #: plus the cosmetic label).
 _CONTEXT_EXCLUDED = frozenset({"load", "ports", "name"})
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, without
+#: building a new encoder on every call.
+_encode_sorted = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 def context_signature(scenario_dict: Mapping[str, Any]) -> str:
     """Canonical signature of a scenario's operating context.
@@ -51,7 +55,7 @@ def context_signature(scenario_dict: Mapping[str, Any]) -> str:
     body = {
         k: v for k, v in scenario_dict.items() if k not in _CONTEXT_EXCLUDED
     }
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return _encode_sorted(body)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Async HTTP JSON API over a :class:`SurrogatePredictor`.
 
-Stdlib only: a hand-rolled HTTP/1.1 loop on asyncio streams (no
-``http.server``, no third-party web framework), because the whole
-request cycle for an in-distribution query is a dict lookup plus a
-6-term polynomial — a framework would cost more than the work.
-Keep-alive is supported so a load generator can push thousands of
-queries down one connection.
+Stdlib only: a hand-rolled HTTP/1.1 server (no ``http.server``, no
+third-party web framework), because the whole request cycle for an
+in-distribution query is a dict lookup plus a 6-term polynomial — a
+framework would cost more than the work.  Each connection is one
+:class:`asyncio.BufferedProtocol` that reads into a preallocated
+64 KiB buffer and answers every complete request in it, in order, with
+one ``transport.write``, so keep-alive and pipelined clients can push
+thousands of queries down one connection.  A request head must fit in
+that buffer (a longer one gets a 400 and the connection closes); while
+the transport's write buffer is full the connection neither reads nor
+answers (backpressure).
 
 Endpoints
 ---------
@@ -49,29 +54,126 @@ _MAX_BODY = 8 * 1024 * 1024
 _JOURNAL_FLUSH_EVERY = 64
 _PREDICT_MEMO_MAX = 4096
 _READ_SIZE = 64 * 1024
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found"}
 
 
-class _BufferedStreamProtocol(
-    asyncio.StreamReaderProtocol, asyncio.BufferedProtocol
-):
-    """Feeds a connection's :class:`asyncio.StreamReader` from one
-    preallocated buffer.
+def _response(
+    status: int, payload: dict[str, Any] | str, close: bool
+) -> bytes:
+    """One whole HTTP/1.1 response: head and JSON body."""
+    body = (
+        payload if isinstance(payload, str) else json.dumps(payload)
+    ).encode()
+    reason = _REASONS.get(status, "Internal Server Error")
+    return (
+        f"HTTP/1.1 {status} {reason}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'close' if close else 'keep-alive'}\r\n"
+        f"\r\n"
+    ).encode("latin-1") + body
 
-    A plain stream protocol makes the transport ``recv`` 256 KiB into a
-    new buffer on every read, which glibc serves by mmap/munmap unless
-    a large heap has raised its mmap threshold; ``recv_into`` one
-    buffer per connection allocates only what arrived.
+
+class _HttpConnection(asyncio.BufferedProtocol):
+    """One client connection of a :class:`SurrogateServer`.
+
+    The transport reads into ``_buffer``, whose bytes ``[_start:_end]``
+    are not parsed yet; every complete request among them is answered,
+    in order, from :meth:`buffer_updated`.  A request longer than the
+    buffer gets a buffer of its own length until it is answered.
     """
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._buffer = memoryview(bytearray(_READ_SIZE))
+    def __init__(self, server: SurrogateServer) -> None:
+        self._server = server
+        self._buffer = bytearray(_READ_SIZE)
+        self._view = memoryview(self._buffer)
+        self._start = self._end = 0
+        self._paused = False
+        self._transport: Any = None
+
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+        self._server._connections.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._server._connections.discard(self._transport)
 
     def get_buffer(self, sizehint: int) -> memoryview:
-        return self._buffer
+        return self._view[self._end:]
 
     def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(bytes(self._buffer[:nbytes]))
+        self._end += nbytes
+        self._answer()
+
+    def pause_writing(self) -> None:
+        # Reading pauses too: no request is parsed (and no EOF seen)
+        # while answers wait in the transport's write buffer.
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._transport.resume_reading()
+        self._answer()
+
+    def _answer(self) -> None:
+        """Answer every complete request received, in order."""
+        transport = self._transport
+        size = _READ_SIZE
+        while not self._paused and not transport.is_closing():
+            head_end = self._buffer.find(b"\r\n\r\n", self._start, self._end)
+            if head_end < 0:
+                break
+            request_line, *lines = str(
+                self._view[self._start:head_end], "latin-1"
+            ).split("\r\n")
+            try:
+                method, path, version = request_line.strip().split(" ", 2)
+            except ValueError:
+                self._refuse("malformed request line")
+                return
+            headers: dict[str, str] = {}
+            for line in lines:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            try:
+                length = int(headers.get("content-length", "0"))
+            except ValueError:
+                length = -1
+            if not 0 <= length <= _MAX_BODY:
+                self._refuse("bad content-length")
+                return
+            end = head_end + 4 + length
+            if end > self._end:
+                size = max(size, end - self._start)
+                break
+            body = self._view[head_end + 4:end].tobytes()
+            self._start = end
+            close = (
+                headers.get("connection", "").lower() == "close"
+                or version == "HTTP/1.0"
+            )
+            status, payload = self._server._dispatch(method, path, body)
+            transport.write(_response(status, payload, close))
+            if close:
+                transport.close()
+        if self._paused or transport.is_closing():
+            return
+        if self._start or size != len(self._buffer):
+            # Move the unparsed bytes to the front of a buffer that
+            # will hold the whole request.
+            unparsed = self._view[self._start:self._end].tobytes()
+            if size != len(self._buffer):
+                self._buffer = bytearray(size)
+                self._view = memoryview(self._buffer)
+            self._start, self._end = 0, len(unparsed)
+            self._buffer[:self._end] = unparsed
+        if self._end == size:
+            self._refuse("request head too large")
+
+    def _refuse(self, error: str) -> None:
+        self._transport.write(_response(400, {"error": error}, True))
+        self._transport.close()
 
 
 class SurrogateServer:
@@ -115,7 +217,7 @@ class SurrogateServer:
         self._journal_fh: Any = None
         self._journal_pending = 0
         self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._connections: set[asyncio.BaseTransport] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -125,14 +227,8 @@ class SurrogateServer:
         if self.journal_path is not None:
             self.journal_path.parent.mkdir(parents=True, exist_ok=True)
             self._journal_fh = self.journal_path.open("a")
-        loop = asyncio.get_running_loop()
-        self._server = await loop.create_server(
-            lambda: _BufferedStreamProtocol(
-                asyncio.StreamReader(loop=loop), self._handle_connection,
-                loop=loop,
-            ),
-            self.host,
-            self.port,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpConnection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -145,121 +241,18 @@ class SurrogateServer:
 
     async def stop(self) -> None:
         if self._server is not None:
+            # Server.close() only stops the listener: close the open
+            # keep-alive connections too, each after its queued answers
+            # (wait_closed() waits for them from Python 3.12 on).
             self._server.close()
+            for transport in list(self._connections):
+                transport.close()
             await self._server.wait_closed()
             self._server = None
-        # Server.close() only stops the listener; idle keep-alive
-        # connections would otherwise dangle until loop teardown and
-        # die noisily there.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
         if self._journal_fh is not None:
             self._journal_fh.flush()
             self._journal_fh.close()
             self._journal_fh = None
-
-    # ------------------------------------------------------------------
-    # HTTP mechanics
-    # ------------------------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        raise
-                    break  # clean EOF between requests
-                request_line, _, raw_headers = head.partition(b"\r\n")
-                try:
-                    method, path, version = (
-                        request_line.decode("latin-1").strip().split(" ", 2)
-                    )
-                except ValueError:
-                    await self._respond(
-                        writer, 400, {"error": "malformed request line"}, True
-                    )
-                    break
-                headers: dict[str, str] = {}
-                for line in raw_headers.split(b"\r\n"):
-                    if not line:
-                        continue
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
-                    length = -1
-                if not 0 <= length <= _MAX_BODY:
-                    await self._respond(
-                        writer, 400, {"error": "bad content-length"}, True
-                    )
-                    break
-                body = await reader.readexactly(length) if length else b""
-                close = (
-                    headers.get("connection", "").lower() == "close"
-                    or version == "HTTP/1.0"
-                )
-                status, payload = self._dispatch(method, path, body)
-                await self._respond(writer, status, payload, close)
-                if close:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # stop() (or loop teardown) cancelled us mid-read; ending
-            # the task normally keeps shutdown quiet — asyncio's
-            # stream machinery logs cancelled connection tasks.
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):
-                pass
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict[str, Any] | str,
-        close: bool,
-    ) -> None:
-        body = (
-            payload if isinstance(payload, str) else json.dumps(payload)
-        ).encode()
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Internal Server Error"
-        )
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            f"\r\n"
-        ).encode("latin-1")
-        writer.write(head + body)
-        await writer.drain()
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -27,10 +27,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -87,11 +89,13 @@ def _gauss_jordan_inverse(matrix: list[list[float]]) -> list[list[float]]:
     return [row[m:] for row in aug]
 
 
-def _dot(a: list[float], b: list[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(operator.mul, a, b))
 
 
-def _mat_vec(matrix: list[list[float]], vec: list[float]) -> list[float]:
+def _mat_vec(
+    matrix: Sequence[Sequence[float]], vec: Sequence[float]
+) -> list[float]:
     return [_dot(row, vec) for row in matrix]
 
 
@@ -125,21 +129,32 @@ class GroupModel:
         return self._exact.get((load, ports))
 
     def predict_target(self, index: int, x: list[float]) -> float:
-        raw = _dot(list(self.coef[index]), x)
+        raw = _dot(self.coef[index], x)
         if self.log_target[index]:
             return math.exp(raw)
         return max(0.0, raw)
 
     def leverage(self, x: list[float]) -> float:
-        return _dot(x, _mat_vec([list(r) for r in self.ainv], x))
+        return _dot(x, _mat_vec(self.ainv, x))
+
+    @cached_property
+    def _log_points(
+        self,
+    ) -> tuple[tuple[float, float, tuple[float, ...]], ...]:
+        """The training points as (ln load, log2 ports, targets),
+        computed once per curve."""
+        return tuple(
+            (math.log(load), math.log2(ports), targets)
+            for load, ports, targets in self.points
+        )
 
     def nearest_total(self, load: float, ports: int, k: int = 4) -> float:
         """Inverse-distance-weighted total power of the nearest
         training operating points (in (ln load, log2 ports) space)."""
         L, P = math.log(load), math.log2(ports)
         scored = sorted(
-            ((math.log(pl) - L) ** 2 + (math.log2(pp) - P) ** 2, targets)
-            for pl, pp, targets in self.points
+            ((pl - L) ** 2 + (pp - P) ** 2, targets)
+            for pl, pp, targets in self._log_points
         )[:k]
         num = den = 0.0
         for dist2, targets in scored:

@@ -59,10 +59,11 @@ class WireMode(enum.Enum):
             raise ConfigurationError(
                 f"wire_mode must be a WireMode or str, got {type(value).__name__}"
             )
-        canon = value.strip().lower().replace("-", "_")
-        for member in cls:
-            if member.value == canon:
-                return member
+        member = cls._value2member_map_.get(
+            value.strip().lower().replace("-", "_")
+        )
+        if member is not None:
+            return member
         raise ConfigurationError(
             f"unknown wire_mode {value!r}; valid values: "
             f"{', '.join(m.value for m in cls)} "

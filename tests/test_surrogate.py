@@ -17,6 +17,7 @@ Headline contracts under test:
 import asyncio
 import json
 import socket
+import time
 
 import pytest
 
@@ -345,6 +346,44 @@ def http_request(port, method, path, body=b""):
     return status, headers, payload
 
 
+def predict_request(scenario, extra=""):
+    """One raw ``POST /predict`` request for ``scenario``."""
+    body = json.dumps(scenario.to_dict()).encode()
+    return (
+        f"POST /predict HTTP/1.1\r\nHost: x\r\n"
+        f"Content-Length: {len(body)}\r\n{extra}\r\n"
+    ).encode() + body
+
+
+def read_responses(sock, count=None):
+    """``(status, headers, body)`` of each response read from ``sock``:
+    ``count`` of them, or every one until the server closes."""
+    raw, responses = b"", []
+    while count is None or len(responses) < count:
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        if sep:
+            lines = head.decode("latin-1").split("\r\n")
+            headers = {}
+            for line in lines[1:]:
+                name, _, value = line.partition(":")
+                headers[name.strip().lower()] = value.strip()
+            length = int(headers["content-length"])
+            if len(rest) >= length:
+                status = int(lines[0].split(" ")[1])
+                responses.append((status, headers, rest[:length]))
+                raw = rest[length:]
+                continue
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:  # closed with our bytes unread
+            chunk = b""
+        if not chunk:
+            break
+        raw += chunk
+    assert raw == b""
+    return responses
+
+
 class TestServer:
     @pytest.fixture()
     def server(self, corpus):
@@ -510,32 +549,187 @@ class TestServer:
                      backend="simulate", **SIM_KWARGS)
             for arch, load in (("banyan", 0.35), ("crossbar", 0.25))
         ]
-        requests = b""
-        for i, scenario in enumerate(scenarios):
-            body = json.dumps(scenario.to_dict()).encode()
-            close = "Connection: close\r\n" if i == len(scenarios) - 1 else ""
-            requests += (
-                f"POST /predict HTTP/1.1\r\nHost: x\r\n"
-                f"Content-Length: {len(body)}\r\n{close}\r\n"
-            ).encode() + body
+        requests = predict_request(scenarios[0]) + predict_request(
+            scenarios[1], "Connection: close\r\n"
+        )
         with socket.create_connection(("127.0.0.1", server.port),
                                       timeout=30) as sock:
             sock.sendall(requests)
-            raw = b""
-            while chunk := sock.recv(65536):
-                raw += chunk
-        bodies = []
-        while raw:
-            head, _, raw = raw.partition(b"\r\n\r\n")
-            assert head.startswith(b"HTTP/1.1 200 ")
-            length = int(head.lower().split(b"content-length:")[1]
-                         .split(b"\r\n")[0])
-            bodies.append(raw[:length])
-            raw = raw[length:]
+            responses = read_responses(sock)
+        assert [status for status, _, _ in responses] == [200, 200]
         local = [SurrogatePredictor(corpus["model"]).predict(s)
                  for s in scenarios]
         assert {p.source for p in local} == {"surrogate"}
-        assert bodies == [p.to_json().encode() for p in local]
+        assert [body for _, _, body in responses] == [
+            p.to_json().encode() for p in local
+        ]
+
+    def test_requests_framed_across_reads(self, corpus, server):
+        """A request written one byte at a time, then one whose body
+        comes in a later write than its head, on one keep-alive
+        connection: both answers equal the in-process bytes."""
+        scenarios = [
+            Scenario(architecture=arch, ports=8, load=load,
+                     backend="simulate", **SIM_KWARGS)
+            for arch, load in (("crossbar", 0.33), ("banyan", 0.45))
+        ]
+        first, second = (predict_request(s) for s in scenarios)
+        split = second.index(b"\r\n\r\n") + 4
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(first)):
+                sock.sendall(first[i:i + 1])
+                time.sleep(0.0005)  # let the server read each byte
+            sock.sendall(second[:split])
+            time.sleep(0.05)
+            sock.sendall(second[split:])
+            responses = read_responses(sock, 2)
+        local = [SurrogatePredictor(corpus["model"]).predict(s)
+                 for s in scenarios]
+        assert {p.source for p in local} == {"surrogate"}
+        assert responses == [
+            (200, {"content-type": "application/json",
+                   "content-length": str(len(p.to_json())),
+                   "connection": "keep-alive"}, p.to_json().encode())
+            for p in local
+        ]
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, error",
+        [
+            (b"NONSENSE\r\n\r\n", 400, "malformed request line"),
+            (b"POST /predict HTTP/1.1\r\nContent-Length: x\r\n\r\n",
+             400, "bad content-length"),
+            (b"POST /predict HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+             400, "bad content-length"),
+            (b"POST /batch HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n",
+             400, "bad content-length"),
+            (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+             + b"\r\n\r\n", 400, "request head too large"),
+            (b"GET /health HTTP/1.0\r\n\r\n", 200, None),
+        ],
+        ids=["malformed-request-line", "content-length-not-a-number",
+             "negative-content-length", "body-over-8-mib",
+             "head-over-64-kib", "http-1.0"],
+    )
+    def test_answer_then_close(self, server, request_bytes, status, error):
+        """A request the server cannot frame gets a 400 naming why, an
+        HTTP/1.0 request its answer, and then the connection closes."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            sock.sendall(request_bytes)
+            responses = read_responses(sock)
+        assert len(responses) == 1
+        got_status, headers, body = responses[0]
+        assert (got_status, headers["connection"]) == (status, "close")
+        if error is not None:
+            assert json.loads(body) == {"error": error}
+        # The server keeps serving.
+        assert http_request(server.port, "GET", "/health")[0] == 200
+
+    def test_connection_closed_mid_body_ends_quietly(self, corpus):
+        srv = SurrogateServer(SurrogatePredictor(corpus["model"]), port=0)
+        logged = []
+
+        async def _go():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: logged.append(
+                context
+            ))
+            await srv.start()
+            _, writer = await asyncio.open_connection("127.0.0.1", srv.port)
+            writer.write(b"POST /predict HTTP/1.1\r\nContent-Length: 100"
+                         b"\r\n\r\n{\"architecture\": ")
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(200):
+                if not srv._connections:
+                    break
+                await asyncio.sleep(0.01)
+            open_after_close = len(srv._connections)
+            await srv.stop()
+            return open_after_close
+
+        assert asyncio.run(_go()) == 0
+        assert logged == []
+        assert srv.requests == 0
+
+    def test_backpressure_holds_answers_until_the_writer_drains(
+        self, corpus
+    ):
+        """When a write fills the transport's buffer the connection
+        stops reading and answering; once it drains, the requests left
+        in the buffer are answered in order."""
+        from repro.surrogate.serve import _HttpConnection
+
+        srv = SurrogateServer(SurrogatePredictor(corpus["model"]), port=0)
+        conn = _HttpConnection(srv)
+
+        class Transport:
+            """Records writes; the first one fills the write buffer."""
+
+            def __init__(self):
+                self.written = []
+                self.reading = True
+
+            def write(self, data):
+                self.written.append(data)
+                if len(self.written) == 1:
+                    conn.pause_writing()
+
+            def pause_reading(self):
+                self.reading = False
+
+            def resume_reading(self):
+                self.reading = True
+
+            def is_closing(self):
+                return False
+
+        transport = Transport()
+        conn.connection_made(transport)
+        requests = b"".join(
+            f"GET /{path} HTTP/1.1\r\n\r\n".encode()
+            for path in ("health", "stats", "nowhere")
+        )
+        conn.get_buffer(-1)[:len(requests)] = requests
+        conn.buffer_updated(len(requests))
+        assert len(transport.written) == 1 and not transport.reading
+        conn.resume_writing()
+        assert transport.reading
+        assert [w.split(b" ", 2)[1] for w in transport.written] == [
+            b"200", b"200", b"404",
+        ]
+        assert srv.requests == 3
+
+    def test_stop_closes_open_keep_alive_connections(self, corpus, tmp_path):
+        journal = tmp_path / "requests.jsonl"
+        srv = SurrogateServer(
+            SurrogatePredictor(corpus["model"]), port=0, journal=journal
+        )
+
+        async def _go():
+            await srv.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", srv.port
+            )
+            writer.write(b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length: ")[1]
+                         .split(b"\r\n")[0])
+            await reader.readexactly(length)
+            await srv.stop()
+            rest = await asyncio.wait_for(reader.read(), 10)
+            writer.close()
+            return head, rest
+
+        head, rest = asyncio.run(_go())
+        assert b"Connection: keep-alive" in head
+        assert rest == b""  # the server closed the idle connection
+        assert len(journal.read_text().splitlines()) == 1
 
     def test_journal_written(self, corpus, tmp_path):
         journal = tmp_path / "requests.jsonl"
