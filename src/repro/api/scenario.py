@@ -21,33 +21,23 @@ Construction helpers mirror how the paper's figures are built:
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core.estimator import ARCHITECTURES
 from repro.errors import ConfigurationError
-from repro.fabrics.registry import canonical_architecture
-from repro.router.cells import CellFormat
-from repro.router.traffic import (
-    MAX_PORTS,
-    RNG_STREAM_V1,
-    per_port_loads,
-    scalar_load,
-    BernoulliUniformTraffic,
-    BurstyTraffic,
-    HotspotTraffic,
-    PermutationTraffic,
-    TraceEntry,
-    TraceTraffic,
-    TrafficGenerator,
-    TrimodalPacketTraffic,
-)
+from repro.fabrics.registry import ENGINES, canonical_architecture
+from repro.router.params import MAX_PORTS, RNG_STREAM_V1
+from repro.router.params import CellFormat, scalar_load
 from repro.serial import Spec, build, check_fields, check_scalars, parse_json
-from repro.sim.engine import ENGINES
 from repro.tech import Technology
 from repro.tech.presets import PRESETS as TECH_PRESETS
 from repro.tech.presets import get_technology
 from repro.wire_modes import WireMode
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.router.traffic import TrafficGenerator
 
 #: Valid values of :attr:`Scenario.backend`.
 BACKENDS = ("estimate", "simulate")
@@ -55,14 +45,15 @@ BACKENDS = ("estimate", "simulate")
 #: Valid values of :attr:`Scenario.queueing`.
 QUEUEING_KINDS = ("fifo", "voq")
 
-#: Traffic generator classes by scenario ``traffic`` name; ``trace``
-#: builds its generator from ``traffic_params["entries"]``.
+#: Names of the :mod:`repro.router.traffic` generator classes by
+#: scenario ``traffic`` name; ``trace`` builds its generator from
+#: ``traffic_params["entries"]``.
 _GENERATORS = {
-    "bernoulli": BernoulliUniformTraffic,
-    "hotspot": HotspotTraffic,
-    "bursty": BurstyTraffic,
-    "trimodal": TrimodalPacketTraffic,
-    "permutation": PermutationTraffic,
+    "bernoulli": "BernoulliUniformTraffic",
+    "hotspot": "HotspotTraffic",
+    "bursty": "BurstyTraffic",
+    "trimodal": "TrimodalPacketTraffic",
+    "permutation": "PermutationTraffic",
 }
 
 #: Valid values of :attr:`Scenario.traffic`.
@@ -158,7 +149,7 @@ class Scenario(Spec):
         ``{"hotspot_fraction": 0.5}``), stored as a sorted tuple of
         pairs so scenarios stay hashable.
     bus_width / cell_words:
-        Cell geometry (:class:`~repro.router.cells.CellFormat`).
+        Cell geometry (:class:`~repro.router.params.CellFormat`).
     buffer_memory / buffer_bits_per_switch / buffer_charge_granularity:
         Banyan buffer configuration (ignored by bufferless fabrics).
     ingress_queue_cells:
@@ -247,6 +238,8 @@ class Scenario(Spec):
         # Shared scalar/vector validation (length + [0, 1] range) —
         # the same rules the traffic layer enforces at build time.
         if isinstance(self.load, tuple):
+            from repro.router.traffic import per_port_loads
+
             per_port_loads(self.load, self.ports)
         else:
             scalar_load(self.load)
@@ -335,6 +328,8 @@ class Scenario(Spec):
         (an unknown keyword, a value of the wrong type) raises
         :class:`ConfigurationError` naming the traffic kind.
         """
+        from repro.router import traffic
+
         params = dict(self.traffic_params)
         if self.traffic == "trace":
             entries = params.pop("entries", None)
@@ -348,20 +343,22 @@ class Scenario(Spec):
                     f"unknown trace traffic params: {sorted(params)}"
                 )
             try:
-                parsed = [TraceEntry(*map(int, row)) for row in entries]
+                parsed = [traffic.TraceEntry(*map(int, r)) for r in entries]
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"bad trace entry rows (expected [slot, src, dest, "
                     f"size_bits]): {exc}"
                 ) from exc
-            return TraceTraffic(self.ports, parsed, bus_width=self.bus_width)
+            return traffic.TraceTraffic(
+                self.ports, parsed, bus_width=self.bus_width
+            )
         bits = (
             "cell_payload_bits" if self.traffic == "trimodal" else "packet_bits"
         )
         params.setdefault(bits, self.cell_format.payload_bits_per_cell)
         load = list(self.load) if isinstance(self.load, tuple) else self.load
         try:
-            return _GENERATORS[self.traffic](
+            return getattr(traffic, _GENERATORS[self.traffic])(
                 ports=self.ports, load=load, bus_width=self.bus_width, **params
             )
         except (TypeError, ValueError) as exc:

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any
 
+from repro.core.tables import TABLE1_ENTRIES
 from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture
 from repro.serial import Spec
@@ -382,8 +383,6 @@ class Campaign(Spec):
         if self.kind == "control":
             # One row per epoch plus one series-total row.
             return self.control_spec().series.epochs + 1
-        from repro.gatesim.characterize import TABLE1_ENTRIES
-
         return len(TABLE1_ENTRIES)
 
     # ------------------------------------------------------------------

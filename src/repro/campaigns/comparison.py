@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-import numpy as np
-
 from repro.api.scenario import _thaw_value
 from repro.errors import ConfigurationError
 from repro.serial import (
@@ -203,6 +201,8 @@ class ComparisonRecord:
                 "no target_throughput given and the campaign params "
                 "define none"
             )
+        import numpy as np  # here only: records and plans load no numpy
+
         group_axes = [a for a in self.axes if a != "load"]
         groups: dict[tuple, list[dict[str, Any]]] = {}
         for p in self.points:

@@ -43,17 +43,20 @@ check) use it to validate a campaign cheaply.
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro.core.tables import TABLE1_ENTRIES
 from repro.errors import ConfigurationError
 
 from repro.api.figstore import DerivedRecordStore
-from repro.api.model import PowerModel, check_batch_options, default_session
 from repro.api.records import RunRecord
 from repro.resilience.records import BatchReport
 
 from repro.campaigns.campaign import Campaign, GRID_AXES
 from repro.campaigns.comparison import ComparisonRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.model import PowerModel
 
 #: Metric columns of a grid campaign's points (RunRecord headline
 #: numbers, in CSV column order).
@@ -282,9 +285,7 @@ def campaign_plan(campaign: Campaign) -> list[dict[str, Any]]:
         return plan
     if campaign.kind == "table2":
         return [{"ports": ports} for ports in _table2_ports(campaign)]
-    # table1: the entry list owned by the characterisation module.
-    from repro.gatesim.characterize import TABLE1_ENTRIES
-
+    # table1: the entries the characterisation module regenerates.
     _table1_params(campaign)
     return [{"entry": entry} for entry in sorted(TABLE1_ENTRIES)]
 
@@ -355,6 +356,8 @@ def _run_grid(
     report = batch["report"]
     before = len(report.failures)
     if session is None:
+        from repro.api.model import default_session
+
         session = default_session()
     records = session.run_batch(campaign.scenarios(), **batch)
     # Failed points (on_failure="record") leave None slots: the record
@@ -570,6 +573,10 @@ def run_campaign(
         kinds run no batch and ignore it.  Control campaigns tighten
         ``retry.on_failure`` to ``"raise"``.
     """
+    # The session layer loads the engines, which campaign_plan and the
+    # table kinds never need.
+    from repro.api.model import check_batch_options
+
     check_batch_options("run_campaign", batch)
     if isinstance(campaign, str):
         from repro.campaigns.presets import get_campaign

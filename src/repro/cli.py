@@ -62,7 +62,7 @@ import repro
 from repro.analysis.report import format_table
 from repro.core import tables
 from repro.errors import ConfigurationError, ReproError
-from repro.fabrics.registry import registered_architectures
+from repro.fabrics.registry import ENGINES, registered_architectures
 from repro.tech.presets import PRESETS as TECH_PRESETS
 from repro.units import to_mW, to_pJ
 from repro.wire_modes import WireMode
@@ -72,8 +72,6 @@ WIRE_MODE_CHOICES = tuple(m.value for m in WireMode)
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.engine import ENGINES
-
     parser.add_argument(
         "--engine",
         choices=ENGINES,

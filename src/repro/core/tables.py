@@ -54,6 +54,22 @@ MUX_ENERGY_BY_PORTS: dict[int, float] = {
     32: fJ(2515.0),
 }
 
+#: MUX sizes characterised for Table 1's N-input rows.
+TABLE1_MUX_SIZES = (4, 8, 16, 32)
+
+#: Every Table 1 entry :func:`repro.gatesim.characterize.regenerate_table1`
+#: characterises, keyed the same way as its ``raw``/``calibrated``/
+#: ``reference`` dicts.  The campaign layer (``repro.campaigns``) sizes
+#: and plans the ``table1`` campaign from this tuple, so extending the
+#: characterisation extends the campaign automatically.
+TABLE1_ENTRIES = (
+    "crossbar[1]",
+    "banyan[0,1]",
+    "banyan[1,1]",
+    "batcher[0,1]",
+    "batcher[1,1]",
+) + tuple(f"mux{n}" for n in TABLE1_MUX_SIZES)
+
 # ---------------------------------------------------------------------------
 # Table 2: buffer bit energy of N x N Banyan network
 # ---------------------------------------------------------------------------

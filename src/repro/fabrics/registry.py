@@ -38,14 +38,24 @@ from typing import Callable
 
 from repro.errors import ConfigurationError
 
-#: Names of the built-in (paper) architectures; these entries cannot be
-#: replaced or unregistered.
-BUILTIN_ARCHITECTURES = (
-    "crossbar",
-    "fully_connected",
-    "banyan",
-    "batcher_banyan",
-)
+#: The built-in (paper) architectures: name -> (aliases, description).
+#: Their entries cannot be replaced or unregistered.  The name lookups
+#: answer from this table, so they import no fabric module; the classes
+#: load when an entry is first asked for.
+_BUILTINS = {
+    "crossbar": (("xbar",), "N x N crosspoint matrix"),
+    "fully_connected": (("fullyconnected", "fully_conn", "fc", "mux"),
+                        "one N-input MUX per egress port"),
+    "banyan": ((), "self-routing 2x2 switches with node buffers"),
+    "batcher_banyan": (("batcher", "batcherbanyan"),
+                       "bitonic sorter in front of a banyan"),
+}
+#: Names of the built-in architectures.
+BUILTIN_ARCHITECTURES = tuple(_BUILTINS)
+
+#: Selectable slot-loop implementations (see
+#: :func:`repro.sim.engine.create_engine`).
+ENGINES = ("vectorized", "reference")
 
 
 @dataclass(frozen=True)
@@ -78,13 +88,15 @@ class FabricEntry:
     @property
     def engines(self) -> tuple[str, ...]:
         """Engine names able to run this architecture."""
-        if self.vector_core is not None:
-            return ("vectorized", "reference")
-        return ("reference",)
+        return ENGINES if self.vector_core is not None else ("reference",)
 
 
+#: Custom entries, and the built-in ones once their classes are loaded.
 _REGISTRY: dict[str, FabricEntry] = {}
-_ALIASES: dict[str, str] = {}
+_ALIASES: dict[str, str] = {
+    alias: name for name, (aliases, _) in _BUILTINS.items()
+    for alias in aliases
+}
 _LOCK = threading.Lock()
 _builtins_loaded = False
 
@@ -94,14 +106,14 @@ def _normalise(name: str) -> str:
 
 
 def _ensure_builtins() -> None:
-    global _builtins_loaded
+    global _REGISTRY, _builtins_loaded
     if _builtins_loaded:
         return
     with _LOCK:
         if _builtins_loaded:
             return
-        # Imported lazily: the fabric modules (and the vectorized cores,
-        # which import them) must be loadable before the registry fills.
+        # Imported here: the fabric modules and the vector cores load
+        # numpy, which building, validating or listing specs never needs.
         from repro.fabrics.banyan import BanyanFabric
         from repro.fabrics.batcher_banyan import BatcherBanyanFabric
         from repro.fabrics.crossbar import CrossbarFabric
@@ -113,39 +125,19 @@ def _ensure_builtins() -> None:
             FullyConnectedCore,
         )
 
-        builtins = (
-            FabricEntry(
-                "crossbar",
-                CrossbarFabric,
-                vector_core=CrossbarCore,
-                aliases=("xbar",),
-                description="N x N crosspoint matrix",
-            ),
-            FabricEntry(
-                "fully_connected",
-                FullyConnectedFabric,
-                vector_core=FullyConnectedCore,
-                aliases=("fullyconnected", "fully_conn", "fc", "mux"),
-                description="one N-input MUX per egress port",
-            ),
-            FabricEntry(
-                "banyan",
-                BanyanFabric,
-                vector_core=BanyanCore,
-                description="self-routing 2x2 switches with node buffers",
-            ),
-            FabricEntry(
-                "batcher_banyan",
-                BatcherBanyanFabric,
-                vector_core=BatcherBanyanCore,
-                aliases=("batcher", "batcherbanyan"),
-                description="bitonic sorter in front of a banyan",
-            ),
-        )
-        for entry in builtins:
-            _REGISTRY[entry.name] = entry
-            for alias in entry.aliases:
-                _ALIASES[alias] = entry.name
+        classes = {
+            "crossbar": (CrossbarFabric, CrossbarCore),
+            "fully_connected": (FullyConnectedFabric, FullyConnectedCore),
+            "banyan": (BanyanFabric, BanyanCore),
+            "batcher_banyan": (BatcherBanyanFabric, BatcherBanyanCore),
+        }
+        builtins = {
+            name: FabricEntry(name, *classes[name], aliases=aliases,
+                              description=description)
+            for name, (aliases, description) in _BUILTINS.items()
+        }
+        # The built-ins come first, as if registered before any custom.
+        _REGISTRY = {**builtins, **_REGISTRY}
         _builtins_loaded = True
 
 
@@ -168,7 +160,6 @@ def register_fabric(
     construction for :func:`~repro.fabrics.factory.build_fabric` call
     sites that pass no explicit ``models``.
     """
-    _ensure_builtins()
     canonical = _normalise(name)
     alias_names = tuple(_normalise(a) for a in aliases)
     with _LOCK:
@@ -177,7 +168,8 @@ def register_fabric(
         # built-in names and built-in aliases can never be taken.
         for claimed in (canonical,) + alias_names:
             owner = (
-                claimed if claimed in _REGISTRY else _ALIASES.get(claimed)
+                claimed if claimed in _REGISTRY or claimed in _BUILTINS
+                else _ALIASES.get(claimed)
             )
             if owner in BUILTIN_ARCHITECTURES:
                 raise ConfigurationError(
@@ -229,16 +221,14 @@ def unregister_fabric(name: str) -> None:
 
 def registered_architectures() -> tuple[str, ...]:
     """Canonical names of every registered architecture (sorted)."""
-    _ensure_builtins()
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_REGISTRY.keys() | _BUILTINS.keys()))
 
 
 def canonical_architecture(name: str) -> str:
     """Normalise any accepted spelling to its canonical registry name."""
-    _ensure_builtins()
     arch = _normalise(name)
     arch = _ALIASES.get(arch, arch)
-    if arch not in _REGISTRY:
+    if arch not in _REGISTRY and arch not in _BUILTINS:
         raise ConfigurationError(
             f"unknown architecture {name!r}; registered architectures: "
             f"{registered_architectures()}"
@@ -248,7 +238,9 @@ def canonical_architecture(name: str) -> str:
 
 def get_entry(name: str) -> FabricEntry:
     """The :class:`FabricEntry` for any accepted architecture spelling."""
-    return _REGISTRY[canonical_architecture(name)]
+    canonical = canonical_architecture(name)
+    _ensure_builtins()
+    return _REGISTRY[canonical]
 
 
 def vector_core_for(fabric) -> type | None:

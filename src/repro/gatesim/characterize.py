@@ -43,27 +43,11 @@ from repro.gatesim.simulate import (
     random_bit_stream,
     simulate,
 )
+from repro.tech import TECH_180NM, Technology
 
 #: Cycles a packet's control signals (routing bit, destination key) are
 #: held: one 512-bit cell on a 32-bit bus.
 PACKET_HOLD_CYCLES = 16
-
-#: MUX sizes characterised for Table 1's N-input rows.
-TABLE1_MUX_SIZES = (4, 8, 16, 32)
-
-#: Every Table 1 entry :func:`regenerate_table1` characterises, keyed
-#: the same way as its ``raw``/``calibrated``/``reference`` dicts.  The
-#: campaign layer (``repro.campaigns``) sizes and plans the ``table1``
-#: campaign from this tuple, so extending the characterisation extends
-#: the campaign automatically.
-TABLE1_ENTRIES = (
-    "crossbar[1]",
-    "banyan[0,1]",
-    "banyan[1,1]",
-    "batcher[0,1]",
-    "batcher[1,1]",
-) + tuple(f"mux{n}" for n in TABLE1_MUX_SIZES)
-from repro.tech import TECH_180NM, Technology
 
 
 def _energy_per_bit_slot(
@@ -273,7 +257,7 @@ def regenerate_table1(
     batcher = characterize_switch("batcher", tech, bus_width, cycles, seed)
     mux_raw = {
         n: characterize_mux(n, tech, bus_width, max(cycles // 2, 64), seed)
-        for n in TABLE1_MUX_SIZES
+        for n in tables.TABLE1_MUX_SIZES
     }
 
     raw_points = {

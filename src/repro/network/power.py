@@ -40,7 +40,6 @@ from repro.serial import (
 )
 from repro.tech.presets import get_technology
 
-from repro.api.model import PowerModel, check_batch_options, default_session
 from repro.api.records import RunRecord
 from repro.api.scenario import Scenario, _freeze_params, _thaw_value
 from repro.resilience.records import BatchReport, FailureRecord
@@ -51,6 +50,7 @@ from repro.network.traffic_matrix import TrafficMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.figstore import DerivedRecordStore
+    from repro.api.model import PowerModel
 
 #: Scenario fields a network spec derives itself and therefore rejects
 #: in :attr:`NetworkSpec.base`.
@@ -347,6 +347,10 @@ class NetworkPowerModel:
     """
 
     def __init__(self, session: PowerModel | None = None) -> None:
+        # The session layer loads the engines; specs and presets of this
+        # module are built and listed without it.
+        from repro.api.model import default_session
+
         self.session = session if session is not None else default_session()
 
     # ------------------------------------------------------------------
@@ -436,6 +440,8 @@ class NetworkPowerModel:
         (explicit holes) is never figure-cached — a later clean run must
         not be served the holes.
         """
+        from repro.api.model import check_batch_options
+
         check_batch_options("NetworkPowerModel.run", batch)
         if figures is not None:
             cached = figures.get(spec.content_hash(), "network")

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.fabrics.registry import canonical_architecture
-from repro.router.traffic import MAX_PORTS
+from repro.router.params import MAX_PORTS
 from repro.serial import Spec, build, check_scalars
 from repro.tech.presets import get_technology
 

@@ -21,8 +21,9 @@ Presets mirror the classic evaluation workloads:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
 from repro.serial import Spec, build, check_scalars

@@ -18,57 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.router.packet import Packet, bus_mask
-
-
-@dataclass(frozen=True)
-class CellFormat:
-    """Geometry of a cell on the fabric bus.
-
-    Attributes
-    ----------
-    bus_width: parallel bus width in bits (paper: 32).
-    words: total words per cell including the header word
-        (default 16 -> a 512-bit cell, i.e. 480 payload bits).
-    """
-
-    bus_width: int = 32
-    words: int = 16
-
-    def __post_init__(self) -> None:
-        # Validates the width; cached for the per-cell header encoder.
-        object.__setattr__(self, "_mask", bus_mask(self.bus_width))
-        if self.words < 2:
-            raise ConfigurationError("a cell needs >= 2 words (header + payload)")
-
-    @property
-    def cell_bits(self) -> int:
-        """Total bits moved across a link per cell."""
-        return self.bus_width * self.words
-
-    @property
-    def payload_words(self) -> int:
-        return self.words - 1
-
-    @property
-    def payload_bits_per_cell(self) -> int:
-        return self.payload_words * self.bus_width
-
-    def slot_seconds(self, line_rate_bps: float) -> float:
-        """Duration of one slot: the line-rate time of one cell."""
-        if line_rate_bps <= 0:
-            raise ConfigurationError("line_rate_bps must be positive")
-        return self.cell_bits / line_rate_bps
-
-    def header_word(self, dest_port: int, cell_index: int, packet_id: int) -> int:
-        """Deterministic header: dest in bits 0-7, index 8-15, id above.
-
-        The one definition of the header layout, called once per cell,
-        or once per batch with uint64 arrays of destinations and ids.
-        """
-        word = (dest_port & 0xFF) | ((cell_index & 0xFF) << 8)
-        word |= (packet_id << 16)
-        return word & self._mask
+from repro.router.packet import Packet
+from repro.router.params import CellFormat
 
 
 @dataclass

@@ -15,19 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.units import bus_mask as _units_bus_mask
-
-
-def bus_mask(bus_width: int) -> int:
-    """Bit mask selecting the low ``bus_width`` bits of a word.
-
-    Thin wrapper over :func:`repro.units.bus_mask` raising the library's
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    try:
-        return _units_bus_mask(bus_width)
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+from repro.router.params import bus_mask
 
 
 def make_payload_words(

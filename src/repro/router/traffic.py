@@ -62,25 +62,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.router import params
 from repro.router.packet import Packet, bus_mask
+from repro.router.params import scalar_load
 
-#: The RNG-consumption contract's version: slot-at-a-time draws (the
-#: original engines' contract, and the only one).
-RNG_STREAM_V1 = 1
-#: Largest port count of a scenario or a router node (the presets use
-#: at most 128), checked before any per-port array is allocated.
-MAX_PORTS = 4096
+#: Named here too; their numpy-free home is :mod:`repro.router.params`.
+RNG_STREAM_V1, MAX_PORTS = params.RNG_STREAM_V1, params.MAX_PORTS
+
 #: Most raw PCG64 words one replay draws at once; longer blocks are
 #: replayed in parts.  Results do not depend on it.
 REPLAY_WORDS = 1 << 16
-
-
-def scalar_load(load) -> float:
-    """A scalar load as a float, once it is in [0, 1]."""
-    value = float(load)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"load must be in [0, 1], got {load}")
-    return value
 
 
 def per_port_loads(load, ports: int) -> tuple[float, np.ndarray]:

@@ -28,12 +28,12 @@ import hashlib
 import io
 import json
 import math
+from collections.abc import Mapping
 from typing import (
     Any,
     ClassVar,
     Collection,
     Iterable,
-    Mapping,
     Sequence,
     TypeVar,
 )

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.fabrics.registry import ENGINES
 from repro.router.router import NetworkRouter
 from repro.sim import ledger as categories
 from repro.sim.results import (
@@ -37,9 +38,6 @@ from repro.sim.results import (
     SimulationResult,
     check_run_invariants,
 )
-
-#: Selectable slot-loop implementations (see :func:`create_engine`).
-ENGINES = ("vectorized", "reference")
 
 
 def create_engine(

@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from repro.api.records import RunRecord
 from repro.api.store import iter_run_entries

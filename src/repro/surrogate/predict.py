@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.api.model import PowerModel, default_session
 from repro.api.records import RunRecord
 from repro.api.scenario import Scenario
 from repro.api.store import RunRecordStore
@@ -28,6 +27,9 @@ from repro.resilience import BatchReport, RetryPolicy
 
 from repro.surrogate.dataset import TARGET_FIELDS, context_signature
 from repro.surrogate.train import SurrogateModel
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.model import PowerModel
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,10 @@ class SurrogatePredictor:
     @property
     def session(self) -> PowerModel:
         if self._session is None:
+            # The engines load with the first fallback: an in-distribution
+            # query never simulates.
+            from repro.api.model import default_session
+
             self._session = default_session()
         return self._session
 

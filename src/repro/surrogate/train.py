@@ -29,10 +29,11 @@ import json
 import math
 import operator
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigurationError
 

@@ -10,9 +10,30 @@ A uniquely-named module avoids the collision; import as
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.router.cells import Cell, CellFormat
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path and
+    return its stdout."""
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def make_cell(

@@ -12,7 +12,10 @@ Any relaxation of this contract (tolerances, skipped fields) would let
 silent divergence into every default simulation, so don't.
 """
 
+import json
+
 import pytest
+from helpers import run_python
 
 from repro.api import PowerModel, Scenario
 from repro.errors import ConfigurationError
@@ -419,6 +422,46 @@ class TestPerPortLoads:
         assert router_stats.delivered_cells > 0
 
 
+#: Prints the registry's answers before and after a lookup has loaded
+#: the fabric classes, in a fresh process.
+REGISTRY_STATES = """
+import json, sys
+from repro.errors import ConfigurationError
+from repro.fabrics import registry
+
+BUILTIN = list(registry.BUILTIN_ARCHITECTURES) + [
+    "xbar", "fullyconnected", "fully_conn", "fc", "mux", "batcher",
+    "batcherbanyan"]
+OTHER = ["Fully-Connected", "XBAR", "Batcher Banyan", "Custom", "my-alias",
+         "clos"]
+registry.register_fabric("custom", object, aliases=("my_alias",))
+
+def answer(call, *args, **kwargs):
+    try:
+        return str(call(*args, **kwargs))
+    except ConfigurationError as exc:
+        return str(exc)
+
+def state():
+    return {
+        "fabric_modules": sorted(
+            m for m in sys.modules if m.startswith("repro.fabrics.")
+            and m != "repro.fabrics.registry"),
+        "registered": registry.registered_architectures(),
+        "canonical": [answer(registry.canonical_architecture, name)
+                      for name in BUILTIN + OTHER],
+        "refused": [answer(registry.register_fabric, name, object)
+                    for name in BUILTIN]
+                   + [answer(registry.register_fabric, "other", object,
+                             aliases=(name,)) for name in BUILTIN],
+    }
+
+before = state()
+registry.get_entry("Banyan")
+print(json.dumps([before, state()]))
+"""
+
+
 class TestRegistry:
     def test_custom_fabric_runs_on_both_engines(self):
         """A registry entry with a vector core is a first-class citizen:
@@ -455,6 +498,49 @@ class TestRegistry:
             register_fabric("crossbar", CrossbarFabric)
         with pytest.raises(ConfigurationError, match="built-in"):
             unregister_fabric("banyan")
+
+    def test_builtin_aliases_cannot_be_unregistered_in_a_fresh_process(self):
+        """Before any lookup has loaded a fabric class, an alias still
+        names its built-in."""
+        refused = run_python(
+            "from repro.errors import ConfigurationError\n"
+            "from repro.fabrics.registry import unregister_fabric\n"
+            "for name in ('xbar', 'mux', 'Batcher', 'fully-conn'):\n"
+            "    try:\n"
+            "        unregister_fabric(name)\n"
+            "    except ConfigurationError as exc:\n"
+            "        print(exc)\n"
+        ).splitlines()
+        assert refused == [
+            f"cannot unregister built-in architecture {name!r}"
+            for name in ("crossbar", "fully_connected", "batcher_banyan",
+                         "fully_connected")
+        ]
+
+    def test_name_table_answers_like_the_loaded_entries(self):
+        """Names, aliases and other spellings resolve the same before
+        any fabric module is imported as after ``get_entry`` loaded the
+        classes, custom entries are listed in both states, and no
+        built-in name or alias can be registered in either."""
+        before, after = json.loads(run_python(REGISTRY_STATES))
+        assert before.pop("fabric_modules") == []
+        assert "repro.fabrics.vectorized" in after.pop("fabric_modules")
+        assert before == after
+        assert before["registered"] == [
+            "banyan", "batcher_banyan", "crossbar", "custom",
+            "fully_connected",
+        ]
+        assert before["canonical"][:-1] == [
+            "crossbar", "fully_connected", "banyan", "batcher_banyan",
+            "crossbar", "fully_connected", "fully_connected",
+            "fully_connected", "fully_connected", "batcher_banyan",
+            "batcher_banyan", "fully_connected", "crossbar",
+            "batcher_banyan", "custom", "custom",
+        ]
+        assert before["canonical"][-1].startswith(
+            "unknown architecture 'clos'"
+        )
+        assert all("built-in" in refusal for refusal in before["refused"])
 
     def test_aliases_cannot_hijack_builtin_names(self):
         """An alias colliding with a built-in name or alias must be

@@ -11,7 +11,10 @@ Package exports are lazy, so a run loads only the modules its path
 uses: ``import repro`` loads no numpy, a ``fig9`` run loads neither
 networkx nor the network, control, serving, gate-level or analysis
 layers, and every module imports on its own, which no package import
-order can then hide a cycle from.
+order can then hide a cycle from.  What simulates nothing (``--help``,
+every ``list``, a grid ``--dry-run``, an in-distribution ``repro
+serve`` query) loads neither numpy nor the engines: they load with the
+first simulation.
 """
 
 from __future__ import annotations
@@ -19,14 +22,9 @@ from __future__ import annotations
 import ast
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from helpers import SRC, run_python
 
 #: Every module under ``src/repro`` by dotted name, ``__main__`` (which
 #: runs the CLI) aside.
@@ -170,20 +168,6 @@ REPRO_NAMES = [
 ]
 
 
-def run_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter with ``src`` on the path and
-    return its stdout."""
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def _definers() -> dict[str, list[str]]:
     """``{name: modules}``: the modules under ``src/repro`` that bind
     ``name`` at top level by ``def``, ``class`` or assignment."""
@@ -264,6 +248,15 @@ NOT_ON_THE_FIG9_PATH = (
 )
 
 
+def _within(loaded: list[str], names: tuple[str, ...]) -> list[str]:
+    """The modules of ``loaded`` that are one of ``names`` or under one."""
+    return [
+        module for module in loaded
+        if any(module == name or module.startswith(name + ".")
+               for name in names)
+    ]
+
+
 def test_bare_import_loads_no_numpy():
     assert run_python(
         "import sys, repro\nprint('numpy' in sys.modules)"
@@ -285,11 +278,152 @@ def test_fig9_run_loads_only_its_path():
         "record.to_csv(), record.to_json()\n"
         "print(json.dumps(sorted(sys.modules)))\n"
     ))
-    assert [
-        module for module in loaded
-        if any(module == name or module.startswith(name + ".")
-               for name in NOT_ON_THE_FIG9_PATH)
-    ] == []
+    assert _within(loaded, NOT_ON_THE_FIG9_PATH) == []
+
+
+#: The fabric class modules (the vector cores included).
+FABRIC_CLASSES = tuple(
+    f"repro.fabrics.{name}" for name in (
+        "base", "crossbar", "fully_connected", "banyan", "batcher_banyan",
+        "vectorized",
+    )
+)
+#: What a path that simulates nothing must not load.
+SIMULATOR = (
+    "numpy", "repro.sim.engine", "repro.sim.vector_engine",
+    "repro.sim.cellstore", "repro.router.traffic", "repro.router.cells",
+    "repro.router.packet", "repro.router.router",
+) + FABRIC_CLASSES
+
+
+#: The modules that build, validate, list or serve specs
+#: (docs/ARCHITECTURE.md, "What loads when").
+SPEC_MODULES = (
+    "repro.fabrics.registry", "repro.router.params", "repro.api.scenario",
+    "repro.api.records", "repro.api.store", "repro.api.jsonl",
+    "repro.api.figstore", "repro.serial", "repro.core.estimator",
+    "repro.core.tables", "repro.sim.results", "repro.network.topology",
+    "repro.network.traffic_matrix", "repro.network.routing",
+    "repro.network.power", "repro.network.presets", "repro.control.demand",
+    "repro.control.spec", "repro.control.presets",
+    "repro.campaigns.campaign", "repro.campaigns.comparison",
+    "repro.campaigns.presets", "repro.campaigns.runner",
+    "repro.surrogate.dataset", "repro.surrogate.train",
+    "repro.surrogate.predict", "repro.surrogate.serve", "repro.cli",
+)
+
+
+def test_spec_modules_import_no_simulator():
+    loaded = json.loads(run_python(
+        "import importlib, json, sys\n"
+        f"for module in {SPEC_MODULES!r}:\n"
+        "    importlib.import_module(module)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    ))
+    assert _within(loaded, SIMULATOR) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["campaign", "list"],
+    ["network", "list"],
+    ["control", "list"],
+    ["campaign", "run", "fig9", "--dry-run"],
+    ["campaign", "run", "fat_tree_k4_sweep", "--dry-run"],
+    ["control", "run", "dumbbell_sleep_sweep", "--dry-run"],
+], ids=" ".join)
+def test_a_command_that_simulates_nothing_loads_no_simulator(argv):
+    code, loaded = json.loads(run_python(
+        "import contextlib, io, json, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        code = main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    ))
+    assert code in (0, None)
+    assert _within(loaded, SIMULATOR) == []
+
+
+@pytest.fixture(scope="module")
+def surrogate(tmp_path_factory):
+    """A surrogate of a small crossbar grid saved as JSON, and an
+    in-distribution scenario of it as a ``/predict`` body."""
+    from repro.api import PowerModel, Scenario
+    from repro.surrogate import dataset_from_records, train_surrogate
+
+    window = dict(arrival_slots=40, warmup_slots=8)
+    grid = Scenario.grid(ports=(4, 8), loads=(0.1, 0.2, 0.3, 0.4), **window)
+    records = PowerModel().run_batch(grid)
+    path = tmp_path_factory.mktemp("surrogate") / "model.json"
+    train_surrogate(dataset_from_records(records)).save(path)
+    return path, Scenario("crossbar", 8, 0.25, **window).to_dict()
+
+
+SERVE = """
+import asyncio, json, sys
+from repro.api.scenario import Scenario
+from repro.surrogate import SurrogatePredictor, SurrogateServer
+from repro.surrogate.train import SurrogateModel
+
+predictor = SurrogatePredictor(SurrogateModel.load(MODEL))
+answer = predictor.predict(Scenario.from_dict(BODY))
+assert answer.source == "surrogate", answer.reason
+answer.to_json()
+
+async def serve():
+    server = SurrogateServer(predictor, port=0)
+    await server.start()
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    body = json.dumps(BODY).encode()
+    writer.write(b"POST /predict HTTP/1.1\\r\\nHost: x\\r\\n"
+                 b"Connection: close\\r\\nContent-Length: %d\\r\\n\\r\\n"
+                 % len(body) + body)
+    reply = await reader.read()
+    writer.close()
+    await server.stop()
+    return reply
+
+assert asyncio.run(serve()).startswith(b"HTTP/1.1 200"), "not served"
+served = sorted(sys.modules)
+ood = Scenario.from_dict(dict(BODY, load=0.9))
+fallback = predictor.predict(ood)
+after = sorted(sys.modules)
+from repro.api.model import PowerModel
+direct = PowerModel().run(ood)
+payloads = [fallback.record.to_cache_dict(), direct.to_cache_dict()]
+for payload in payloads:
+    payload.pop("elapsed_s")
+print(json.dumps([served, fallback.source, after,
+                  [json.dumps(p, sort_keys=True) for p in payloads]]))
+"""
+
+
+def test_serving_loads_the_engines_on_its_first_fallback(surrogate):
+    """Loading a model, parsing, predicting, serialising and serving an
+    in-distribution query load no simulator; an out-of-distribution
+    query then loads the engines and answers with the record a direct
+    run gives (timing set aside)."""
+    path, body = surrogate
+    served, source, after, (fallback, direct) = json.loads(run_python(
+        f"MODEL = {str(path)!r}\nBODY = {body!r}\n" + SERVE
+    ))
+    assert _within(served, SIMULATOR) == []
+    assert source == "fallback"
+    assert "repro.sim.vector_engine" in after and "numpy" in after
+    assert fallback == direct
+
+
+def test_estimate_power_loads_no_fabric_class():
+    loaded = json.loads(run_python(
+        "import json, sys\n"
+        "from repro.core.estimator import estimate_power\n"
+        "estimate_power('banyan', 32, 0.3)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    ))
+    assert _within(loaded, FABRIC_CLASSES) == []
 
 
 def test_every_module_imports_on_its_own():
